@@ -119,7 +119,7 @@ func run(args []string) error {
 		nshards = 1
 	}
 
-	// The two payload families expose the same serving surface; front is
+	// The two key families expose the same serving surface; front is
 	// whichever one the flags picked.
 	type front interface {
 		Structure() string
@@ -151,44 +151,23 @@ func run(args []string) error {
 	if *poll && !server.PollSupported() {
 		logger.Printf("warning: -poll has no backend on this platform; serving goroutine-per-connection")
 	}
-	switch {
-	case *bytesMode:
+	kvopts := hyaline.KVOptions{
+		MaxThreads:      *threads,
+		ArenaCap:        *arenaCap,
+		BlobClassBudget: *blobCap,
+	}
+	if *bytesMode {
 		st := *structure
 		if st == "hashmap" { // the uint64 default; bytes structures have their own
 			st = "blist"
 		}
-		kvopts := hyaline.KVOptions{
-			MaxThreads:      *threads,
-			ArenaCap:        *arenaCap,
-			BlobClassBudget: *blobCap,
-		}
-		if nshards > 1 {
-			kvb, err := hyaline.NewShardedKVBytes(st, *scheme, nshards, kvopts)
-			if err != nil {
-				return err
-			}
-			fr, srv = kvb, server.NewBytes(kvb, opts)
-		} else {
-			kvb, err := hyaline.NewKVBytes(st, *scheme, kvopts)
-			if err != nil {
-				return err
-			}
-			fr, srv = kvb, server.NewBytes(kvb, opts)
-		}
-	case nshards > 1:
-		kv, err := hyaline.NewShardedKV(*structure, *scheme, nshards, hyaline.KVOptions{
-			MaxThreads: *threads,
-			ArenaCap:   *arenaCap,
-		})
+		kv, err := hyaline.NewShardedKVBytes(st, *scheme, nshards, kvopts)
 		if err != nil {
 			return err
 		}
-		fr, srv = kv, server.New(kv, opts)
-	default:
-		kv, err := hyaline.NewKV(*structure, *scheme, hyaline.KVOptions{
-			MaxThreads: *threads,
-			ArenaCap:   *arenaCap,
-		})
+		fr, srv = kv, server.NewBytes(kv, opts)
+	} else {
+		kv, err := hyaline.NewShardedKV(*structure, *scheme, nshards, kvopts)
 		if err != nil {
 			return err
 		}

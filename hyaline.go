@@ -32,6 +32,18 @@
 // cache keeps the hot path allocation- and contention-free), so any
 // number of goroutines share KVOptions.MaxThreads tids.
 //
+// # The store
+//
+// There is one store engine (store.go): a slice of independent shards —
+// each its own structure, tracker, arena and session leaser — that owns
+// construction, the lease/Enter/Trim/Leave bracket, batch routing and
+// every aggregate. Two thin typed facades sit on it, one per key
+// family: KV (uint64 keys and values) and KVBytes ([]byte keys and
+// values, payloads in the arena's blob slabs). Sharding is a
+// constructor argument, not a type: NewKV(s, sc, o) is
+// NewShardedKV(s, sc, 1, o), likewise NewKVBytes, and ShardedKV /
+// ShardedKVBytes are aliases of KV / KVBytes.
+//
 // # Low-level API
 //
 // The explicit-tid surface remains for callers that manage their own
@@ -52,7 +64,7 @@
 // Scheme names follow the paper's figures: "hyaline", "hyaline-1",
 // "hyaline-s", "hyaline-1s", "epoch", "hp", "he", "ibr", "leaky".
 // Structure names: "list", "hashmap", "bonsai", "natarajan",
-// "skiplist".
+// "skiplist"; the bytes family has "blist".
 package hyaline
 
 import (

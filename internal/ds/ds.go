@@ -173,6 +173,20 @@ func Supports(structure, scheme string) bool {
 	return !registry[structure].excluded[scheme]
 }
 
+// Validate is ValidateBytes for the uint64 structures: a descriptive
+// error for an unknown structure or an excluded structure×scheme pair,
+// before a constructor commits any resources.
+func Validate(structure, scheme string) error {
+	e, ok := registry[structure]
+	if !ok {
+		return fmt.Errorf("ds: unknown structure %q (known: %v)", structure, Names())
+	}
+	if e.excluded[scheme] {
+		return fmt.Errorf("ds: structure %q does not support scheme %q", structure, scheme)
+	}
+	return nil
+}
+
 // SupportsRange reports whether the named structure implements Ranger.
 // The unordered hashmap and the snapshot-replacing Bonsai tree do not.
 func SupportsRange(structure string) bool {

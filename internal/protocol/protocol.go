@@ -39,6 +39,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"unicode/utf8"
@@ -225,6 +226,15 @@ func ValidateRequest(op Op, payload []byte) error {
 	return nil
 }
 
+// ErrFraming marks a violation of the frame format itself (as opposed
+// to an I/O error on the underlying stream): after one there is no
+// trustworthy boundary to resume parsing from. A Reader wraps it, and
+// like every Reader error it is sticky, so a server can tell "answer
+// ERR, then close" from "the peer went away" with errors.Is — whether
+// the junk arrived in the same TCP segment as the frames before it or
+// in its own.
+var ErrFraming = errors.New("protocol: framing error")
+
 // Frame is one decoded frame. Payload aliases the Reader's internal
 // buffer: it is valid until the next ReadFrame/TryReadFrame call and
 // must be copied to outlive it.
@@ -277,7 +287,8 @@ func (rd *Reader) ClearError() { rd.err = nil }
 
 // ReadFrame decodes the next frame, blocking on the underlying stream as
 // needed. A clean close at a frame boundary returns io.EOF; mid-frame it
-// returns io.ErrUnexpectedEOF. Errors are sticky.
+// returns io.ErrUnexpectedEOF; a malformed header wraps ErrFraming.
+// Errors are sticky.
 func (rd *Reader) ReadFrame() (Frame, error) {
 	if err := rd.ensure(HeaderSize); err != nil {
 		return Frame{}, err
@@ -317,7 +328,7 @@ func (rd *Reader) TryReadFrame() (Frame, bool, error) {
 func (rd *Reader) header() (byte, int, error) {
 	code := rd.buf[rd.r]
 	if code == 0 {
-		rd.err = fmt.Errorf("protocol: zero frame code (stream desynchronized?)")
+		rd.err = fmt.Errorf("%w: zero frame code (stream desynchronized?)", ErrFraming)
 		return 0, 0, rd.err
 	}
 	n := int(binary.LittleEndian.Uint16(rd.buf[rd.r+1 : rd.r+3]))

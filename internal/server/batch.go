@@ -1,0 +1,100 @@
+// batch.go is the one seam where the server knows which key family it
+// serves. Everything else — connections, windows, the coalescer, OOO
+// delivery — moves batch values around without looking inside.
+package server
+
+import (
+	"errors"
+
+	"hyaline"
+	"hyaline/internal/protocol"
+)
+
+// batch is one key family's run of pending data ops plus, once applied,
+// their results. A connection owns one (its current run), every
+// coalescer worker owns one (the merged run of many connections), and
+// every async OOO run owns one (a copy that outlives the reader's
+// network buffer).
+type batch interface {
+	len() int
+	reset()
+	// push decodes one validated data frame into a pending op. A frame
+	// of the other family is a protocol error.
+	push(op protocol.Op, payload []byte) error
+	// merge appends src's pending ops; own replaces the pending ops with
+	// a copy of src's that shares no memory with it.
+	merge(src batch)
+	own(src batch)
+	// apply runs the pending ops against the store in one ApplyInto —
+	// one lease and one bracket per shard touched.
+	apply()
+	// encode appends the replies of ops [off, off+n) to buf in request
+	// order, echoing seqs[i-off] on each when the connection negotiated
+	// FlagSeq (seqs is empty otherwise).
+	encode(buf []byte, off, n int, seqs []uint32) []byte
+}
+
+// appendStatus encodes the payload-free replies both families share:
+// OK for a mutation that took effect, NIL for a miss or a no-op.
+func appendStatus(buf []byte, ok bool, seqs []uint32, i int) []byte {
+	switch {
+	case len(seqs) == 0 && ok:
+		return protocol.AppendOK(buf)
+	case len(seqs) == 0:
+		return protocol.AppendNil(buf)
+	case ok:
+		return protocol.AppendOKSeq(buf, seqs[i])
+	}
+	return protocol.AppendNilSeq(buf, seqs[i])
+}
+
+func errWrongFamily(op protocol.Op, serves string) error {
+	return errors.New("server: " + op.String() + " on a server backed by a " + serves + " KV")
+}
+
+// u64Batch is the uint64 family: GET/SET/DEL over a Store.
+type u64Batch struct {
+	kv  Store
+	ops []hyaline.Op
+	res []hyaline.Result
+}
+
+func (b *u64Batch) len() int        { return len(b.ops) }
+func (b *u64Batch) reset()          { b.ops = b.ops[:0] }
+func (b *u64Batch) merge(src batch) { b.ops = append(b.ops, src.(*u64Batch).ops...) }
+func (b *u64Batch) own(src batch)   { b.ops = append(b.ops[:0], src.(*u64Batch).ops...) }
+func (b *u64Batch) apply()          { b.res = b.kv.ApplyInto(b.res[:0], b.ops) }
+
+func (b *u64Batch) push(op protocol.Op, p []byte) error {
+	var o hyaline.Op
+	switch op {
+	case protocol.OpGet:
+		o.Kind = hyaline.OpGet
+		o.Key, _ = protocol.U64(p)
+	case protocol.OpSet:
+		o.Kind = hyaline.OpInsert
+		o.Key, o.Val, _ = protocol.KeyVal(p)
+	case protocol.OpDel:
+		o.Kind = hyaline.OpDelete
+		o.Key, _ = protocol.U64(p)
+	default:
+		return errWrongFamily(op, "uint64")
+	}
+	b.ops = append(b.ops, o)
+	return nil
+}
+
+func (b *u64Batch) encode(buf []byte, off, n int, seqs []uint32) []byte {
+	for i := 0; i < n; i++ {
+		r := b.res[off+i]
+		switch {
+		case b.ops[off+i].Kind != hyaline.OpGet || !r.OK:
+			buf = appendStatus(buf, r.OK, seqs, i)
+		case len(seqs) == 0:
+			buf = protocol.AppendValue(buf, r.Val)
+		default:
+			buf = protocol.AppendValueSeq(buf, seqs[i], r.Val)
+		}
+	}
+	return buf
+}

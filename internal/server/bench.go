@@ -34,27 +34,15 @@ func init() { bench.RegisterServeRunner(RunBench) }
 // completions; the unreclaimed gauge is sampled server-side exactly like
 // the in-process harness samples it.
 func RunBench(cfg bench.Config) (bench.Result, error) {
-	// The server's store: unsharded by default, a ShardedKV when the
-	// config asks for partitions (cfg.Threads stays the total lease
-	// bound, divided across the shards).
-	var kv benchStore
-	opts := hyaline.KVOptions{
+	// The server's store: cfg.Threads is the total lease bound, divided
+	// across cfg.Shards partitions (0 or 1 = unsharded).
+	kv, err := hyaline.NewShardedKV(cfg.Structure, cfg.Scheme, max(cfg.Shards, 1), hyaline.KVOptions{
 		MaxThreads: cfg.Threads,
 		ArenaCap:   cfg.ArenaCap,
 		Tracker:    cfg.Tracker,
-	}
-	if cfg.Shards > 1 {
-		skv, err := hyaline.NewShardedKV(cfg.Structure, cfg.Scheme, cfg.Shards, opts)
-		if err != nil {
-			return bench.Result{}, err
-		}
-		kv = skv
-	} else {
-		ukv, err := hyaline.NewKV(cfg.Structure, cfg.Scheme, opts)
-		if err != nil {
-			return bench.Result{}, err
-		}
-		kv = ukv
+	})
+	if err != nil {
+		return bench.Result{}, err
 	}
 	prefillKV(kv, cfg.Prefill, cfg.KeyRange)
 
@@ -296,18 +284,9 @@ type paddedCount struct {
 	_ [7]uint64
 }
 
-// benchStore is the slice of the store surface RunBench itself uses,
-// satisfied by *hyaline.KV and *hyaline.ShardedKV (both also satisfy
-// Store for the server).
-type benchStore interface {
-	Store
-	Apply(ops []hyaline.Op) []hyaline.Result
-	Stats() hyaline.Stats
-}
-
 // prefillKV inserts exactly n distinct random keys through the batch
 // API (duplicates retry until the count is reached).
-func prefillKV(kv benchStore, n int, keyRange uint64) {
+func prefillKV(kv *hyaline.KV, n int, keyRange uint64) {
 	rng := rand.New(rand.NewSource(12345))
 	ops := make([]hyaline.Op, 0, 512)
 	inserted := 0

@@ -12,10 +12,11 @@
 //
 // Runs arrive in two flavours:
 //
-//   - Synchronous (FIFO): the reader parks until the worker scatters
-//     the run's results back into the conn's buffers and signals it;
-//     the reader then encodes the replies in request order. Coalescing
-//     changes when a run is applied, never the reply order.
+//   - Synchronous (FIFO): the reader parks until the worker has encoded
+//     the run's replies — its slice of the merged batch — into the
+//     conn's reply buffer, in request order, and signals it; the reader
+//     then writes the window as usual. Coalescing changes when a run is
+//     applied, never the reply order.
 //
 //   - Asynchronous (OOO, seq-framed conns under Options.OOO): the
 //     reader submits and keeps decoding. Consecutive runs rotate across
@@ -33,9 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hyaline"
-	"hyaline/internal/protocol"
 )
 
 // coQueue is each shard's submission queue depth. Submitting readers
@@ -44,9 +42,9 @@ import (
 const coQueue = 256
 
 // run is one connection's pending batch of data commands as the
-// coalescer sees it. Synchronous runs borrow the conn's own slices
-// (the reader is parked, so they are stable); async runs own copies,
-// pooled via runPool.
+// coalescer sees it. Synchronous runs borrow the conn's own batch and
+// seqs (the reader is parked, so they are stable); async runs own
+// copies, pooled per coalescer.
 type run struct {
 	cn   *conn
 	sync bool
@@ -54,23 +52,9 @@ type run struct {
 	// worker that writes an async run's replies can charge the
 	// decode→reply-flushed latency histogram.
 	t0   time.Time
-	ops  []hyaline.Op
-	bops []hyaline.BytesOp
+	b    batch
 	seqs []uint32
-	// kvbuf backs async bytes runs: keys and values are deep-copied out
-	// of the reader's network buffer, which keeps moving underneath an
-	// async run.
-	kvbuf []byte
 }
-
-func (r *run) len() int {
-	if len(r.bops) > 0 {
-		return len(r.bops)
-	}
-	return len(r.ops)
-}
-
-var runPool = sync.Pool{New: func() any { return new(run) }}
 
 // coalescer fans decoded runs from all connections into per-shard apply
 // workers. A worker owns its flat batch buffers, so the apply path
@@ -80,6 +64,7 @@ type coalescer struct {
 	window   time.Duration
 	maxBatch int
 	shards   []coShard
+	runs     sync.Pool // *run, async only: each owns a batch of this server's family
 	next     atomic.Uint32
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -142,16 +127,21 @@ func (co *coalescer) assign() *coShard {
 }
 
 // apply submits cn's pending run synchronously and blocks until the
-// worker has filled cn's result buffers. The reader owns the run's
-// memory throughout — it is parked here, not reading — so bytes-mode
-// ops may keep aliasing the reader's network buffer.
+// worker has encoded its replies into cn.buf. The reader owns the run's
+// memory throughout — it is parked here, not reading — so bytes ops may
+// keep aliasing the reader's network buffer.
 func (co *coalescer) apply(cn *conn) {
-	r := &cn.frun
-	r.cn = cn
-	r.sync = true
-	r.ops, r.bops, r.seqs = cn.ops, cn.bops, cn.seqs
-	cn.shard.ch <- r
+	cn.frun.seqs = cn.seqs
+	cn.shard.ch <- &cn.frun
 	<-cn.applied
+}
+
+// newRun takes an async run from the pool.
+func (co *coalescer) newRun() *run {
+	if r, ok := co.runs.Get().(*run); ok {
+		return r
+	}
+	return &run{b: co.srv.newBatch()}
 }
 
 // submit hands an async run to a rotating shard; the worker that
@@ -170,19 +160,15 @@ func (co *coalescer) shutdown() {
 
 // run is one shard's apply worker: block for the first run, collect
 // more until the batch fills or the window expires, apply once, then
-// scatter — synchronous runs wake their parked reader, async runs have
-// their replies encoded and written right here.
+// scatter — each run's slice of the results is encoded for its
+// connection: into the parked reader's reply buffer for synchronous
+// runs, straight onto the wire for async ones. The worker owns its
+// merged batch, so the apply path allocates nothing in steady state.
 func (co *coalescer) run(sh *coShard) {
 	defer co.wg.Done()
 	defer co.srv.m.goroutines.Dec()
-	var (
-		pending []*run
-		ops     []hyaline.Op
-		res     []hyaline.Result
-		bops    []hyaline.BytesOp
-		bres    []hyaline.BytesResult
-		vbuf    []byte
-	)
+	var pending []*run
+	wb := co.srv.newBatch()
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for {
@@ -193,7 +179,7 @@ func (co *coalescer) run(sh *coShard) {
 			return
 		}
 		pending = append(pending[:0], first)
-		total := first.len()
+		total := first.b.len()
 		switch {
 		case total >= co.maxBatch:
 			// The first run alone fills the batch; ship immediately.
@@ -204,7 +190,7 @@ func (co *coalescer) run(sh *coShard) {
 				select {
 				case r := <-sh.ch:
 					pending = append(pending, r)
-					total += r.len()
+					total += r.b.len()
 				case <-timer.C:
 					break collect
 				}
@@ -216,150 +202,52 @@ func (co *coalescer) run(sh *coShard) {
 				select {
 				case r := <-sh.ch:
 					pending = append(pending, r)
-					total += r.len()
+					total += r.b.len()
 				default:
 					total = co.maxBatch
 				}
 			}
 		}
 
-		if co.srv.kvb != nil {
-			bops = bops[:0]
-			for _, r := range pending {
-				bops = append(bops, r.bops...)
+		wb.reset()
+		for _, r := range pending {
+			wb.merge(r.b)
+		}
+		wb.apply()
+		co.srv.m.batches.Inc()
+		co.srv.m.batchOps.ObserveSize(wb.len())
+		co.srv.m.coalesceRuns.ObserveSize(len(pending))
+		off := 0
+		for _, r := range pending {
+			n := r.b.len()
+			if r.sync {
+				r.cn.buf = wb.encode(r.cn.buf, off, n, r.seqs)
+				r.cn.applied <- struct{}{}
+			} else {
+				co.deliver(r, wb, off, n)
 			}
-			bres, vbuf = co.srv.kvb.ApplyBytesInto(bres[:0], vbuf[:0], bops)
-			co.srv.m.batches.Inc()
-			co.srv.m.batchOps.ObserveSize(len(bops))
-			co.srv.m.coalesceRuns.ObserveSize(len(pending))
-			off := 0
-			for _, r := range pending {
-				n := len(r.bops)
-				if r.sync {
-					r.cn.scatterBytes(bres[off : off+n])
-					r.cn.applied <- struct{}{}
-				} else {
-					co.deliverBytes(r, bres[off:off+n])
-				}
-				off += n
-			}
-		} else {
-			ops = ops[:0]
-			for _, r := range pending {
-				ops = append(ops, r.ops...)
-			}
-			res = co.srv.kv.ApplyInto(res[:0], ops)
-			co.srv.m.batches.Inc()
-			co.srv.m.batchOps.ObserveSize(len(ops))
-			co.srv.m.coalesceRuns.ObserveSize(len(pending))
-			off := 0
-			for _, r := range pending {
-				n := len(r.ops)
-				if r.sync {
-					r.cn.res = append(r.cn.res[:0], res[off:off+n]...)
-					r.cn.applied <- struct{}{}
-				} else {
-					co.deliver(r, res[off:off+n])
-				}
-				off += n
-			}
+			off += n
 		}
 	}
 }
 
-// deliver encodes and writes an async uint64 run's replies — this shard
-// batch landed, so its slice of the results goes straight to the wire,
+// deliver encodes and writes an async run's replies — this shard batch
+// landed, so its slice of the results goes straight to the wire,
 // seq-tagged, without waiting for any other run of the window. The
 // conn's token is released only after the write: the oooBarrier
 // contract is "no tokens outstanding" == "every reply written".
-func (co *coalescer) deliver(r *run, res []hyaline.Result) {
+func (co *coalescer) deliver(r *run, wb batch, off, n int) {
 	bp := bufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	for i, op := range r.ops {
-		rr := res[i]
-		switch {
-		case op.Kind == hyaline.OpGet && rr.OK:
-			buf = protocol.AppendValueSeq(buf, r.seqs[i], rr.Val)
-		case rr.OK:
-			buf = protocol.AppendOKSeq(buf, r.seqs[i])
-		default:
-			buf = protocol.AppendNilSeq(buf, r.seqs[i])
-		}
-	}
-	co.srv.m.served.Add(uint64(len(r.ops)))
-	n := len(r.ops)
+	buf := wb.encode((*bp)[:0], off, n, r.seqs)
+	co.srv.m.served.Add(uint64(n))
 	cn := r.cn
 	cn.write(buf)
 	co.srv.m.opLatency.ObserveN(time.Since(r.t0), int64(n))
 	*bp = buf[:0]
 	bufPool.Put(bp)
-	r.release()
-	<-cn.tokens
-}
-
-// deliverBytes is deliver for bytes runs. Encoding copies each hit
-// value into the reply buffer, so nothing aliases the worker's batch
-// buffers once it moves on — the wire-level guarantee the OOO
-// conformance test pins down.
-func (co *coalescer) deliverBytes(r *run, bres []hyaline.BytesResult) {
-	bp := bufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	for i, op := range r.bops {
-		rr := bres[i]
-		switch {
-		case op.Kind == hyaline.OpGet && rr.OK:
-			buf = protocol.AppendValueBSeq(buf, r.seqs[i], rr.Val)
-		case rr.OK:
-			buf = protocol.AppendOKSeq(buf, r.seqs[i])
-		default:
-			buf = protocol.AppendNilSeq(buf, r.seqs[i])
-		}
-	}
-	co.srv.m.served.Add(uint64(len(r.bops)))
-	n := len(r.bops)
-	cn := r.cn
-	cn.write(buf)
-	co.srv.m.opLatency.ObserveN(time.Since(r.t0), int64(n))
-	*bp = buf[:0]
-	bufPool.Put(bp)
-	r.release()
-	<-cn.tokens
-}
-
-// release returns an async run to the pool. The slices keep their
-// capacity; the conn pointer is dropped so a pooled run can never
-// resurrect a dead connection.
-func (r *run) release() {
+	// Back to the pool with the conn pointer dropped, so a pooled run
+	// can never resurrect a dead connection.
 	r.cn = nil
-	r.ops = r.ops[:0]
-	r.bops = r.bops[:0]
-	r.seqs = r.seqs[:0]
-	r.kvbuf = r.kvbuf[:0]
-	runPool.Put(r)
-}
-
-// scatterBytes copies this connection's slice of a shared batch into
-// conn-owned memory: the worker reuses its value buffer for the next
-// batch the moment this one is signalled, so GETB hit values must not
-// keep aliasing it. Capacity is ensured up front so the staged appends
-// never reallocate under the value slices being taken.
-func (cn *conn) scatterBytes(batch []hyaline.BytesResult) {
-	need := 0
-	for _, r := range batch {
-		need += len(r.Val)
-	}
-	if cap(cn.vbuf) < need {
-		cn.vbuf = make([]byte, 0, need)
-	} else {
-		cn.vbuf = cn.vbuf[:0]
-	}
-	cn.bres = cn.bres[:0]
-	for _, r := range batch {
-		if r.Val != nil {
-			start := len(cn.vbuf)
-			cn.vbuf = append(cn.vbuf, r.Val...)
-			r.Val = cn.vbuf[start:len(cn.vbuf):len(cn.vbuf)]
-		}
-		cn.bres = append(cn.bres, r)
-	}
+	co.runs.Put(r)
+	<-cn.tokens
 }

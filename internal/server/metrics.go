@@ -78,8 +78,8 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 	}
 }
 
-// shardStatser is the optional per-shard stats surface; the four KV
-// types all provide it (the unsharded ones as a 1-element slice).
+// shardStatser is the optional per-shard stats surface; both hyaline
+// store types provide it (one element when unsharded).
 type shardStatser interface {
 	ShardStats() []hyaline.Stats
 }
@@ -90,31 +90,31 @@ type shardStatser interface {
 // totals always, per shard when the store exposes shard stats. All are
 // sampled at scrape time from the KV's own counters; the serve path
 // pays nothing for them.
-func (s *Server) registerStoreMetrics(store any) {
+func (s *Server) registerStoreMetrics() {
 	reg := s.m.reg
 	reg.GaugeFunc("hyaline_kv_len",
 		"Entries in the map (approximate under churn).",
-		func() float64 { return float64(s.kvLen()) })
+		func() float64 { return float64(s.store.Len()) })
 	reg.GaugeFunc("hyaline_kv_live_nodes",
 		"Arena nodes currently allocated.",
-		func() float64 { return float64(s.snapshot().Live) })
+		func() float64 { return float64(s.store.Snapshot().Live) })
 	reg.GaugeFunc("hyaline_kv_unreclaimed_nodes",
 		"Retired-but-not-freed nodes (limbo depth, the robustness gauge).",
-		func() float64 { return float64(s.snapshot().Stats.Unreclaimed()) })
+		func() float64 { return float64(s.store.Snapshot().Stats.Unreclaimed()) })
 	reg.CounterFunc("hyaline_kv_nodes_allocated_total",
 		"Nodes handed out by the arenas.",
-		func() float64 { return float64(s.snapshot().Stats.Allocated) })
+		func() float64 { return float64(s.store.Snapshot().Stats.Allocated) })
 	reg.CounterFunc("hyaline_kv_nodes_retired_total",
 		"Nodes retired to the reclamation scheme.",
-		func() float64 { return float64(s.snapshot().Stats.Retired) })
+		func() float64 { return float64(s.store.Snapshot().Stats.Retired) })
 	reg.CounterFunc("hyaline_kv_nodes_freed_total",
 		"Nodes returned to the arenas.",
-		func() float64 { return float64(s.snapshot().Stats.Freed) })
+		func() float64 { return float64(s.store.Snapshot().Stats.Freed) })
 	reg.CounterFunc("hyaline_kv_scans_total",
 		"Reclamation passes over the limbo/retire lists.",
-		func() float64 { return float64(s.snapshot().Stats.Scans) })
+		func() float64 { return float64(s.store.Snapshot().Stats.Scans) })
 
-	ss, ok := store.(shardStatser)
+	ss, ok := s.store.(shardStatser)
 	if !ok {
 		return
 	}

@@ -62,15 +62,14 @@ func oooOptions() server.Options {
 	}
 }
 
-// serveStore runs a server over an already-wrapped Store with the test
-// lifecycle of testServer.
-func serveStore(t *testing.T, st server.Store, opts server.Options) string {
+// serve runs an already-built server on a loopback listener with the
+// test lifecycle of testServer, returning its address.
+func serve(t *testing.T, srv *server.Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, opts)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -101,7 +100,7 @@ func TestOOOScrambledCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := serveStore(t, &slowStore{Store: kv, slowKey: slowKey, delay: 100 * time.Millisecond}, oooOptions())
+	addr := serve(t, server.New(&slowStore{Store: kv, slowKey: slowKey, delay: 100 * time.Millisecond}, oooOptions()))
 	_, w, rd := dial(t, addr)
 	if got := hello(t, w, rd, protocol.FlagSeq); got&protocol.FlagSeq == 0 {
 		t.Fatalf("HELLO accepted %#x, no seq framing", got)
@@ -205,7 +204,7 @@ func TestOOOMetaBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := serveStore(t, &slowStore{Store: kv, slowKey: slowKey, delay: 50 * time.Millisecond}, oooOptions())
+	addr := serve(t, server.New(&slowStore{Store: kv, slowKey: slowKey, delay: 50 * time.Millisecond}, oooOptions()))
 	_, w, rd := dial(t, addr)
 	hello(t, w, rd, protocol.FlagSeq)
 
@@ -257,7 +256,7 @@ func TestOOOMetaBarrier(t *testing.T) {
 // full length, full content — proving reply encoding copied them out
 // before the worker's batch buffers were reused for the next batch.
 func TestOOOBytesScrambled(t *testing.T) {
-	kvb, err := hyaline.NewKVBytes("blist", "hyaline", hyaline.KVOptions{
+	bkv, err := hyaline.NewKVBytes("blist", "hyaline", hyaline.KVOptions{
 		MaxThreads:      4,
 		ArenaCap:        1 << 16,
 		BlobClassBudget: 1 << 20,
@@ -266,24 +265,8 @@ func TestOOOBytesScrambled(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := []byte("slow-key-marker")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.NewBytes(&slowBytesStore{BytesStore: kvb, slowKey: slow, delay: 100 * time.Millisecond}, oooOptions())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != server.ErrServerClosed {
-			t.Errorf("Serve returned %v", err)
-		}
-	})
-	_, w, rd := dial(t, ln.Addr().String())
+	srv := server.NewBytes(&slowBytesStore{BytesStore: bkv, slowKey: slow, delay: 100 * time.Millisecond}, oooOptions())
+	_, w, rd := dial(t, serve(t, srv))
 	hello(t, w, rd, protocol.FlagSeq)
 
 	// Distinct keys and per-key values of distinct length and fill, so

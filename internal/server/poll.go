@@ -250,7 +250,8 @@ func (p *poller) service(cn *conn) {
 				}
 				return
 			}
-			p.teardown(cn) // EOF, peer reset, or drain deadline
+			cn.readFailed(err) // ERR for a framing violation; else EOF, peer reset, or drain deadline
+			p.teardown(cn)
 			return
 		}
 		cn.c.SetReadDeadline(time.Time{})

@@ -1,9 +1,12 @@
-// Package server is the network front-end of the hyaline KV: a TCP
-// listener speaking the internal/protocol frame format, riding
-// hyaline.KV. Each connection is decoded by one reader (a dedicated
-// goroutine by default, a pooled worker under Options.Poll) that
-// batches data commands and writes encoded replies inline under a
-// per-connection write lock.
+// Package server is the network front-end of the hyaline store: a TCP
+// listener speaking the internal/protocol frame format over one
+// hyaline.KV (uint64 keys, GET/SET/DEL) or one hyaline.KVBytes ([]byte
+// keys, GETB/SETB/DELB), sharded or not. Each connection is decoded by
+// one reader (a dedicated goroutine by default, a pooled worker under
+// Options.Poll) that batches data commands and writes encoded replies
+// inline under a per-connection write lock. The serving pipeline is the
+// same for both key families; what differs — op decoding, the store
+// call, value encoding — lives behind the batch type (batch.go).
 //
 // The performance move is pipelining: a client that keeps several
 // requests in flight has its whole burst sitting in the reader's buffer
@@ -130,32 +133,30 @@ type Options struct {
 
 // Store is the uint64 surface a server needs from its backing map:
 // the batched apply (every data run funnels through it) plus the
-// gauges STATS/LEN report. Both *hyaline.KV and *hyaline.ShardedKV
-// satisfy it — a sharded store splits each coalesced batch into
-// per-shard runs internally, so shard routing costs the server
-// nothing.
+// gauges STATS/LEN report. *hyaline.KV satisfies it at any shard count
+// — a sharded store splits each batch into per-shard runs internally,
+// so shard routing costs the server nothing.
 type Store interface {
 	ApplyInto(dst []hyaline.Result, ops []hyaline.Op) []hyaline.Result
 	Len() int
 	Snapshot() hyaline.Snapshot
 }
 
-// BytesStore is the bytes-mode counterpart of Store, satisfied by
-// *hyaline.KVBytes and *hyaline.ShardedKVBytes.
+// BytesStore is the bytes-family counterpart of Store, satisfied by
+// *hyaline.KVBytes.
 type BytesStore interface {
 	ApplyBytesInto(dst []hyaline.BytesResult, buf []byte, ops []hyaline.BytesOp) ([]hyaline.BytesResult, []byte)
 	Len() int
 	Snapshot() hyaline.Snapshot
 }
 
-// Server serves one Store — or one BytesStore — over TCP. Exactly one
-// of kv/kvb is non-nil: a server speaks either the uint64 data ops
-// (GET/SET/DEL) or the bytes ops (GETB/SETB/DELB), plus the meta
-// commands in both modes. A data op of the other family is a protocol
-// error, like any other malformed request.
+// Server serves one Store — or one BytesStore — over TCP: either the
+// uint64 data ops (GET/SET/DEL) or the bytes ops (GETB/SETB/DELB), plus
+// the meta commands in both. A data op of the other family is a
+// protocol error, like any other malformed request.
 type Server struct {
-	kv           Store
-	kvb          BytesStore
+	store        gauges       // what LEN/STATS and the storage metrics read
+	newBatch     func() batch // the store's key family (see batch.go)
 	maxPipeline  int
 	maxConns     int
 	writeTimeout time.Duration
@@ -173,27 +174,27 @@ type Server struct {
 	m  *srvMetrics    // every server gauge/counter/histogram (metrics.go)
 }
 
-// New builds a server over kv (a *hyaline.KV or *hyaline.ShardedKV).
-// The store stays owned by the caller: it is shared with any
-// in-process users and is not closed by Shutdown.
+// gauges is the store surface both families share.
+type gauges interface {
+	Len() int
+	Snapshot() hyaline.Snapshot
+}
+
+// New builds a server over kv (a *hyaline.KV, sharded or not). The
+// store stays owned by the caller: it is shared with any in-process
+// users and is not closed by Shutdown.
 func New(kv Store, opts Options) *Server {
-	s := newServer(opts)
-	s.kv = kv
-	s.registerStoreMetrics(kv)
-	return s
+	return newServer(opts, kv, func() batch { return &u64Batch{kv: kv} })
 }
 
 // NewBytes builds a server over a bytes KV: it serves GETB/SETB/DELB
 // instead of the uint64 data ops, with the same pipelining, batching
 // and drain behaviour.
-func NewBytes(kvb BytesStore, opts Options) *Server {
-	s := newServer(opts)
-	s.kvb = kvb
-	s.registerStoreMetrics(kvb)
-	return s
+func NewBytes(kv BytesStore, opts Options) *Server {
+	return newServer(opts, kv, func() batch { return &bytesBatch{kv: kv} })
 }
 
-func newServer(opts Options) *Server {
+func newServer(opts Options, store gauges, newBatch func() batch) *Server {
 	if opts.MaxPipeline <= 0 {
 		opts.MaxPipeline = DefaultMaxPipeline
 	}
@@ -209,6 +210,8 @@ func newServer(opts Options) *Server {
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
+		store:        store,
+		newBatch:     newBatch,
 		maxPipeline:  opts.MaxPipeline,
 		maxConns:     opts.MaxConns,
 		writeTimeout: wt,
@@ -227,6 +230,7 @@ func newServer(opts Options) *Server {
 			s.po = p
 		}
 	}
+	s.registerStoreMetrics()
 	s.registerConnMetrics()
 	return s
 }
@@ -235,22 +239,6 @@ func newServer(opts Options) *Server {
 // backend (epoll/kqueue); where it is false, Options.Poll silently
 // keeps the goroutine-per-connection model.
 func PollSupported() bool { return pollSupported }
-
-// kvLen returns the backing map's entry count in either mode.
-func (s *Server) kvLen() int {
-	if s.kvb != nil {
-		return s.kvb.Len()
-	}
-	return s.kv.Len()
-}
-
-// snapshot returns the backing KV's summary in either mode.
-func (s *Server) snapshot() hyaline.Snapshot {
-	if s.kvb != nil {
-		return s.kvb.Snapshot()
-	}
-	return s.kv.Snapshot()
-}
 
 // Serve accepts connections on ln until Shutdown (returning
 // ErrServerClosed) or a fatal accept error. Transient accept failures —
@@ -448,7 +436,7 @@ func (s *Server) untrack(c net.Conn) {
 // appendStats encodes the STATS reply: the KV snapshot plus server
 // gauges.
 func (s *Server) appendStats(b []byte) []byte {
-	snap := s.snapshot()
+	snap := s.store.Snapshot()
 	accepted, active, served, _ := s.Counters()
 	return protocol.AppendStatsReply(b, protocol.Stats{
 		Structure:   snap.Structure,
@@ -484,24 +472,14 @@ type conn struct {
 	c   net.Conn
 	rd  *protocol.Reader
 
-	ops []hyaline.Op     // pending data commands of the current run
-	res []hyaline.Result // reusable Apply result buffer
-
-	// The bytes-mode run. bops entries alias the reader's buffer — safe
-	// in FIFO modes because the reader is parked while the run is
-	// applied and every run is flushed before the loop returns to
-	// ReadFrame. The OOO path deep-copies them into run-owned memory at
-	// submit time instead (see takeRun).
-	bops []hyaline.BytesOp
-	bres []hyaline.BytesResult // reusable ApplyBytesInto result buffer
-	vbuf []byte                // reusable value buffer for GETB hits
+	b batch // pending data commands of the current run (and their results)
 
 	bp  *[]byte // current reply buffer (from bufPool)
 	buf []byte  // alias of *bp being appended to
 
 	// seq is set by a HELLO that negotiated FlagSeq: every data command
-	// carries a u32 seq prefix that is echoed on its reply. seqs runs
-	// parallel to the pending run (ops or bops).
+	// carries a u32 seq prefix that is echoed on its reply. seqs then
+	// runs parallel to the pending run; it stays empty otherwise.
 	seq  bool
 	seqs []uint32
 
@@ -513,8 +491,9 @@ type conn struct {
 	broken bool
 
 	// FIFO coalesced-mode rendezvous: the reader parks on applied after
-	// submitting frun to its shard's worker, which fills res/bres (and
-	// vbuf) and signals. Nil when the server applies per-connection.
+	// submitting frun to its shard's worker, which encodes the run's
+	// replies into buf and signals. Nil when the server applies
+	// per-connection.
 	applied chan struct{}
 	shard   *coShard
 	frun    run
@@ -555,20 +534,14 @@ func newConn(s *Server, c net.Conn) *conn {
 		srv: s,
 		c:   c,
 		rd:  protocol.NewReader(&countingReader{src: c, n: s.m.bytesIn}),
+		b:   s.newBatch(),
 		bp:  bp,
 		buf: (*bp)[:0],
 	}
-	if s.kvb != nil {
-		cn.bops = make([]hyaline.BytesOp, 0, s.maxPipeline)
-		cn.bres = make([]hyaline.BytesResult, 0, s.maxPipeline)
-	} else {
-		cn.ops = make([]hyaline.Op, 0, s.maxPipeline)
-		cn.res = make([]hyaline.Result, 0, s.maxPipeline)
-	}
-	cn.seqs = make([]uint32, 0, s.maxPipeline)
 	if s.co != nil {
 		cn.applied = make(chan struct{}, 1)
 		cn.shard = s.co.assign()
+		cn.frun = run{cn: cn, sync: true, b: cn.b}
 	}
 	return cn
 }
@@ -583,7 +556,8 @@ func (cn *conn) run() {
 		// without further syscalls.
 		f, err := cn.rd.ReadFrame()
 		if err != nil {
-			break // EOF, drain deadline, or network error
+			cn.readFailed(err)
+			break
 		}
 		cn.window(f)
 		if cn.fatal || cn.srv.isDraining() {
@@ -591,6 +565,18 @@ func (cn *conn) run() {
 		}
 	}
 	cn.teardown()
+}
+
+// readFailed ends a connection whose blocking ReadFrame failed. EOF, a
+// drain deadline or a network error just close; a framing violation is
+// answered with ERR first, exactly like one found mid-window by
+// TryReadFrame — the reply must not depend on whether the junk shared a
+// TCP segment with the frames before it.
+func (cn *conn) readFailed(err error) {
+	if errors.Is(err, protocol.ErrFraming) {
+		cn.protoErr(err)
+		cn.send()
+	}
 }
 
 // window handles one pipeline window starting at its first frame:
@@ -704,29 +690,24 @@ func (cn *conn) frame(f protocol.Frame) {
 		cn.protoErr(err)
 		return
 	}
+	if op.IsData() {
+		if err := cn.b.push(op, payload); err != nil {
+			cn.protoErr(err)
+			return
+		}
+		if cn.seq {
+			cn.seqs = append(cn.seqs, seq)
+		}
+		if cn.b.len() >= cn.srv.maxPipeline {
+			cn.flushOps()
+		}
+		return
+	}
+	// A meta command is a barrier: the pending run is completed (for
+	// HELLO, under the old framing) before it is answered.
+	cn.metaBarrier()
 	switch op {
-	case protocol.OpGet:
-		key, _ := protocol.U64(payload)
-		cn.push(hyaline.Op{Kind: hyaline.OpGet, Key: key}, seq)
-	case protocol.OpSet:
-		key, val, _ := protocol.KeyVal(payload)
-		cn.push(hyaline.Op{Kind: hyaline.OpInsert, Key: key, Val: val}, seq)
-	case protocol.OpDel:
-		key, _ := protocol.U64(payload)
-		cn.push(hyaline.Op{Kind: hyaline.OpDelete, Key: key}, seq)
-	case protocol.OpGetB:
-		key, _ := protocol.KeyB(payload)
-		cn.pushBytes(hyaline.BytesOp{Kind: hyaline.OpGet, Key: key}, seq)
-	case protocol.OpSetB:
-		key, val, _ := protocol.KeyValB(payload)
-		cn.pushBytes(hyaline.BytesOp{Kind: hyaline.OpInsert, Key: key, Val: val}, seq)
-	case protocol.OpDelB:
-		key, _ := protocol.KeyB(payload)
-		cn.pushBytes(hyaline.BytesOp{Kind: hyaline.OpDelete, Key: key}, seq)
 	case protocol.OpHello:
-		// A barrier like the other meta commands: the pending run is
-		// completed under the old framing before the switch takes effect.
-		cn.metaBarrier()
 		accepted := payload[0] & protocol.SupportedFlags
 		cn.seq = accepted&protocol.FlagSeq != 0
 		cn.ooo = cn.seq && cn.srv.ooo
@@ -734,24 +715,15 @@ func (cn *conn) frame(f protocol.Frame) {
 			cn.tokens = make(chan struct{}, oooWindow)
 		}
 		cn.buf = protocol.AppendHelloReply(cn.buf, accepted)
-		cn.served(1)
-		cn.metaFlush()
 	case protocol.OpPing:
-		cn.metaBarrier()
-		cn.buf = protocol.AppendPingReply(cn.buf, f.Payload)
-		cn.served(1)
-		cn.metaFlush()
+		cn.buf = protocol.AppendPingReply(cn.buf, payload)
 	case protocol.OpLen:
-		cn.metaBarrier()
-		cn.buf = protocol.AppendValue(cn.buf, uint64(cn.srv.kvLen()))
-		cn.served(1)
-		cn.metaFlush()
+		cn.buf = protocol.AppendValue(cn.buf, uint64(cn.srv.store.Len()))
 	case protocol.OpStats:
-		cn.metaBarrier()
 		cn.buf = cn.srv.appendStats(cn.buf)
-		cn.served(1)
-		cn.metaFlush()
 	}
+	cn.served(1)
+	cn.metaFlush()
 }
 
 // metaBarrier enforces the ordering contract of a meta command: the
@@ -773,41 +745,14 @@ func (cn *conn) metaFlush() {
 	}
 }
 
-func (cn *conn) push(op hyaline.Op, seq uint32) {
-	if cn.srv.kv == nil {
-		cn.protoErr(errWrongFamily(op.Kind, "uint64", "bytes"))
-		return
-	}
-	cn.ops = append(cn.ops, op)
-	cn.seqs = append(cn.seqs, seq)
-	if len(cn.ops) >= cn.srv.maxPipeline {
-		cn.flushOps()
-	}
-}
-
-func (cn *conn) pushBytes(op hyaline.BytesOp, seq uint32) {
-	if cn.srv.kvb == nil {
-		cn.protoErr(errWrongFamily(op.Kind, "bytes", "uint64"))
-		return
-	}
-	cn.bops = append(cn.bops, op)
-	cn.seqs = append(cn.seqs, seq)
-	if len(cn.bops) >= cn.srv.maxPipeline {
-		cn.flushOps()
-	}
-}
-
-func errWrongFamily(kind hyaline.OpKind, got, serves string) error {
-	return errors.New("server: " + got + " " + kind.String() + " on a server backed by a " + serves + " KV")
-}
-
 // flushOps applies the pending run — one session lease, one Enter/Leave
 // bracket, shared with other connections' runs when coalescing. In FIFO
 // modes the replies are encoded here in request order; in OOO mode the
 // run is handed to the coalescer asynchronously and the shard worker
 // that applies it writes its replies.
 func (cn *conn) flushOps() {
-	if len(cn.ops) == 0 && len(cn.bops) == 0 {
+	n := cn.b.len()
+	if n == 0 {
 		return
 	}
 	switch {
@@ -815,64 +760,32 @@ func (cn *conn) flushOps() {
 		cn.srv.co.submit(cn.takeRun())
 		return
 	case cn.srv.co != nil:
-		// The shard worker fills cn.res/cn.bres (values copied into
-		// cn.vbuf) and counts the merged batch.
+		// The shard worker applies the merged batch, counts it, and
+		// encodes this run's replies into cn.buf.
 		cn.srv.co.apply(cn)
-	case len(cn.ops) > 0:
-		cn.res = cn.srv.kv.ApplyInto(cn.res[:0], cn.ops)
-		cn.srv.m.batches.Inc()
-		cn.srv.m.batchOps.ObserveSize(len(cn.ops))
 	default:
-		cn.bres, cn.vbuf = cn.srv.kvb.ApplyBytesInto(cn.bres[:0], cn.vbuf[:0], cn.bops)
+		cn.b.apply()
 		cn.srv.m.batches.Inc()
-		cn.srv.m.batchOps.ObserveSize(len(cn.bops))
+		cn.srv.m.batchOps.ObserveSize(n)
+		cn.buf = cn.b.encode(cn.buf, 0, n, cn.seqs)
 	}
-	cn.encodeReplies()
+	cn.served(int64(n))
+	cn.b.reset()
+	cn.seqs = cn.seqs[:0]
 }
 
 // takeRun moves the pending run into a pooled, conn-independent run for
 // async submission, taking one outstanding token (blocking at the
-// oooWindow cap — backpressure toward the socket). Bytes ops are
-// deep-copied: the reader keeps consuming its network buffer while the
-// run waits, so the usual aliasing trick would hand the KV overwritten
-// keys.
+// oooWindow cap — backpressure toward the socket). The run owns a copy
+// of the ops: the reader keeps consuming its network buffer while the
+// run waits.
 func (cn *conn) takeRun() *run {
-	r := runPool.Get().(*run)
+	r := cn.srv.co.newRun()
 	r.cn = cn
-	r.sync = false
 	r.t0 = cn.wstart
 	r.seqs = append(r.seqs[:0], cn.seqs...)
-	if len(cn.ops) > 0 {
-		r.ops = append(r.ops[:0], cn.ops...)
-		r.bops = r.bops[:0]
-		cn.ops = cn.ops[:0]
-	} else {
-		need := 0
-		for _, op := range cn.bops {
-			need += len(op.Key) + len(op.Val)
-		}
-		if cap(r.kvbuf) < need {
-			r.kvbuf = make([]byte, 0, need)
-		} else {
-			r.kvbuf = r.kvbuf[:0]
-		}
-		r.ops = r.ops[:0]
-		r.bops = r.bops[:0]
-		// Capacity is ensured above, so these appends never reallocate
-		// under the subslices being taken.
-		for _, op := range cn.bops {
-			ks := len(r.kvbuf)
-			r.kvbuf = append(r.kvbuf, op.Key...)
-			op.Key = r.kvbuf[ks:len(r.kvbuf):len(r.kvbuf)]
-			if op.Val != nil {
-				vs := len(r.kvbuf)
-				r.kvbuf = append(r.kvbuf, op.Val...)
-				op.Val = r.kvbuf[vs:len(r.kvbuf):len(r.kvbuf)]
-			}
-			r.bops = append(r.bops, op)
-		}
-		cn.bops = cn.bops[:0]
-	}
+	r.b.own(cn.b)
+	cn.b.reset()
 	cn.seqs = cn.seqs[:0]
 	cn.tokens <- struct{}{}
 	return r
@@ -893,67 +806,6 @@ func (cn *conn) oooBarrier() {
 	for i := 0; i < oooWindow; i++ {
 		<-cn.tokens
 	}
-}
-
-// encodeReplies turns the applied run's results into wire replies, in
-// request order, echoing each request's seq when the connection
-// negotiated FlagSeq, then resets the run.
-func (cn *conn) encodeReplies() {
-	if len(cn.ops) > 0 {
-		cn.served(int64(len(cn.ops)))
-		for i, op := range cn.ops {
-			r := cn.res[i]
-			switch {
-			case op.Kind == hyaline.OpGet && r.OK:
-				if cn.seq {
-					cn.buf = protocol.AppendValueSeq(cn.buf, cn.seqs[i], r.Val)
-				} else {
-					cn.buf = protocol.AppendValue(cn.buf, r.Val)
-				}
-			case r.OK:
-				if cn.seq {
-					cn.buf = protocol.AppendOKSeq(cn.buf, cn.seqs[i])
-				} else {
-					cn.buf = protocol.AppendOK(cn.buf)
-				}
-			default:
-				if cn.seq {
-					cn.buf = protocol.AppendNilSeq(cn.buf, cn.seqs[i])
-				} else {
-					cn.buf = protocol.AppendNil(cn.buf)
-				}
-			}
-		}
-		cn.ops = cn.ops[:0]
-	}
-	if len(cn.bops) > 0 {
-		cn.served(int64(len(cn.bops)))
-		for i, op := range cn.bops {
-			r := cn.bres[i]
-			switch {
-			case op.Kind == hyaline.OpGet && r.OK:
-				if cn.seq {
-					cn.buf = protocol.AppendValueBSeq(cn.buf, cn.seqs[i], r.Val)
-				} else {
-					cn.buf = protocol.AppendValueB(cn.buf, r.Val)
-				}
-			case r.OK:
-				if cn.seq {
-					cn.buf = protocol.AppendOKSeq(cn.buf, cn.seqs[i])
-				} else {
-					cn.buf = protocol.AppendOK(cn.buf)
-				}
-			default:
-				if cn.seq {
-					cn.buf = protocol.AppendNilSeq(cn.buf, cn.seqs[i])
-				} else {
-					cn.buf = protocol.AppendNil(cn.buf)
-				}
-			}
-		}
-		cn.bops = cn.bops[:0]
-	}
-	cn.seqs = cn.seqs[:0]
 }
 
 // protoErr flushes what came before the malformed frame (those requests

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -313,6 +314,50 @@ func TestMalformedFrame(t *testing.T) {
 				t.Fatal("connection survived a protocol error")
 			}
 		})
+	}
+}
+
+// TestMalformedFrameSegmentation pins the framing-error reply against
+// how TCP happened to segment the junk, deterministically: in its own
+// segment (written only after the prefix's reply has been read, so the
+// server is back in its blocking ReadFrame) and in the same write as the
+// prefix (found by TryReadFrame mid-window). Both must answer ERR and
+// close, under the dedicated-reader and the poll-worker loops alike.
+func TestMalformedFrameSegmentation(t *testing.T) {
+	for _, poll := range []bool{false, true} {
+		if poll && !server.PollSupported() {
+			continue
+		}
+		for _, ownSegment := range []bool{true, false} {
+			t.Run(fmt.Sprintf("poll=%v/ownSegment=%v", poll, ownSegment), func(t *testing.T) {
+				_, _, addr := testServer(t, "hashmap", "epoch", server.Options{Poll: poll})
+				conn, _, rd := dial(t, addr)
+				prefix := protocol.AppendSet(nil, 1, 10)
+				junk := []byte{0, 0, 0}
+				if ownSegment {
+					if _, err := conn.Write(prefix); err != nil {
+						t.Fatal(err)
+					}
+					wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+					if _, err := conn.Write(junk); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					if _, err := conn.Write(append(prefix, junk...)); err != nil {
+						t.Fatal(err)
+					}
+					wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+				}
+				f := readFrame(t, rd)
+				wantStatus(t, f, protocol.StatusErr)
+				if len(f.Payload) == 0 {
+					t.Fatal("ERR reply with empty message")
+				}
+				if _, err := rd.ReadFrame(); err == nil {
+					t.Fatal("connection survived a protocol error")
+				}
+			})
+		}
 	}
 }
 

@@ -2,129 +2,246 @@ package hyaline
 
 import (
 	"fmt"
-	"runtime"
 
 	"hyaline/internal/ds"
-	"hyaline/internal/trackers"
 )
 
-// KVOptions configures NewKV and NewKVBytes. The zero value picks
-// defaults suitable for a process-wide shared map.
-type KVOptions struct {
-	// MaxThreads bounds how many operations can be *in flight*
-	// concurrently — not how many goroutines may call the KV. Thread
-	// ids are leased to goroutines per operation; callers beyond
-	// MaxThreads briefly wait for a lease. Default 2×GOMAXPROCS.
-	MaxThreads int
-	// ArenaCap is the node pool capacity (virtual until touched).
-	// Default 1<<20.
-	ArenaCap int
-	// BlobClassBudget is the byte budget per blob size class, used only
-	// by NewKVBytes (see arena.EnableBlobs). Default 1<<24 per class —
-	// virtual until touched, like the node pool.
-	BlobClassBudget int
-	// Tracker carries per-scheme tuning (slots, batch sizes, scan
-	// thresholds). Its MaxThreads field is overridden by MaxThreads
-	// above.
-	Tracker Options
-}
-
-// KV is a goroutine-transparent concurrent map: the Insert/Delete/Get/
-// Range operations are callable from any goroutine, with no thread
-// registration and no tid plumbing. Internally every call leases a tid
-// from a session.Pool for exactly the duration of the operation, so any
-// number of goroutines — far more than MaxThreads — can share one KV.
+// KV is a goroutine-transparent concurrent map over uint64 keys and
+// values: Insert/Delete/Get/Range and the batch API are callable from
+// any goroutine, with no thread registration and no tid plumbing.
+// Internally every call leases a tid from its shard's session.Pool for
+// exactly the duration of the operation, so any number of goroutines —
+// far more than MaxThreads — can share one KV.
 //
 // The lease fast path is a per-P cache (a sync.Pool): a goroutine
 // usually reuses the session its P released a moment ago, touching no
 // shared state and allocating nothing. On miss it claims a tid from the
 // pool's lock-free bitmap, and only when every tid is in flight does it
-// wait. (The machinery lives in the embedded leaser, shared with
-// KVBytes.)
+// wait. (The machinery is the leaser every shard carries.)
 //
 // When several operations are available at once, the batch API —
 // Apply, InsertBatch, DeleteBatch, GetBatch — runs them under a single
-// lease and a single (chunked) Enter/Leave bracket, amortizing the
-// per-operation session cost.
+// lease and a single (chunked) Enter/Leave bracket per shard touched,
+// amortizing the per-operation session cost.
+//
+// A KV is hash-partitioned into shards independent partitions
+// (NewShardedKV; NewKV is the one-shard case). A key always lives on
+// exactly one shard — a mixed hash of the key mod N — and routing is
+// invisible to callers: single-key operations go to the owning shard,
+// batches are split per shard, executed concurrently and scattered back
+// in caller order, Range merges per-shard scans k-way, and the gauges
+// aggregate. Structure-level contention and reclamation pressure both
+// scale out with the shard count.
 //
 // KV is the recommended entry point; the explicit-tid Tracker/Map API
 // remains available for callers that manage their own worker identity
 // (the benchmark harness pins tids to workers for the paper's figures).
 type KV struct {
-	structure string
-	a         *Arena
-	tr        Tracker
-	m         Map
-	r         Ranger // nil when the structure is unordered
-	leaser
+	store[Map, Op, Result]
+	r []Ranger // per-shard scan surface; nil when the structure is unordered
 }
 
-// NewKV builds a concurrent map: the named structure over the named
-// reclamation scheme, with all Arena/Tracker/session wiring internal.
+// ShardedKV is KV: sharding is a constructor argument, not a type.
+type ShardedKV = KV
+
+// NewKV builds an unsharded concurrent map: the named structure over
+// the named reclamation scheme, with all Arena/Tracker/session wiring
+// internal.
 func NewKV(structure, scheme string, opts KVOptions) (*KV, error) {
-	maxThreads := opts.MaxThreads
-	if maxThreads <= 0 {
-		maxThreads = 2 * runtime.GOMAXPROCS(0)
-	}
-	arenaCap := opts.ArenaCap
-	if arenaCap <= 0 {
-		arenaCap = 1 << 20
-	}
-	a := NewArena(arenaCap)
-	tcfg := opts.Tracker
-	tcfg.MaxThreads = maxThreads
-	tr, err := trackers.New(scheme, a, tcfg)
-	if err != nil {
+	return NewShardedKV(structure, scheme, 1, opts)
+}
+
+// NewShardedKV builds a hash-sharded concurrent map: shards independent
+// copies of the named structure over the named scheme, opts carrying
+// the total bounds.
+func NewShardedKV(structure, scheme string, shards int, opts KVOptions) (*KV, error) {
+	kv := &KV{}
+	if err := kv.init(structure, scheme, shards, opts, false, ds.Validate, ds.New); err != nil {
 		return nil, err
 	}
-	m, err := ds.New(structure, a, tr, maxThreads)
-	if err != nil {
-		return nil, err
+	for i := range kv.shards {
+		if r, ok := kv.shards[i].m.(Ranger); ok {
+			kv.r = append(kv.r, r)
+		}
 	}
-	// Checked after New so an unknown structure still gets the
-	// descriptive registry error.
-	if !ds.Supports(structure, scheme) {
-		return nil, fmt.Errorf("hyaline: %s does not support scheme %s", structure, scheme)
-	}
-	kv := &KV{
-		structure: structure,
-		a:         a,
-		tr:        tr,
-		m:         m,
-	}
-	kv.leaser.init(tr, maxThreads)
-	kv.r, _ = m.(Ranger)
 	return kv, nil
+}
+
+// shardIndex routes a key to its shard. The raw key is mixed first
+// (murmur3 fmix64) so sequential keyspaces — the common benchmark and
+// cache shape — spread uniformly instead of striping by key % N.
+func shardIndex(key uint64, n int) int {
+	key ^= key >> 33
+	key *= 0xff51afd7ed558ccd
+	key ^= key >> 33
+	key *= 0xc4ceb9fe1a85ec53
+	key ^= key >> 33
+	return int(key % uint64(n))
+}
+
+func (kv *KV) route(op *Op) int { return shardIndex(op.Key, len(kv.shards)) }
+
+func (kv *KV) shard(key uint64) *shard[Map] {
+	if len(kv.shards) == 1 {
+		return &kv.shards[0] // unsharded: no key hash on the hot path
+	}
+	return &kv.shards[shardIndex(key, len(kv.shards))]
 }
 
 // Insert adds key→val, failing if the key exists.
 func (kv *KV) Insert(key, val uint64) bool {
-	ks := kv.acquire()
-	defer kv.release(ks)
-	s := ks.s
-	s.Enter()
-	defer s.Leave()
-	return kv.m.Insert(s.Tid(), key, val)
+	sh := kv.shard(key)
+	ks := sh.enter()
+	defer sh.leave(ks)
+	return sh.m.Insert(ks.s.Tid(), key, val)
 }
 
 // Delete removes key, failing if it is absent.
 func (kv *KV) Delete(key uint64) bool {
-	ks := kv.acquire()
-	defer kv.release(ks)
-	s := ks.s
-	s.Enter()
-	defer s.Leave()
-	return kv.m.Delete(s.Tid(), key)
+	sh := kv.shard(key)
+	ks := sh.enter()
+	defer sh.leave(ks)
+	return sh.m.Delete(ks.s.Tid(), key)
 }
 
 // Get returns the value under key.
 func (kv *KV) Get(key uint64) (uint64, bool) {
-	ks := kv.acquire()
-	defer kv.release(ks)
-	s := ks.s
-	s.Enter()
-	defer s.Leave()
-	return kv.m.Get(s.Tid(), key)
+	sh := kv.shard(key)
+	ks := sh.enter()
+	defer sh.leave(ks)
+	return sh.m.Get(ks.s.Tid(), key)
+}
+
+// Op is one operation of a batch.
+type Op struct {
+	Kind OpKind
+	Key  uint64
+	Val  uint64 // used by OpInsert only
+}
+
+// Result is the outcome of one batched operation. For OpGet, Val is the
+// value found (zero when absent); for OpInsert and OpDelete, Val is
+// zero and OK carries the mutation's success.
+type Result struct {
+	Val uint64
+	OK  bool
+}
+
+// Apply runs ops in order and returns one Result per op. On each shard
+// touched the batch runs under a single session lease and a single
+// (chunked) Enter/Leave bracket: the per-operation overhead of leasing
+// a tid and entering the reclamation scheme is paid once per batch
+// instead of once per op, so large batches approach the raw
+// explicit-tid cost. Ops in one batch execute atomically with respect
+// to nothing — other goroutines' operations interleave freely between
+// (and inside) batches; a batch is an amortization unit, not a
+// transaction.
+//
+// An empty batch returns nil without leasing. An Op with an unknown
+// Kind panics before anything runs.
+func (kv *KV) Apply(ops []Op) []Result {
+	if len(ops) == 0 {
+		return nil
+	}
+	return kv.ApplyInto(make([]Result, 0, len(ops)), ops)
+}
+
+// ApplyInto is Apply appending into dst, for callers that reuse a
+// result buffer across batches: with dst capacity >= len(ops) an
+// unsharded batch touches no Go heap (a sharded one pays only its
+// goroutine spawns; the routing scratch is pooled). See applySplit for
+// the sharded mechanics.
+func (kv *KV) ApplyInto(dst []Result, ops []Op) []Result {
+	for i := range ops {
+		checkKind(i, ops[i].Kind)
+	}
+	if len(ops) == 0 {
+		return dst
+	}
+	if len(kv.shards) == 1 {
+		return kv.applyShard(&kv.shards[0], dst, ops) // unsharded: nothing to split or scatter
+	}
+	sc := kv.takeScratch()
+	dst = applySplit(kv, sc, dst, ops)
+	kv.putScratch(sc)
+	return dst
+}
+
+func (kv *KV) exec(s int, r *shardRun[Op, Result]) {
+	r.res = kv.applyShard(&kv.shards[s], r.res[:0], r.ops)
+}
+
+// applyShard runs ops on one shard under one lease and one chunked
+// bracket, appending a Result per op to dst.
+func (kv *KV) applyShard(sh *shard[Map], dst []Result, ops []Op) []Result {
+	ks := sh.enter()
+	defer sh.leave(ks)
+	tid := ks.s.Tid()
+	for i := range ops {
+		batchTrim(ks, i)
+		op := &ops[i]
+		var r Result
+		switch op.Kind {
+		case OpGet:
+			r.Val, r.OK = sh.m.Get(tid, op.Key)
+		case OpInsert:
+			r.OK = sh.m.Insert(tid, op.Key, op.Val)
+		case OpDelete:
+			r.OK = sh.m.Delete(tid, op.Key)
+		}
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// stage fills sc.ops with one op of the given kind per key.
+func stage(sc *scratch[Op, Result], kind OpKind, keys, vals []uint64) {
+	for i, k := range keys {
+		op := Op{Kind: kind, Key: k}
+		if vals != nil {
+			op.Val = vals[i]
+		}
+		sc.ops = append(sc.ops, op)
+	}
+}
+
+// mutate applies one mutation per key and reports per-key success.
+func (kv *KV) mutate(kind OpKind, keys, vals []uint64) []bool {
+	if len(keys) == 0 {
+		return nil
+	}
+	sc := kv.takeScratch()
+	defer kv.putScratch(sc)
+	stage(sc, kind, keys, vals)
+	sc.res = kv.ApplyInto(sc.res, sc.ops)
+	ok := make([]bool, len(keys))
+	for i := range ok {
+		ok[i] = sc.res[i].OK
+	}
+	return ok
+}
+
+// InsertBatch adds keys[i]→vals[i] for every i as one batch (see
+// Apply). ok[i] reports whether keys[i] was newly inserted. Panics when
+// the slices differ in length.
+func (kv *KV) InsertBatch(keys, vals []uint64) []bool {
+	checkPairs(len(keys), len(vals))
+	return kv.mutate(OpInsert, keys, vals)
+}
+
+// DeleteBatch removes every key as one batch. ok[i] reports whether
+// keys[i] was present.
+func (kv *KV) DeleteBatch(keys []uint64) []bool { return kv.mutate(OpDelete, keys, nil) }
+
+// GetBatch looks every key up as one batch, appending one Result per
+// key to dst (pass nil to allocate). Reusing dst across calls
+// (dst = kv.GetBatch(dst[:0], keys)) keeps the whole read batch off the
+// Go heap — the batch analogue of Get's allocation-free hot path.
+func (kv *KV) GetBatch(dst []Result, keys []uint64) []Result {
+	sc := kv.takeScratch()
+	defer kv.putScratch(sc)
+	stage(sc, OpGet, keys, nil)
+	return kv.ApplyInto(dst, sc.ops)
 }
 
 // Range visits every key in [lo, hi] in ascending order, calling
@@ -142,26 +259,66 @@ func (kv *KV) Get(key uint64) (uint64, bool) {
 // the cursor on list-shaped structures; the chunk size trades that
 // against how long retired nodes stay pinned.)
 //
-// fn must not call back into the KV: the scan holds its session lease
-// for the whole traversal, so a nested operation competes for the
-// remaining MaxThreads-1 leases and deadlocks once they are exhausted
-// (with MaxThreads 1, immediately). Collect keys and operate after
-// Range returns instead.
+// On a sharded KV each shard holds a disjoint slice of the keyspace and
+// yields it sorted, so a k-way merge of per-shard chunked scans
+// reproduces the unsharded contract exactly — and, at quiescence, the
+// unsharded output.
+//
+// fn must not call back into the KV: the scan holds a session lease
+// while fn runs, so a nested operation competes for the remaining
+// leases and deadlocks once they are exhausted (with MaxThreads 1,
+// immediately). Collect keys and operate after Range returns instead.
 func (kv *KV) Range(lo, hi uint64, fn func(key, val uint64) bool) error {
 	if kv.r == nil {
 		return fmt.Errorf("hyaline: structure %q does not support range scans (ordered structures only)", kv.structure)
 	}
-	ks := kv.acquire()
-	defer kv.release(ks)
-	s := ks.s
-	s.Enter()
-	defer s.Leave()
+	if len(kv.shards) == 1 {
+		kv.scan(0, lo, hi, fn) // unsharded: already sorted, no merge buffer
+		return nil
+	}
+	scans := make([]shardScan, len(kv.shards))
+	for i := range scans {
+		scans[i] = shardScan{hi: hi, next: lo}
+	}
+	for {
+		best := -1
+		for i := range scans {
+			sc := &scans[i]
+			if sc.i >= len(sc.buf) {
+				if sc.done {
+					continue
+				}
+				sc.refill(kv, i)
+				if sc.i >= len(sc.buf) {
+					continue
+				}
+			}
+			if best < 0 || sc.buf[sc.i].k < scans[best].buf[scans[best].i].k {
+				best = i
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		e := scans[best].buf[scans[best].i]
+		scans[best].i++
+		if !fn(e.k, e.v) {
+			return nil
+		}
+	}
+}
+
+// scan is the chunked scan of shard i's slice of [lo, hi].
+func (kv *KV) scan(i int, lo, hi uint64, fn func(key, val uint64) bool) {
+	sh := &kv.shards[i]
+	ks := sh.enter()
+	defer sh.leave(ks)
 	cursor := lo
 	for {
 		visited := 0
 		stopped := false
 		last := cursor
-		kv.r.Range(s.Tid(), cursor, hi, func(k, v uint64) bool {
+		kv.r[i].Range(ks.s.Tid(), cursor, hi, func(k, v uint64) bool {
 			last = k
 			if !fn(k, v) {
 				stopped = true
@@ -173,62 +330,48 @@ func (kv *KV) Range(lo, hi uint64, fn func(key, val uint64) bool) error {
 		// Done unless the chunk filled with range left to cover. The
 		// last == hi check also guards cursor overflow at hi = 2^64-1.
 		if stopped || visited < batchChunk || last == hi {
-			return nil
+			return
 		}
 		cursor = last + 1
 		// Between chunks no node is referenced, so the bracket can be
 		// re-armed: retired nodes accumulated behind this scan become
 		// reclaimable before the next chunk starts.
-		s.Trim()
+		ks.s.Trim()
 	}
 }
 
-// Len counts entries. Exact at quiescence, approximate under churn.
-func (kv *KV) Len() int { return kv.m.Len() }
+// kvPair is one merged-scan entry buffered between a shard's chunked
+// pull and the caller's fn.
+type kvPair struct{ k, v uint64 }
 
-// Stats returns the reclamation counters accumulated since creation.
-func (kv *KV) Stats() Stats { return kv.tr.Stats() }
-
-// ShardStats returns the per-shard reclamation counters — one element
-// for the unsharded KV, matching the ShardedKV method shape.
-func (kv *KV) ShardStats() []Stats { return []Stats{kv.tr.Stats()} }
-
-// Snapshot is a point-in-time summary of a KV — the fields a serving or
-// monitoring layer reports. The network server's STATS frame encodes
-// exactly this plus its own connection gauges.
-type Snapshot struct {
-	Structure  string
-	Scheme     string
-	MaxThreads int
-	Shards     int   // independent structure+tracker partitions (1 = unsharded)
-	Len        int   // entries (approximate under churn)
-	Live       int64 // arena nodes currently allocated
-	Stats      Stats // cumulative reclamation counters
+// shardScan is a pull-based cursor over one shard's slice of [lo, hi]:
+// it draws up to batchChunk entries per refill via the shard's own
+// scan (so each pull is one lease + one bracket, and the shard's
+// reclamation is re-armed between pulls).
+type shardScan struct {
+	hi   uint64
+	next uint64
+	buf  []kvPair
+	i    int
+	done bool
 }
 
-// Snapshot collects the KV's current summary. Each field is read
-// atomically but the struct as a whole is not an atomic cut — under
-// churn the gauges may be a few operations apart, which is what a
-// monitoring endpoint can honestly offer.
-func (kv *KV) Snapshot() Snapshot {
-	return Snapshot{
-		Structure:  kv.structure,
-		Scheme:     kv.tr.Name(),
-		MaxThreads: kv.pool.MaxThreads(),
-		Shards:     1,
-		Len:        kv.m.Len(),
-		Live:       kv.a.Live(),
-		Stats:      kv.tr.Stats(),
+// refill loads the next chunk from shard s. Call only when the buffer
+// is drained and the scan is not done.
+func (sc *shardScan) refill(kv *KV, s int) {
+	sc.buf = sc.buf[:0]
+	sc.i = 0
+	last := sc.next
+	kv.scan(s, sc.next, sc.hi, func(k, v uint64) bool {
+		sc.buf = append(sc.buf, kvPair{k, v})
+		last = k
+		return len(sc.buf) < batchChunk
+	})
+	// A short chunk means the shard is exhausted; last == hi also
+	// guards cursor overflow at hi = 2^64-1 (mirrors scan).
+	if len(sc.buf) < batchChunk || last == sc.hi {
+		sc.done = true
+	} else {
+		sc.next = last + 1
 	}
 }
-
-// Live returns the number of arena nodes currently allocated: map
-// entries (plus structure-internal nodes) and retired-but-unreclaimed
-// nodes.
-func (kv *KV) Live() int64 { return kv.a.Live() }
-
-// Scheme returns the reclamation scheme name.
-func (kv *KV) Scheme() string { return kv.tr.Name() }
-
-// Structure returns the data structure name.
-func (kv *KV) Structure() string { return kv.structure }

@@ -7,17 +7,17 @@ import (
 	"time"
 )
 
-// acquireAll leases every session of kv, failing the test if the
+// acquireAll leases every session of l, failing the test if the
 // scavenger cannot recover them all within the deadline (a broken
 // scavenger makes acquire park forever once the bitmap runs dry).
-func acquireAll(t *testing.T, kv *KV) []*kvSession {
+func acquireAll(t *testing.T, l *leaser) []*kvSession {
 	t.Helper()
-	max := kv.MaxThreads()
+	max := l.pool.MaxThreads()
 	done := make(chan []*kvSession, 1)
 	go func() {
 		held := make([]*kvSession, 0, max)
 		for len(held) < max {
-			held = append(held, kv.acquire())
+			held = append(held, l.acquire())
 		}
 		done <- held
 	}()
@@ -56,9 +56,11 @@ func TestKVScavengeStrandedCache(t *testing.T) {
 	}
 	wg.Wait()
 
+	// The unsharded KV is one shard; its leaser is the machinery under test.
+	l := &kv.shards[0].leaser
 	cached := 0
-	for i := range kv.byTid {
-		if kv.byTid[i].state.Load() == kvCached {
+	for i := range l.byTid {
+		if l.byTid[i].state.Load() == kvCached {
 			cached++
 		}
 	}
@@ -67,10 +69,10 @@ func TestKVScavengeStrandedCache(t *testing.T) {
 	}
 	// Strand every cached entry: the state words still say kvCached but
 	// the sync.Pool holding the handles is gone.
-	kv.cache = sync.Pool{}
+	l.cache = sync.Pool{}
 
-	held := acquireAll(t, kv)
-	if leased := kv.pool.InUse(); leased != kv.MaxThreads() {
+	held := acquireAll(t, l)
+	if leased := l.pool.InUse(); leased != kv.MaxThreads() {
 		t.Fatalf("ledger says %d tids leased with all %d sessions held", leased, kv.MaxThreads())
 	}
 	seen := map[int]bool{}
@@ -79,7 +81,7 @@ func TestKVScavengeStrandedCache(t *testing.T) {
 			t.Fatalf("tid %d recovered twice", ks.s.Tid())
 		}
 		seen[ks.s.Tid()] = true
-		kv.release(ks)
+		l.release(ks)
 	}
 }
 
@@ -107,25 +109,26 @@ func TestKVScavengeGCDroppedSessions(t *testing.T) {
 	// Sessions stay leased in the bitmap while cached; the ledger must
 	// already reflect that (this is the "strict lease ledger" the cache
 	// comment promises).
+	l := &kv.shards[0].leaser
 	cached := 0
-	for i := range kv.byTid {
-		if kv.byTid[i].state.Load() == kvCached {
+	for i := range l.byTid {
+		if l.byTid[i].state.Load() == kvCached {
 			cached++
 		}
 	}
-	if leased := kv.pool.InUse(); leased < cached {
+	if leased := l.pool.InUse(); leased < cached {
 		t.Fatalf("ledger says %d leased but %d sessions are cached", leased, cached)
 	}
 
 	runtime.GC()
 	runtime.GC() // second cycle clears the sync.Pool victim cache
 
-	held := acquireAll(t, kv)
-	if leased := kv.pool.InUse(); leased != kv.MaxThreads() {
+	held := acquireAll(t, l)
+	if leased := l.pool.InUse(); leased != kv.MaxThreads() {
 		t.Fatalf("ledger says %d tids leased with all %d sessions held", leased, kv.MaxThreads())
 	}
 	for _, ks := range held {
-		kv.release(ks)
+		l.release(ks)
 	}
 
 	// The KV must still work end to end after the recovery.

@@ -56,14 +56,40 @@ func TestKVApplyBasic(t *testing.T) {
 	}
 }
 
-func TestKVApplyUnknownKindPanics(t *testing.T) {
-	kv := mustKV(t, "hashmap", "epoch", hyaline.KVOptions{MaxThreads: 2})
+// wantPanic runs fn and returns the value it panicked with.
+func wantPanic(t *testing.T, what string, fn func()) (v any) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Apply with an unknown OpKind must panic")
+		if v = recover(); v == nil {
+			t.Fatalf("%s must panic", what)
 		}
 	}()
-	kv.Apply([]hyaline.Op{{Kind: hyaline.OpKind(99), Key: 1}})
+	fn()
+	return nil
+}
+
+// TestApplyUnknownKindPanics: one panic, one message, in both key
+// families at any shard count — raised before any lease is taken, so
+// the valid op ahead of the bad one has not run either.
+func TestApplyUnknownKindPanics(t *testing.T) {
+	const want = "hyaline: Apply op 1 has unknown kind OpKind(99)"
+	for _, shards := range []int{1, 3} {
+		kv := mustShardedKV(t, "hashmap", "epoch", shards, hyaline.KVOptions{MaxThreads: 4})
+		got := wantPanic(t, "Apply with an unknown OpKind", func() {
+			kv.Apply([]hyaline.Op{{Kind: hyaline.OpInsert, Key: 1, Val: 1}, {Kind: hyaline.OpKind(99), Key: 1}})
+		})
+		if got != want || kv.Len() != 0 || kv.InFlight() != 0 || kv.Stats().Allocated != 0 {
+			t.Errorf("uint64 shards=%d: panic %q (want %q), Len %d, InFlight %d, Stats %+v",
+				shards, got, want, kv.Len(), kv.InFlight(), kv.Stats())
+		}
+		kvb := mustShardedKVBytes(t, "blist", "epoch", shards, hyaline.KVOptions{MaxThreads: 4})
+		got = wantPanic(t, "ApplyBytes with an unknown OpKind", func() {
+			kvb.ApplyBytes([]hyaline.BytesOp{{Kind: hyaline.OpInsert, Key: []byte("k")}, {Kind: hyaline.OpKind(99)}})
+		})
+		if got != want || kvb.Len() != 0 || kvb.InFlight() != 0 {
+			t.Errorf("bytes shards=%d: panic %q (want %q), Len %d, InFlight %d", shards, got, want, kvb.Len(), kvb.InFlight())
+		}
+	}
 }
 
 func TestKVBatchHelpers(t *testing.T) {
@@ -116,14 +142,24 @@ func TestKVBatchHelpers(t *testing.T) {
 	}
 }
 
-func TestKVInsertBatchLengthMismatchPanics(t *testing.T) {
-	kv := mustKV(t, "hashmap", "hyaline", hyaline.KVOptions{MaxThreads: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InsertBatch with mismatched slices must panic")
+// TestInsertBatchLengthMismatchPanics: one message for both families at
+// any shard count.
+func TestInsertBatchLengthMismatchPanics(t *testing.T) {
+	const want = "hyaline: InsertBatch with 2 keys but 1 vals"
+	for _, shards := range []int{1, 3} {
+		kv := mustShardedKV(t, "hashmap", "hyaline", shards, hyaline.KVOptions{MaxThreads: 4})
+		if got := wantPanic(t, "InsertBatch with mismatched slices", func() {
+			kv.InsertBatch([]uint64{1, 2}, []uint64{10})
+		}); got != want {
+			t.Errorf("uint64 shards=%d: panic %q, want %q", shards, got, want)
 		}
-	}()
-	kv.InsertBatch([]uint64{1, 2}, []uint64{10})
+		kvb := mustShardedKVBytes(t, "blist", "hyaline", shards, hyaline.KVOptions{MaxThreads: 4})
+		if got := wantPanic(t, "bytes InsertBatch with mismatched slices", func() {
+			kvb.InsertBatch([][]byte{{1}, {2}}, [][]byte{{10}})
+		}); got != want {
+			t.Errorf("bytes shards=%d: panic %q, want %q", shards, got, want)
+		}
+	}
 }
 
 // TestKVApplyChunking pushes batches far beyond the internal chunk size
@@ -284,9 +320,12 @@ func TestKVBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestKVGetBatchAllocFree is the batch analogue of TestKVGetAllocFree:
-// a read batch into a reused buffer must not touch the Go heap.
-func TestKVGetBatchAllocFree(t *testing.T) {
+// TestBatchAllocFree is the batch analogue of TestKVGetAllocFree: at
+// shards == 1 a batch into reused buffers must not touch the Go heap —
+// ApplyInto and GetBatch on the uint64 family, ApplyBytesInto and
+// GetAppend on the bytes family. (GetBatch stages its ops in pooled
+// scratch, which is what keeps the keys-only read path at zero.)
+func TestBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -295,44 +334,85 @@ func TestKVGetBatchAllocFree(t *testing.T) {
 		kv.Insert(k, kvChecksum(k))
 	}
 	keys := make([]uint64, 64)
+	ops := make([]hyaline.Op, len(keys))
 	dst := make([]hyaline.Result, 0, len(keys))
 	var base uint64
-	avg := testing.AllocsPerRun(500, func() {
+	next := func() {
 		for i := range keys {
 			keys[i] = (base + uint64(i)) % 2048
+			ops[i] = hyaline.Op{Kind: hyaline.OpKind(i % 3), Key: keys[i], Val: kvChecksum(keys[i])}
 		}
 		base += 64
-		dst = kv.GetBatch(dst[:0], keys)
-	})
-	if avg != 0 {
-		t.Fatalf("GetBatch allocates %.2f objects/run, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(500, func() { next(); dst = kv.GetBatch(dst[:0], keys) }); avg != 0 {
+		t.Errorf("GetBatch allocates %.2f objects/run, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(500, func() { next(); dst = kv.ApplyInto(dst[:0], ops) }); avg != 0 {
+		t.Errorf("ApplyInto allocates %.2f objects/run, want 0", avg)
+	}
+
+	kvb := mustShardedKVBytes(t, "blist", "hyaline", 1, hyaline.KVOptions{MaxThreads: 8})
+	bkeys := make([][]byte, 16)
+	bops := make([]hyaline.BytesOp, 0, 2*len(bkeys))
+	for i := range bkeys {
+		bkeys[i] = []byte(fmt.Sprintf("key-%02d", i))
+		kvb.Insert(bkeys[i], []byte(fmt.Sprintf("value-%02d", i)))
+		bops = append(bops, hyaline.BytesOp{Kind: hyaline.OpGet, Key: bkeys[i]},
+			hyaline.BytesOp{Kind: hyaline.OpDelete, Key: []byte("absent")})
+	}
+	bdst := make([]hyaline.BytesResult, 0, len(bops))
+	buf := make([]byte, 0, 1024)
+	if avg := testing.AllocsPerRun(500, func() { bdst, buf = kvb.ApplyBytesInto(bdst[:0], buf[:0], bops) }); avg != 0 {
+		t.Errorf("ApplyBytesInto allocates %.2f objects/run, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(500, func() { buf, _ = kvb.GetAppend(buf[:0], bkeys[3]) }); avg != 0 {
+		t.Errorf("GetAppend allocates %.2f objects/run, want 0", avg)
+	}
+	if string(buf) != "value-03" {
+		t.Errorf("GetAppend = %q", buf)
 	}
 }
 
 // FuzzKVApply feeds random op sequences — duplicate keys, deletes of
 // absent keys, empty batches, batch splits at arbitrary points — through
 // Apply and checks every Result and the final Len against a
-// map[uint64]uint64 model.
+// map[uint64]uint64 model. The first input byte picks the shard count
+// (1..4), so one target covers the unsharded path and the split/exec/
+// scatter path against the same single-map model: any routing artifact
+// — lost ops, cross-shard reordering of a key's history, scatter
+// misplacement — shows up as a Result or Len mismatch.
 func FuzzKVApply(f *testing.F) {
-	// Seed corpus: empty input, a single insert+get, duplicate inserts,
-	// delete-absent, an explicit empty batch (two splits in a row), and a
-	// longer mixed sequence crossing a batch boundary.
+	// Seed corpus, each under several shard counts: empty input, a
+	// single insert+get, duplicate inserts, delete-absent, an explicit
+	// empty batch (two splits in a row), and a longer mixed sequence
+	// crossing a batch boundary.
 	f.Add([]byte{})
-	f.Add([]byte{1, 7, 9, 0, 7, 0})
-	f.Add([]byte{1, 5, 1, 1, 5, 2, 2, 5, 0, 2, 5, 0})
-	f.Add([]byte{2, 9, 0, 0, 9, 0})
-	f.Add([]byte{3, 0, 0, 3, 0, 0, 1, 1, 1})
-	f.Add([]byte{
-		1, 1, 10, 1, 2, 20, 3, 0, 0, 0, 1, 0,
-		2, 1, 0, 1, 1, 30, 0, 1, 0, 3, 0, 0, 0, 2, 0,
-	})
+	for shardByte := byte(0); shardByte < 4; shardByte++ {
+		f.Add([]byte{shardByte})
+		f.Add([]byte{shardByte, 1, 7, 9, 0, 7, 0})
+		f.Add([]byte{shardByte, 1, 5, 1, 1, 5, 2, 2, 5, 0, 2, 5, 0})
+		f.Add([]byte{shardByte, 2, 9, 0, 0, 9, 0})
+		f.Add([]byte{shardByte, 3, 0, 0, 3, 0, 0, 1, 1, 1})
+		f.Add([]byte{
+			shardByte,
+			1, 1, 10, 1, 2, 20, 3, 0, 0, 0, 1, 0,
+			2, 1, 0, 1, 1, 30, 0, 1, 0, 3, 0, 0, 0, 2, 0,
+		})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kv, err := hyaline.NewKV("hashmap", "hyaline", hyaline.KVOptions{
-			MaxThreads: 2,
+		shards := 1
+		if len(data) > 0 {
+			shards, data = int(data[0]%4)+1, data[1:]
+		}
+		kv, err := hyaline.NewShardedKV("hashmap", "hyaline", shards, hyaline.KVOptions{
+			MaxThreads: 8,
 			ArenaCap:   1 << 14,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if kv.Shards() != shards {
+			t.Fatalf("Shards = %d, want %d", kv.Shards(), shards)
 		}
 		model := map[uint64]uint64{}
 		var ops []hyaline.Op
@@ -397,6 +477,9 @@ func FuzzKVApply(f *testing.F) {
 			if !r.OK || r.Val != model[keys[i]] {
 				t.Fatalf("final GetBatch(%d) = %+v, model %d", keys[i], r, model[keys[i]])
 			}
+		}
+		if n := kv.InFlight(); n != 0 {
+			t.Fatalf("%d leases in flight after applies", n)
 		}
 	})
 }

@@ -13,20 +13,30 @@ import (
 // deterministic, so the model is exact — any divergence is a bug in the
 // bytes list, the blob slabs, or the batch plumbing.
 //
-// Input grammar, repeated until the data runs out:
+// The first input byte picks the shard count (1..4), so the one target
+// covers the unsharded path and the bytes split/exec/scatter path —
+// value copy-out included — against the same model. The rest of the
+// input is this grammar, repeated until the data runs out:
 //
 //	op byte (mod 3: 0=Insert 1=Delete 2=Get)
 //	klen byte (mod 9, so keys collide often)
 //	key bytes
 //	vlen byte (Insert only; value is vlen bytes of the next op byte)
 func FuzzKVBytesApply(f *testing.F) {
-	f.Add([]byte{0, 1, 'a', 3, 2, 1, 'a', 1, 1, 'a', 0, 2, 'a', 'b', 5})
-	f.Add([]byte{0, 0, 200, 2, 0, 1, 0})
-	f.Add(bytes.Repeat([]byte{0, 3, 'x', 'y', 'z', 7}, 40))
+	for shardByte := byte(0); shardByte < 4; shardByte++ {
+		f.Add(append([]byte{shardByte}, 0, 1, 'a', 3, 2, 1, 'a', 1, 1, 'a', 0, 2, 'a', 'b', 5))
+		f.Add(append([]byte{shardByte}, 0, 0, 200, 2, 0, 1, 0))
+		f.Add(append([]byte{shardByte}, bytes.Repeat([]byte{0, 3, 'x', 'y', 'z', 7}, 40)...))
+		f.Add(append([]byte{shardByte}, 0, 1, 'a', 0, 0, 1, 'b', 9, 2, 1, 'a', 2, 1, 'b', 2, 1, 'c'))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kv, err := hyaline.NewKVBytes("blist", "hyaline", hyaline.KVOptions{
-			MaxThreads:      2,
+		shards := 1
+		if len(data) > 0 {
+			shards, data = int(data[0]%4)+1, data[1:]
+		}
+		kv, err := hyaline.NewShardedKVBytes("blist", "hyaline", shards, hyaline.KVOptions{
+			MaxThreads:      8,
 			ArenaCap:        1 << 12,
 			BlobClassBudget: 1 << 18,
 		})

@@ -135,6 +135,133 @@ func TestKVBytesBatches(t *testing.T) {
 	}
 }
 
+func mustShardedKVBytes(t testing.TB, structure, scheme string, shards int, opts hyaline.KVOptions) *hyaline.ShardedKVBytes {
+	t.Helper()
+	kv, err := hyaline.NewShardedKVBytes(structure, scheme, shards, opts)
+	if err != nil {
+		t.Fatalf("NewShardedKVBytes(%s, %s, %d): %v", structure, scheme, shards, err)
+	}
+	return kv
+}
+
+// TestKVBytesBasic runs the singleton surface and the aggregates at
+// shards == 1 and shards > 1: the same engine, so the same assertions.
+func TestKVBytesBasic(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testKVBytesBasic(t, shards) })
+	}
+}
+
+func testKVBytesBasic(t *testing.T, shards int) {
+	kv := mustShardedKVBytes(t, "blist", "hyaline", shards, hyaline.KVOptions{MaxThreads: 8})
+	if kv.Shards() != shards || kv.Structure() != "blist" || kv.Scheme() != "hyaline" || kv.MaxThreads() < 8 {
+		t.Fatalf("Shards/Structure/Scheme/MaxThreads = %d/%q/%q/%d", kv.Shards(), kv.Structure(), kv.Scheme(), kv.MaxThreads())
+	}
+	const n = 300
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1+i%32) }
+	for i := 0; i < n; i++ {
+		if !kv.Insert(key(i), val(i)) {
+			t.Fatalf("Insert(%d) failed", i)
+		}
+		if kv.Insert(key(i), nil) {
+			t.Fatalf("duplicate Insert(%d) succeeded", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		v, ok := kv.Get(key(i))
+		if !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("Get(%d) = %q,%v", i, v, ok)
+		}
+	}
+	if got := kv.Len(); got != n {
+		t.Fatalf("Len = %d, want %d", got, n)
+	}
+	snap := kv.Snapshot()
+	if snap.Shards != shards || snap.Len != n {
+		t.Fatalf("Snapshot = %+v", snap)
+	}
+	if bs := kv.BlobStats(); bs.Live() <= 0 {
+		t.Fatalf("BlobStats = %+v, want live blobs", bs)
+	}
+	for i := 0; i < n; i += 2 {
+		if !kv.Delete(key(i)) {
+			t.Fatalf("Delete(%d) failed", i)
+		}
+	}
+	if got := kv.Len(); got != n/2 {
+		t.Fatalf("Len after deletes = %d, want %d", got, n/2)
+	}
+	kv.Flush()
+	if got := kv.InFlight(); got != 0 {
+		t.Fatalf("InFlight at quiescence = %d", got)
+	}
+}
+
+// TestShardedKVBytesApplyMatchesUnsharded mirrors the uint64 property
+// test: identical BytesOp streams through a sharded and an unsharded
+// KVBytes must produce identical results position for position, with
+// every hit value copied into the caller's buffer.
+func TestShardedKVBytesApplyMatchesUnsharded(t *testing.T) {
+	sharded := mustShardedKVBytes(t, "blist", "hyaline", 4, hyaline.KVOptions{MaxThreads: 8})
+	plain, err := hyaline.NewKVBytes("blist", "hyaline", hyaline.KVOptions{MaxThreads: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	var ops []hyaline.BytesOp
+	var dst []hyaline.BytesResult
+	var buf []byte
+	for round := 0; round < 40; round++ {
+		ops = ops[:0]
+		for i := 0; i < rng.Intn(120); i++ {
+			op := hyaline.BytesOp{
+				Kind: hyaline.OpKind(rng.Intn(3)),
+				Key:  []byte(fmt.Sprintf("k%03d", rng.Intn(128))),
+			}
+			if op.Kind == hyaline.OpInsert {
+				op.Val = bytes.Repeat([]byte{byte(rng.Intn(256))}, rng.Intn(64))
+			}
+			ops = append(ops, op)
+		}
+		dst, buf = sharded.ApplyBytesInto(dst[:0], buf[:0], ops)
+		want := plain.ApplyBytes(ops)
+		if len(dst) != len(want) {
+			t.Fatalf("round %d: %d results vs %d", round, len(dst), len(want))
+		}
+		for i := range dst {
+			if dst[i].OK != want[i].OK || !bytes.Equal(dst[i].Val, want[i].Val) {
+				t.Fatalf("round %d op %d (%s %q): sharded {%q %v}, unsharded {%q %v}",
+					round, i, ops[i].Kind, ops[i].Key, dst[i].Val, dst[i].OK, want[i].Val, want[i].OK)
+			}
+		}
+	}
+	if sharded.Len() != plain.Len() {
+		t.Fatalf("Len diverged: sharded %d, unsharded %d", sharded.Len(), plain.Len())
+	}
+
+	// Batch helpers route through the same scatter machinery.
+	keys := [][]byte{[]byte("bk-a"), []byte("bk-b"), []byte("bk-c")}
+	vals := [][]byte{[]byte("va"), {}, bytes.Repeat([]byte("x"), 200)}
+	for i, ok := range sharded.InsertBatch(keys, vals) {
+		if !ok {
+			t.Fatalf("InsertBatch key %d failed", i)
+		}
+	}
+	res, rbuf := sharded.GetBatch(nil, nil, keys)
+	for i := range keys {
+		if !res[i].OK || !bytes.Equal(res[i].Val, vals[i]) {
+			t.Fatalf("GetBatch[%d] = {%q %v}, want %q", i, res[i].Val, res[i].OK, vals[i])
+		}
+	}
+	_ = rbuf
+	for i, ok := range sharded.DeleteBatch(keys) {
+		if !ok {
+			t.Fatalf("DeleteBatch key %d failed", i)
+		}
+	}
+}
+
 // TestKVBytesConcurrent churns the bytes map from many goroutines with
 // content-checked values (value derivable from key), under the two
 // scheme families with the most distinct protection protocols.

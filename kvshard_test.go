@@ -1,6 +1,7 @@
 package hyaline_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,22 +18,50 @@ func mustShardedKV(t testing.TB, structure, scheme string, shards int, opts hyal
 	return kv
 }
 
-func TestShardedKVConstructErrors(t *testing.T) {
-	for _, shards := range []int{0, -1, -8} {
-		if _, err := hyaline.NewShardedKV("list", "hyaline", shards, hyaline.KVOptions{}); err == nil {
-			t.Errorf("NewShardedKV with %d shards succeeded, want error", shards)
+// TestShardedConstructErrors: both key families reject a non-positive
+// shard count and unknown structure/scheme names through the one shared
+// constructor path.
+func TestShardedConstructErrors(t *testing.T) {
+	families := []struct {
+		name, structure string
+		build           func(structure, scheme string, shards int) error
+	}{
+		{"uint64", "list", func(st, sc string, n int) error {
+			_, err := hyaline.NewShardedKV(st, sc, n, hyaline.KVOptions{})
+			return err
+		}},
+		{"bytes", "blist", func(st, sc string, n int) error {
+			_, err := hyaline.NewShardedKVBytes(st, sc, n, hyaline.KVOptions{})
+			return err
+		}},
+	}
+	for _, f := range families {
+		for _, shards := range []int{0, -1, -8} {
+			if f.build(f.structure, "hyaline", shards) == nil {
+				t.Errorf("%s: %d shards accepted", f.name, shards)
+			}
 		}
-	}
-	if _, err := hyaline.NewShardedKV("no-such-structure", "hyaline", 4, hyaline.KVOptions{}); err == nil {
-		t.Error("unknown structure accepted")
-	}
-	if _, err := hyaline.NewShardedKV("list", "no-such-scheme", 4, hyaline.KVOptions{}); err == nil {
-		t.Error("unknown scheme accepted")
+		if f.build("no-such-structure", "hyaline", 4) == nil {
+			t.Errorf("%s: unknown structure accepted", f.name)
+		}
+		if f.build(f.structure, "no-such-scheme", 4) == nil {
+			t.Errorf("%s: unknown scheme accepted", f.name)
+		}
+		if err := f.build(f.structure, "hyaline", 3); err != nil {
+			t.Errorf("%s: valid 3-shard construction failed: %v", f.name, err)
+		}
 	}
 }
 
+// TestShardedKVBasic runs the singleton surface and the aggregates at
+// shards == 1 and shards > 1: the same engine, so the same assertions.
 func TestShardedKVBasic(t *testing.T) {
-	const shards = 4
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testShardedKVBasic(t, shards) })
+	}
+}
+
+func testShardedKVBasic(t *testing.T, shards int) {
 	kv := mustShardedKV(t, "list", "hyaline", shards, hyaline.KVOptions{MaxThreads: 8})
 	const n = 500
 	for k := uint64(0); k < n; k++ {
@@ -121,92 +150,6 @@ func TestShardedKVApplyMatchesUnsharded(t *testing.T) {
 	if sharded.Len() != plain.Len() {
 		t.Fatalf("Len diverged: sharded %d, unsharded %d", sharded.Len(), plain.Len())
 	}
-}
-
-// FuzzShardedKVApply is FuzzKVApply over a 4-shard KV: the same op
-// stream against a single map model, so any routing artifact — lost
-// ops, cross-shard reordering of a key's history, scatter misplacement
-// — shows up as a Result or Len mismatch.
-func FuzzShardedKVApply(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 7, 9, 0, 7, 0})
-	f.Add([]byte{1, 5, 1, 1, 5, 2, 2, 5, 0, 2, 5, 0})
-	f.Add([]byte{2, 9, 0, 0, 9, 0})
-	f.Add([]byte{3, 0, 0, 3, 0, 0, 1, 1, 1})
-	f.Add([]byte{
-		1, 1, 10, 1, 2, 20, 3, 0, 0, 0, 1, 0,
-		2, 1, 0, 1, 1, 30, 0, 1, 0, 3, 0, 0, 0, 2, 0,
-	})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		kv, err := hyaline.NewShardedKV("hashmap", "hyaline", 4, hyaline.KVOptions{
-			MaxThreads: 8,
-			ArenaCap:   1 << 14,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		model := map[uint64]uint64{}
-		var ops []hyaline.Op
-		var expect []hyaline.Result
-
-		apply := func() {
-			res := kv.Apply(ops)
-			if len(ops) == 0 {
-				if res != nil {
-					t.Fatalf("Apply of empty batch returned %v", res)
-				}
-			} else if len(res) != len(ops) {
-				t.Fatalf("Apply returned %d results for %d ops", len(res), len(ops))
-			}
-			for i := range res {
-				if res[i] != expect[i] {
-					t.Fatalf("op %d (%s key %d): got %+v, want %+v",
-						i, ops[i].Kind, ops[i].Key, res[i], expect[i])
-				}
-			}
-			if got := kv.Len(); got != len(model) {
-				t.Fatalf("Len = %d, model has %d", got, len(model))
-			}
-			ops, expect = ops[:0], expect[:0]
-		}
-
-		for len(data) >= 3 {
-			sel, kb, vb := data[0]%4, data[1], data[2]
-			data = data[3:]
-			key, val := uint64(kb%64), uint64(vb)+1
-			switch sel {
-			case 0:
-				v, ok := model[key]
-				ops = append(ops, hyaline.Op{Kind: hyaline.OpGet, Key: key})
-				expect = append(expect, hyaline.Result{Val: v, OK: ok})
-			case 1:
-				_, exists := model[key]
-				ops = append(ops, hyaline.Op{Kind: hyaline.OpInsert, Key: key, Val: val})
-				expect = append(expect, hyaline.Result{OK: !exists})
-				if !exists {
-					model[key] = val
-				}
-			case 2:
-				_, exists := model[key]
-				ops = append(ops, hyaline.Op{Kind: hyaline.OpDelete, Key: key})
-				expect = append(expect, hyaline.Result{OK: exists})
-				delete(model, key)
-			default:
-				apply()
-			}
-		}
-		apply()
-
-		keys := make([]uint64, 0, len(model))
-		for k := range model {
-			keys = append(keys, k)
-		}
-		for i, r := range kv.GetBatch(nil, keys) {
-			if !r.OK || r.Val != model[keys[i]] {
-				t.Fatalf("final GetBatch(%d) = %+v, model %d", keys[i], r, model[keys[i]])
-			}
-		}
-	})
 }
 
 // TestShardedKVRangeMatchesUnsharded is the merged-scan property test:

@@ -1,6 +1,7 @@
 package hyaline_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -121,5 +122,67 @@ func TestKVLenStatsRaceApply(t *testing.T) {
 				t.Fatalf("live %d != allocated-freed %d (%+v)", snap.Live, st.Allocated-st.Freed, st)
 			}
 		})
+	}
+}
+
+// statsStore is the aggregate surface both key families promote from
+// the one engine.
+type statsStore interface {
+	Stats() hyaline.Stats
+	ShardStats() []hyaline.Stats
+	Snapshot() hyaline.Snapshot
+	Len() int
+	Live() int64
+	Shards() int
+	Flush()
+}
+
+// TestShardedStatsAggregate is the regression test for the dropped
+// Scans aggregate: the sharded Snapshot used to sum Allocated/Retired/
+// Freed by hand and forget Scans, so STATS and hyaline_kv_scans_total
+// read 0 on any sharded daemon. With one Stats/Snapshot implementation,
+// a 3-shard store after churn + Flush must report Snapshot().Stats equal
+// to Stats() field for field, both equal to the per-shard sum, with a
+// non-zero Scans — in both key families.
+func TestShardedStatsAggregate(t *testing.T) {
+	const shards, n = 3, 4000
+	u64, err := hyaline.NewShardedKV("hashmap", "hyaline", shards, hyaline.KVOptions{MaxThreads: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byt, err := hyaline.NewShardedKVBytes("blist", "hyaline", shards, hyaline.KVOptions{MaxThreads: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < n; k++ {
+		u64.Insert(k, k)
+		u64.Delete(k)
+		key := []byte(fmt.Sprintf("k%d", k%97))
+		byt.Insert(key, key)
+		byt.Delete(key)
+	}
+	for name, kv := range map[string]statsStore{"uint64": u64, "bytes": byt} {
+		kv.Flush()
+		st, snap := kv.Stats(), kv.Snapshot()
+		if snap.Stats != st {
+			t.Errorf("%s: Snapshot().Stats = %+v, Stats() = %+v", name, snap.Stats, st)
+		}
+		var sum hyaline.Stats
+		per := kv.ShardStats()
+		for _, s := range per {
+			sum.Allocated += s.Allocated
+			sum.Retired += s.Retired
+			sum.Freed += s.Freed
+			sum.Scans += s.Scans
+		}
+		if len(per) != shards || sum != st {
+			t.Errorf("%s: Σ ShardStats (%d shards) = %+v, Stats() = %+v", name, len(per), sum, st)
+		}
+		if st.Scans <= 0 || st.Retired < n {
+			t.Errorf("%s: churn + Flush left Stats = %+v, want Scans > 0 and Retired >= %d", name, st, n)
+		}
+		if snap.Shards != shards || kv.Shards() != shards || snap.Len != kv.Len() || snap.Live != kv.Live() {
+			t.Errorf("%s: Snapshot %+v disagrees with Shards/Len/Live = %d/%d/%d", name, snap, kv.Shards(), kv.Len(), kv.Live())
+		}
 	}
 }

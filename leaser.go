@@ -8,11 +8,10 @@ import (
 	"hyaline/internal/session"
 )
 
-// leaser is the goroutine→tid leasing machinery shared by the KV
-// front-ends (uint64 KV and KVBytes): a session.Pool bitmap for claims,
-// a per-P sync.Pool fast path, and a scavenger that repairs exhaustion.
-// It is embedded by value so the front-ends inherit the promoted fields
-// and methods; see the KV doc comment for the full protocol story.
+// leaser is the goroutine→tid leasing machinery of one store shard: a
+// session.Pool bitmap for claims, a per-P sync.Pool fast path, and a
+// scavenger that repairs exhaustion. See the KV doc comment for the
+// full protocol story.
 type leaser struct {
 	pool  *session.Pool
 	byTid []kvSession
@@ -127,11 +126,24 @@ func (l *leaser) release(ks *kvSession) {
 	}
 }
 
-// InFlight returns the number of sessions held by operations currently
-// executing (active leases; idle cached sessions do not count). Zero at
-// quiescence — the network server's graceful shutdown asserts on it to
-// prove no batch bracket outlived the drain.
-func (l *leaser) InFlight() int {
+// enter leases a session for one operation (or one batch) and opens its
+// reclamation bracket; leave closes the bracket and returns the lease.
+// Every store operation is `ks := sh.enter(); defer sh.leave(ks)`, with
+// batchTrim re-arming the bracket between chunks of a long one.
+func (l *leaser) enter() *kvSession {
+	ks := l.acquire()
+	ks.s.Enter()
+	return ks
+}
+
+func (l *leaser) leave(ks *kvSession) {
+	ks.s.Leave()
+	l.release(ks)
+}
+
+// inFlight counts the sessions held by operations currently executing
+// (active leases; idle cached sessions do not count).
+func (l *leaser) inFlight() int {
 	n := 0
 	for i := range l.byTid {
 		if l.byTid[i].state.Load() == kvActive {
@@ -141,16 +153,9 @@ func (l *leaser) InFlight() int {
 	return n
 }
 
-// MaxThreads returns the concurrent-operation bound (the leased-tid
-// count, not a goroutine limit).
-func (l *leaser) MaxThreads() int { return l.pool.MaxThreads() }
-
-// Flush pushes pending reclamation to completion, best-effort. It
-// briefly leases every session (waiting out in-flight operations), so
-// it is expensive — meant for final accounting or idle housekeeping,
-// not the hot path. Like every KV operation it must not be called from
-// inside a Range callback: it waits for the callback's own lease.
-func (l *leaser) Flush() {
+// flush briefly leases every session (waiting out in-flight
+// operations) and drains each one's pending reclamation.
+func (l *leaser) flush() {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	held := make([]*kvSession, 0, l.pool.MaxThreads())
