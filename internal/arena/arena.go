@@ -12,13 +12,25 @@
 //
 // Nodes are addressed by ptr.Index and referenced through packed ptr.Word
 // values, preserving the ABA behaviour of raw pointers. The free list is
-// sharded by thread ID (with stealing) so that allocator contention does
-// not drown out the reclamation costs the benchmarks measure — the role
-// jemalloc plays in the paper's testbed.
+// sharded by thread ID so that allocator contention does not drown out
+// the reclamation costs the benchmarks measure — the role jemalloc plays
+// in the paper's testbed.
+//
+// That role includes remote frees. Under Hyaline a batch is freed by
+// whichever thread drops its last reference, not by the thread that
+// allocated or retired its nodes, so a node routinely comes back on
+// another tid's shard than the one it left — for an allocating thread
+// paired with a freeing one it is the only case there is. Allocation
+// therefore recycles before it grows: the home shard first, then any
+// shard a one-word hint says holds free nodes, and only then a fresh
+// node from the bump frontier (see TryAlloc). Without the second step
+// the frontier, and with it resident memory, climbs with throughput
+// while freed nodes sit idle one shard over.
 package arena
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"hyaline/internal/ptr"
@@ -115,6 +127,14 @@ type Arena struct {
 	// frontier is the next never-allocated index.
 	frontier atomic.Int64
 
+	// nonEmpty is the recycling hint: bit s is set while shard s may hold
+	// free nodes. It is advisory — a stale set bit costs one failed
+	// tryPop, a stale clear bit one fresh node — and written only when a
+	// shard changes between empty and non-empty (see markNonEmpty,
+	// markEmpty), so while nothing is ever freed it stays zero and costs
+	// an allocation one load.
+	nonEmpty atomic.Uint64
+
 	// Each shard head packs a 32-bit ABA tag with a 32-bit (index+1) so
 	// that Treiber-stack pops cannot be fooled by recycling.
 	free [shards]paddedHead
@@ -200,9 +220,11 @@ func (a *Arena) tryPop(s int) (ptr.Index, bool) {
 	}
 }
 
-// TryAlloc pops a free node, preferring the shard of tid, then stealing
-// from the other shards, then bumping the fresh-node frontier. It returns
-// false only when the whole pool is exhausted.
+// TryAlloc recycles before it grows: it pops from the shard of tid, then
+// from the shards the nonEmpty hint names — nodes freed under another
+// tid, the common case under Hyaline (see the package doc) — then bumps
+// the fresh-node frontier, and only when that is exhausted scans every
+// shard head. It returns false only when the whole pool is exhausted.
 //
 // Like malloc, TryAlloc leaves the node's contents unspecified (fresh
 // nodes are zero, recycled ones carry stale or poisoned data): callers
@@ -216,7 +238,19 @@ func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
 		a.counters[home].allocated.Add(1)
 		return idx, true
 	}
-	// Home shard empty: take a never-used node with a single fetch-add
+	// Home shard empty: recycle a remote free if the hint knows of one.
+	// With nothing freed anywhere (prefill, Leaky) this is a single load
+	// of zero and no shard head is touched.
+	for w := a.nonEmpty.Load() &^ (1 << home); w != 0; w &= w - 1 {
+		s := bits.TrailingZeros64(w)
+		if idx, ok := a.tryPop(s); ok {
+			a.scrub(idx)
+			a.counters[home].allocated.Add(1)
+			return idx, true
+		}
+		a.markEmpty(s)
+	}
+	// Nothing to recycle: take a never-used node with a single fetch-add
 	// (a CAS loop here melts under allocation-heavy schemes like Leaky).
 	// Fresh nodes are already zero — live at Seq 0 — so this path does
 	// not write the node at all. The frontier may overshoot capacity; it
@@ -226,7 +260,8 @@ func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
 		a.counters[home].allocated.Add(1)
 		return ptr.Index(f), true
 	}
-	// Frontier exhausted: steal from the other shards.
+	// Frontier exhausted: scan every other shard, hinted or not (a stale
+	// clear bit must not turn into a false out-of-nodes).
 	for off := 1; off < shards; off++ {
 		if idx, ok := a.tryPop((home + off) & (shards - 1)); ok {
 			a.scrub(idx)
@@ -235,6 +270,40 @@ func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
 		}
 	}
 	return 0, false
+}
+
+// markNonEmpty sets shard s's hint bit; Free calls it after the push that
+// took the shard from empty to non-empty. Load/CAS rather than Or: go1.24.0
+// miscompiles the value-returning form (CHANGES, PR 3), and the load lets
+// a shard whose bit is already set skip the write.
+func (a *Arena) markNonEmpty(s int) {
+	bit := uint64(1) << s
+	for {
+		w := a.nonEmpty.Load()
+		if w&bit != 0 || a.nonEmpty.CompareAndSwap(w, w|bit) {
+			return
+		}
+	}
+}
+
+// markEmpty clears shard s's hint bit after a hinted pop found the shard
+// empty. The head is re-read after the clear: a Free that filled the
+// shard in between saw the bit still set and wrote nothing, so the bit
+// is put back here — which is what keeps "non-empty implies hinted"
+// exact once the arena is quiescent. The owner's own pops never clear
+// the bit (a thread freeing and reallocating one node would write the
+// shared word twice per pair); the next thief to come up empty does.
+func (a *Arena) markEmpty(s int) {
+	bit := uint64(1) << s
+	for {
+		w := a.nonEmpty.Load()
+		if w&bit == 0 || a.nonEmpty.CompareAndSwap(w, w&^bit) {
+			break
+		}
+	}
+	if a.free[s].head.Load()&headIdxMask != 0 {
+		a.markNonEmpty(s)
+	}
 }
 
 // scrub marks a recycled node live, enforcing the free/live discipline.
@@ -294,6 +363,9 @@ func (a *Arena) Free(tid int, idx ptr.Index) {
 		n.Next.Store(head & headIdxMask)
 		newHead := ((head &^ headIdxMask) + headTagIncr) | (uint64(idx) + 1)
 		if a.free[s].head.CompareAndSwap(head, newHead) {
+			if head&headIdxMask == 0 {
+				a.markNonEmpty(s)
+			}
 			a.counters[s].freed.Add(1)
 			return
 		}
@@ -311,6 +383,7 @@ func (a *Arena) Reset() {
 	}
 	clear(a.nodes[:f])
 	a.frontier.Store(0)
+	a.nonEmpty.Store(0)
 	for s := range a.free {
 		a.free[s].head.Store(0)
 		a.counters[s].allocated.Store(0)

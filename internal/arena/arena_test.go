@@ -154,6 +154,136 @@ func TestStealAcrossShards(t *testing.T) {
 	}
 }
 
+// TestRemoteFreeRecycles is the shape Hyaline gives the allocator: one
+// tid allocates, another frees (the thread that drops a batch's last
+// reference is rarely the one that retired it). The freed nodes must
+// come back to the allocating tid instead of each round taking a fresh
+// node while the freeing tid's shard fills up.
+func TestRemoteFreeRecycles(t *testing.T) {
+	const rounds = 100_000
+	a := New(2 * rounds)
+	start := a.frontier.Load()
+	for i := 0; i < rounds; i++ {
+		a.Free(1, a.Alloc(0))
+	}
+	if grew := a.frontier.Load() - start; grew > 64 {
+		t.Fatalf("frontier grew by %d nodes over %d alloc(tid 0)/free(tid 1) rounds, want <= 64", grew, rounds)
+	}
+	if a.Live() != 0 {
+		t.Fatalf("Live = %d after every node was freed", a.Live())
+	}
+}
+
+// freeListLens walks every shard's free list at quiescence.
+func freeListLens(t *testing.T, a *Arena) (lens [shards]int) {
+	t.Helper()
+	seen := make(map[ptr.Index]bool)
+	for s := range a.free {
+		for hi := a.free[s].head.Load() & headIdxMask; hi != 0; hi = a.nodes[hi-1].Next.Load() & headIdxMask {
+			idx := ptr.Index(hi - 1)
+			if seen[idx] {
+				t.Fatalf("node %d is on the free lists twice", idx)
+			}
+			if a.nodes[idx].Seq.Load()&1 == 0 {
+				t.Fatalf("node %d is on shard %d's free list with a live stamp", idx, s)
+			}
+			seen[idx] = true
+			lens[s]++
+		}
+	}
+	return lens
+}
+
+// TestHintTracksFreeLists churns allocations and remote frees from many
+// goroutines (run it under -race) and checks the recycling hint's one
+// hard promise at quiescence: every shard that holds free nodes has its
+// bit set, so no freed node is invisible to a thread whose own shard is
+// empty.
+func TestHintTracksFreeLists(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 20_000
+	)
+	a := New(workers * rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			held := make([]ptr.Index, 0, 8)
+			for r := 0; r < rounds; r++ {
+				// Allocate under one tid, free under another: tids w and
+				// w+1 overlap between neighbours, so every shard sees its
+				// owner, a remote freer and thieves at once.
+				if len(held) < 8 && r%9 != 0 {
+					held = append(held, a.Alloc(w))
+					continue
+				}
+				for _, idx := range held {
+					a.Free((w+1+r%2)%workers, idx)
+				}
+				held = held[:0]
+			}
+			for _, idx := range held {
+				a.Free(w, idx)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if live := a.Live(); live != 0 {
+		t.Fatalf("Live = %d after every node was freed", live)
+	}
+	lens := freeListLens(t, a)
+	total := int64(0)
+	hint := a.nonEmpty.Load()
+	for s, n := range lens {
+		total += int64(n)
+		if n > 0 && hint&(1<<s) == 0 {
+			t.Fatalf("shard %d holds %d free nodes but its hint bit is clear (hint %#x)", s, n, hint)
+		}
+	}
+	// Everything ever taken from the frontier was freed, exactly once.
+	f := a.frontier.Load()
+	if total != f {
+		t.Fatalf("free lists hold %d nodes, frontier handed out %d", total, f)
+	}
+	t.Logf("%d allocations were served from %d nodes", a.Stats().Allocated, f)
+
+	a.Reset()
+	if hint := a.nonEmpty.Load(); hint != 0 {
+		t.Fatalf("hint %#x after Reset, want 0", hint)
+	}
+}
+
+// TestHintStaysZeroWithoutFrees pins the prefill/Leaky fast path: with
+// nothing ever freed no hint bit is written, so an allocation whose home
+// shard is empty goes to the frontier after one load of zero.
+func TestHintStaysZeroWithoutFrees(t *testing.T) {
+	const n = 1000
+	a := New(n)
+	for i := 0; i < n; i++ {
+		a.Alloc(i) // every shard allocates
+	}
+	if hint := a.nonEmpty.Load(); hint != 0 {
+		t.Fatalf("hint %#x with nothing freed, want 0", hint)
+	}
+	if _, ok := a.TryAlloc(0); ok {
+		t.Fatal("alloc succeeded on exhausted pool")
+	}
+}
+
+// TestStaleClearHintStillSteals: the hint is advisory, so a shard whose
+// bit is clear must still be found by the exhaustion scan.
+func TestStaleClearHintStillSteals(t *testing.T) {
+	a := New(1)
+	a.Free(9, a.Alloc(0))
+	a.nonEmpty.Store(0) // as if a racing clear had won
+	if _, ok := a.TryAlloc(0); !ok {
+		t.Fatal("node on an unhinted shard was not found once the frontier ran out")
+	}
+}
+
 func TestStats(t *testing.T) {
 	a := New(10)
 	x := a.Alloc(0)
@@ -299,4 +429,17 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 			New(c)
 		}()
 	}
+}
+
+// BenchmarkArenaRemoteFree is the allocate-here, free-there round trip
+// the reclamation schemes produce; frontier/op near zero means the freed
+// nodes are being recycled rather than the pool growing.
+func BenchmarkArenaRemoteFree(b *testing.B) {
+	a := New(1 << 20)
+	a.DisablePoison()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Free(1, a.Alloc(0))
+	}
+	b.ReportMetric(float64(a.frontier.Load())/float64(b.N), "frontier/op")
 }

@@ -511,11 +511,11 @@ func (t *Tracker) retireBatch(tid int, ts *threadState) {
 	// its counter cannot reach zero before that final addition.
 	if oneVariant {
 		if refs.Refs.Add(inserts) == 0 {
-			t.freeBatch(tid, refsW)
+			t.freeBatchNow(tid, refsW)
 		}
 	} else if doAdj {
 		if refs.Refs.Add(empty) == 0 {
-			t.freeBatch(tid, refsW)
+			t.freeBatchNow(tid, refsW)
 		}
 	}
 
@@ -540,7 +540,7 @@ func (t *Tracker) adjust(tid int, w ptr.Word, val uint64) {
 	refsW := t.arena.Deref(w).BatchLink.Load()
 	refs := t.arena.Deref(refsW)
 	if refs.Refs.Add(val) == 0 {
-		t.freeBatch(tid, refsW)
+		t.freeBatchNow(tid, refsW)
 	}
 }
 
@@ -581,13 +581,8 @@ func (t *Tracker) reap(tid int, ts *threadState) {
 	ts.deferred = ts.deferred[:0]
 }
 
-// freeBatch frees the batch owned by REFS node refsW, either immediately
-// (from retire/adjust contexts) or deferred.
-func (t *Tracker) freeBatch(tid int, refsW ptr.Word) {
-	t.freeBatchNow(tid, refsW)
-}
-
-// freeBatchNow walks the batch chain and returns every node to the arena.
+// freeBatchNow walks the chain of the batch owned by REFS node refsW and
+// returns every node to the arena.
 // Hyaline has no limbo-list scan; each batch walk is its reclamation
 // pass, so it is what the Scans counter ticks on.
 func (t *Tracker) freeBatchNow(tid int, refsW ptr.Word) {

@@ -6,6 +6,15 @@
 // own link word logically deletes the node at that level) and traversals
 // help unlink marked nodes level by level.
 //
+// Towers are promoted with probability 1/4 per level (randomHeight), so
+// level l holds about n/4^l nodes and the MaxHeight = 8 link words an
+// arena node carries index 4^8 = 65 536 keys at the ideal density; a
+// search examines ~4 nodes per level, under 30 in all. The ratio is a
+// constant, not an option: the height is capped by the node layout, and
+// 1/4 is what makes eight levels enough for the key counts this
+// repository runs (1/2 would top out at 2^8 = 256 keys and walk n/256
+// nodes along the top level of anything bigger).
+//
 // The skiplist is the first multi-link workload of the benchmark suite:
 // taller towers mean more link dereferences per operation, speculative
 // Alloc/Dealloc on failed CASes, and — unlike the list, hashmap and
@@ -38,9 +47,10 @@ import (
 )
 
 // MaxHeight is the tallest tower, bounded by the arena's per-node link
-// words. With p = 1/2 promotion, height 8 indexes ~2^8 elements at the
-// ideal density and degrades gracefully (toward the bottom-level list)
-// beyond that.
+// words. With p = 1/4 promotion, height 8 indexes 4^8 = 65 536 elements
+// at the ideal density and degrades gently beyond that: the top level
+// grows by one node per 4^7 keys, so a million keys add ~30 top-level
+// visits to a search.
 const MaxHeight = arena.MaxLinks
 
 // SkipList is a lock-free sorted map with per-node towers.
@@ -80,8 +90,8 @@ func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *SkipList {
 	return s
 }
 
-// randomHeight draws a geometric(1/2) tower height in [1, MaxHeight]
-// from the thread-local xorshift state.
+// randomHeight draws a geometric(1/4) tower height in [1, MaxHeight]
+// from the thread-local xorshift state, two random bits per level.
 func (s *SkipList) randomHeight(tid int) int {
 	x := s.seeds[tid].v
 	x ^= x << 13
@@ -89,9 +99,9 @@ func (s *SkipList) randomHeight(tid int) int {
 	x ^= x << 17
 	s.seeds[tid].v = x
 	h := 1
-	for x&1 == 1 && h < MaxHeight {
+	for x&3 == 0 && h < MaxHeight {
 		h++
-		x >>= 1
+		x >>= 2
 	}
 	return h
 }

@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -58,8 +59,8 @@ func TestTowerHeightDistribution(t *testing.T) {
 		}
 		counts[h]++
 	}
-	// Geometric(1/2): roughly half the towers stop at each level. Demand
-	// only the gross shape so the test is seed-independent.
+	// Geometric(1/4): roughly three quarters of the towers stop at each
+	// level. Demand only the gross shape so the test is seed-independent.
 	if counts[1] < n/4 {
 		t.Fatalf("height-1 towers: %d of %d, want the bulk", counts[1], n)
 	}
@@ -127,10 +128,10 @@ func TestRange(t *testing.T) {
 }
 
 // TestRandomHeightDistribution draws directly from the tower-height
-// generator and pins it to the geometric(1/2) law: heights stay within
+// generator and pins it to the geometric(1/4) law: heights stay within
 // [1, arena.MaxLinks] (a taller tower would index past the node's link
-// words), and the per-level frequencies match 2^-level within a
-// tolerance far wider than the deterministic generator's deviation.
+// words), and the per-level frequencies match 3/4 · 4^-(level-1) within
+// a tolerance far wider than the deterministic generator's deviation.
 func TestRandomHeightDistribution(t *testing.T) {
 	a := arena.New(64)
 	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 4})
@@ -150,16 +151,19 @@ func TestRandomHeightDistribution(t *testing.T) {
 	if MaxHeight != arena.MaxLinks {
 		t.Fatalf("MaxHeight %d != arena.MaxLinks %d", MaxHeight, arena.MaxLinks)
 	}
-	// Geometric(1/2): P(h) = 2^-h for h < MaxHeight; the top level absorbs
-	// the tail, so P(MaxHeight) = 2^-(MaxHeight-1).
+	// Geometric(1/4): P(h) = 3/4 · 4^-(h-1) for h < MaxHeight (0.75,
+	// 0.1875, ...); the top level absorbs the tail, P(MaxHeight) =
+	// 4^-(MaxHeight-1).
 	for h := 1; h <= MaxHeight; h++ {
-		want := 1.0 / float64(int(1)<<h)
+		reach := 1.0 / float64(int(1)<<(2*(h-1))) // P(height >= h)
+		want := 0.75 * reach
 		if h == MaxHeight {
-			want = 1.0 / float64(int(1)<<(MaxHeight-1))
+			want = reach
 		}
 		got := float64(counts[h]) / draws
-		// ~3σ for the binomial at p=0.5 is about 0.0034; 0.02 allows for
-		// the xorshift generator's bias without hiding a broken geometry.
+		// ~3σ for the binomial at p=0.75 is about 0.003; 0.02 allows for
+		// the xorshift generator's bias without hiding a broken geometry
+		// (1/2 promotion misses level 1 by 0.25).
 		if diff := got - want; diff < -0.02 || diff > 0.02 {
 			t.Fatalf("height %d frequency %.4f, want %.4f±0.02 (counts %v)", h, got, want, counts)
 		}
@@ -168,6 +172,71 @@ func TestRandomHeightDistribution(t *testing.T) {
 		if counts[h] <= counts[h+1] {
 			t.Fatalf("height frequencies not decreasing at %d: %v", h, counts)
 		}
+	}
+}
+
+// TestSearchCost pins what the 1/4 towers buy at the key count the
+// repository benchmark runs: the descent find makes, replayed here with
+// plain loads at quiescence, examines a few nodes per level rather than
+// walking a long top level (p = 1/2 tops out at 2^8 keys and visits ~200
+// nodes per search at 50 000).
+func TestSearchCost(t *testing.T) {
+	const n = 50_000
+	a := arena.New(1 << 16)
+	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 1})
+	s := New(a, tr, 1)
+	rng := rand.New(rand.NewSource(1))
+	for inserted := 0; inserted < n; {
+		tr.Enter(0)
+		if s.Insert(0, rng.Uint64(), 0) {
+			inserted++
+		}
+		tr.Leave(0)
+	}
+
+	top := MaxHeight - 1
+	for top > 0 && ptr.IsNil(s.head[top].Load()) {
+		top--
+	}
+	topNodes := 0
+	for w := s.head[top].Load(); !ptr.IsNil(w); w = a.Deref(w).Link(top).Load() {
+		topNodes++
+	}
+	if topNodes > 16 {
+		t.Fatalf("top occupied level %d holds %d nodes, want <= 16", top, topNodes)
+	}
+
+	// visits counts the nodes whose key a search for key examines: find's
+	// descent without the protection and helping, which change nothing at
+	// quiescence.
+	visits := func(key uint64) int {
+		seen := 0
+		var prev *arena.Node // nil = head
+		for level := MaxHeight - 1; level >= 0; level-- {
+			link := &s.head[level]
+			if prev != nil {
+				link = prev.Link(level)
+			}
+			for w := link.Load(); !ptr.IsNil(w); w = link.Load() {
+				cn := a.Deref(w)
+				seen++
+				if cn.Key.Load() >= key {
+					break
+				}
+				prev, link = cn, cn.Link(level)
+			}
+		}
+		return seen
+	}
+	const searches = 1000
+	total := 0
+	for i := 0; i < searches; i++ {
+		total += visits(rng.Uint64())
+	}
+	if mean := float64(total) / searches; mean > 40 {
+		t.Fatalf("mean node visits per search = %.1f over %d keys, want <= 40", mean, n)
+	} else {
+		t.Logf("mean node visits per search: %.1f (top level %d holds %d nodes)", mean, top, topNodes)
 	}
 }
 
@@ -230,5 +299,31 @@ func TestMaskRetiresOnce(t *testing.T) {
 	tr.(smr.Flusher).Flush(0)
 	if live, ln := a.Live(), s.Len(); live != int64(ln) {
 		t.Fatalf("arena live %d != structure size %d", live, ln)
+	}
+}
+
+// BenchmarkSkipListGet50k is the search the repository benchmark's
+// kv_mixed workload leans on: Get on 50 000 keys under hyaline.
+func BenchmarkSkipListGet50k(b *testing.B) {
+	const n = 50_000
+	a := arena.New(1 << 17)
+	a.DisablePoison()
+	tr := trackers.MustNew("hyaline", a, trackers.Config{MaxThreads: 1})
+	s := New(a, tr, 1)
+	keys := make([]uint64, n)
+	rng := rand.New(rand.NewSource(1))
+	for i := range keys {
+		keys[i] = rng.Uint64()
+		tr.Enter(0)
+		s.Insert(0, keys[i], keys[i])
+		tr.Leave(0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Enter(0)
+		if _, ok := s.Get(0, keys[i%n]); !ok {
+			b.Fatalf("Get(%d) missed", keys[i%n])
+		}
+		tr.Leave(0)
 	}
 }

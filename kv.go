@@ -308,31 +308,24 @@ func (kv *KV) Range(lo, hi uint64, fn func(key, val uint64) bool) error {
 	}
 }
 
-// scan is the chunked scan of shard i's slice of [lo, hi].
+// scan is the chunked scan of shard i's slice of [lo, hi]. The chunk
+// state lives in the leased session (see kvSession), so the scan itself
+// allocates nothing.
 func (kv *KV) scan(i int, lo, hi uint64, fn func(key, val uint64) bool) {
 	sh := &kv.shards[i]
 	ks := sh.enter()
-	defer sh.leave(ks)
+	ks.fn = fn
+	defer sh.leaveScan(ks)
 	cursor := lo
 	for {
-		visited := 0
-		stopped := false
-		last := cursor
-		kv.r[i].Range(ks.s.Tid(), cursor, hi, func(k, v uint64) bool {
-			last = k
-			if !fn(k, v) {
-				stopped = true
-				return false
-			}
-			visited++
-			return visited < batchChunk
-		})
+		ks.visited, ks.stopped, ks.last = 0, false, cursor
+		kv.r[i].Range(ks.s.Tid(), cursor, hi, ks.visit)
 		// Done unless the chunk filled with range left to cover. The
 		// last == hi check also guards cursor overflow at hi = 2^64-1.
-		if stopped || visited < batchChunk || last == hi {
+		if ks.stopped || ks.visited < batchChunk || ks.last == hi {
 			return
 		}
-		cursor = last + 1
+		cursor = ks.last + 1
 		// Between chunks no node is referenced, so the bracket can be
 		// re-armed: retired nodes accumulated behind this scan become
 		// reclaimable before the next chunk starts.

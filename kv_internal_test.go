@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // acquireAll leases every session of l, failing the test if the
@@ -137,5 +138,49 @@ func TestKVScavengeGCDroppedSessions(t *testing.T) {
 	}
 	if v, ok := kv.Get(1 << 40); !ok || v != 7 {
 		t.Fatalf("Get after scavenge = (%d, %v)", v, ok)
+	}
+}
+
+// TestKVRangeDropsCallback: the chunk state of a scan lives in the
+// leased session, which outlives the call in the per-P cache — so the
+// caller's fn must be gone from it by the time Range returns, however it
+// returns, or a cached session would pin whatever the closure captured.
+func TestKVRangeDropsCallback(t *testing.T) {
+	kv, err := NewKV("skiplist", "hyaline", KVOptions{MaxThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		kv.Insert(k, k)
+	}
+	check := func(how string) {
+		t.Helper()
+		l := &kv.shards[0].leaser
+		for i := range l.byTid {
+			if l.byTid[i].fn != nil {
+				t.Fatalf("session %d still holds the caller's fn after a Range that %s", i, how)
+			}
+		}
+		if n := kv.InFlight(); n != 0 {
+			t.Fatalf("%d leases in flight after a Range that %s", n, how)
+		}
+	}
+	kv.Range(0, 199, func(_, _ uint64) bool { return true })
+	check("ran to the end")
+	kv.Range(0, 199, func(k, _ uint64) bool { return k < 100 })
+	check("stopped early")
+	func() {
+		defer func() { recover() }()
+		kv.Range(0, 199, func(k, _ uint64) bool {
+			if k == 70 {
+				panic("callback failed")
+			}
+			return true
+		})
+	}()
+	check("panicked in fn")
+
+	if size := unsafe.Sizeof(kvSession{}); size%64 != 0 {
+		t.Fatalf("kvSession is %d bytes: neighbouring sessions share a cache line", size)
 	}
 }

@@ -200,6 +200,66 @@ func TestKVRange(t *testing.T) {
 	}
 }
 
+// TestKVRangeChunkBoundaries drives the chunked scan across its Trim
+// boundary (every 64 visited keys) in every way the per-session chunk
+// state can get wrong: scans that end short of, exactly at and beyond a
+// chunk, callbacks that stop on either side of the boundary, and back to
+// back scans on one session, whose state must start clean each time.
+func TestKVRangeChunkBoundaries(t *testing.T) {
+	for _, structure := range []string{"skiplist", "list"} {
+		// One tid: every scan reuses the same session.
+		kv, err := hyaline.NewKV(structure, "hyaline", hyaline.KVOptions{MaxThreads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 300
+		for k := uint64(0); k < n; k++ {
+			kv.Insert(2*k, kvChecksum(2*k)) // even keys
+		}
+		for _, c := range []struct {
+			lo, hi uint64
+			stop   int // fn returns false at this many keys; 0 = never
+			want   int
+		}{
+			{0, ^uint64(0), 0, n},
+			{0, 2*63 - 1, 0, 63},
+			{0, 2 * 63, 0, 64},
+			{0, 2*64 + 1, 0, 65},
+			{100, 100 + 2*128 - 2, 0, 128},
+			{0, ^uint64(0), 1, 1},
+			{0, ^uint64(0), 63, 63},
+			{0, ^uint64(0), 64, 64},
+			{0, ^uint64(0), 65, 65},
+			{7, ^uint64(0), 200, 200},
+			{2 * n, ^uint64(0), 0, 0},
+		} {
+			var got []uint64
+			err := kv.Range(c.lo, c.hi, func(k, v uint64) bool {
+				if v != kvChecksum(k) {
+					t.Fatalf("%s: Range saw (%d, %d)", structure, k, v)
+				}
+				got = append(got, k)
+				return len(got) != c.stop
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != c.want {
+				t.Fatalf("%s: Range(%d, %d) stopping at %d visited %d keys, want %d", structure, c.lo, c.hi, c.stop, len(got), c.want)
+			}
+			first := (c.lo + 1) / 2 * 2
+			for i, k := range got {
+				if k != first+2*uint64(i) {
+					t.Fatalf("%s: Range(%d, %d) key %d is %d, want %d", structure, c.lo, c.hi, i, k, first+2*uint64(i))
+				}
+			}
+		}
+		if n := kv.InFlight(); n != 0 {
+			t.Fatalf("%s: %d leases in flight after scans", structure, n)
+		}
+	}
+}
+
 func TestKVErrors(t *testing.T) {
 	if _, err := hyaline.NewKV("hashmap", "no-such-scheme", hyaline.KVOptions{}); err == nil {
 		t.Fatal("unknown scheme must error")
@@ -255,6 +315,28 @@ func BenchmarkKVGet(b *testing.B) {
 			kv.Get(uint64(rng.Intn(20_000)))
 		}
 	})
+}
+
+// BenchmarkKVRange64 is the repository benchmark's scan: 64 consecutive
+// keys out of 50 000 on an unsharded skiplist, with a callback built once
+// — so allocs/op is what Range itself costs.
+func BenchmarkKVRange64(b *testing.B) {
+	kv, err := hyaline.NewKV("skiplist", "hyaline", hyaline.KVOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 50_000
+	for k := uint64(0); k < n; k++ {
+		kv.Insert(k, kvChecksum(k))
+	}
+	var sum uint64
+	fn := func(k, v uint64) bool { sum += v; return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := uint64(i) * 7919 % (n - 64)
+		kv.Range(lo, lo+63, fn)
+	}
 }
 
 // TestKVRangeLongScanBounded: a long Range must not pin reclamation

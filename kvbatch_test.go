@@ -373,6 +373,36 @@ func TestBatchAllocFree(t *testing.T) {
 	}
 }
 
+// TestKVRangeAllocFree: an unsharded Range keeps its chunking state in
+// the leased session, so a scan with a callback the caller built once
+// must not touch the Go heap — on the skiplist (logarithmic positioning)
+// and the list alike. The scan is exactly one chunk long, so the run
+// covers the full-chunk exit as well.
+func TestKVRangeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, structure := range []string{"skiplist", "list"} {
+		kv := mustKV(t, structure, "hyaline", hyaline.KVOptions{MaxThreads: 8})
+		for k := uint64(0); k < 1024; k++ {
+			kv.Insert(k, kvChecksum(k))
+		}
+		seen := 0
+		fn := func(k, v uint64) bool { seen++; return true }
+		lo := uint64(0)
+		avg := testing.AllocsPerRun(500, func() {
+			kv.Range(lo, lo+63, fn)
+			lo = (lo + 64) % 960
+		})
+		if avg != 0 {
+			t.Errorf("%s: a 64-key Range allocates %.2f objects/run, want 0", structure, avg)
+		}
+		if seen != 501*64 { // AllocsPerRun warms up with one extra run
+			t.Errorf("%s: scans visited %d keys, want %d", structure, seen, 501*64)
+		}
+	}
+}
+
 // FuzzKVApply feeds random op sequences — duplicate keys, deletes of
 // absent keys, empty batches, batch splits at arbitrary points — through
 // Apply and checks every Result and the final Len against a

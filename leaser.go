@@ -50,7 +50,30 @@ const (
 type kvSession struct {
 	s     *session.Session
 	state atomic.Uint32
-	_     [52]byte // pad to 64 B: one leased session per cache line
+
+	// Chunked-scan state of KV.scan, valid while the lease is active. It
+	// lives here so a Range allocates nothing: visit is the method value
+	// ks.step, bound once when the tid is first claimed, and the callback
+	// handed to the structure's Range instead of a fresh closure per call.
+	stopped bool                       // fn returned false
+	fn      func(key, val uint64) bool // the caller's callback; nil outside a scan
+	visit   func(key, val uint64) bool
+	visited int    // keys delivered in the current chunk
+	last    uint64 // last key seen in the current chunk
+
+	_ [16]byte // pad to 64 B: one leased session per cache line
+}
+
+// step is the per-key callback of a chunked scan: it forwards to the
+// caller's fn and ends the chunk after batchChunk keys.
+func (ks *kvSession) step(k, v uint64) bool {
+	ks.last = k
+	if !ks.fn(k, v) {
+		ks.stopped = true
+		return false
+	}
+	ks.visited++
+	return ks.visited < batchChunk
 }
 
 // init wires the leaser over tr for maxThreads concurrent leases.
@@ -81,7 +104,10 @@ func (l *leaser) acquire() *kvSession {
 func (l *leaser) claim() *kvSession {
 	if s, ok := l.pool.TryAcquire(); ok {
 		ks := &l.byTid[s.Tid()]
-		ks.s = s // idempotent: tid↔Session binding never changes
+		// A tid leaves the bitmap once — released leases park as cached —
+		// so this binds the session and its scan callback exactly once.
+		ks.s = s
+		ks.visit = ks.step
 		ks.state.Store(kvActive)
 		return ks
 	}
@@ -139,6 +165,13 @@ func (l *leaser) enter() *kvSession {
 func (l *leaser) leave(ks *kvSession) {
 	ks.s.Leave()
 	l.release(ks)
+}
+
+// leaveScan is leave for a scan: the caller's fn is dropped first, so a
+// session parked in the cache never pins a caller's closure.
+func (l *leaser) leaveScan(ks *kvSession) {
+	ks.fn = nil
+	l.leave(ks)
 }
 
 // inFlight counts the sessions held by operations currently executing
