@@ -134,15 +134,17 @@ func BenchmarkFig10aRobustness(b *testing.B) {
 	curves := []struct {
 		label  string
 		scheme string
+		slots  int
 		resize bool
 	}{
-		{"epoch", "epoch", false},
-		{"hyaline", "hyaline", false},
-		{"hyaline-s-capped", "hyaline-s", false},
-		{"hyaline-s-resize", "hyaline-s", true},
-		{"hyaline-1s", "hyaline-1s", false},
-		{"ibr", "ibr", false},
-		{"hp", "hp", false},
+		{"epoch", "epoch", 0, false},
+		{"hyaline", "hyaline", 0, false},
+		{"hyaline-s", "hyaline-s", 0, false},
+		{"hyaline-s-capped", "hyaline-s", bench.Fig10aSlots, false},
+		{"hyaline-s-resize", "hyaline-s", bench.Fig10aSlots, true},
+		{"hyaline-1s", "hyaline-1s", 0, false},
+		{"ibr", "ibr", 0, false},
+		{"hp", "hp", 0, false},
 	}
 	for _, c := range curves {
 		for _, stalled := range []int{1, cores / 2} {
@@ -151,7 +153,7 @@ func BenchmarkFig10aRobustness(b *testing.B) {
 					Structure: "hashmap", Scheme: c.scheme,
 					Threads: cores, Stalled: stalled,
 					Workload: bench.WriteHeavy,
-					Tracker:  trackers.Config{Resize: c.resize},
+					Tracker:  trackers.Config{Slots: c.slots, Resize: c.resize},
 				})
 			})
 		}

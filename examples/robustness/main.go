@@ -4,7 +4,9 @@
 // reclamation its frozen reservation pins every node retired afterwards:
 // garbage grows without bound until memory is exhausted. Under Hyaline-S
 // the stalled thread's slot goes era-stale, new batches skip it, and
-// garbage stays bounded.
+// garbage stays at the era bound: the nodes born before the slot went
+// stale (none here — the map is empty when the reader parks) plus the
+// batches in flight. The program prints the bound as a formula.
 //
 //	go run ./examples/robustness
 package main
@@ -80,4 +82,7 @@ func main() {
 		run(scheme)
 	}
 	fmt.Println("\nepoch/hyaline grow without bound; the robust schemes stay flat (Fig. 10a).")
+	fmt.Println("hyaline-s bound = nodes born before the stalled slot's access era went stale (0 here)")
+	fmt.Println("                + 2 batches per thread in flight")
+	fmt.Println("                + AckThreshold × batch, only when > 128 tids force slot sharing")
 }

@@ -101,6 +101,11 @@ func standardCurves(structure string) []Curve {
 	return curves
 }
 
+// Fig10aSlots is the slot count the capped and resizing Hyaline-S curves
+// of Figure 10a start from: fewer slots than threads, so stalled threads
+// share slots with running ones.
+const Fig10aSlots = 2
+
 // AllFigures lists every reproducible table/figure in paper order.
 func AllFigures() []Figure {
 	var figs []Figure
@@ -137,8 +142,13 @@ func AllFigures() []Figure {
 		Curves: []Curve{
 			{Label: "hyaline", Scheme: "hyaline"},
 			{Label: "hyaline-1", Scheme: "hyaline-1"},
-			{Label: "hyaline-s(capped)", Scheme: "hyaline-s"},
-			{Label: "hyaline-s(resize)", Scheme: "hyaline-s", Resize: true},
+			// Hyaline-S defaults to a slot per thread, where nothing is
+			// shared and nothing needs to grow. The paper's capped/resize
+			// pair is about stalled threads sharing slots with running
+			// ones, so both start from the same explicit small k.
+			{Label: "hyaline-s", Scheme: "hyaline-s"},
+			{Label: "hyaline-s(capped)", Scheme: "hyaline-s", Slots: Fig10aSlots},
+			{Label: "hyaline-s(resize)", Scheme: "hyaline-s", Slots: Fig10aSlots, Resize: true},
 			{Label: "hyaline-1s", Scheme: "hyaline-1s"},
 			{Label: "epoch", Scheme: "epoch"},
 			{Label: "ibr", Scheme: "ibr"},

@@ -37,6 +37,21 @@
 //
 // The REFS node is never inserted into a slot list, which is why batches
 // must contain strictly more nodes than there are slots.
+//
+// One refinement here is not in the paper: era-segregated batches. Fig. 5
+// lets retire skip a slot whose access era is below the batch's minimum
+// birth era, so a single old node makes its whole batch reachable from a
+// stalled slot, and a stalled thread ends up pinning a multiple of what
+// it can actually reach. A Hyaline-S/1S thread therefore builds two
+// batches and routes each retired node by its birth era against the
+// oldest access era among the occupied slots (read while publishing the
+// previous batch): nodes a stale slot may still reach fill one batch,
+// younger ones the other, which the stale slot is skipped for. The
+// routing decides only which batch a node joins. Every batch still
+// records the true minimum of its nodes' birth eras and is published
+// under Fig. 5's unchanged skip rule, so a stale or wrong boundary costs
+// memory, never safety. With it the plateau under a stalled thread is
+// the era bound: the nodes born before that thread's slot went stale.
 package hyaline
 
 import (
@@ -88,9 +103,11 @@ type Config struct {
 	// MaxThreads bounds the number of distinct tids. For One/RobustOne
 	// each thread owns a slot, so k = MaxThreads.
 	MaxThreads int
-	// Slots is k, the number of retirement lists (power of two). Ignored
-	// by One/RobustOne. Default: 2×GOMAXPROCS rounded up to a power of
-	// two, but at least 1; the paper caps it at 128 on a 72-core box.
+	// Slots is k, the number of retirement lists, rounded up to a power
+	// of two. Ignored by One/RobustOne. Default for Basic: GOMAXPROCS.
+	// Default for Robust: max(GOMAXPROCS, MaxThreads), capped at the
+	// paper's 128 — a slot per thread, so a stalled thread's slot goes
+	// era-stale at once and running threads never share a head with it.
 	Slots int
 	// MinBatch is the minimum batch size. The effective batch size is
 	// max(MinBatch, k+1), since a batch needs one node per slot plus the
@@ -122,6 +139,13 @@ func (c *Config) fill() {
 			// The paper sizes k as the next power of two above the core
 			// count (128 on its 72-core machine).
 			c.Slots = runtime.GOMAXPROCS(0)
+			if c.Variant == Robust {
+				// A slot shared with a stalled thread stays era-fresh
+				// until its Ack crosses AckThreshold, pinning
+				// AckThreshold batches; a slot per tid avoids sharing
+				// for as long as the paper's cap allows.
+				c.Slots = min(max(c.Slots, c.MaxThreads), maxDefaultSlots)
+			}
 		}
 		if c.Slots&(c.Slots-1) != 0 {
 			// Round up to a power of two, as §3.2 requires.
@@ -141,6 +165,9 @@ func (c *Config) fill() {
 		c.Resize = false // resizing applies only to Hyaline-S
 	}
 }
+
+// maxDefaultSlots is the paper's cap on k (§6: 128 on its 72-core box).
+const maxDefaultSlots = 128
 
 // head-word packing: HRef in bits 48..63, HPtr (a ptr.Word without mark
 // bits) in bits 0..47.
@@ -172,25 +199,39 @@ type slotState struct {
 	_      [13]uint64
 }
 
+// batch is a retire batch under construction.
+type batch struct {
+	refs     ptr.Word // REFS node (first retired into the batch)
+	chain    ptr.Word // newest node of the chain (REFS.BatchLink target)
+	count    int
+	minBirth uint64 // minimum birth era in the batch
+}
+
 // threadState is per-tid bookkeeping: the current slot and handle, the
-// retire batch under construction, and the thread-local era counter.
+// retire batches under construction, and the thread-local era countdown.
+// It is 128 bytes, so neighbouring tids do not share a cache line.
 type threadState struct {
+	// st is the slot entered through; slot blocks never move once
+	// published, so the pointer stays valid across resizes.
+	st     *slotState
 	slot   int
 	handle ptr.Word
 
-	// Batch under construction.
-	batchRefs  ptr.Word // REFS node (first retired into the batch)
-	batchChain ptr.Word // newest node of the chain (REFS.BatchLink target)
-	batchCount int
-	batchMin   uint64 // minimum birth era in the batch
+	// batches[0] collects nodes born at or before boundary, batches[1]
+	// the younger ones. boundary is the minimum access era over the
+	// occupied slots as of the last published batch: a routing hint that
+	// keeps nodes a stale slot can still reach out of the batches that
+	// slot could otherwise be skipped for. The non-robust variants have
+	// no eras (birth 0, boundary 0) and only ever fill batches[0].
+	batches  [2]batch
+	boundary uint64
 
-	allocCounter int
+	// eraCountdown counts allocations down to the next era advance.
+	eraCountdown int
 
 	// deferred is the reap list (§4.1): batches whose counters we dropped
 	// to zero are freed after traversal completes, restoring FIFO order.
 	deferred []ptr.Word
-
-	_ [4]uint64
 }
 
 // Tracker implements one of the four Hyaline variants.
@@ -232,10 +273,13 @@ func New(a *arena.Arena, cfg Config) *Tracker {
 	t.dir[0].Store(&block)
 	t.k.Store(uint64(cfg.Slots))
 	t.allocEra.Store(1)
-	// Fig. 5's enter(int *slot) persists the slot across operations;
-	// threads start spread by ID.
+	// Threads start spread by ID. Only Hyaline-S ever moves (Fig. 5's
+	// enter(int *slot) persists the slot across operations).
 	for i := range t.threads {
-		t.threads[i].slot = i % cfg.Slots
+		ts := &t.threads[i]
+		ts.slot = i % cfg.Slots
+		ts.st = &block[ts.slot]
+		ts.eraCountdown = cfg.Freq
 	}
 	return t
 }
@@ -267,39 +311,51 @@ func (t *Tracker) Enter(tid int) {
 	switch t.cfg.Variant {
 	case One, RobustOne:
 		// Fig. 4: the thread owns its slot; plain store, wait-free.
-		ts.slot = tid
-		t.slot(tid).head.Store(packHead(1, ptr.Nil))
+		ts.st.head.Store(packHead(1, ptr.Nil))
 		ts.handle = ptr.Nil
+		return
 	case Robust:
-		// Fig. 5: rotate away from slots saturated by stalled threads.
-		k := int(t.k.Load())
-		slot := ts.slot
-		if slot >= k {
-			slot = tid & (k - 1)
+		// Fig. 5: rotate away from a slot saturated by stalled threads.
+		if ts.st.ack.Load() >= t.cfg.AckThreshold {
+			ts.slot = t.rotate(tid, ts.slot)
+			ts.st = t.slot(ts.slot)
 		}
-		for tries := 0; t.slot(slot).ack.Load() >= t.cfg.AckThreshold; {
-			slot = (slot + 1) & (k - 1)
-			tries++
-			if tries == k {
-				// All k slots look stalled.
-				if t.cfg.Resize {
-					k = t.grow(k)
-					slot = tid & (k - 1)
-					tries = 0
-					continue
-				}
-				break // capped: fall back to the least-bad option
+	}
+	old := ts.st.head.Add(hrefUnit) - hrefUnit
+	ts.handle = headPtr(old)
+}
+
+// rotate picks the slot a Hyaline-S thread enters through once its
+// current one has an Ack at or above the threshold (Fig. 5 lines 26-28).
+// Among the slots under the threshold it prefers an unoccupied one: a
+// slot nobody runs in costs no head contention, and leaving the occupied
+// ones alone keeps running threads from piling onto one list.
+func (t *Tracker) rotate(tid, slot int) int {
+	k := int(t.k.Load())
+	for {
+		fallback := -1
+		for i := 0; i < k; i++ {
+			s := (slot + i) & (k - 1)
+			st := t.slot(s)
+			if st.ack.Load() >= t.cfg.AckThreshold {
+				continue
+			}
+			if headRef(st.head.Load()) == 0 {
+				return s
+			}
+			if fallback < 0 {
+				fallback = s
 			}
 		}
-		ts.slot = slot
-		old := t.slot(slot).head.Add(hrefUnit) - hrefUnit
-		ts.handle = headPtr(old)
-	default:
-		k := int(t.k.Load())
-		slot := tid & (k - 1)
-		ts.slot = slot
-		old := t.slot(slot).head.Add(hrefUnit) - hrefUnit
-		ts.handle = headPtr(old)
+		if fallback >= 0 {
+			return fallback
+		}
+		// All k slots look stalled.
+		if !t.cfg.Resize {
+			return slot // capped: the least-bad option
+		}
+		k = t.grow(k)
+		slot = tid & (k - 1)
 	}
 }
 
@@ -318,14 +374,13 @@ func (t *Tracker) grow(k int) int {
 // Leave implements smr.Tracker (Fig. 3 leave / Fig. 4 leave).
 func (t *Tracker) Leave(tid int) {
 	ts := &t.threads[tid]
-	slot := ts.slot
-	st := t.slot(slot)
+	st := ts.st
 
 	switch t.cfg.Variant {
 	case One, RobustOne:
 		old := st.head.Swap(packHead(0, ptr.Nil))
 		if p := headPtr(old); !ptr.IsNil(p) {
-			t.traverse(tid, slot, p, ts.handle)
+			t.traverse(ts, p, ts.handle)
 		}
 		t.reap(tid, ts)
 		return
@@ -358,7 +413,7 @@ func (t *Tracker) Leave(tid int) {
 		t.adjust(tid, curr, t.batchAdjs(curr))
 	}
 	if curr != handle {
-		t.traverse(tid, slot, next, handle)
+		t.traverse(ts, next, handle)
 		if t.cfg.Variant == Robust && headRef(oldHead) == 1 {
 			// We emptied the list (HPtr reset to Nil) and dereferenced
 			// the head batch via the HRef path. Nobody will ever
@@ -376,13 +431,10 @@ func (t *Tracker) Leave(tid int) {
 // current head as the new handle.
 func (t *Tracker) Trim(tid int) {
 	ts := &t.threads[tid]
-	slot := ts.slot
-	st := t.slot(slot)
-	head := st.head.Load()
-	curr := headPtr(head)
+	curr := headPtr(ts.st.head.Load())
 	if curr != ts.handle {
 		next := t.arena.Deref(curr).Next.Load()
-		t.traverse(tid, slot, next, ts.handle)
+		t.traverse(ts, next, ts.handle)
 		ts.handle = curr
 	}
 	t.reap(tid, ts)
@@ -395,8 +447,9 @@ func (t *Tracker) Alloc(tid int) ptr.Index {
 	idx := t.arena.Alloc(tid)
 	if t.robust() {
 		ts := &t.threads[tid]
-		ts.allocCounter++
-		if ts.allocCounter%t.cfg.Freq == 0 {
+		ts.eraCountdown--
+		if ts.eraCountdown == 0 {
+			ts.eraCountdown = t.cfg.Freq
 			t.allocEra.Add(1)
 		}
 		// Birth era shares space with the batch chain link (§4.2): it
@@ -410,68 +463,83 @@ func (t *Tracker) robust() bool {
 	return t.cfg.Variant == Robust || t.cfg.Variant == RobustOne
 }
 
-// Retire implements smr.Tracker: accumulate the node into the thread's
-// batch; once the batch exceeds both MinBatch and the current slot count,
-// push it to the slots (Fig. 3 retire).
+// Retire implements smr.Tracker: accumulate the node into one of the
+// thread's batches; once that batch exceeds both MinBatch and the current
+// slot count, push it to the slots (Fig. 3 retire).
 func (t *Tracker) Retire(tid int, idx ptr.Index) {
 	t.counters.Retire(tid)
 	ts := &t.threads[tid]
 	n := t.arena.Node(idx)
-	w := ptr.Pack(idx)
 
 	birth := uint64(0)
 	if t.robust() {
 		birth = n.Refs.Load()
 	}
-
-	if ptr.IsNil(ts.batchRefs) {
-		// First node of a new batch becomes the REFS node.
-		ts.batchRefs = w
-		ts.batchChain = w // chain terminator: walking stops at REFS
-		ts.batchMin = birth
-		ts.batchCount = 1
-	} else {
-		n.BatchLink.Store(ts.batchRefs)
-		n.Refs.Store(ts.batchChain) // batch_next, overwrites the birth era
-		ts.batchChain = w
-		ts.batchCount++
-		if birth < ts.batchMin {
-			ts.batchMin = birth
-		}
+	b := &ts.batches[0]
+	if birth > ts.boundary {
+		b = &ts.batches[1]
 	}
+	b.add(n, ptr.Pack(idx), birth)
 
-	k := int(t.k.Load())
-	if ts.batchCount >= t.cfg.MinBatch && ts.batchCount > k {
-		t.retireBatch(tid, ts)
+	if b.count >= t.cfg.MinBatch && b.count > int(t.k.Load()) {
+		t.retireBatch(tid, ts, b)
 	}
 }
 
-// retireBatch finalizes and publishes the thread's batch (Fig. 3 retire,
-// with the Fig. 4 and Fig. 5 replacements for the respective variants).
-func (t *Tracker) retireBatch(tid int, ts *threadState) {
+// add appends node n (packed reference w, birth era birth) to the batch.
+func (b *batch) add(n *arena.Node, w ptr.Word, birth uint64) {
+	if ptr.IsNil(b.refs) {
+		// First node of a new batch becomes the REFS node.
+		b.refs = w
+		b.chain = w // chain terminator: walking stops at REFS
+		b.minBirth = birth
+		b.count = 1
+		return
+	}
+	n.BatchLink.Store(b.refs)
+	n.Refs.Store(b.chain) // batch_next, overwrites the birth era
+	b.chain = w
+	b.count++
+	if birth < b.minBirth {
+		b.minBirth = birth
+	}
+}
+
+// retireBatch finalizes and publishes batch b of ts (Fig. 3 retire, with
+// the Fig. 4 and Fig. 5 replacements for the respective variants).
+func (t *Tracker) retireBatch(tid int, ts *threadState, b *batch) {
 	k := int(t.k.Load())
 	adjs := adjsFor(k)
-	refsW := ts.batchRefs
+	refsW := b.refs
 	refs := t.arena.Deref(refsW)
-	refs.BatchLink.Store(ts.batchChain) // chain entry for free_batch
-	refs.Next.Store(adjs)               // per-batch Adjs (§4.3)
-	refs.Refs.Store(0)                  // NRef starts at 0
-	minBirth := ts.batchMin
+	refs.BatchLink.Store(b.chain) // chain entry for free_batch
+	refs.Next.Store(adjs)         // per-batch Adjs (§4.3)
+	refs.Refs.Store(0)            // NRef starts at 0
+	minBirth := b.minBirth
 
+	robust := t.robust()
 	robustS := t.cfg.Variant == Robust
 	oneVariant := t.cfg.Variant == One || t.cfg.Variant == RobustOne
 
-	cur := ts.batchChain // nodes handed out to slots, one each
+	cur := b.chain       // nodes handed out to slots, one each
 	var empty uint64     // accumulated Adjs for skipped slots (Basic/Robust)
 	doAdj := false       // any slot skipped?
 	inserts := uint64(0) // Fig. 4: number of slots inserted into
+	// The routing boundary for the retires that follow: the oldest access
+	// era among the occupied slots, from loads this loop makes anyway.
+	boundary := ^uint64(0)
 
 	for slot := 0; slot < k; slot++ {
 		st := t.slot(slot)
 		for {
 			head := st.head.Load()
-			if headRef(head) == 0 ||
-				(t.robust() && st.access.Load() < minBirth) {
+			skip := headRef(head) == 0
+			if robust && !skip {
+				access := st.access.Load()
+				boundary = min(boundary, access)
+				skip = access < minBirth
+			}
+			if skip {
 				// REF #1#: empty or era-stale slot (Fig. 5 line 15).
 				empty += adjs
 				doAdj = true
@@ -519,10 +587,10 @@ func (t *Tracker) retireBatch(tid int, ts *threadState) {
 		}
 	}
 
-	ts.batchRefs = ptr.Nil
-	ts.batchChain = ptr.Nil
-	ts.batchCount = 0
-	ts.batchMin = 0
+	*b = batch{}
+	if robust {
+		ts.boundary = boundary
+	}
 	t.reap(tid, ts)
 }
 
@@ -547,8 +615,7 @@ func (t *Tracker) adjust(tid int, w ptr.Word, val uint64) {
 // traverse walks the retirement sublist from next through handle
 // inclusive, dropping one reference per node (Fig. 3 traverse). For
 // Hyaline-S it also acknowledges the traversed batches (Fig. 5).
-func (t *Tracker) traverse(tid, slot int, next, handle ptr.Word) {
-	ts := &t.threads[tid]
+func (t *Tracker) traverse(ts *threadState, next, handle ptr.Word) {
 	counter := int64(0)
 	for {
 		curr := next
@@ -568,7 +635,7 @@ func (t *Tracker) traverse(tid, slot int, next, handle ptr.Word) {
 		}
 	}
 	if t.cfg.Variant == Robust && counter > 0 {
-		t.slot(slot).ack.Add(-counter)
+		ts.st.ack.Add(-counter)
 	}
 }
 
@@ -608,8 +675,7 @@ func (t *Tracker) Protect(tid, _ int, addr *atomic.Uint64) ptr.Word {
 	if !t.robust() {
 		return addr.Load()
 	}
-	ts := &t.threads[tid]
-	st := t.slot(ts.slot)
+	st := t.threads[tid].st
 	access := st.access.Load()
 	for {
 		w := addr.Load()
@@ -639,39 +705,35 @@ func (t *Tracker) touch(st *slotState, era uint64) uint64 {
 	}
 }
 
-// Flush implements smr.Flusher: finalize the pending batch by padding it
-// with dummy nodes (§2.4 notes local batches "can be immediately
+// Flush implements smr.Flusher: finalize the pending batches by padding
+// them with dummy nodes (§2.4 notes local batches "can be immediately
 // finalized by allocating a finite number of dummy nodes"). With no
-// active threads this frees the batch on the spot.
+// active threads this frees them on the spot.
 func (t *Tracker) Flush(tid int) {
 	ts := &t.threads[tid]
-	if ptr.IsNil(ts.batchRefs) {
-		return
-	}
 	k := int(t.k.Load())
-	for ts.batchCount <= k {
-		idx := t.Alloc(tid)
-		t.counters.Retire(tid)
-		// Inline the batch-append of Retire for the dummy node.
-		n := t.arena.Node(idx)
-		// Dummies never carry payloads, but a recycled node still holds
-		// poison in Key/Val; clear both so a blob-enabled arena's Free
-		// doesn't decode the poison as a BlobRef.
-		n.Key.Store(0)
-		n.Val.Store(0)
-		birth := uint64(0)
-		if t.robust() {
-			birth = n.Refs.Load()
-			if birth < ts.batchMin {
-				ts.batchMin = birth
-			}
+	for i := range ts.batches {
+		b := &ts.batches[i]
+		if ptr.IsNil(b.refs) {
+			continue
 		}
-		n.BatchLink.Store(ts.batchRefs)
-		n.Refs.Store(ts.batchChain)
-		ts.batchChain = ptr.Pack(idx)
-		ts.batchCount++
+		for b.count <= k {
+			idx := t.Alloc(tid)
+			t.counters.Retire(tid)
+			n := t.arena.Node(idx)
+			// Dummies never carry payloads, but a recycled node still
+			// holds poison in Key/Val; clear both so a blob-enabled
+			// arena's Free doesn't decode the poison as a BlobRef.
+			n.Key.Store(0)
+			n.Val.Store(0)
+			birth := uint64(0)
+			if t.robust() {
+				birth = n.Refs.Load()
+			}
+			b.add(n, ptr.Pack(idx), birth)
+		}
+		t.retireBatch(tid, ts, b)
 	}
-	t.retireBatch(tid, ts)
 }
 
 // Stats implements smr.Tracker.

@@ -1,9 +1,11 @@
 package hyaline
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hyaline/internal/arena"
 	"hyaline/internal/ptr"
@@ -309,15 +311,23 @@ func TestBatchSizeRespectsSlotCount(t *testing.T) {
 	for i := 0; i < 8; i++ { // k = 8 retires: not yet publishable
 		tr.Retire(0, tr.Alloc(0))
 	}
-	ts := &tr.threads[0]
-	if ts.batchCount != 8 {
-		t.Fatalf("batch flushed prematurely at %d nodes (k=8)", ts.batchCount)
+	b := &tr.threads[0].batches[0]
+	if b.count != 8 {
+		t.Fatalf("batch flushed prematurely at %d nodes (k=8)", b.count)
 	}
 	tr.Retire(0, tr.Alloc(0)) // 9th = k+1: now it must publish
-	if ts.batchCount != 0 {
-		t.Fatalf("batch not flushed at k+1 nodes, count=%d", ts.batchCount)
+	if b.count != 0 {
+		t.Fatalf("batch not flushed at k+1 nodes, count=%d", b.count)
 	}
 	tr.Leave(0)
+}
+
+// TestThreadStateFillsCacheLines: neighbouring tids must not share a
+// cache line, and threadState carries no padding to spare.
+func TestThreadStateFillsCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(threadState{}); sz%64 != 0 {
+		t.Fatalf("threadState is %d bytes, not a multiple of a cache line", sz)
+	}
 }
 
 func TestVariantNamesAndProperties(t *testing.T) {
@@ -351,5 +361,28 @@ func TestConfigDefaults(t *testing.T) {
 	cfg.fill()
 	if cfg.Slots != 8 {
 		t.Fatalf("slots must round up to a power of two, got %d", cfg.Slots)
+	}
+
+	// Default k: Hyaline-S gets a slot per tid up to the paper's 128;
+	// Basic stays at the core count whatever MaxThreads is.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{Variant: Robust, MaxThreads: 1}, 2},
+		{Config{Variant: Robust, MaxThreads: 3}, 4},
+		{Config{Variant: Robust, MaxThreads: 200}, 128},
+		{Config{Variant: Robust, MaxThreads: 200, Slots: 2}, 2},
+		{Config{Variant: Robust, MaxThreads: 3, Slots: 256}, 256},
+		{Config{Variant: Basic, MaxThreads: 200}, 2},
+		{Config{Variant: One, MaxThreads: 200}, 200},
+		{Config{Variant: RobustOne, MaxThreads: 3}, 3},
+	} {
+		in := c.cfg
+		c.cfg.fill()
+		if c.cfg.Slots != c.want {
+			t.Errorf("%+v: default Slots = %d, want %d", in, c.cfg.Slots, c.want)
+		}
 	}
 }
