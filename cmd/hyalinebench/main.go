@@ -12,12 +12,12 @@
 //	hyalinebench -structure hashmap -scheme hyaline -sessions -batch 64   # batched leases
 //	hyalinebench -structure hashmap -scheme hyaline -conns 16 -pipeline 16   # client/server mode
 //	hyalinebench -structure blist -scheme hyaline -valuesize 128   # bytes payloads
-//	hyalinebench -structure list -scheme hyaline -shards 8   # hash-sharded partitions
-//	hyalinebench -snapshot bytes -duration 2s > BENCH_BYTES.json   # committed snapshot
+//	hyalinebench -structure hashmap -scheme hyaline -conns 16 -shards 4   # ... over a sharded store
 //
 // Absolute numbers depend on the machine; the paper's claims are about
 // shapes (scheme ordering, the oversubscription crossover, robustness
-// cliffs), which the CSV series reproduce. See EXPERIMENTS.md.
+// cliffs), which the CSV series reproduce. Performance claims about this
+// repository are made with benchmark/, not here (README, "Measuring").
 package main
 
 import (
@@ -32,10 +32,6 @@ import (
 	"hyaline/internal/arena"
 	"hyaline/internal/bench"
 	"hyaline/internal/trackers"
-
-	// Registers the client/server bench runner with internal/bench
-	// (figures 21/22 and the -conns single-run mode).
-	_ "hyaline/internal/server"
 )
 
 func main() {
@@ -71,9 +67,7 @@ func run(args []string) error {
 		ooo       = fs.Bool("ooo", false, "single run: complete replies out of order on seq-framed connections; implies -coalesce (needs -conns)")
 		emitMet   = fs.Bool("metrics", false, "single run: print the server's metrics-registry snapshot (JSON) after the result (needs -conns)")
 		valsize   = fs.Int("valuesize", 0, "single run: bytes payload size — switches to []byte keys/values (bytes structures only, e.g. blist)")
-		shards    = fs.Int("shards", 0, "single run: hash-shard across N independent structure+tracker partitions (0/1 = unsharded; may exceed -threads — idle shards just see less traffic)")
-		snapshot  = fs.String("snapshot", "", "emit a JSON benchmark snapshot to stdout: kv (uint64 baseline) or bytes (payload twin)")
-		baseline  = fs.String("baseline", "", "compare the -snapshot run against this committed snapshot JSON; fail on a >25% ns/op regression")
+		shards    = fs.Int("shards", 0, "single run: shard count of the served store (needs -conns; 0/1 = unsharded; may exceed -threads — idle shards just see less traffic)")
 		slots     = fs.Int("slots", 0, "Hyaline slot cap k (0 = next pow2 of cores)")
 		prefill   = fs.Int("prefill", 50_000, "prefill element count")
 		keyrange  = fs.Uint64("keyrange", 100_000, "key universe size")
@@ -116,8 +110,6 @@ func run(args []string) error {
 		return fmt.Errorf("-ooo without -conns: out-of-order completion is a serving-layer mode (add -conns)")
 	case *emitMet && *conns == 0:
 		return fmt.Errorf("-metrics without -conns: the metrics registry lives in the server (add -conns)")
-	case *baseline != "" && *snapshot == "":
-		return fmt.Errorf("-baseline %q without -snapshot: the regression gate compares snapshot runs", *baseline)
 	case *conns > 0 && (*sessions || *gor > 0):
 		return fmt.Errorf("-conns %d with -sessions/-goroutines: client/server mode manages its own goroutines", *conns)
 	case *conns > 0 && *batch > 0:
@@ -128,18 +120,8 @@ func run(args []string) error {
 		return fmt.Errorf("-valuesize %d with -conns: the client/server bench drives uint64 frames only", *valsize)
 	case *shards < 0:
 		return fmt.Errorf("-shards %d: the shard count cannot be negative (0 or 1 = unsharded)", *shards)
-	case *shards > 1 && *trim:
-		return fmt.Errorf("-shards %d with -trim: trim holds one tracker's tid across operations; sharded workers hop trackers per key", *shards)
-	case *shards > 1 && (*sessions || *gor > 0):
-		return fmt.Errorf("-shards %d with -sessions/-goroutines: session mode leases from a single pool (serve a ShardedKV with -conns instead)", *shards)
-	case *shards > 1 && *stalled > 0:
-		return fmt.Errorf("-shards %d with -stalled: sharded runs have no stalled workers (figure 10a stalls a single shard)", *shards)
-	case *shards > 1 && *batch > 1 && *conns == 0:
-		return fmt.Errorf("-shards %d with -batch: native sharded runs bracket per operation (batched sharded applies run through -conns serve mode)", *shards)
-	case *shards > 1 && *valsize > 0:
-		return fmt.Errorf("-shards %d with -valuesize: no native sharded bytes runs; drive hyalined -bytes -shards with hyalineload", *shards)
-	case *shards > 1 && *rangePct > 0:
-		return fmt.Errorf("-shards %d with -range: native sharded runs have no merged range scans", *shards)
+	case *shards > 1 && *conns == 0:
+		return fmt.Errorf("-shards %d without -conns: sharding is a property of the served store (add -conns)", *shards)
 	}
 
 	switch {
@@ -147,23 +129,32 @@ func run(args []string) error {
 		return printList()
 	case *table1:
 		return printTable1()
-	case *snapshot != "":
-		return runSnapshot(*snapshot, *threads, *duration, *baseline)
 	case *figure != "":
 		return runFigures(*figure, *duration, *threads, *prefill, *keyrange, *sweepCSV, *ascii)
 	case *structure != "" && *scheme != "":
-		return runSingle(singleConfig{
-			structure: *structure, scheme: *scheme, threads: *threads,
-			stalled: *stalled, duration: *duration, workload: *workload,
-			rangePct: *rangePct, rangeSpan: *rangeSpan,
-			trim: *trim, sessions: *sessions, goroutines: *gor,
-			batch: *batch, conns: *conns, pipeline: *pipe,
-			coalesce: *coalesce, poll: *poll, ooo: *ooo,
-			metrics:   *emitMet,
-			valueSize: *valsize,
-			shards:    *shards,
-			slots:     *slots, prefill: *prefill,
-			keyrange: *keyrange, arenaCap: *arenaCap,
+		return runSingle(*workload, *rangePct, bench.Config{
+			Structure:  *structure,
+			Scheme:     *scheme,
+			Threads:    *threads,
+			Stalled:    *stalled,
+			Duration:   *duration,
+			RangeSpan:  *rangeSpan,
+			Trim:       *trim,
+			Sessions:   *sessions,
+			Goroutines: *gor,
+			BatchSize:  *batch,
+			Conns:      *conns,
+			Pipeline:   *pipe,
+			Coalesce:   *coalesce,
+			Poll:       *poll,
+			OOO:        *ooo,
+			ValueSize:  *valsize,
+			Shards:     *shards,
+			Metrics:    *emitMet,
+			Prefill:    *prefill,
+			KeyRange:   *keyrange,
+			ArenaCap:   *arenaCap,
+			Tracker:    trackers.Config{Slots: *slots},
 		})
 	default:
 		fs.Usage()
@@ -255,66 +246,32 @@ func runFigures(id string, duration time.Duration, active, prefill int, keyrange
 	return nil
 }
 
-type singleConfig struct {
-	structure, scheme, workload string
-	threads, stalled, slots     int
-	prefill, arenaCap           int
-	rangePct, goroutines, batch int
-	conns, pipeline, valueSize  int
-	shards                      int
-	rangeSpan, keyrange         uint64
-	duration                    time.Duration
-	trim, sessions, coalesce    bool
-	poll, ooo, metrics          bool
-}
-
-func runSingle(c singleConfig) error {
+// runSingle measures one data point: cfg with the named workload mix,
+// rangePct percent of it carved out for range scans.
+func runSingle(workload string, rangePct int, cfg bench.Config) error {
 	wl := bench.WriteHeavy
 	switch {
-	case strings.HasPrefix(c.workload, "read"):
+	case strings.HasPrefix(workload, "read"):
 		wl = bench.ReadMostly
-	case strings.HasPrefix(c.workload, "scan"):
+	case strings.HasPrefix(workload, "scan"):
 		wl = bench.ScanMix
 	}
-	if c.rangePct < 0 || c.rangePct > 100 {
-		return fmt.Errorf("-range %d%% outside [0, 100]", c.rangePct)
+	if rangePct < 0 || rangePct > 100 {
+		return fmt.Errorf("-range %d%% outside [0, 100]", rangePct)
 	}
-	if c.rangePct > 0 {
+	if rangePct > 0 {
 		// Scans take their share from the gets first; if the mutation
 		// percentages no longer fit, shrink insert/delete proportionally
 		// so the mix still sums to 100.
-		wl.RangePct = c.rangePct
+		wl.RangePct = rangePct
 		if over := wl.InsertPct + wl.DeletePct + wl.RangePct - 100; over > 0 {
 			wl.InsertPct -= over / 2
 			wl.DeletePct -= over - over/2
 		}
 		wl.GetPct = 100 - wl.InsertPct - wl.DeletePct - wl.RangePct
 	}
-	res, err := bench.Run(bench.Config{
-		Structure:  c.structure,
-		Scheme:     c.scheme,
-		Threads:    c.threads,
-		Stalled:    c.stalled,
-		Duration:   c.duration,
-		Workload:   wl,
-		RangeSpan:  c.rangeSpan,
-		Trim:       c.trim,
-		Sessions:   c.sessions,
-		Goroutines: c.goroutines,
-		BatchSize:  c.batch,
-		Conns:      c.conns,
-		Pipeline:   c.pipeline,
-		Coalesce:   c.coalesce || c.ooo,
-		Poll:       c.poll,
-		OOO:        c.ooo,
-		ValueSize:  c.valueSize,
-		Shards:     c.shards,
-		Metrics:    c.metrics,
-		Prefill:    c.prefill,
-		KeyRange:   c.keyrange,
-		ArenaCap:   c.arenaCap,
-		Tracker:    trackers.Config{Slots: c.slots},
-	})
+	cfg.Workload = wl
+	res, err := bench.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -27,12 +27,15 @@ func TestFlagValidation(t *testing.T) {
 		{"conns with sessions", append(single, "-conns=2", "-sessions"), "-sessions"},
 		{"conns with batch", append(single, "-conns=2", "-batch=16"), "-batch"},
 		{"negative shards", append(single, "-shards=-1"), "-shards"},
-		{"shards with trim", append(single, "-shards=4", "-trim"), "-trim"},
-		{"shards with sessions", append(single, "-shards=4", "-sessions"), "-sessions"},
-		{"shards with stalled", append(single, "-shards=4", "-stalled=1"), "-stalled"},
-		{"shards with batch", append(single, "-shards=4", "-batch=16"), "-batch"},
-		{"shards with valuesize", append(single, "-shards=4", "-valuesize=64"), "-valuesize"},
-		{"shards with range", append(single, "-shards=4", "-range=10"), "-range"},
+		// -shards is the served store's shard count: without -conns it is
+		// refused by one rule, whatever in-process knob rides along.
+		{"shards without conns", append(single, "-shards=4"), "-conns"},
+		{"shards with trim", append(single, "-shards=4", "-trim"), "-conns"},
+		{"shards with sessions", append(single, "-shards=4", "-sessions"), "-conns"},
+		{"shards with stalled", append(single, "-shards=4", "-stalled=1"), "-conns"},
+		{"shards with batch", append(single, "-shards=4", "-batch=16"), "-conns"},
+		{"shards with valuesize", append(single, "-shards=4", "-valuesize=64"), "-conns"},
+		{"shards with range", append(single, "-shards=4", "-range=10"), "-conns"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -61,8 +64,6 @@ func TestFlagValidationAccepts(t *testing.T) {
 		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-sessions", "-goroutines=-1"}, common...),
 		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-conns", "2", "-pipeline", "4"}, common...),
 		// shards above threads: legal — idle shards just see less traffic.
-		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-shards", "8"}, common...),
-		// shards through serve mode: the server hosts a ShardedKV.
 		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-shards", "4", "-conns", "2"}, common...),
 		// -metrics rides serve mode: the result embeds a registry snapshot.
 		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-conns", "2", "-metrics"}, common...),

@@ -212,13 +212,7 @@ func run(args []string) error {
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
-			var n int64
-			var err error
-			if *useBytes {
-				n, err = driveBytes(*addr, i, *pipeline, m, *keyrange, vs, *useSeq, &stop, &started, release, &hists[i])
-			} else {
-				n, err = drive(*addr, i, *pipeline, m, *keyrange, *useSeq, &stop, &started, release, &hists[i])
-			}
+			n, err := drive(*addr, i, *pipeline, m, *keyrange, newPayload(*useBytes, *useSeq, vs), &stop, &started, release, &hists[i])
 			ops[i] = n
 			if err != nil {
 				fail(err)
@@ -350,130 +344,99 @@ func peelSeqReply(f protocol.Frame) (uint32, []byte, error) {
 	return protocol.Seq(f.Payload)
 }
 
-// drive is one closed-loop connection: write a window, read its replies,
-// repeat until stop. Returns the completed-op count. With useSeq the
-// window is seq-framed and one latency sample is recorded per request
-// (flush to that reply) instead of per window.
-func drive(addr string, seed, pipeline int, m mix, keyrange uint64, useSeq bool,
-	stop *atomic.Bool, started *sync.WaitGroup, release <-chan struct{}, h *hist.Hist) (int64, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		started.Done()
-		return 0, err
-	}
-	defer c.Close()
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	rng := rand.New(rand.NewSource(int64(seed)*2654435761 + 1))
-	w := protocol.NewWriter(c)
-	rd := protocol.NewReader(c)
-	if useSeq {
-		if err := negotiateSeq(w, rd); err != nil {
-			started.Done()
-			return 0, err
-		}
-	}
-	keys := make([]uint64, pipeline)
-	kinds := make([]protocol.Op, pipeline)
-	var sw seqWindow
-	started.Done()
-	<-release
-
-	ops := int64(0)
-	var seq uint32
-	for !stop.Load() {
-		base := seq
-		for p := 0; p < pipeline; p++ {
-			key := uint64(rng.Int63n(int64(keyrange)))
-			keys[p] = key
-			roll := rng.Intn(100)
-			switch {
-			case roll < m.insertPct:
-				kinds[p] = protocol.OpSet
-				if useSeq {
-					w.SetSeq(seq, key, key*31+7)
-				} else {
-					w.Set(key, key*31+7)
-				}
-			case roll < m.insertPct+m.deletePct:
-				kinds[p] = protocol.OpDel
-				if useSeq {
-					w.DelSeq(seq, key)
-				} else {
-					w.Del(key)
-				}
-			default:
-				kinds[p] = protocol.OpGet
-				if useSeq {
-					w.GetSeq(seq, key)
-				} else {
-					w.Get(key)
-				}
-			}
-			seq++
-		}
-		if useSeq {
-			sw.reset(base, pipeline)
-		}
-		t0 := time.Now()
-		if err := w.Flush(); err != nil {
-			return ops, err
-		}
-		for p := 0; p < pipeline; p++ {
-			f, err := rd.ReadFrame()
-			if err != nil {
-				return ops, err
-			}
-			payload := f.Payload
-			idx := p
-			if useSeq {
-				got, rest, err := peelSeqReply(f)
-				if err != nil {
-					return ops, err
-				}
-				if idx, err = sw.match(got); err != nil {
-					return ops, err
-				}
-				payload = rest
-				h.Record(time.Since(t0))
-			}
-			switch protocol.Status(f.Code) {
-			case protocol.StatusOK:
-				if kinds[idx] == protocol.OpGet {
-					v, err := protocol.U64(payload)
-					if err != nil {
-						return ops, err
-					}
-					if want := keys[idx]*31 + 7; v != want {
-						return ops, fmt.Errorf("corrupted read: GET %d returned %d, want %d (reclamation bug?)", keys[idx], v, want)
-					}
-				}
-			case protocol.StatusNil:
-				// clean miss / already-present — expected under churn
-			default:
-				return ops, fmt.Errorf("server error reply: %s", f.Payload)
-			}
-		}
-		if useSeq {
-			if err := sw.done(); err != nil {
-				return ops, err
-			}
-		} else {
-			h.Record(time.Since(t0))
-		}
-		ops += int64(pipeline)
-	}
-	return ops, nil
+// payload is what a connection puts on the wire: the key family and
+// framing SET/GET/DEL are encoded in, and how a GET hit is verified.
+// uint64 SETs write key*31+7. Bytes keys are the same universe as 8-byte
+// big-endian encodings and values are runs of the fill byte key*31+7
+// whose length is drawn from vs, so a hit must be a run of the key's
+// fill byte (any length the server may have stored). Either way a
+// reclamation bug that hands back a recycled or poisoned node is caught
+// on the wire.
+type payload struct {
+	bytes, seq     bool
+	vs             vsDist
+	keyBuf, valBuf []byte // bytes only: per-connection encode scratch
 }
 
-// driveBytes is the []byte twin of drive: same closed loop and mix, but
-// keys are 8-byte big-endian encodings and values are fill-byte runs of
-// distribution-drawn length. Every GETB hit is content-checked: the
-// value must be a run of the key's fill byte (any length the server may
-// have stored), so a reclamation bug that hands back a recycled or
-// poisoned blob is caught on the wire.
-func driveBytes(addr string, seed, pipeline int, m mix, keyrange uint64, vs vsDist, useSeq bool,
+func newPayload(useBytes, useSeq bool, vs vsDist) *payload {
+	p := &payload{bytes: useBytes, seq: useSeq, vs: vs}
+	if useBytes {
+		p.keyBuf = make([]byte, 8)
+		p.valBuf = make([]byte, vs.cap())
+	}
+	return p
+}
+
+// keyB encodes key into the connection's scratch buffer.
+func (p *payload) keyB(key uint64) []byte {
+	binary.BigEndian.PutUint64(p.keyBuf, key)
+	return p.keyBuf
+}
+
+func (p *payload) set(w *protocol.Writer, rng *rand.Rand, seq uint32, key uint64) {
+	var val []byte
+	if p.bytes {
+		val = p.valBuf[:p.vs.sample(rng)]
+		fillValue(val, key)
+	}
+	switch {
+	case p.bytes && p.seq:
+		w.SetBSeq(seq, p.keyB(key), val)
+	case p.bytes:
+		w.SetB(p.keyB(key), val)
+	case p.seq:
+		w.SetSeq(seq, key, key*31+7)
+	default:
+		w.Set(key, key*31+7)
+	}
+}
+
+func (p *payload) get(w *protocol.Writer, seq uint32, key uint64) {
+	switch {
+	case p.bytes && p.seq:
+		w.GetBSeq(seq, p.keyB(key))
+	case p.bytes:
+		w.GetB(p.keyB(key))
+	case p.seq:
+		w.GetSeq(seq, key)
+	default:
+		w.Get(key)
+	}
+}
+
+func (p *payload) del(w *protocol.Writer, seq uint32, key uint64) {
+	switch {
+	case p.bytes && p.seq:
+		w.DelBSeq(seq, p.keyB(key))
+	case p.bytes:
+		w.DelB(p.keyB(key))
+	case p.seq:
+		w.DelSeq(seq, key)
+	default:
+		w.Del(key)
+	}
+}
+
+// checkHit verifies the value a GET/GETB hit returned for key.
+func (p *payload) checkHit(val []byte, key uint64) error {
+	if p.bytes {
+		return checkValue(val, key)
+	}
+	v, err := protocol.U64(val)
+	if err != nil {
+		return err
+	}
+	if want := key*31 + 7; v != want {
+		return fmt.Errorf("corrupted read: GET %d returned %d, want %d (reclamation bug?)", key, v, want)
+	}
+	return nil
+}
+
+// drive is one closed-loop connection: write a window, read its replies,
+// repeat until stop. Returns the completed-op count. With pl.seq the
+// window is seq-framed and one latency sample is recorded per request
+// (flush to that reply) instead of per window.
+func drive(addr string, seed, pipeline int, m mix, keyrange uint64, pl *payload,
 	stop *atomic.Bool, started *sync.WaitGroup, release <-chan struct{}, h *hist.Hist) (int64, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -487,16 +450,14 @@ func driveBytes(addr string, seed, pipeline int, m mix, keyrange uint64, vs vsDi
 	rng := rand.New(rand.NewSource(int64(seed)*2654435761 + 1))
 	w := protocol.NewWriter(c)
 	rd := protocol.NewReader(c)
-	if useSeq {
+	if pl.seq {
 		if err := negotiateSeq(w, rd); err != nil {
 			started.Done()
 			return 0, err
 		}
 	}
 	keys := make([]uint64, pipeline)
-	kinds := make([]protocol.Op, pipeline)
-	keyBuf := make([]byte, 8)
-	valBuf := make([]byte, vs.cap())
+	isGet := make([]bool, pipeline)
 	var sw seqWindow
 	started.Done()
 	<-release
@@ -508,36 +469,19 @@ func driveBytes(addr string, seed, pipeline int, m mix, keyrange uint64, vs vsDi
 		for p := 0; p < pipeline; p++ {
 			key := uint64(rng.Int63n(int64(keyrange)))
 			keys[p] = key
-			binary.BigEndian.PutUint64(keyBuf, key)
 			roll := rng.Intn(100)
+			isGet[p] = roll >= m.insertPct+m.deletePct
 			switch {
 			case roll < m.insertPct:
-				kinds[p] = protocol.OpSetB
-				val := valBuf[:vs.sample(rng)]
-				fillValue(val, key)
-				if useSeq {
-					w.SetBSeq(seq, keyBuf, val)
-				} else {
-					w.SetB(keyBuf, val)
-				}
-			case roll < m.insertPct+m.deletePct:
-				kinds[p] = protocol.OpDelB
-				if useSeq {
-					w.DelBSeq(seq, keyBuf)
-				} else {
-					w.DelB(keyBuf)
-				}
+				pl.set(w, rng, seq, key)
+			case !isGet[p]:
+				pl.del(w, seq, key)
 			default:
-				kinds[p] = protocol.OpGetB
-				if useSeq {
-					w.GetBSeq(seq, keyBuf)
-				} else {
-					w.GetB(keyBuf)
-				}
+				pl.get(w, seq, key)
 			}
 			seq++
 		}
-		if useSeq {
+		if pl.seq {
 			sw.reset(base, pipeline)
 		}
 		t0 := time.Now()
@@ -549,9 +493,9 @@ func driveBytes(addr string, seed, pipeline int, m mix, keyrange uint64, vs vsDi
 			if err != nil {
 				return ops, err
 			}
-			payload := f.Payload
+			body := f.Payload
 			idx := p
-			if useSeq {
+			if pl.seq {
 				got, rest, err := peelSeqReply(f)
 				if err != nil {
 					return ops, err
@@ -559,13 +503,13 @@ func driveBytes(addr string, seed, pipeline int, m mix, keyrange uint64, vs vsDi
 				if idx, err = sw.match(got); err != nil {
 					return ops, err
 				}
-				payload = rest
+				body = rest
 				h.Record(time.Since(t0))
 			}
 			switch protocol.Status(f.Code) {
 			case protocol.StatusOK:
-				if kinds[idx] == protocol.OpGetB {
-					if err := checkValue(payload, keys[idx]); err != nil {
+				if isGet[idx] {
+					if err := pl.checkHit(body, keys[idx]); err != nil {
 						return ops, err
 					}
 				}
@@ -575,7 +519,7 @@ func driveBytes(addr string, seed, pipeline int, m mix, keyrange uint64, vs vsDi
 				return ops, fmt.Errorf("server error reply: %s", f.Payload)
 			}
 		}
-		if useSeq {
+		if pl.seq {
 			if err := sw.done(); err != nil {
 				return ops, err
 			}
@@ -619,8 +563,7 @@ func doPrefill(addr string, count int, keyrange uint64, useBytes bool, vs vsDist
 	rng := rand.New(rand.NewSource(4242))
 	w := protocol.NewWriter(c)
 	rd := protocol.NewReader(c)
-	keyBuf := make([]byte, 8)
-	valBuf := make([]byte, vs.cap())
+	pl := newPayload(useBytes, false, vs)
 	const window = 256
 	for sent := 0; sent < count; {
 		n := count - sent
@@ -628,15 +571,7 @@ func doPrefill(addr string, count int, keyrange uint64, useBytes bool, vs vsDist
 			n = window
 		}
 		for i := 0; i < n; i++ {
-			key := uint64(rng.Int63n(int64(keyrange)))
-			if useBytes {
-				binary.BigEndian.PutUint64(keyBuf, key)
-				val := valBuf[:vs.sample(rng)]
-				fillValue(val, key)
-				w.SetB(keyBuf, val)
-			} else {
-				w.Set(key, key*31+7)
-			}
+			pl.set(w, rng, 0, uint64(rng.Int63n(int64(keyrange))))
 		}
 		if err := w.Flush(); err != nil {
 			return err

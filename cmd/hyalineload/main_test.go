@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
+
+	"hyaline/internal/protocol"
 )
 
 // TestParseMix: named mixes, strict custom percentages, and rejection
@@ -128,5 +133,61 @@ func TestSeqWindowWrap(t *testing.T) {
 	}
 	if err := sw.done(); err != nil {
 		t.Fatalf("done after wrapped window: %v", err)
+	}
+}
+
+// TestPayloadEncodes: the one closed loop encodes through payload, so
+// each family × framing must put exactly the frame on the wire that the
+// protocol's own encoder produces for the same key, seq and value.
+func TestPayloadEncodes(t *testing.T) {
+	const key, seq = uint64(0x0102030405060708), uint32(41)
+	kb := binary.BigEndian.AppendUint64(nil, key)
+	val := make([]byte, 64)
+	fillValue(val, key)
+	want := map[[2]bool][]byte{ // {bytes, seq} → SET, GET, DEL
+		{false, false}: protocol.AppendDel(protocol.AppendGet(protocol.AppendSet(nil, key, key*31+7), key), key),
+		{false, true}:  protocol.AppendDelSeq(protocol.AppendGetSeq(protocol.AppendSetSeq(nil, seq, key, key*31+7), seq, key), seq, key),
+		{true, false}:  protocol.AppendDelB(protocol.AppendGetB(protocol.AppendSetB(nil, kb, val), kb), kb),
+		{true, true}:   protocol.AppendDelBSeq(protocol.AppendGetBSeq(protocol.AppendSetBSeq(nil, seq, kb, val), seq, kb), seq, kb),
+	}
+	for mode, frames := range want {
+		var wire bytes.Buffer
+		w := protocol.NewWriter(&wire)
+		pl := newPayload(mode[0], mode[1], vsDist{min: 64, max: 64})
+		pl.set(w, rand.New(rand.NewSource(1)), seq, key)
+		pl.get(w, seq, key)
+		pl.del(w, seq, key)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire.Bytes(), frames) {
+			t.Errorf("bytes=%v seq=%v: encoded %x, want %x", mode[0], mode[1], wire.Bytes(), frames)
+		}
+	}
+}
+
+// TestPayloadCheckHit: a hit carrying the key's own pattern passes, any
+// other content is reported as corruption, in both families.
+func TestPayloadCheckHit(t *testing.T) {
+	const key = uint64(12345)
+	u64 := newPayload(false, false, vsDist{})
+	if err := u64.checkHit(binary.LittleEndian.AppendUint64(nil, key*31+7), key); err != nil {
+		t.Errorf("uint64 hit with the right value: %v", err)
+	}
+	if err := u64.checkHit(binary.LittleEndian.AppendUint64(nil, key*31+8), key); err == nil {
+		t.Error("uint64 hit with a foreign value accepted")
+	}
+	if err := u64.checkHit([]byte{1, 2, 3}, key); err == nil {
+		t.Error("uint64 hit with a short payload accepted")
+	}
+	bts := newPayload(true, false, vsDist{min: 16, max: 16})
+	val := make([]byte, 16)
+	fillValue(val, key)
+	if err := bts.checkHit(val, key); err != nil {
+		t.Errorf("bytes hit with the key's fill pattern: %v", err)
+	}
+	val[7] ^= 0xFF
+	if err := bts.checkHit(val, key); err == nil {
+		t.Error("bytes hit with a corrupted byte accepted")
 	}
 }

@@ -24,7 +24,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"hyaline"
+	"hyaline/internal/bench"
 	"hyaline/internal/exenv"
 )
 
@@ -40,7 +40,7 @@ func main() {
 	fmt.Fprintf(w, "threads\tgoroutines\tscheme\tMops/s\tavg unreclaimed\n")
 	for _, n := range threads {
 		for _, scheme := range []string{"epoch", "hyaline"} {
-			cfg := hyaline.BenchConfig{
+			cfg := bench.Config{
 				Structure: "hashmap",
 				Scheme:    scheme,
 				Threads:   n,
@@ -53,7 +53,7 @@ func main() {
 				// makes operations long (§6).
 				cfg.Tracker.MinBatch = 256
 			}
-			res, err := hyaline.Bench(cfg)
+			res, err := bench.Run(cfg)
 			if err != nil {
 				panic(err)
 			}
@@ -64,7 +64,7 @@ func main() {
 	// Session mode: the goroutine count exceeds the tid count, so the
 	// oversubscription happens at the lease, not in the scheduler.
 	for _, scheme := range []string{"epoch", "hyaline"} {
-		cfg := hyaline.BenchConfig{
+		cfg := bench.Config{
 			Structure:  "hashmap",
 			Scheme:     scheme,
 			Threads:    cores,
@@ -77,7 +77,7 @@ func main() {
 		if scheme == "hyaline" {
 			cfg.Tracker.MinBatch = 256
 		}
-		res, err := hyaline.Bench(cfg)
+		res, err := bench.Run(cfg)
 		if err != nil {
 			panic(err)
 		}

@@ -3,9 +3,12 @@
 // arXiv:1905.07903): the four Hyaline safe-memory-reclamation variants,
 // every baseline scheme the paper evaluates against (epoch-based
 // reclamation, hazard pointers, hazard eras, interval-based reclamation,
-// and a leaky no-op), the four lock-free data structures of its
-// evaluation plus a lock-free skiplist workload, and a benchmark harness
-// that regenerates each of the paper's tables and figures.
+// and a leaky no-op), and the four lock-free data structures of its
+// evaluation plus a lock-free skiplist workload. Nothing that measures
+// lives here: internal/bench (behind cmd/hyalinebench) regenerates the
+// paper's tables and figures and imports this package, never the
+// reverse, and the repository's benchmark is the module under
+// benchmark/.
 //
 // Go's garbage collector would make "reclamation" a no-op, so the
 // package manages a simulated unmanaged heap (Arena): nodes are
@@ -47,8 +50,8 @@
 // # Low-level API
 //
 // The explicit-tid surface remains for callers that manage their own
-// worker identity — the benchmark harness pins tids to workers to
-// reproduce the paper's figures:
+// worker identity — internal/bench pins tids to workers to reproduce
+// the paper's figures:
 //
 //	a := hyaline.NewArena(1 << 20)
 //	tr, err := hyaline.New("hyaline", a, hyaline.Options{MaxThreads: 8})
@@ -69,7 +72,6 @@ package hyaline
 
 import (
 	"hyaline/internal/arena"
-	"hyaline/internal/bench"
 	"hyaline/internal/ds"
 	"hyaline/internal/smr"
 	"hyaline/internal/trackers"
@@ -100,12 +102,6 @@ type (
 	BytesMap = ds.BytesMap
 	// Options carries per-scheme tuning; zero values pick defaults.
 	Options = trackers.Config
-
-	// BenchConfig configures one benchmark run (cmd/hyalinebench flags
-	// mirror it).
-	BenchConfig = bench.Config
-	// BenchResult is one measured data point.
-	BenchResult = bench.Result
 )
 
 // NewArena allocates a node pool with the given capacity. Capacity is
@@ -143,6 +139,3 @@ func Supports(structure, scheme string) bool { return ds.Supports(structure, sch
 // ordered range scans over [lo, hi]. Scans are not atomic snapshots;
 // they guarantee sorted, duplicate-free, bounded output.
 func SupportsRange(structure string) bool { return ds.SupportsRange(structure) }
-
-// Bench runs one benchmark configuration through the paper's harness.
-func Bench(cfg BenchConfig) (BenchResult, error) { return bench.Run(cfg) }

@@ -3,7 +3,6 @@ package hyaline_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"hyaline"
 )
@@ -129,23 +128,5 @@ func TestTrimmerThroughFacade(t *testing.T) {
 	tr.Leave(0)
 	if _, ok := any(tr).(hyaline.Flusher); !ok {
 		t.Fatal("hyaline tracker must implement Flusher")
-	}
-}
-
-// TestBenchThroughFacade runs one tiny benchmark through the facade.
-func TestBenchThroughFacade(t *testing.T) {
-	res, err := hyaline.Bench(hyaline.BenchConfig{
-		Structure: "hashmap",
-		Scheme:    "hyaline-s",
-		Threads:   2,
-		Duration:  50 * time.Millisecond,
-		Prefill:   200,
-		KeyRange:  500,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 || res.Scheme != "hyaline-s" {
-		t.Fatalf("bad result %+v", res)
 	}
 }

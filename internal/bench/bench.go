@@ -1,7 +1,8 @@
 // Package bench is the measurement harness that regenerates the paper's
 // evaluation: throughput and unreclaimed-object curves for every
 // combination of data structure, reclamation scheme, workload mix,
-// thread count, stalled-thread count and trimming mode (Figures 8–16).
+// thread count, stalled-thread count and trimming mode (Figures 8–12),
+// in process or — with Config.Conns — through the network server.
 //
 // Methodology, after §6 of the paper: the structure is prefilled with
 // Prefill elements drawn from [0, KeyRange); each worker then runs the
@@ -108,8 +109,7 @@ type Config struct {
 	// Conns switches the run into client/server mode: an in-process TCP
 	// server (internal/server) over a KV with Threads leased tids is
 	// driven by Conns closed-loop loopback connections instead of
-	// in-process workers. Requires the serve runner to be registered
-	// (import hyaline/internal/server for side effects).
+	// in-process workers.
 	Conns int
 	// Pipeline is the number of requests each client connection keeps in
 	// flight per round trip in client/server mode (1 = singleton
@@ -119,9 +119,6 @@ type Config struct {
 	// mode (server.Options.Coalesce): runs from many connections merge
 	// into shared kv.Apply batches. Requires Conns > 0.
 	Coalesce bool
-	// CoalesceWindow is the coalescer's latency budget (0 = the server
-	// default). Ignored unless Coalesce is set.
-	CoalesceWindow time.Duration
 	// Poll parks idle connections in the server's readiness poller
 	// (server.Options.Poll) instead of pinning a goroutine per
 	// connection. Requires Conns > 0 and a poller backend (Linux/BSD).
@@ -130,27 +127,17 @@ type Config struct {
 	// (server.Options.OOO); implies Coalesce. Requires Conns > 0. The
 	// bench clients negotiate FlagSeq and tag every request.
 	OOO bool
-	// Shards partitions the run across N independent structure+tracker
-	// instances (hash-routed keys, the in-process analogue of the
-	// ShardedKV layer): each worker routes every operation's key to its
-	// shard and brackets on that shard's tracker, so writers on
-	// different shards share no structure hot spot and no retire list.
-	// 0 or 1 means a single unsharded instance. In client/server mode
-	// the server is built over a ShardedKV instead. Incompatible with
-	// Trim/Sessions/Stalled/range scans/bytes runs in native mode.
+	// Shards is the served store's shard count in client/server mode
+	// (hyaline.NewShardedKV; 0 or 1 = unsharded), which OOO completion
+	// needs to have anything to reorder. Requires Conns > 0: in-process
+	// runs measure one structure under one tracker.
 	Shards int
-	// Pin locks workers to OS threads, approximating the paper's pthread
-	// pinning.
-	Pin bool
 	// ValueSize switches the run to a bytes-payload structure (see
 	// ds.BytesNames): keys are the same uint64 universe encoded as
 	// 8-byte big-endian, values are ValueSize-byte blobs. 0 keeps the
 	// uint64 payload path. Bytes runs have no range scans and no
 	// client/server mode (drive hyalined/hyalineload for served bytes).
 	ValueSize int
-	// BlobBudget is the per-size-class blob slab budget in bytes for
-	// bytes runs (see arena.EnableBlobs). Default 64 MiB per class.
-	BlobBudget int
 	// Tracker carries scheme tuning; MaxThreads is filled in by Run.
 	Tracker trackers.Config
 	// ArenaCap overrides the node pool size. The default scales with the
@@ -181,7 +168,9 @@ func (c *Config) fill() {
 		c.RangeSpan = 128
 	}
 	if c.ArenaCap == 0 {
-		c.ArenaCap = 1 << 25 // 32M nodes of virtual headroom
+		// 32M nodes of virtual headroom per second of window, and at most
+		// that many: a short point must not pin a 4 GB pool.
+		c.ArenaCap = min(1<<25, c.Prefill+int(c.Duration.Seconds()*(1<<25)))
 	}
 	if c.Threads <= 0 {
 		c.Threads = 1
@@ -198,24 +187,15 @@ func (c *Config) fill() {
 	if c.Conns > 0 && c.Pipeline < 1 {
 		c.Pipeline = 1
 	}
-	if c.ValueSize > 0 && c.BlobBudget == 0 {
-		c.BlobBudget = 1 << 26
-	}
 }
 
 // maxPipelineDepth bounds client/server pipelining; see
 // protocol.MaxPipelineWindow (deadlock bound, shared with hyalineload).
 const maxPipelineDepth = protocol.MaxPipelineWindow
 
-// serveRun executes a Config in client/server mode. It lives behind a
-// registration hook because the server rides the root hyaline package,
-// which itself imports this one: internal/server registers the runner at
-// init, and binaries that want the client/server figures import it
-// (cmd/hyalinebench does).
-var serveRun func(Config) (Result, error)
-
-// RegisterServeRunner installs the client/server benchmark executor.
-func RegisterServeRunner(fn func(Config) (Result, error)) { serveRun = fn }
+// blobClassBudget is the per-size-class blob slab budget in bytes for
+// bytes runs (see arena.EnableBlobs).
+const blobClassBudget = 1 << 26
 
 // Result is one measured data point.
 type Result struct {
@@ -349,9 +329,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Trim && cfg.Sessions {
 		return Result{}, fmt.Errorf("bench: trim needs a tid held across operations; sessions lease one per operation")
 	}
-	if cfg.Shards < 0 {
-		return Result{}, fmt.Errorf("bench: shard count cannot be negative, got %d", cfg.Shards)
-	}
 	if cfg.Conns > 0 {
 		switch {
 		case cfg.Trim || cfg.Sessions:
@@ -362,46 +339,17 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("bench: the wire protocol has no range-scan op")
 		case cfg.Pipeline > maxPipelineDepth:
 			return Result{}, fmt.Errorf("bench: pipeline depth %d exceeds %d (a closed-loop window must fit the socket buffers)", cfg.Pipeline, maxPipelineDepth)
-		case serveRun == nil:
-			return Result{}, fmt.Errorf("bench: client/server mode needs the serve runner; import hyaline/internal/server for side effects")
 		}
-		return serveRun(cfg)
+		return runServe(cfg)
 	}
-	if cfg.Coalesce {
-		return Result{}, fmt.Errorf("bench: coalescing is a serving-layer mode; it needs Conns > 0")
-	}
-	if cfg.Poll {
-		return Result{}, fmt.Errorf("bench: the readiness poller is a serving-layer mode; it needs Conns > 0")
-	}
-	if cfg.OOO {
-		return Result{}, fmt.Errorf("bench: out-of-order completion is a serving-layer mode; it needs Conns > 0")
-	}
-	if cfg.Shards > 1 {
-		switch {
-		case cfg.Trim:
-			return Result{}, fmt.Errorf("bench: trim holds one tracker's tid across operations; sharded workers hop trackers per key")
-		case cfg.Sessions:
-			return Result{}, fmt.Errorf("bench: session mode leases tids from one pool; sharded runs bracket per shard (the KV layer's ShardedKV serves that shape)")
-		case cfg.Stalled > 0:
-			return Result{}, fmt.Errorf("bench: sharded runs have no stalled workers (stall a single shard with figure 10a instead)")
-		case cfg.BatchSize > 1:
-			return Result{}, fmt.Errorf("bench: batched brackets assume one tracker; sharded batching is measured through the ShardedKV serve mode")
-		case cfg.Workload.RangePct > 0:
-			return Result{}, fmt.Errorf("bench: native sharded runs have no merged range scans (that is the ShardedKV layer's job)")
-		case bytesMode:
-			return Result{}, fmt.Errorf("bench: no native sharded bytes runs; drive hyalined -bytes -shards with hyalineload instead")
-		}
-		return runSharded(cfg)
+	if cfg.Coalesce || cfg.Poll || cfg.OOO || cfg.Shards > 1 {
+		return Result{}, fmt.Errorf("bench: Coalesce, Poll, OOO and Shards configure the server; they need Conns > 0")
 	}
 	total := cfg.Threads + cfg.Stalled
 	tcfg := cfg.Tracker
 	tcfg.MaxThreads = total
-	blobBudget := 0
-	if bytesMode {
-		blobBudget = cfg.BlobBudget
-	}
-	a := takeArena(cfg.ArenaCap, blobBudget)
-	defer putArena(a, blobBudget)
+	a := takeArena(cfg.ArenaCap, bytesMode)
+	defer putArena(a, bytesMode)
 	// Benchmarks measure reclamation cost, not diagnostics: skip payload
 	// poisoning so Free costs what a C free() costs.
 	a.DisablePoison()
@@ -434,9 +382,13 @@ func Run(cfg Config) (Result, error) {
 		for i := range benchVal {
 			benchVal[i] = 0xA5
 		}
-		prefillBytes(tr, bm, cfg, benchVal)
+		prefill(tr, cfg, func(tid int, key uint64) bool {
+			var kbuf [8]byte
+			binary.BigEndian.PutUint64(kbuf[:], key)
+			return bm.Insert(tid, kbuf[:], benchVal)
+		})
 	} else {
-		prefill(tr, m, cfg)
+		prefill(tr, cfg, func(tid int, key uint64) bool { return m.Insert(tid, key, key*31+7) })
 	}
 
 	// In session mode, workers lease tids per operation instead of
@@ -500,10 +452,6 @@ func Run(cfg Config) (Result, error) {
 		done.Add(1)
 		go func(w int) {
 			defer done.Done()
-			if cfg.Pin {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			rng := rand.New(rand.NewSource(int64(w)*2654435761 + 1))
 			started.Done()
 			<-release
@@ -603,30 +551,8 @@ func Run(cfg Config) (Result, error) {
 	start := time.Now()
 	close(release)
 
-	// Sample the unreclaimed-object count during the run.
-	var (
-		samples int64
-		sumUn   float64
-		maxUn   int64
-	)
-	ticker := time.NewTicker(5 * time.Millisecond)
-	deadline := time.After(cfg.Duration)
-sampling:
-	for {
-		select {
-		case <-ticker.C:
-			st := tr.Stats()
-			un := st.Unreclaimed()
-			sumUn += float64(un)
-			samples++
-			if un > maxUn {
-				maxUn = un
-			}
-		case <-deadline:
-			break sampling
-		}
-	}
-	ticker.Stop()
+	var un unreclaimed
+	sampleFor(cfg.Duration, nil, func() { un.observe(tr.Stats().Unreclaimed()) })
 	stop.Store(true)
 	stallOnce.Do(func() { close(stallWoken) })
 	done.Wait()
@@ -636,10 +562,6 @@ sampling:
 	for i := range opCount {
 		ops += opCount[i].v.Load()
 		scannedKeys += scanCount[i].v.Load()
-	}
-	avg := 0.0
-	if samples > 0 {
-		avg = sumUn / float64(samples)
 	}
 	goroutines := 0
 	if cfg.Sessions {
@@ -659,8 +581,8 @@ sampling:
 		Ops:            ops,
 		ScannedKeys:    scannedKeys,
 		ThroughputMops: float64(ops) / elapsed.Seconds() / 1e6,
-		AvgUnreclaimed: avg,
-		MaxUnreclaimed: maxUn,
+		AvgUnreclaimed: un.avg(),
+		MaxUnreclaimed: un.max,
 		FinalStats:     tr.Stats(),
 	}, nil
 }
@@ -670,44 +592,83 @@ type paddedCounter struct {
 	_ [7]uint64
 }
 
-// arenaCache recycles the (huge, mostly virtual) node pool between
-// sequential runs: Arena.Reset zeroes only the touched region, where a
-// fresh make would force the runtime to re-zero the whole reused span.
-var arenaCache struct {
-	mu    sync.Mutex
-	arena *arena.Arena
-	// blobBudget records whether (and how large) the cached arena's
-	// blob heap is: blobs can only be enabled once per arena, and a
-	// blob-enabled arena must never serve a uint64 run (its Free
-	// decodes Key/Val as blob refs).
-	blobBudget int
+// unreclaimed accumulates one run's samples of the retired-but-not-freed
+// count: the time average the paper plots, and the peak.
+type unreclaimed struct {
+	samples int64
+	sum     float64
+	max     int64
 }
 
-func takeArena(capacity, blobBudget int) *arena.Arena {
+func (u *unreclaimed) observe(n int64) {
+	u.samples++
+	u.sum += float64(n)
+	if n > u.max {
+		u.max = n
+	}
+}
+
+func (u *unreclaimed) avg() float64 {
+	if u.samples == 0 {
+		return 0
+	}
+	return u.sum / float64(u.samples)
+}
+
+// sampleFor calls observe on a fixed 5 ms cadence until the measurement
+// window has elapsed or abort is closed (nil = never).
+func sampleFor(window time.Duration, abort <-chan struct{}, observe func()) {
+	ticker := time.NewTicker(5 * time.Millisecond)
+	defer ticker.Stop()
+	deadline := time.After(window)
+	for {
+		select {
+		case <-ticker.C:
+			observe()
+		case <-abort:
+			return
+		case <-deadline:
+			return
+		}
+	}
+}
+
+// arenaCache recycles the (huge, mostly virtual) node pools between
+// sequential runs: Arena.Reset zeroes only the touched region, where a
+// fresh make would force the runtime to re-zero the whole reused span.
+// There is one pool per payload family (keyed by bytesMode), because
+// blobs can only be enabled once per arena and a blob-enabled arena must
+// never serve a uint64 run (its Free decodes Key/Val as blob refs).
+var arenaCache = struct {
+	mu     sync.Mutex
+	arenas map[bool]*arena.Arena
+}{arenas: map[bool]*arena.Arena{}}
+
+func takeArena(capacity int, bytesMode bool) *arena.Arena {
 	arenaCache.mu.Lock()
 	defer arenaCache.mu.Unlock()
-	if a := arenaCache.arena; a != nil && a.Cap() == capacity && arenaCache.blobBudget == blobBudget {
-		arenaCache.arena = nil
+	if a := arenaCache.arenas[bytesMode]; a != nil && a.Cap() == capacity {
+		delete(arenaCache.arenas, bytesMode)
 		a.Reset()
 		return a
 	}
 	a := arena.New(capacity)
-	if blobBudget > 0 {
-		a.EnableBlobs(blobBudget)
+	if bytesMode {
+		a.EnableBlobs(blobClassBudget)
 	}
 	return a
 }
 
-func putArena(a *arena.Arena, blobBudget int) {
+func putArena(a *arena.Arena, bytesMode bool) {
 	arenaCache.mu.Lock()
 	defer arenaCache.mu.Unlock()
-	arenaCache.arena = a
-	arenaCache.blobBudget = blobBudget
+	arenaCache.arenas[bytesMode] = a
 }
 
-// prefill inserts cfg.Prefill distinct random keys, spreading the work
-// over a handful of goroutines (the structure is concurrent, after all).
-func prefill(tr smr.Tracker, m ds.Map, cfg Config) {
+// prefill inserts cfg.Prefill distinct random keys through insert (the
+// run's payload family), spreading the work over a handful of goroutines
+// (the structure is concurrent, after all).
+func prefill(tr smr.Tracker, cfg Config, insert func(tid int, key uint64) bool) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.Threads {
 		workers = cfg.Threads
@@ -725,38 +686,7 @@ func prefill(tr smr.Tracker, m ds.Map, cfg Config) {
 			for inserted.Load() < int64(cfg.Prefill) {
 				key := uint64(rng.Int63n(int64(cfg.KeyRange)))
 				tr.Enter(tid)
-				if m.Insert(tid, key, key*31+7) {
-					inserted.Add(1)
-				}
-				tr.Leave(tid)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// prefillBytes is the bytes-run twin of prefill: the same key universe,
-// 8-byte big-endian encoded, all values the shared val blob.
-func prefillBytes(tr smr.Tracker, bm ds.BytesMap, cfg Config, val []byte) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Threads {
-		workers = cfg.Threads
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var inserted atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tid) + 12345))
-			var kbuf [8]byte
-			for inserted.Load() < int64(cfg.Prefill) {
-				binary.BigEndian.PutUint64(kbuf[:], uint64(rng.Int63n(int64(cfg.KeyRange))))
-				tr.Enter(tid)
-				if bm.Insert(tid, kbuf[:], val) {
+				if insert(tid, key) {
 					inserted.Add(1)
 				}
 				tr.Leave(tid)

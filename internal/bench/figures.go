@@ -5,14 +5,13 @@
 //
 // Figures 8/9 (write-heavy) and 11/12 (read-mostly) share their sweeps:
 // a throughput figure and its unreclaimed-objects companion are the same
-// runs reported under two metrics. Figures 13–16 are the PowerPC runs of
-// the same experiments; the LL/SC substrate is a hardware gate, so they
-// alias the x86 sweeps (see EXPERIMENTS.md).
+// runs reported under two metrics. The paper's Figures 13–16 rerun the
+// same experiments on PowerPC's LL/SC; this port has one packed-word CAS
+// and no LL/SC path to substitute, so they are not reproduced.
 package bench
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -73,9 +72,8 @@ type Figure struct {
 	// Metric selects what the figure plots: "throughput" (Mops/s) or
 	// "unreclaimed" (average retired-but-not-freed objects).
 	Metric string
-	// Sweep is the x-axis: "threads", "stalled", "conns" (client/
-	// server mode: x is the loopback connection count) or "shards"
-	// (x is the partition count at a fixed worker count).
+	// Sweep is the x-axis: "threads", "stalled" or "conns" (client/
+	// server mode: x is the loopback connection count).
 	Sweep string
 	// Xs overrides the sweep's default x values for this figure (the
 	// explicit RunOptions.Xs still wins). Figures whose interesting
@@ -101,10 +99,10 @@ func standardCurves(structure string) []Curve {
 	return curves
 }
 
-// Fig10aSlots is the slot count the capped and resizing Hyaline-S curves
+// fig10aSlots is the slot count the capped and resizing Hyaline-S curves
 // of Figure 10a start from: fewer slots than threads, so stalled threads
 // share slots with running ones.
-const Fig10aSlots = 2
+const fig10aSlots = 2
 
 // AllFigures lists every reproducible table/figure in paper order.
 func AllFigures() []Figure {
@@ -115,11 +113,11 @@ func AllFigures() []Figure {
 		{"a", "list"}, {"b", "bonsai"}, {"c", "hashmap"}, {"d", "natarajan"},
 		{"e", "skiplist"},
 	}
-	add := func(num string, metric string, wl Workload, machine string) {
+	add := func(num, metric string, wl Workload) {
 		for _, s := range structures {
 			figs = append(figs, Figure{
 				ID: num + s.suffix,
-				Caption: fmt.Sprintf("%s: %s %s, %s workload", machine,
+				Caption: fmt.Sprintf("x86-64: %s %s, %s workload",
 					s.name, metric, wl.Name()),
 				Structure: s.name,
 				Workload:  wl,
@@ -129,8 +127,8 @@ func AllFigures() []Figure {
 			})
 		}
 	}
-	add("8", "throughput", WriteHeavy, "x86-64")
-	add("9", "unreclaimed", WriteHeavy, "x86-64")
+	add("8", "throughput", WriteHeavy)
+	add("9", "unreclaimed", WriteHeavy)
 
 	figs = append(figs, Figure{
 		ID:        "10a",
@@ -147,8 +145,8 @@ func AllFigures() []Figure {
 			// pair is about stalled threads sharing slots with running
 			// ones, so both start from the same explicit small k.
 			{Label: "hyaline-s", Scheme: "hyaline-s"},
-			{Label: "hyaline-s(capped)", Scheme: "hyaline-s", Slots: Fig10aSlots},
-			{Label: "hyaline-s(resize)", Scheme: "hyaline-s", Slots: Fig10aSlots, Resize: true},
+			{Label: "hyaline-s(capped)", Scheme: "hyaline-s", Slots: fig10aSlots},
+			{Label: "hyaline-s(resize)", Scheme: "hyaline-s", Slots: fig10aSlots, Resize: true},
 			{Label: "hyaline-1s", Scheme: "hyaline-1s"},
 			{Label: "epoch", Scheme: "epoch"},
 			{Label: "ibr", Scheme: "ibr"},
@@ -170,14 +168,8 @@ func AllFigures() []Figure {
 		},
 	})
 
-	add("11", "throughput", ReadMostly, "x86-64")
-	add("12", "unreclaimed", ReadMostly, "x86-64")
-	// PowerPC appendix figures: same experiments, LL/SC substituted by
-	// the packed-word CAS (§4.4 / EXPERIMENTS.md).
-	add("13", "throughput", WriteHeavy, "ppc-substituted")
-	add("14", "unreclaimed", WriteHeavy, "ppc-substituted")
-	add("15", "throughput", ReadMostly, "ppc-substituted")
-	add("16", "unreclaimed", ReadMostly, "ppc-substituted")
+	add("11", "throughput", ReadMostly)
+	add("12", "unreclaimed", ReadMostly)
 	// Figures 17/18 are reproduction extensions beyond the paper: the
 	// scan-mix workload over the ordered structures (ds.SupportsRange).
 	// Range scans pin long chains of nodes for the whole traversal, so
@@ -236,9 +228,7 @@ func AllFigures() []Figure {
 	// layer (internal/server). Closed-loop loopback connections drive the
 	// KV through the wire protocol; pipelined curves coalesce each
 	// connection's in-flight window into one Apply batch, singleton
-	// curves pay a full round trip and a full bracket per op. Running
-	// them needs the serve runner registered (cmd/hyalinebench imports
-	// hyaline/internal/server for exactly this).
+	// curves pay a full round trip and a full bracket per op.
 	var serveCurves []Curve
 	for _, s := range []string{"hyaline", "epoch", "ibr", "hp"} {
 		serveCurves = append(serveCurves,
@@ -327,28 +317,6 @@ func AllFigures() []Figure {
 		Sweep:     "conns",
 		Xs:        []int{1, 8, 64, 256, 1024, 4096},
 		Curves:    coalesceCurves,
-	})
-	// Figure 26: what horizontal partitioning buys a write-heavy mix.
-	// The structure is the sorted linked list — the most contended shape
-	// in the registry: every writer walks and CASes the same chain, so a
-	// single instance flatlines as threads grow no matter how well the
-	// scheme reclaims. Sharding divides both the contention and the walk
-	// length by N; the sweep holds the worker count fixed and grows the
-	// partition count across the four scheme families.
-	figs = append(figs, Figure{
-		ID:        "26",
-		Caption:   "x86-64: list write-heavy throughput vs shard count at a fixed worker count (reproduction extension)",
-		Structure: "list",
-		Workload:  WriteHeavy,
-		Metric:    "throughput",
-		Sweep:     "shards",
-		Xs:        []int{1, 2, 4, 8},
-		Curves: []Curve{
-			{Label: "hyaline", Scheme: "hyaline"},
-			{Label: "epoch", Scheme: "epoch"},
-			{Label: "ibr", Scheme: "ibr"},
-			{Label: "hp", Scheme: "hp"},
-		},
 	})
 	// Figure 27 is a reproduction extension: what the serving model
 	// itself costs at connection scale. Three curves over the same
@@ -457,7 +425,7 @@ type Table struct {
 	Xs     []int
 	// Series holds the plotted metric per curve label, indexed like Xs.
 	Series map[string][]float64
-	// Raw keeps every underlying result for EXPERIMENTS.md analysis.
+	// Raw keeps every underlying result, in curve-major order.
 	Raw []Result
 }
 
@@ -524,9 +492,6 @@ func (f Figure) Run(opts RunOptions) (Table, error) {
 				cfg.Coalesce = curve.Coalesce
 				cfg.Poll = curve.Poll
 				cfg.OOO = curve.OOO
-			case "shards":
-				cfg.Threads = opts.ActiveThreads
-				cfg.Shards = x
 			default:
 				cfg.Threads = x
 			}
@@ -562,8 +527,6 @@ func (t Table) CSV() string {
 		xName = "stalled"
 	case "conns":
 		xName = "conns"
-	case "shards":
-		xName = "shards"
 	}
 	fmt.Fprintf(&b, "# figure %s: %s (metric: %s)\n", t.Figure.ID, t.Figure.Caption, t.Figure.Metric)
 	fmt.Fprintf(&b, "%s,%s\n", xName, strings.Join(labels, ","))
@@ -577,12 +540,4 @@ func (t Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// NextPow2 rounds up to a power of two (exported for the CLI's slot cap).
-func NextPow2(v int) int {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(v-1))
 }

@@ -1,11 +1,8 @@
-// bench.go is the client/server benchmark executor behind figures 21/22
-// and `hyalinebench -conns`: an in-process Server over a fresh KV on a
-// loopback listener, driven by closed-loop client connections. It
-// registers itself with internal/bench at init — bench cannot import
-// this package (the server rides the root hyaline package, which imports
-// bench), so binaries wanting the serve figures import this package for
-// side effects.
-package server
+// serve.go is the client/server executor behind the serving figures
+// (21/22, 25, 27) and `hyalinebench -conns`: an in-process server over a
+// fresh KV on a loopback listener, driven by closed-loop client
+// connections.
+package bench
 
 import (
 	"context"
@@ -19,42 +16,39 @@ import (
 	"time"
 
 	"hyaline"
-	"hyaline/internal/bench"
 	"hyaline/internal/hist"
 	"hyaline/internal/metrics"
 	"hyaline/internal/protocol"
+	"hyaline/internal/server"
 )
 
-func init() { bench.RegisterServeRunner(RunBench) }
-
-// RunBench measures served throughput for one bench.Config with
-// cfg.Conns > 0: cfg.Conns loopback connections each keep cfg.Pipeline
-// requests in flight per round trip against a server whose KV leases
-// cfg.Threads tids. The returned Result counts client-observed
-// completions; the unreclaimed gauge is sampled server-side exactly like
-// the in-process harness samples it.
-func RunBench(cfg bench.Config) (bench.Result, error) {
+// runServe measures served throughput for one Config with cfg.Conns > 0:
+// cfg.Conns loopback connections each keep cfg.Pipeline requests in
+// flight per round trip against a server whose KV leases cfg.Threads
+// tids. The returned Result counts client-observed completions; the
+// unreclaimed gauge is sampled server-side exactly like the in-process
+// harness samples it.
+func runServe(cfg Config) (Result, error) {
 	// The server's store: cfg.Threads is the total lease bound, divided
-	// across cfg.Shards partitions (0 or 1 = unsharded).
-	kv, err := hyaline.NewShardedKV(cfg.Structure, cfg.Scheme, max(cfg.Shards, 1), hyaline.KVOptions{
+	// across cfg.Shards partitions.
+	kv, err := hyaline.NewShardedKV(cfg.Structure, cfg.Scheme, cfg.Shards, hyaline.KVOptions{
 		MaxThreads: cfg.Threads,
 		ArenaCap:   cfg.ArenaCap,
 		Tracker:    cfg.Tracker,
 	})
 	if err != nil {
-		return bench.Result{}, err
+		return Result{}, err
 	}
 	prefillKV(kv, cfg.Prefill, cfg.KeyRange)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return bench.Result{}, err
+		return Result{}, err
 	}
-	srv := New(kv, Options{
-		Coalesce:       cfg.Coalesce || cfg.OOO,
-		CoalesceWindow: cfg.CoalesceWindow,
-		Poll:           cfg.Poll,
-		OOO:            cfg.OOO,
+	srv := server.New(kv, server.Options{
+		Coalesce: cfg.Coalesce || cfg.OOO,
+		Poll:     cfg.Poll,
+		OOO:      cfg.OOO,
 	})
 	go srv.Serve(ln)
 
@@ -63,7 +57,7 @@ func RunBench(cfg bench.Config) (bench.Result, error) {
 		started sync.WaitGroup
 		done    sync.WaitGroup
 		release = make(chan struct{})
-		counts  = make([]paddedCount, cfg.Conns)
+		counts  = make([]paddedCounter, cfg.Conns)
 		hists   = make([]hist.Hist, cfg.Conns)
 		errOnce sync.Once
 		runErr  error
@@ -178,45 +172,28 @@ func RunBench(cfg bench.Config) (bench.Result, error) {
 	close(release)
 
 	var (
-		samples    int64
-		sumUn      float64
-		maxUn      int64
+		un         unreclaimed
 		peakGor    int
 		peakSrvGor int64
 		peakFDs    int
 	)
-	ticker := time.NewTicker(5 * time.Millisecond)
-	deadline := time.After(cfg.Duration)
-sampling:
-	for {
-		select {
-		case <-ticker.C:
-			un := kv.Stats().Unreclaimed()
-			sumUn += float64(un)
-			samples++
-			if un > maxUn {
-				maxUn = un
-			}
-			if g := runtime.NumGoroutine(); g > peakGor {
-				peakGor = g
-			}
-			// The server's own goroutine gauge — NumGoroutine above also
-			// counts the in-process bench clients, which is exactly the
-			// pollution figure 27's per-conn-vs-poller comparison must
-			// exclude.
-			if g := srv.Goroutines(); g > peakSrvGor {
-				peakSrvGor = g
-			}
-			if n := metrics.OpenFDs(); n > peakFDs {
-				peakFDs = n
-			}
-		case <-failed:
-			break sampling // a dead point must not burn the whole window
-		case <-deadline:
-			break sampling
+	// A dead point must not burn the whole window: failed ends it early.
+	sampleFor(cfg.Duration, failed, func() {
+		un.observe(kv.Stats().Unreclaimed())
+		if g := runtime.NumGoroutine(); g > peakGor {
+			peakGor = g
 		}
-	}
-	ticker.Stop()
+		// The server's own goroutine gauge — NumGoroutine above also
+		// counts the in-process bench clients, which is exactly the
+		// pollution figure 27's per-conn-vs-poller comparison must
+		// exclude.
+		if g := srv.Goroutines(); g > peakSrvGor {
+			peakSrvGor = g
+		}
+		if n := metrics.OpenFDs(); n > peakFDs {
+			peakFDs = n
+		}
+	})
 	stop.Store(true)
 	done.Wait()
 	elapsed := time.Since(start)
@@ -224,10 +201,10 @@ sampling:
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		return bench.Result{}, fmt.Errorf("server shutdown: %w", err)
+		return Result{}, fmt.Errorf("server shutdown: %w", err)
 	}
 	if runErr != nil {
-		return bench.Result{}, runErr
+		return Result{}, runErr
 	}
 	var ops int64
 	for i := range counts {
@@ -236,10 +213,6 @@ sampling:
 	var lat hist.Hist
 	for i := range hists {
 		lat.Merge(&hists[i])
-	}
-	avg := 0.0
-	if samples > 0 {
-		avg = sumUn / float64(samples)
 	}
 	_, _, _, batches := srv.Counters()
 	var regSnap json.RawMessage
@@ -252,7 +225,7 @@ sampling:
 			regSnap = b
 		}
 	}
-	return bench.Result{
+	return Result{
 		Structure:         cfg.Structure,
 		Scheme:            cfg.Scheme,
 		Threads:           cfg.Threads,
@@ -266,8 +239,8 @@ sampling:
 		Duration:          elapsed,
 		Ops:               ops,
 		ThroughputMops:    float64(ops) / elapsed.Seconds() / 1e6,
-		AvgUnreclaimed:    avg,
-		MaxUnreclaimed:    maxUn,
+		AvgUnreclaimed:    un.avg(),
+		MaxUnreclaimed:    un.max,
 		Batches:           batches,
 		P50:               lat.Quantile(0.50),
 		P99:               lat.Quantile(0.99),
@@ -277,11 +250,6 @@ sampling:
 		FinalStats:        kv.Stats(),
 		Metrics:           regSnap,
 	}, nil
-}
-
-type paddedCount struct {
-	v atomic.Int64
-	_ [7]uint64
 }
 
 // prefillKV inserts exactly n distinct random keys through the batch

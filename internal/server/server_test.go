@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hyaline"
-	"hyaline/internal/bench"
 	"hyaline/internal/protocol"
 	"hyaline/internal/server"
 )
@@ -440,56 +439,5 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := srv.Serve(ln2); err != server.ErrServerClosed {
 		t.Fatalf("Serve after Shutdown returned %v", err)
-	}
-}
-
-// TestServeBench runs the registered client/server bench runner (the
-// machinery behind figures 21/22) end to end and sanity-checks the
-// result shape.
-func TestServeBench(t *testing.T) {
-	res, err := bench.Run(bench.Config{
-		Structure: "hashmap",
-		Scheme:    "hyaline",
-		Threads:   4,
-		Conns:     3,
-		Pipeline:  8,
-		Duration:  100 * time.Millisecond,
-		Prefill:   500,
-		KeyRange:  2_000,
-		ArenaCap:  1 << 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 {
-		t.Fatal("serve bench measured zero ops")
-	}
-	if res.Conns != 3 || res.Pipeline != 8 {
-		t.Fatalf("result echo: %+v", res)
-	}
-	if res.FinalStats.Allocated == 0 {
-		t.Fatal("serve bench touched no arena nodes")
-	}
-}
-
-// TestServeBenchRejects covers the serve-mode validation in bench.Run.
-func TestServeBenchRejects(t *testing.T) {
-	base := bench.Config{
-		Structure: "hashmap", Scheme: "hyaline", Threads: 2, Conns: 1,
-		Duration: 10 * time.Millisecond, Prefill: 10, KeyRange: 100, ArenaCap: 1 << 14,
-	}
-	mutate := []func(*bench.Config){
-		func(c *bench.Config) { c.Trim = true },
-		func(c *bench.Config) { c.Sessions = true },
-		func(c *bench.Config) { c.Stalled = 2 },
-		func(c *bench.Config) { c.Workload = bench.ScanMix },
-		func(c *bench.Config) { c.Pipeline = 1 << 20 },
-	}
-	for i, m := range mutate {
-		cfg := base
-		m(&cfg)
-		if _, err := bench.Run(cfg); err == nil {
-			t.Errorf("case %d: bad serve config accepted", i)
-		}
 	}
 }
