@@ -66,11 +66,25 @@ type Node struct {
 	// the Natarajan & Mittal seek under hazard pointers, a protocol
 	// looseness shared with the paper's evaluation framework), and such
 	// reads must return garbage, not undefined behaviour.
-	Key   atomic.Uint64
-	Val   atomic.Uint64
-	Left  atomic.Uint64 // ptr.Word: list next, tree left child
-	Right atomic.Uint64 // ptr.Word: tree right child
-	Aux   atomic.Uint64 // tree size (Bonsai), retire era (HE/IBR)
+	Key  atomic.Uint64
+	Val  atomic.Uint64
+	Left atomic.Uint64 // ptr.Word: list next, tree left child
+
+	// Right is payload no scheme has a claim on: the trees' right child,
+	// the skiplist's level mask, and for the bytes list the key's first
+	// 8 bytes, big-endian and zero-padded (list.keyPrefix), so that a
+	// traversal hop compares one word and reads the key blob only on a
+	// tie. The list writes it with Key and Val before the node is
+	// published and nothing writes it again until Free's poison.
+	//
+	// The prefix is here and not in Aux because Aux is the one payload
+	// word promised to the era schemes, from Retire on, as their retire
+	// stamp (HE/IBR in this tree stamp BatchLink instead, but the
+	// skiplist reads its height from Aux defensively for that reason):
+	// a word a scheme may overwrite at Retire cannot hold what a reader
+	// still standing on the retired node compares.
+	Right atomic.Uint64
+	Aux   atomic.Uint64 // tree size (Bonsai), tower height (skiplist)
 
 	// Seq is the node's incarnation stamp: even while allocated, odd
 	// while free, bumped on every recycle and Free (never-allocated nodes

@@ -39,7 +39,7 @@ type opScratch struct {
 // Tree is the copy-on-write weight-balanced tree.
 type Tree struct {
 	arena   *arena.Arena
-	tracker smr.Tracker
+	tracker smr.Deref
 	root    atomic.Uint64
 	scratch []opScratch
 }
@@ -48,7 +48,7 @@ type Tree struct {
 func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *Tree {
 	return &Tree{
 		arena:   a,
-		tracker: tr,
+		tracker: smr.NewDeref(tr),
 		scratch: make([]opScratch, maxThreads),
 	}
 }

@@ -35,11 +35,24 @@ type BytesFactory func(a *arena.Arena, tr smr.Tracker) BytesMap
 // bytesBlobBudget sizes each blob class for the conformance churn.
 const bytesBlobBudget = 1 << 21
 
-// bytesKey encodes the numeric key the churn models use as the 8-byte
-// big-endian wire form, preserving order.
+// bytesKey encodes the numeric key the churn models use, injectively,
+// in three shapes by k mod 3, so that a structure comparing keys by a
+// fixed-width prefix first (the bytes list keeps 8 bytes in the node)
+// meets every case under churn: the 8-byte big-endian form; the same
+// without its leading zero bytes, shorter than the prefix; and a
+// 10-byte key whose first 8 bytes it shares with up to three siblings
+// and with the 8-byte key they spell, so only the full compare can
+// order them.
 func bytesKey(k uint64) []byte {
-	b := make([]byte, 8)
+	b := make([]byte, 8, 10)
 	binary.BigEndian.PutUint64(b, k)
+	switch k % 3 {
+	case 1:
+		b = bytes.TrimLeft(b, "\x00")
+	case 2:
+		binary.BigEndian.PutUint64(b, k/12*12)
+		b = binary.BigEndian.AppendUint16(b, uint16(k)) // siblings differ by < 12
+	}
 	return b
 }
 

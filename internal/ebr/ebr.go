@@ -189,6 +189,9 @@ func (t *Tracker) Protect(_, _ int, addr *atomic.Uint64) ptr.Word {
 	return addr.Load()
 }
 
+// PlainLoad implements smr.PlainLoader: Protect above is a bare load.
+func (t *Tracker) PlainLoad() bool { return true }
+
 // Stats implements smr.Tracker.
 func (t *Tracker) Stats() smr.Stats { return t.counters.Sum() }
 

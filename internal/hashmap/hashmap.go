@@ -38,7 +38,7 @@ func New(a *arena.Arena, tr smr.Tracker, buckets int) *Map {
 		panic("hashmap: bucket count must be a power of two")
 	}
 	return &Map{
-		core:    list.Core{Arena: a, Tracker: tr},
+		core:    list.NewCore(a, tr),
 		buckets: make([]paddedHead, buckets),
 		mask:    uint64(buckets - 1),
 	}

@@ -687,6 +687,10 @@ func (t *Tracker) Protect(tid, _ int, addr *atomic.Uint64) ptr.Word {
 	}
 }
 
+// PlainLoad implements smr.PlainLoader: Hyaline and Hyaline-1 take
+// Protect's first branch, a bare load; the robust variants do not.
+func (t *Tracker) PlainLoad() bool { return !t.robust() }
+
 // touch raises the slot's access era to era (Fig. 5). Hyaline-1S owns its
 // slot, so a plain store suffices; Hyaline-S shares slots and CAS-maxes.
 func (t *Tracker) touch(st *slotState, era uint64) uint64 {

@@ -2,6 +2,7 @@ package list
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync/atomic"
 
 	"hyaline/internal/arena"
@@ -25,6 +26,11 @@ import (
 // Inserts are insert-only (no in-place update), matching Map semantics:
 // blobs are immutable from publish to node free, so readers never race
 // a payload overwrite.
+//
+// A node also carries its key's order-preserving 8-byte prefix (see
+// keyPrefix) in the Right word, written with Key and Val before the
+// node is published and immutable until Free. A traversal hop compares
+// prefixes and touches the key blob only when they tie.
 type BytesList struct {
 	core Core
 	head atomic.Uint64
@@ -37,7 +43,7 @@ func NewBytes(a *arena.Arena, tr smr.Tracker) *BytesList {
 	if !a.BlobsEnabled() {
 		panic("list: BytesList requires an arena with blobs enabled")
 	}
-	return &BytesList{core: Core{Arena: a, Tracker: tr}}
+	return &BytesList{core: NewCore(a, tr)}
 }
 
 // keyBytes returns the key payload of a protected node.
@@ -45,13 +51,33 @@ func (c *Core) keyBytes(n *arena.Node) []byte {
 	return c.Arena.Blob(arena.BlobRef(n.Key.Load()))
 }
 
+// keyPrefix is the first 8 bytes of key as a big-endian integer, short
+// keys zero-padded on the right. It preserves order one way: a strictly
+// smaller prefix implies a bytewise smaller key (at the first differing
+// byte either both keys have it, or the smaller one has ended and is a
+// proper prefix of the other). Equal prefixes decide nothing — "a" and
+// "a\x00" tie, as do keys that first differ at byte 9 — and fall through
+// to bytes.Compare.
+func keyPrefix(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var p uint64
+	for i, b := range key {
+		p |= uint64(b) << (56 - 8*i)
+	}
+	return p
+}
+
 // findBytes is find with bytewise key order. The protection protocol is
 // identical (three rotating slots, predecessor validation, helping
-// unlink); the key comparison reads blob content, which is safe exactly
-// when reading cn.Key itself is safe — after validation, under the
-// hazard (or bracket) that protected curr.
+// unlink). The key comparison reads the node's prefix word and, on a
+// tie, its blob content, which is safe exactly when reading cn.Key
+// itself is safe — after validation, under the hazard (or bracket) that
+// protected curr.
 func (c *Core) findBytes(tid int, head *atomic.Uint64, key []byte) (prevAddr *atomic.Uint64, curr ptr.Word, found bool) {
 	tr := c.Tracker
+	kp := keyPrefix(key)
 retry:
 	for {
 		prevAddr = head
@@ -76,8 +102,12 @@ retry:
 				curr = tr.Protect(tid, s, prevAddr)
 				continue
 			}
-			if cmp := bytes.Compare(c.keyBytes(cn), key); cmp >= 0 {
-				return prevAddr, curr, cmp == 0
+			if np := cn.Right.Load(); np > kp {
+				return prevAddr, curr, false
+			} else if np == kp {
+				if cmp := bytes.Compare(c.keyBytes(cn), key); cmp >= 0 {
+					return prevAddr, curr, cmp == 0
+				}
 			}
 			prevAddr = &cn.Left
 			s = (s + 1) % 3 // cn keeps its hazard while serving as prev
@@ -110,6 +140,7 @@ func (l *BytesList) Insert(tid int, key, val []byte) bool {
 			// node: Free decodes whatever Key/Val hold.
 			n.Key.Store(uint64(c.Arena.AllocBlob(key)))
 			n.Val.Store(uint64(c.Arena.AllocBlob(val)))
+			n.Right.Store(keyPrefix(key))
 			newW = ptr.Pack(idx)
 		}
 		c.Arena.Deref(newW).Left.Store(ptr.Clean(curr))

@@ -23,7 +23,12 @@ import (
 // lists built on it.
 type Core struct {
 	Arena   *arena.Arena
-	Tracker smr.Tracker
+	Tracker smr.Deref
+}
+
+// NewCore binds the list algorithm to an arena and a scheme.
+func NewCore(a *arena.Arena, tr smr.Tracker) Core {
+	return Core{Arena: a, Tracker: smr.NewDeref(tr)}
 }
 
 // List is a standalone sorted linked list.
@@ -34,7 +39,7 @@ type List struct {
 
 // New creates an empty list managed by tr.
 func New(a *arena.Arena, tr smr.Tracker) *List {
-	return &List{core: Core{Arena: a, Tracker: tr}}
+	return &List{core: NewCore(a, tr)}
 }
 
 // Insert adds key→val; it returns false if the key already exists.

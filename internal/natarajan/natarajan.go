@@ -42,7 +42,7 @@ const (
 // Tree is the lock-free external BST.
 type Tree struct {
 	arena   *arena.Arena
-	tracker smr.Tracker
+	tracker smr.Deref
 
 	// rootR is the topmost internal node (key ∞2); rootS its left child
 	// (key ∞1). All user keys live under S's left subtree.
@@ -60,7 +60,7 @@ type seekRecord struct {
 
 // New creates a tree with the three-leaf sentinel skeleton.
 func New(a *arena.Arena, tr smr.Tracker) *Tree {
-	t := &Tree{arena: a, tracker: tr}
+	t := &Tree{arena: a, tracker: smr.NewDeref(tr)}
 	mkLeaf := func(key uint64) ptr.Word {
 		idx := tr.Alloc(0)
 		n := a.Node(idx)

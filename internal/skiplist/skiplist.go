@@ -67,7 +67,7 @@ const MaxHeight = arena.MaxLinks
 //	Right         — the link-level bitmask of the retire protocol
 type SkipList struct {
 	arena   *arena.Arena
-	tracker smr.Tracker
+	tracker smr.Deref
 	head    [MaxHeight]atomic.Uint64
 	seeds   []paddedSeed
 }
@@ -83,7 +83,7 @@ func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *SkipList {
 	if maxThreads < 1 {
 		maxThreads = 1
 	}
-	s := &SkipList{arena: a, tracker: tr, seeds: make([]paddedSeed, maxThreads)}
+	s := &SkipList{arena: a, tracker: smr.NewDeref(tr), seeds: make([]paddedSeed, maxThreads)}
 	for i := range s.seeds {
 		s.seeds[i].v = uint64(i)*2654435761 + 0x9E3779B97F4A7C15
 	}

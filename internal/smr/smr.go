@@ -55,6 +55,10 @@ type Tracker interface {
 	// simultaneously held protections (hazard-pointer or hazard-era
 	// indexes); schemes that do not track individual pointers ignore it.
 	// The returned word may carry mark/flag/tag bits.
+	//
+	// Structures do not call Protect directly: they dereference through
+	// a Deref handle, which skips the call for schemes that declare
+	// PlainLoad (see there for the contract).
 	Protect(tid, slot int, addr *atomic.Uint64) ptr.Word
 
 	// Stats returns reclamation counters accumulated since creation.
@@ -62,6 +66,52 @@ type Tracker interface {
 
 	// Properties returns the qualitative Table 1 row for this scheme.
 	Properties() Properties
+}
+
+// PlainLoader is the declaration a scheme makes, next to its Protect,
+// that a dereference costs it nothing: in the paper Hyaline's deref is
+// a plain load (Fig. 3 has no deref hook; only Hyaline-S/1S add Fig. 5's
+// era check), as are Leaky's and Epoch's.
+//
+// By returning true from PlainLoad a scheme signs this contract, for
+// the lifetime of the tracker: Protect(tid, slot, addr) returns exactly
+// addr.Load() — mark, flag and tag bits included — reads and writes no
+// other state, and may therefore be skipped. A scheme that publishes
+// anything per dereference (a hazard pointer, an era, an interval) must
+// not declare it. The method is deliberately not part of Tracker: a
+// wrapper that embeds the Tracker interface does not inherit it, so a
+// tracker that instruments or changes Protect is called on every hop
+// unless it declares otherwise itself.
+type PlainLoader interface {
+	PlainLoad() bool
+}
+
+// Deref is the handle a data structure holds its tracker by: the
+// tracker plus whether its Protect is a plain load, asked once at
+// construction. Its own Protect shadows the tracker's and is small
+// enough to inline, so a traversal hop under a PlainLoad scheme is one
+// atomic load and under any other scheme the interface call it always
+// was — one traversal per structure serves both. Everything else
+// (Enter, Retire, ...) is the embedded tracker's. A structure that keeps
+// only the handle cannot dereference past it.
+type Deref struct {
+	Tracker
+	plain bool
+}
+
+// NewDeref builds the handle for tr. A tracker that does not implement
+// PlainLoader (or answers false) is dereferenced through its Protect.
+func NewDeref(tr Tracker) Deref {
+	p, ok := tr.(PlainLoader)
+	return Deref{Tracker: tr, plain: ok && p.PlainLoad()}
+}
+
+// Protect reads the link word *addr safely; see Tracker.Protect.
+func (d Deref) Protect(tid, slot int, addr *atomic.Uint64) ptr.Word {
+	if d.plain {
+		return addr.Load()
+	}
+	return d.Tracker.Protect(tid, slot, addr)
 }
 
 // Trimmer is implemented by schemes that support the paper's §3.3 trim

@@ -2,9 +2,11 @@ package trackers
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hyaline/internal/arena"
+	"hyaline/internal/ptr"
 	"hyaline/internal/smr"
 )
 
@@ -203,5 +205,42 @@ func TestConfigPlumbing(t *testing.T) {
 	type slotted interface{ Slots() int }
 	if s, ok := tr.(slotted); !ok || s.Slots() != 4 {
 		t.Fatalf("Slots knob not plumbed")
+	}
+}
+
+// TestPlainLoadDeclaration pins which schemes declare smr.PlainLoader —
+// the ones whose dereference the paper prices at a plain load — and
+// checks the declaration is true: Protect returns exactly the stored
+// word, bits and all. A scheme that publishes per dereference (hp, he,
+// ibr, hyaline-s, hyaline-1s) must never appear here, or structures
+// would skip its Protect.
+func TestPlainLoadDeclaration(t *testing.T) {
+	plain := map[string]bool{"leaky": true, "epoch": true, "hyaline": true, "hyaline-1": true}
+	a := arena.New(256)
+	for _, n := range Names() {
+		tr := MustNew(n, a, Config{MaxThreads: 2})
+		p, ok := tr.(smr.PlainLoader)
+		if declared := ok && p.PlainLoad(); declared != plain[n] {
+			t.Errorf("%s: PlainLoad declared = %v, want %v", n, declared, plain[n])
+		}
+		if !plain[n] {
+			continue
+		}
+		tr.Enter(1)
+		node := ptr.Pack(tr.Alloc(1))
+		for _, word := range []ptr.Word{
+			ptr.Nil, node, ptr.WithMark(node), ptr.WithFlag(node), ptr.WithTag(node),
+			ptr.WithFlag(ptr.WithTag(node)),
+		} {
+			var w atomic.Uint64
+			w.Store(word)
+			for slot := 0; slot < 3; slot++ {
+				if got := tr.Protect(1, slot, &w); got != w.Load() {
+					t.Errorf("%s: Protect(slot %d) = %#x, stored %#x", n, slot, got, word)
+				}
+			}
+		}
+		tr.Dealloc(1, ptr.Idx(node))
+		tr.Leave(1)
 	}
 }

@@ -28,10 +28,11 @@ import (
 // (NewShardedKV; NewKV is the one-shard case). A key always lives on
 // exactly one shard — a mixed hash of the key mod N — and routing is
 // invisible to callers: single-key operations go to the owning shard,
-// batches are split per shard, executed concurrently and scattered back
-// in caller order, Range merges per-shard scans k-way, and the gauges
-// aggregate. Structure-level contention and reclamation pressure both
-// scale out with the shard count.
+// batches are split per shard, executed (in parallel where another P
+// can take a run) and scattered back in caller order, Range merges
+// per-shard scans k-way, and the gauges aggregate. Structure-level
+// contention and reclamation pressure both scale out with the shard
+// count.
 //
 // KV is the recommended entry point; the explicit-tid Tracker/Map API
 // remains available for callers that manage their own worker identity
@@ -147,10 +148,12 @@ func (kv *KV) Apply(ops []Op) []Result {
 }
 
 // ApplyInto is Apply appending into dst, for callers that reuse a
-// result buffer across batches: with dst capacity >= len(ops) an
-// unsharded batch touches no Go heap (a sharded one pays only its
-// goroutine spawns; the routing scratch is pooled). See applySplit for
-// the sharded mechanics.
+// result buffer across batches: with dst capacity >= len(ops) a batch
+// touches no Go heap — unsharded, or sharded on a store built with
+// GOMAXPROCS 1, where the shard runs execute in turn on the caller.
+// A sharded store built on several Ps allocates one closure per run it
+// hands to another goroutine and nothing else (the routing scratch,
+// WaitGroup included, is pooled). See applySplit for the mechanics.
 func (kv *KV) ApplyInto(dst []Result, ops []Op) []Result {
 	for i := range ops {
 		checkKind(i, ops[i].Kind)
@@ -162,7 +165,7 @@ func (kv *KV) ApplyInto(dst []Result, ops []Op) []Result {
 		return kv.applyShard(&kv.shards[0], dst, ops) // unsharded: nothing to split or scatter
 	}
 	sc := kv.takeScratch()
-	dst = applySplit(kv, sc, dst, ops)
+	dst = kv.applySplit(kv, sc, dst, ops)
 	kv.putScratch(sc)
 	return dst
 }

@@ -3,6 +3,7 @@ package hyaline_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -320,56 +321,81 @@ func TestKVBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchAllocFree is the batch analogue of TestKVGetAllocFree: at
-// shards == 1 a batch into reused buffers must not touch the Go heap —
-// ApplyInto and GetBatch on the uint64 family, ApplyBytesInto and
-// GetAppend on the bytes family. (GetBatch stages its ops in pooled
-// scratch, which is what keeps the keys-only read path at zero.)
+// TestBatchAllocFree is the batch analogue of TestKVGetAllocFree: a
+// batch into reused buffers must not touch the Go heap — ApplyInto and
+// GetBatch on the uint64 family, ApplyBytesInto and GetAppend on the
+// bytes family. (GetBatch stages its ops in pooled scratch, which is
+// what keeps the keys-only read path at zero.) That holds unsharded,
+// and sharded when the store was built on one P, where the shard runs
+// execute in turn on the caller; a sharded store built on several Ps
+// may allocate one closure per run it hands to another goroutine, and
+// nothing else (the WaitGroup lives in the pooled scratch).
 func TestBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	kv := mustKV(t, "hashmap", "hyaline", hyaline.KVOptions{MaxThreads: 8})
-	for k := uint64(0); k < 1024; k++ {
-		kv.Insert(k, kvChecksum(k))
-	}
-	keys := make([]uint64, 64)
-	ops := make([]hyaline.Op, len(keys))
-	dst := make([]hyaline.Result, 0, len(keys))
-	var base uint64
-	next := func() {
-		for i := range keys {
-			keys[i] = (base + uint64(i)) % 2048
-			ops[i] = hyaline.Op{Kind: hyaline.OpKind(i % 3), Key: keys[i], Val: kvChecksum(keys[i])}
-		}
-		base += 64
-	}
-	if avg := testing.AllocsPerRun(500, func() { next(); dst = kv.GetBatch(dst[:0], keys) }); avg != 0 {
-		t.Errorf("GetBatch allocates %.2f objects/run, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(500, func() { next(); dst = kv.ApplyInto(dst[:0], ops) }); avg != 0 {
-		t.Errorf("ApplyInto allocates %.2f objects/run, want 0", avg)
-	}
+	for _, tc := range []struct {
+		name          string
+		shards, procs int
+		limit         float64 // allocations allowed per batch
+	}{
+		{"unsharded", 1, 2, 0},
+		{"2shards-1P", 2, 1, 0},
+		{"2shards-2P", 2, 2, 1}, // the one spawned run's closure
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The store decides at construction whether runs go parallel.
+			prev := runtime.GOMAXPROCS(tc.procs)
+			kv := mustShardedKV(t, "hashmap", "hyaline", tc.shards, hyaline.KVOptions{MaxThreads: 8})
+			kvb := mustShardedKVBytes(t, "blist", "hyaline", tc.shards, hyaline.KVOptions{MaxThreads: 8})
+			runtime.GOMAXPROCS(prev)
 
-	kvb := mustShardedKVBytes(t, "blist", "hyaline", 1, hyaline.KVOptions{MaxThreads: 8})
-	bkeys := make([][]byte, 16)
-	bops := make([]hyaline.BytesOp, 0, 2*len(bkeys))
-	for i := range bkeys {
-		bkeys[i] = []byte(fmt.Sprintf("key-%02d", i))
-		kvb.Insert(bkeys[i], []byte(fmt.Sprintf("value-%02d", i)))
-		bops = append(bops, hyaline.BytesOp{Kind: hyaline.OpGet, Key: bkeys[i]},
-			hyaline.BytesOp{Kind: hyaline.OpDelete, Key: []byte("absent")})
-	}
-	bdst := make([]hyaline.BytesResult, 0, len(bops))
-	buf := make([]byte, 0, 1024)
-	if avg := testing.AllocsPerRun(500, func() { bdst, buf = kvb.ApplyBytesInto(bdst[:0], buf[:0], bops) }); avg != 0 {
-		t.Errorf("ApplyBytesInto allocates %.2f objects/run, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(500, func() { buf, _ = kvb.GetAppend(buf[:0], bkeys[3]) }); avg != 0 {
-		t.Errorf("GetAppend allocates %.2f objects/run, want 0", avg)
-	}
-	if string(buf) != "value-03" {
-		t.Errorf("GetAppend = %q", buf)
+			for k := uint64(0); k < 1024; k++ {
+				kv.Insert(k, kvChecksum(k))
+			}
+			keys := make([]uint64, 64)
+			ops := make([]hyaline.Op, len(keys))
+			dst := make([]hyaline.Result, 0, len(keys))
+			var base uint64
+			next := func() {
+				for i := range keys {
+					keys[i] = (base + uint64(i)) % 2048
+					ops[i] = hyaline.Op{Kind: hyaline.OpKind(i % 3), Key: keys[i], Val: kvChecksum(keys[i])}
+				}
+				base += 64
+			}
+			if avg := testing.AllocsPerRun(500, func() { next(); dst = kv.GetBatch(dst[:0], keys) }); avg > tc.limit {
+				t.Errorf("GetBatch allocates %.2f objects/run, want <= %v", avg, tc.limit)
+			}
+			if avg := testing.AllocsPerRun(500, func() { next(); dst = kv.ApplyInto(dst[:0], ops) }); avg > tc.limit {
+				t.Errorf("ApplyInto allocates %.2f objects/run, want <= %v", avg, tc.limit)
+			}
+
+			bkeys := make([][]byte, 16)
+			bops := make([]hyaline.BytesOp, 0, 2*len(bkeys))
+			for i := range bkeys {
+				bkeys[i] = []byte(fmt.Sprintf("key-%02d", i))
+				kvb.Insert(bkeys[i], []byte(fmt.Sprintf("value-%02d", i)))
+				bops = append(bops, hyaline.BytesOp{Kind: hyaline.OpGet, Key: bkeys[i]},
+					hyaline.BytesOp{Kind: hyaline.OpDelete, Key: []byte("absent")})
+			}
+			bdst := make([]hyaline.BytesResult, 0, len(bops))
+			buf := make([]byte, 0, 1024)
+			if avg := testing.AllocsPerRun(500, func() { bdst, buf = kvb.ApplyBytesInto(bdst[:0], buf[:0], bops) }); avg > tc.limit {
+				t.Errorf("ApplyBytesInto allocates %.2f objects/run, want <= %v", avg, tc.limit)
+			}
+			for i := range bkeys {
+				if r := bdst[2*i]; !r.OK || string(r.Val) != fmt.Sprintf("value-%02d", i) {
+					t.Errorf("ApplyBytesInto get %d = (%q, %v)", i, r.Val, r.OK)
+				}
+			}
+			if avg := testing.AllocsPerRun(500, func() { buf, _ = kvb.GetAppend(buf[:0], bkeys[3]) }); avg != 0 {
+				t.Errorf("GetAppend allocates %.2f objects/run, want 0", avg)
+			}
+			if string(buf) != "value-03" {
+				t.Errorf("GetAppend = %q", buf)
+			}
+		})
 	}
 }
 

@@ -166,7 +166,7 @@ func (kv *KVBytes) ApplyBytesInto(dst []BytesResult, buf []byte, ops []BytesOp) 
 		dst, buf = kv.applyShard(&kv.shards[0], dst, buf, ops) // unsharded: nothing to split or scatter
 	} else {
 		sc := kv.takeScratch()
-		dst = applySplit(kv, sc, dst, ops)
+		dst = kv.applySplit(kv, sc, dst, ops)
 		// The scattered hits still alias the shard runs' value buffers:
 		// copy each into the caller's buf, staged as offsets again.
 		for i := range ops {

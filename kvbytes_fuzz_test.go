@@ -19,7 +19,8 @@ import (
 // input is this grammar, repeated until the data runs out:
 //
 //	op byte (mod 3: 0=Insert 1=Delete 2=Get)
-//	klen byte (mod 9, so keys collide often)
+//	klen byte (mod 11: keys collide often, and 9- and 10-byte keys
+//	    can agree in the 8 bytes the list compares first)
 //	key bytes
 //	vlen byte (Insert only; value is vlen bytes of the next op byte)
 func FuzzKVBytesApply(f *testing.F) {
@@ -28,6 +29,7 @@ func FuzzKVBytesApply(f *testing.F) {
 		f.Add(append([]byte{shardByte}, 0, 0, 200, 2, 0, 1, 0))
 		f.Add(append([]byte{shardByte}, bytes.Repeat([]byte{0, 3, 'x', 'y', 'z', 7}, 40)...))
 		f.Add(append([]byte{shardByte}, 0, 1, 'a', 0, 0, 1, 'b', 9, 2, 1, 'a', 2, 1, 'b', 2, 1, 'c'))
+		f.Add(prefixTieSeed(shardByte))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,7 +58,7 @@ func FuzzKVBytesApply(f *testing.F) {
 			if i >= len(data) {
 				break
 			}
-			klen := int(data[i] % 9)
+			klen := int(data[i] % 11)
 			i++
 			if i+klen > len(data) {
 				break
@@ -118,4 +120,26 @@ func FuzzKVBytesApply(f *testing.F) {
 			t.Fatalf("%d leases in flight after applies", n)
 		}
 	})
+}
+
+// prefixTieSeed spells, in FuzzKVBytesApply's grammar, the keys on which an
+// 8-byte key prefix decides nothing or could decide wrongly (the same
+// ones FuzzKeyPrefixOrder in internal/list is seeded with): insert all,
+// read all, delete every other one, read all again.
+func prefixTieSeed(shardByte byte) []byte {
+	keys := [][]byte{
+		{}, []byte("a"), []byte("a\x00"), []byte("abcdefg"), []byte("abcdefgh"),
+		[]byte("abcdefgh1"), []byte("abcdefgh2"), bytes.Repeat([]byte{0xFF}, 8),
+	}
+	data := []byte{shardByte}
+	each := func(op byte, step int, tail ...byte) {
+		for i := 0; i < len(keys); i += step {
+			data = append(append(append(data, op, byte(len(keys[i]))), keys[i]...), tail...)
+		}
+	}
+	each(0, 1, 5) // insert, 5-byte values
+	each(2, 1)
+	each(1, 2)
+	each(2, 1)
+	return data
 }

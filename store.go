@@ -119,12 +119,19 @@ type shard[M any] struct {
 // store is the one engine behind both key families: a slice of shards
 // (len 1 is the unsharded store) plus everything that does not depend
 // on the key type — construction and option defaulting, the aggregates,
-// and the split → concurrent exec → scatter of a routed batch. KV and
+// and the split → exec → scatter of a routed batch. KV and
 // KVBytes embed it and add only the typed operations.
 type store[M interface{ Len() int }, O, R any] struct {
 	structure string
 	shards    []shard[M]
 	scratches sync.Pool // *scratch[O, R]
+
+	// oneP records that the store was built with GOMAXPROCS 1: no other
+	// P exists to take a shard run, so applySplit runs them in turn on
+	// the caller. Read once in init — runtime.GOMAXPROCS(0) takes the
+	// scheduler lock, which is not a per-batch cost — and a later change
+	// of GOMAXPROCS only makes the choice stale, never wrong.
+	oneP bool
 }
 
 // init builds shards independent copies of the named structure over the
@@ -151,7 +158,9 @@ func (st *store[M, O, R]) init(structure, scheme string, shards int, opts KVOpti
 		}
 		return (total + shards - 1) / shards
 	}
-	maxThreads := perShard(opts.MaxThreads, 2*runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
+	st.oneP = procs == 1
+	maxThreads := perShard(opts.MaxThreads, 2*procs)
 	tcfg := opts.Tracker
 	tcfg.MaxThreads = maxThreads
 	st.structure = structure
@@ -296,12 +305,15 @@ type shardRun[O, R any] struct {
 }
 
 // scratch is the pooled working memory of the batch paths: one run per
-// shard plus the list of shards that received work, and the staged
-// ops/results of the keys-only helpers (InsertBatch/DeleteBatch/
-// GetBatch), which is what keeps GetBatch off the Go heap.
+// shard plus the list of shards that received work, the WaitGroup of
+// the runs handed to other goroutines (here so that it does not escape
+// to the heap once per batch), and the staged ops/results of the
+// keys-only helpers (InsertBatch/DeleteBatch/GetBatch), which is what
+// keeps GetBatch off the Go heap.
 type scratch[O, R any] struct {
 	runs   []shardRun[O, R]
 	active []int
+	wg     sync.WaitGroup
 	ops    []O
 	res    []R
 }
@@ -337,15 +349,19 @@ type family[O, R any] interface {
 	exec(s int, r *shardRun[O, R])
 }
 
-// applySplit is the sharded batch: ops are split into per-shard runs
-// which execute concurrently — the last on the calling goroutine, the
-// rest on a goroutine each, so a batch confined to one shard pays no
-// spawn at all — and results are scattered back so dst[i] answers
-// ops[i], exactly as if the batch had run unsharded. Ops for the same
-// key land on the same shard in batch order, so per-key ordering is
-// preserved; no atomicity is promised across distinct keys. The caller
-// owns sc (results may alias its run buffers until it is put back).
-func applySplit[O, R any](f family[O, R], sc *scratch[O, R], dst []R, ops []O) []R {
+// applySplit is the sharded batch: ops are split into per-shard runs,
+// the runs execute, and results are scattered back so dst[i] answers
+// ops[i], exactly as if the batch had run unsharded. Runs go parallel
+// only when another P can take one: a store built with GOMAXPROCS 1
+// (oneP) runs the active shards in turn on the calling goroutine —
+// spawning there buys a goroutine switch per run and no overlap —
+// and otherwise the last run stays on the caller and each other one
+// gets a goroutine, so a batch confined to one shard pays no spawn
+// either way. Ops for the same key land on the same shard in batch
+// order, so per-key ordering is preserved; no atomicity is promised
+// across distinct keys. The caller owns sc (results may alias its run
+// buffers until it is put back).
+func (st *store[M, O, R]) applySplit(f family[O, R], sc *scratch[O, R], dst []R, ops []O) []R {
 	for i := range ops {
 		s := f.route(&ops[i])
 		r := &sc.runs[s]
@@ -355,17 +371,22 @@ func applySplit[O, R any](f family[O, R], sc *scratch[O, R], dst []R, ops []O) [
 		r.ops = append(r.ops, ops[i])
 		r.idx = append(r.idx, i)
 	}
-	last := len(sc.active) - 1
-	var wg sync.WaitGroup
-	for _, s := range sc.active[:last] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.exec(s, &sc.runs[s])
-		}()
+	inline := sc.active
+	if !st.oneP {
+		last := len(sc.active) - 1
+		inline = sc.active[last:]
+		for _, s := range sc.active[:last] {
+			sc.wg.Add(1)
+			go func() {
+				defer sc.wg.Done()
+				f.exec(s, &sc.runs[s])
+			}()
+		}
 	}
-	f.exec(sc.active[last], &sc.runs[sc.active[last]])
-	wg.Wait()
+	for _, s := range inline {
+		f.exec(s, &sc.runs[s])
+	}
+	sc.wg.Wait()
 	base := len(dst)
 	dst = slices.Grow(dst, len(ops))[:base+len(ops)]
 	for _, s := range sc.active {
