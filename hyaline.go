@@ -104,8 +104,11 @@ type (
 	Options = trackers.Config
 )
 
-// NewArena allocates a node pool with the given capacity. Capacity is
-// virtual until touched, so oversized pools are cheap.
+// NewArena allocates a node pool with the given capacity. The pool is
+// mapped outside the Go heap, so construction is O(1) in capacity and
+// the pool is virtual until touched: oversized pools are cheap. It is
+// unmapped once the arena is unreachable; a *Node is valid only while
+// the arena, or a tracker or map built on it, is.
 func NewArena(capacity int) *Arena { return arena.New(capacity) }
 
 // New constructs the named reclamation scheme over a.

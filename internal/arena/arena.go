@@ -26,6 +26,27 @@
 // node from the bump frontier (see TryAlloc). Without the second step
 // the frontier, and with it resident memory, climbs with throughput
 // while freed nodes sit idle one shard over.
+//
+// Like jemalloc's heap, the slabs are not Go objects. The node pool and
+// the blob slabs are private anonymous mappings (offheap.go), so
+// building an arena is O(1) in its capacity: the runtime does not
+// re-zero a reused span for it, the garbage collector neither scans it
+// nor counts it towards the GC goal, and on Linux MAP_NORESERVE keeps
+// every page virtual until a node or blob first touches it. Mapped
+// reports the bytes mapped. A race build keeps the slabs on the Go heap,
+// as do platforms other than Linux, Darwin and FreeBSD and a failed map:
+// the race detector ignores atomics on memory outside the Go heap.
+//
+// The mappings are unmapped by a cleanup once the *Arena is unreachable,
+// and a *Node or a Blob slice pointing into one does not keep the arena
+// reachable. Hence the lifetime rule: a *Node or a Blob slice is used
+// only while its user also holds a reference that reaches the arena.
+// Every structure and tracker holds its *Arena; the store's leave after
+// the structure call keeps the shard, and with it the arena, reachable
+// for the whole operation; and under the explicit-tid API the Leave that
+// closes a bracket keeps the tracker reachable. Code that keeps only a
+// *Node, such as a test that drops its arena variable early, must
+// runtime.KeepAlive the arena past its last use of the node.
 package arena
 
 import (
@@ -56,6 +77,11 @@ const Poison = 0xDEAD_BEEF_DEAD_BEEF
 // The remaining fields are the data-structure payload, wide enough for all
 // benchmark structures (the list's next pointer lives in Left; the
 // skiplist's tower links live in Left plus Extra, see Link).
+//
+// Nodes live in the arena's mapped slab, outside the Go heap (see the
+// package doc), so Node must never gain a Go pointer: the garbage
+// collector does not scan the slab, and a pointer stored there would not
+// keep its referent alive. A *Node obeys the package's lifetime rule.
 type Node struct {
 	Next      atomic.Uint64 // ptr.Word or scheme-specific link
 	BatchLink atomic.Uint64 // ptr.Word
@@ -175,8 +201,11 @@ type Arena struct {
 func (a *Arena) DisablePoison() { a.noPoison = true }
 
 // New creates an arena with capacity nodes, all initially free. The
-// backing slice is rounded up to a power of two (virtual memory only)
-// so Deref can wrap wild words instead of crashing.
+// backing slab is rounded up to a power of two so Deref can wrap wild
+// words instead of crashing. It is mapped outside the Go heap (see the
+// package doc), so New costs the same at any capacity and the slab stays
+// virtual until nodes are allocated; it is unmapped once the arena is
+// unreachable.
 func New(capacity int) *Arena {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("arena: non-positive capacity %d", capacity))
@@ -188,10 +217,9 @@ func New(capacity int) *Arena {
 	for backing < capacity {
 		backing <<= 1
 	}
-	return &Arena{
-		nodes:    make([]Node, backing),
-		capacity: capacity,
-	}
+	a := &Arena{capacity: capacity}
+	a.nodes = newSlab[Node](a, backing)
+	return a
 }
 
 // Cap returns the arena capacity in nodes.
@@ -389,7 +417,8 @@ func (a *Arena) Free(tid int, idx ptr.Index) {
 // Reset returns the arena to its freshly constructed state, zeroing only
 // the region the bump frontier ever touched. It must not race with any
 // concurrent use; the benchmark harness calls it between runs so that
-// multi-gigabyte arenas are recycled without re-zeroing untouched pages.
+// multi-gigabyte arenas are recycled with their touched pages resident
+// and their untouched pages never zeroed.
 func (a *Arena) Reset() {
 	f := a.frontier.Load()
 	if f > int64(a.capacity) {

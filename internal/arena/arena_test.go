@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,6 +64,7 @@ func TestSeqDiscipline(t *testing.T) {
 	if got := n.Seq.Load(); got != s0+2 || got&1 != 0 {
 		t.Fatalf("after realloc: stamp %d, want even %d", got, s0+2)
 	}
+	runtime.KeepAlive(a) // n points into a's slab
 }
 
 func TestPoisonOnFree(t *testing.T) {
@@ -78,6 +80,7 @@ func TestPoisonOnFree(t *testing.T) {
 	if n.Seq.Load() != seq+1 {
 		t.Fatal("Free must bump the sequence stamp")
 	}
+	runtime.KeepAlive(a) // n points into a's slab
 }
 
 func TestLinkWords(t *testing.T) {
@@ -108,6 +111,7 @@ func TestLinkWords(t *testing.T) {
 			t.Fatalf("Link(%d) = %#x after Free, want poison", lvl, got)
 		}
 	}
+	runtime.KeepAlive(a) // n points into a's slab
 }
 
 // TestLinkOutOfRangePanics pins the Link contract at its edges: the
@@ -428,6 +432,18 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 			}()
 			New(c)
 		}()
+	}
+}
+
+// BenchmarkNewArena is the construction cost of a default-sized store's
+// node pool, measured after one arena has been built and dropped: a
+// Go-heap slab would then reuse the freed span and be re-zeroed in full
+// by the runtime, while a mapped one costs a map call at any capacity.
+func BenchmarkNewArena(b *testing.B) {
+	New(1 << 20)
+	runtime.GC()
+	for b.Loop() {
+		New(1 << 20)
 	}
 }
 

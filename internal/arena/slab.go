@@ -98,9 +98,12 @@ type blobHeap struct {
 
 // EnableBlobs attaches a slab heap to the arena: classBudget bytes of
 // backing per size class (rounded down to whole blocks, minimum one).
-// Like the node pool, backing is virtual until touched. It must be
-// called once, before any concurrent use; KV front-ends that carry
-// bytes payloads call it during construction.
+// Like the node pool, each class's data and link arrays are mapped
+// outside the Go heap and unmapped with the arena (see the package
+// doc), so the cost does not grow with classBudget and the backing is
+// virtual until touched. It must be called once, before any concurrent
+// use; KV front-ends that carry bytes payloads call it during
+// construction.
 func (a *Arena) EnableBlobs(classBudget int) {
 	if a.blobs != nil {
 		panic("arena: EnableBlobs called twice")
@@ -120,8 +123,8 @@ func (a *Arena) EnableBlobs(classBudget int) {
 		}
 		h.classes[c] = blobClass{
 			size: size,
-			data: make([]byte, blocks*size),
-			link: make([]atomic.Uint64, blocks),
+			data: newSlab[byte](a, blocks*size),
+			link: newSlab[atomic.Uint64](a, blocks),
 		}
 		size <<= 1
 	}

@@ -634,11 +634,15 @@ func sampleFor(window time.Duration, abort <-chan struct{}, observe func()) {
 }
 
 // arenaCache recycles the (huge, mostly virtual) node pools between
-// sequential runs: Arena.Reset zeroes only the touched region, where a
-// fresh make would force the runtime to re-zero the whole reused span.
-// There is one pool per payload family (keyed by bytesMode), because
-// blobs can only be enabled once per arena and a blob-enabled arena must
-// never serve a uint64 run (its Free decodes Key/Val as blob refs).
+// sequential runs. A fresh arena is cheap to map at any size, but
+// reuse still buys two things: the pages the last run touched stay
+// resident, so the next run does not fault them in again, and a point
+// never runs beside the previous point's arena while that one waits for
+// the garbage collector to unmap it. Arena.Reset zeroes only the touched
+// region. There is one pool per payload family (keyed by bytesMode),
+// because blobs can only be enabled once per arena and a blob-enabled
+// arena must never serve a uint64 run (its Free decodes Key/Val as blob
+// refs).
 var arenaCache = struct {
 	mu     sync.Mutex
 	arenas map[bool]*arena.Arena

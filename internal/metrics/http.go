@@ -12,6 +12,8 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
+
+	"hyaline/internal/arena"
 )
 
 // Handler returns the observability mux over r.
@@ -35,7 +37,8 @@ func Handler(r *Registry) http.Handler {
 
 // RegisterProcess adds the process-level gauges every hyaline binary
 // wants next to its server families: runtime goroutines, open file
-// descriptors and heap in use. All are sampled at scrape time.
+// descriptors, Go heap in use and the arena slabs mapped beside it. All
+// are sampled at scrape time.
 func RegisterProcess(r *Registry) {
 	r.GaugeFunc("hyaline_process_goroutines",
 		"Goroutines in the process (runtime.NumGoroutine).",
@@ -44,12 +47,15 @@ func RegisterProcess(r *Registry) {
 		"Open file descriptors, via /proc/self/fd (0 where /proc is unavailable).",
 		func() float64 { return float64(OpenFDs()) })
 	r.GaugeFunc("hyaline_process_heap_bytes",
-		"Heap bytes in use (runtime.MemStats.HeapInuse).",
+		"Go heap bytes in use (runtime.MemStats.HeapInuse); excludes the arena slabs mapped outside the heap (hyaline_process_offheap_bytes).",
 		func() float64 {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapInuse)
 		})
+	r.GaugeFunc("hyaline_process_offheap_bytes",
+		"Arena node and blob slab bytes mapped outside the Go heap (arena.Mapped); virtual until touched, 0 in race builds.",
+		func() float64 { return float64(arena.Mapped()) })
 }
 
 // OpenFDs reports the process's open descriptor count via /proc/self/fd,

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hyaline/internal/arena"
 )
 
 func TestCounterConcurrentSum(t *testing.T) {
@@ -241,11 +244,23 @@ func TestHandlerEndpoints(t *testing.T) {
 	} else {
 		checkExposition(t, rec.Body.String())
 	}
+	// A live arena's slabs are in the off-heap gauge, not the heap one.
+	a := arena.New(1 << 10)
 	rec := get("/metrics.json")
 	var pts []Point
 	if err := json.Unmarshal(rec.Body.Bytes(), &pts); err != nil || len(pts) == 0 {
 		t.Fatalf("/metrics.json: %v (%d points)", err, len(pts))
 	}
+	offheap := -1.0
+	for _, p := range pts {
+		if p.Name == "hyaline_process_offheap_bytes" {
+			offheap = p.Value
+		}
+	}
+	if want := float64(arena.Mapped()); offheap != want {
+		t.Fatalf("hyaline_process_offheap_bytes = %v, want arena.Mapped() = %v", offheap, want)
+	}
+	runtime.KeepAlive(a)
 	if rec := get("/debug/pprof/goroutine?debug=1"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Fatalf("/debug/pprof/goroutine: code %d", rec.Code)
 	}

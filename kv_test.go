@@ -273,6 +273,30 @@ func TestKVErrors(t *testing.T) {
 	}
 }
 
+// TestNewKVRejectsBeforeAllocating is the uint64 family's twin of
+// TestNewKVBytesRejectsBeforeAllocating: an unknown structure or scheme,
+// or an excluded pair, fails before any shard's arena is built.
+func TestNewKVRejectsBeforeAllocating(t *testing.T) {
+	combos := []struct{ structure, scheme string }{
+		{"no-such-structure", "hyaline"},
+		{"hashmap", "no-such-scheme"},
+		{"no-such-structure", "no-such-scheme"},
+		{"bonsai", "hp"},
+	}
+	for _, c := range combos {
+		for _, shards := range []int{1, 2} {
+			name := fmt.Sprintf("NewShardedKV(%q, %q, %d)", c.structure, c.scheme, shards)
+			rejectsBeforeAllocating(t, name, func() error {
+				kv, err := hyaline.NewShardedKV(c.structure, c.scheme, shards, hyaline.KVOptions{MaxThreads: 8, ArenaCap: 1 << 20})
+				if kv != nil {
+					t.Fatalf("%s returned a KV alongside the error", name)
+				}
+				return err
+			})
+		}
+	}
+}
+
 // TestKVGetAllocFree is the acceptance criterion for the per-P session
 // cache: the Get hot path — lease, enter, read, leave, release — must
 // not touch the Go heap.

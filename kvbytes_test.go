@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hyaline"
+	"hyaline/internal/arena"
 )
 
 func newBytesKV(t *testing.T, scheme string) *hyaline.KVBytes {
@@ -389,7 +390,7 @@ func BenchmarkKVBytesApply(b *testing.B) {
 // combination must error out before the constructor commits resources —
 // the arena and its blob slabs in particular. The pre-fix constructor
 // allocated the full arena (and built the tracker and structure) before
-// validating, which this allocation bound would catch immediately.
+// validating, which rejectsBeforeAllocating would catch immediately.
 func TestNewKVBytesRejectsBeforeAllocating(t *testing.T) {
 	combos := []struct{ structure, scheme string }{
 		{"no-such-structure", "hyaline"},
@@ -397,31 +398,43 @@ func TestNewKVBytesRejectsBeforeAllocating(t *testing.T) {
 		{"no-such-structure", "no-such-scheme"},
 	}
 	for _, c := range combos {
-		kv, err := hyaline.NewKVBytes(c.structure, c.scheme, hyaline.KVOptions{
-			MaxThreads: 8, ArenaCap: 1 << 20, BlobClassBudget: 1 << 24,
-		})
-		if err == nil {
-			t.Fatalf("NewKVBytes(%q, %q) succeeded, want error", c.structure, c.scheme)
-		}
-		if kv != nil {
-			t.Fatalf("NewKVBytes(%q, %q) returned a KV alongside the error", c.structure, c.scheme)
-		}
-		// The error path may allocate the error value and its formatted
-		// message — a few hundred bytes. The arena alone is ArenaCap
-		// (1MiB here), so a kilobyte-scale bound proves it was never
-		// built.
-		const rounds = 10
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			_, _ = hyaline.NewKVBytes(c.structure, c.scheme, hyaline.KVOptions{
+		name := fmt.Sprintf("NewKVBytes(%q, %q)", c.structure, c.scheme)
+		rejectsBeforeAllocating(t, name, func() error {
+			kv, err := hyaline.NewKVBytes(c.structure, c.scheme, hyaline.KVOptions{
 				MaxThreads: 8, ArenaCap: 1 << 20, BlobClassBudget: 1 << 24,
 			})
+			if kv != nil {
+				t.Fatalf("%s returned a KV alongside the error", name)
+			}
+			return err
+		})
+	}
+}
+
+// rejectsBeforeAllocating calls build, a constructor that must fail,
+// and fails t if it committed a slab first. arena.Mapped catches a
+// mapped slab: it must not grow across a rejected call (an unrelated
+// arena's cleanup can only lower it). TotalAlloc catches a Go-heap slab,
+// as in race builds: the error path may allocate its error value and
+// message, a few hundred bytes, where the arena at the ArenaCap the
+// callers pass is 128 MiB.
+func rejectsBeforeAllocating(t *testing.T, name string, build func() error) {
+	t.Helper()
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		m := arena.Mapped()
+		if err := build(); err == nil {
+			t.Fatalf("%s succeeded, want an error", name)
 		}
-		runtime.ReadMemStats(&after)
-		if perCall := (after.TotalAlloc - before.TotalAlloc) / rounds; perCall > 16<<10 {
-			t.Errorf("NewKVBytes(%q, %q) error path allocated %d bytes per call, want <= 16KiB", c.structure, c.scheme, perCall)
+		if grew := arena.Mapped() - m; grew > 0 {
+			t.Fatalf("%s mapped %d slab bytes before failing, want 0", name, grew)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / rounds; perCall > 16<<10 {
+		t.Errorf("%s error path allocated %d bytes per call, want <= 16KiB", name, perCall)
 	}
 }

@@ -22,12 +22,14 @@ type KVOptions struct {
 	// ids are leased to goroutines per operation; callers beyond
 	// MaxThreads briefly wait for a lease. Default 2×GOMAXPROCS.
 	MaxThreads int
-	// ArenaCap is the node pool capacity (virtual until touched).
-	// Default 1<<20.
+	// ArenaCap is the node pool capacity. The pool is mapped outside the
+	// Go heap, so construction is O(1) in capacity and the pool is
+	// virtual until touched. Default 1<<20.
 	ArenaCap int
 	// BlobClassBudget is the byte budget per blob size class, used only
 	// by the bytes family (see arena.EnableBlobs). Default 1<<24 per
-	// class — virtual until touched, like the node pool.
+	// class — mapped like the node pool: O(1) to build, virtual until
+	// touched.
 	BlobClassBudget int
 	// Tracker carries per-scheme tuning (slots, batch sizes, scan
 	// thresholds). Its MaxThreads field is overridden by MaxThreads
