@@ -27,6 +27,20 @@
 // the frontier, and with it resident memory, climbs with throughput
 // while freed nodes sit idle one shard over.
 //
+// A reclamation pass frees with one push. Hyaline frees a whole batch at
+// once, and the limbo scans of the other schemes free whatever their
+// pass finds unreachable, so each scheme Releases the pass's nodes into a
+// Chain and hands it over with one FreeChain: one CAS on the shard head
+// and one counter update for the whole pass rather than per node. Free
+// is Release and FreeChain of a chain of one.
+//
+// Release writes the poison and the chain link with plain stores
+// (store_plain.go): the FreeChain CAS orders them before any pop that can
+// return the node, and a stale reader sees the old word or Poison either
+// way. Race builds keep atomic stores (store_race.go), so the detector
+// sees a stale reader racing a free as it always has: atomic on both
+// sides, not a report.
+//
 // Like jemalloc's heap, the slabs are not Go objects. The node pool and
 // the blob slabs are private anonymous mappings (offheap.go), so
 // building an arena is O(1) in its capacity: the runtime does not
@@ -184,7 +198,6 @@ type Arena struct {
 	counters [shards]paddedCounter
 
 	capacity int
-	noPoison bool
 
 	// blobs is the optional variable-size slab heap (see slab.go). When
 	// enabled, every node freed through this arena must hold a valid
@@ -194,11 +207,6 @@ type Arena struct {
 	// and must run on a plain arena.
 	blobs *blobHeap
 }
-
-// DisablePoison turns off payload poisoning in Free. The incarnation
-// stamp and double-free detection stay on. Benchmarks disable poisoning
-// so that Free costs what a C free() costs; the test suites keep it.
-func (a *Arena) DisablePoison() { a.noPoison = true }
 
 // New creates an arena with capacity nodes, all initially free. The
 // backing slab is rounded up to a power of two so Deref can wrap wild
@@ -314,10 +322,10 @@ func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
 	return 0, false
 }
 
-// markNonEmpty sets shard s's hint bit; Free calls it after the push that
-// took the shard from empty to non-empty. Load/CAS rather than Or: go1.24.0
-// miscompiles the value-returning form (CHANGES, PR 3), and the load lets
-// a shard whose bit is already set skip the write.
+// markNonEmpty sets shard s's hint bit; FreeChain calls it after the push
+// that took the shard from empty to non-empty. Load/CAS rather than Or:
+// go1.24.0 miscompiles the value-returning form (see CHANGES.md), and
+// the load lets a shard whose bit is already set skip the write.
 func (a *Arena) markNonEmpty(s int) {
 	bit := uint64(1) << s
 	for {
@@ -329,7 +337,7 @@ func (a *Arena) markNonEmpty(s int) {
 }
 
 // markEmpty clears shard s's hint bit after a hinted pop found the shard
-// empty. The head is re-read after the clear: a Free that filled the
+// empty. The head is re-read after the clear: a FreeChain that filled the
 // shard in between saw the bit still set and wrote nothing, so the bit
 // is put back here — which is what keeps "non-empty implies hinted"
 // exact once the arena is quiescent. The owner's own pops never clear
@@ -365,11 +373,33 @@ func (a *Arena) Alloc(tid int) ptr.Index {
 	return idx
 }
 
-// Free returns node idx to tid's shard. The payload is poisoned and the
-// incarnation stamp bumped so stale readers can be caught. Freeing a node
-// that is already free panics — Hyaline's reference-count arithmetic is
-// validated against exactly this check.
+// Free returns node idx to tid's shard: Release into a chain of one, then
+// FreeChain. Freeing a node that is already free panics — Hyaline's
+// reference-count arithmetic is validated against exactly this check.
 func (a *Arena) Free(tid int, idx ptr.Index) {
+	var c Chain
+	a.Release(&c, idx)
+	a.FreeChain(tid, &c)
+}
+
+// Chain is a list of released nodes waiting for one FreeChain: a
+// reclamation pass's nodes, linked through Next. The zero value is an
+// empty chain; it is owned by the one goroutine that fills and pushes it.
+type Chain struct {
+	head, tail ptr.Index // valid while n > 0
+	n          int64
+}
+
+// Len returns the number of nodes in the chain.
+func (c *Chain) Len() int64 { return c.n }
+
+// Release frees node idx into c: it bumps the incarnation stamp (a node
+// already free, or already in a chain, panics "double free"), frees the
+// node's blobs, poisons every word but Next and Seq so stale readers can
+// be caught, and links the node at the head of c. The node cannot be
+// allocated again until FreeChain pushes c. The stores are plain outside
+// race builds (see the package doc).
+func (a *Arena) Release(c *Chain, idx ptr.Index) {
 	n := &a.nodes[idx]
 	if seq := n.Seq.Add(1); seq&1 == 0 {
 		panic("arena: double free")
@@ -387,28 +417,45 @@ func (a *Arena) Free(tid int, idx ptr.Index) {
 			a.freeBlob(ref)
 		}
 	}
-	if !a.noPoison {
-		n.Key.Store(Poison)
-		n.Val.Store(Poison)
-		n.Left.Store(Poison)
-		n.Right.Store(Poison)
-		n.Aux.Store(Poison)
-		n.BatchLink.Store(Poison)
-		n.Refs.Store(Poison)
-		for i := range n.Extra {
-			n.Extra[i].Store(Poison)
-		}
+	storeFreed(&n.BatchLink, Poison)
+	storeFreed(&n.Refs, Poison)
+	storeFreed(&n.Key, Poison)
+	storeFreed(&n.Val, Poison)
+	storeFreed(&n.Left, Poison)
+	storeFreed(&n.Right, Poison)
+	storeFreed(&n.Aux, Poison)
+	for i := range n.Extra {
+		storeFreed(&n.Extra[i], Poison)
+	}
+	if c.n == 0 {
+		c.tail = idx // its link is the shard's old head, set by FreeChain
+	} else {
+		storeFreed(&n.Next, uint64(c.head)+1)
+	}
+	c.head = idx
+	c.n++
+}
+
+// FreeChain pushes every node of c onto tid's shard with one CAS, head
+// first in line for the next pop, and empties c. The CAS is what
+// publishes the chain: it orders Release's plain stores before any pop
+// that can return one of its nodes.
+func (a *Arena) FreeChain(tid int, c *Chain) {
+	if c.n == 0 {
+		return
 	}
 	s := tid & (shards - 1)
+	tail := &a.nodes[c.tail].Next
 	for {
 		head := a.free[s].head.Load()
-		n.Next.Store(head & headIdxMask)
-		newHead := ((head &^ headIdxMask) + headTagIncr) | (uint64(idx) + 1)
+		storeFreed(tail, head&headIdxMask)
+		newHead := ((head &^ headIdxMask) + headTagIncr) | (uint64(c.head) + 1)
 		if a.free[s].head.CompareAndSwap(head, newHead) {
 			if head&headIdxMask == 0 {
 				a.markNonEmpty(s)
 			}
-			a.counters[s].freed.Add(1)
+			a.counters[s].freed.Add(c.n)
+			*c = Chain{}
 			return
 		}
 	}

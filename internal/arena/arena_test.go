@@ -1,6 +1,8 @@
 package arena
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,20 +69,179 @@ func TestSeqDiscipline(t *testing.T) {
 	runtime.KeepAlive(a) // n points into a's slab
 }
 
+// nodeWords returns every atomic.Uint64 word of n by field path, found by
+// reflection so that a field added to Node later is covered without
+// editing the tests that use it. A field of any other type fails t.
+func nodeWords(t *testing.T, n *Node) map[string]*atomic.Uint64 {
+	t.Helper()
+	words := map[string]*atomic.Uint64{}
+	v := reflect.ValueOf(n).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch w := f.Addr().Interface().(type) {
+		case *atomic.Uint64:
+			words[name] = w
+		case *[MaxLinks - 1]atomic.Uint64:
+			for j := range w {
+				words[fmt.Sprintf("%s[%d]", name, j)] = &w[j]
+			}
+		default:
+			t.Fatalf("Node.%s is a %s: neither an atomic.Uint64 nor the Extra array", name, f.Type())
+		}
+	}
+	return words
+}
+
+// TestPoisonOnFree checks that every word of a freed node but the
+// free-list link and the stamp reads Poison, through Free and through
+// Release+FreeChain alike. Run under -race as well: that build stores
+// the poison with the other body of storeFreed.
 func TestPoisonOnFree(t *testing.T) {
-	a := New(4)
-	idx := a.Alloc(0)
-	n := a.Node(idx)
-	n.Key.Store(1234)
-	seq := n.Seq.Load()
-	a.Free(0, idx)
-	if n.Key.Load() != Poison || n.Val.Load() != Poison {
-		t.Fatal("freed node must be poisoned")
+	free := map[string]func(a *Arena, idx ptr.Index){
+		"Free": func(a *Arena, idx ptr.Index) { a.Free(0, idx) },
+		"Release+FreeChain": func(a *Arena, idx ptr.Index) {
+			var c Chain
+			a.Release(&c, idx)
+			a.FreeChain(0, &c)
+		},
 	}
-	if n.Seq.Load() != seq+1 {
-		t.Fatal("Free must bump the sequence stamp")
+	for how, free := range free {
+		a := New(4)
+		idx := a.Alloc(0)
+		n := a.Node(idx)
+		words := nodeWords(t, n)
+		for _, w := range words {
+			w.Store(1234)
+		}
+		seq := n.Seq.Load()
+		free(a, idx)
+		for name, w := range words {
+			switch got := w.Load(); {
+			case name == "Seq":
+				if got != seq+1 {
+					t.Errorf("%s: Seq = %d, want %d", how, got, seq+1)
+				}
+			case name == "Next":
+			case got != Poison:
+				t.Errorf("%s: %s = %#x after free, want poison", how, name, got)
+			}
+		}
+		runtime.KeepAlive(a) // n points into a's slab
 	}
-	runtime.KeepAlive(a) // n points into a's slab
+}
+
+// TestFreeChain pins what one push of a chain does to the arena: the
+// nodes come back LIFO from the shard they were pushed to, the counters
+// move by the chain's length, the hint learns of a shard it went to
+// empty, and an empty chain is a no-op.
+func TestFreeChain(t *testing.T) {
+	const n, tid = 16, 5
+	a := New(4 * n)
+	var idx []ptr.Index
+	for i := 0; i < n; i++ {
+		idx = append(idx, a.Alloc(0))
+	}
+	before := a.Stats()
+
+	var c Chain
+	a.FreeChain(tid, &c)
+	if a.Stats() != before || a.nonEmpty.Load() != 0 || a.free[tid].head.Load() != 0 {
+		t.Fatal("FreeChain of an empty chain changed the arena")
+	}
+	for _, x := range idx {
+		a.Release(&c, x)
+	}
+	if c.Len() != n {
+		t.Fatalf("chain Len = %d, want %d", c.Len(), n)
+	}
+	if a.Stats() != before {
+		t.Fatal("Release must not count a node as freed before FreeChain")
+	}
+	a.FreeChain(tid, &c)
+	if c != (Chain{}) {
+		t.Fatalf("FreeChain left the chain non-empty: %+v", c)
+	}
+	if got := a.Stats(); got.Freed != before.Freed+n || got.Allocated != before.Allocated {
+		t.Fatalf("Stats = %+v, want Freed %d", got, before.Freed+n)
+	}
+	if a.Live() != 0 {
+		t.Fatalf("Live = %d, want 0", a.Live())
+	}
+	if a.nonEmpty.Load() != 1<<tid {
+		t.Fatalf("hint %#x after a push onto empty shard %d", a.nonEmpty.Load(), tid)
+	}
+	for i := n - 1; i >= 0; i-- {
+		if got := a.Alloc(tid); got != idx[i] {
+			t.Fatalf("Alloc #%d = %d, want %d (the chain's head first)", n-1-i, got, idx[i])
+		}
+	}
+
+	mustDoubleFree := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != "arena: double free" {
+				t.Errorf("%s: recovered %v, want a double-free panic", what, r)
+			}
+		}()
+		f()
+	}
+	var d Chain
+	a.Release(&d, idx[0])
+	mustDoubleFree("Release of a chained node", func() { a.Release(&d, idx[0]) })
+	a.Free(tid, idx[1])
+	mustDoubleFree("Release of a free node", func() { a.Release(&d, idx[1]) })
+}
+
+// TestChainsUnderCrossTidFrees: goroutines allocate under their own tid
+// and push their nodes as chains onto a neighbour's shard, while the
+// neighbours allocate from those shards (run it under -race). At
+// quiescence every node is free exactly once.
+func TestChainsUnderCrossTidFrees(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 2_000
+		k       = 32
+	)
+	a := New(workers * k * 4)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			idx := make([]ptr.Index, k)
+			var c Chain
+			for r := 0; r < rounds; r++ {
+				for i := range idx {
+					idx[i] = a.Alloc(w)
+				}
+				for _, x := range idx {
+					a.Release(&c, x)
+				}
+				a.FreeChain((w+1)%workers, &c)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if live := a.Live(); live != 0 {
+		t.Fatalf("Live = %d after every chain was pushed", live)
+	}
+	if s := a.Stats(); s.Allocated != s.Freed || s.Freed != workers*rounds*k {
+		t.Fatalf("Stats = %+v, want %d allocated and freed", s, workers*rounds*k)
+	}
+	f := min(a.frontier.Load(), int64(a.capacity)) // the frontier may overshoot
+	for i := int64(0); i < f; i++ {
+		if seq := a.nodes[i].Seq.Load(); seq&1 == 0 {
+			t.Fatalf("node %d has live stamp %d at quiescence", i, seq)
+		}
+	}
+	total := 0
+	for _, n := range freeListLens(t, a) {
+		total += n
+	}
+	if int64(total) != f {
+		t.Fatalf("free lists hold %d nodes, frontier handed out %d", total, f)
+	}
 }
 
 func TestLinkWords(t *testing.T) {
@@ -452,10 +613,37 @@ func BenchmarkNewArena(b *testing.B) {
 // nodes are being recycled rather than the pool growing.
 func BenchmarkArenaRemoteFree(b *testing.B) {
 	a := New(1 << 20)
-	a.DisablePoison()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Free(1, a.Alloc(0))
 	}
 	b.ReportMetric(float64(a.frontier.Load())/float64(b.N), "frontier/op")
+}
+
+// BenchmarkFree is an allocation and its free: alone through Free, and
+// as one of 64 nodes released into a chain that one FreeChain pushes,
+// the shape of a reclamation pass (ns/node).
+func BenchmarkFree(b *testing.B) {
+	b.Run("single", func(b *testing.B) {
+		a := New(1 << 16)
+		for b.Loop() {
+			a.Free(0, a.Alloc(0))
+		}
+	})
+	b.Run("chain64", func(b *testing.B) {
+		const n = 64
+		a := New(1 << 16)
+		var idx [n]ptr.Index
+		var c Chain
+		for b.Loop() {
+			for i := range idx {
+				idx[i] = a.Alloc(0)
+			}
+			for _, x := range idx {
+				a.Release(&c, x)
+			}
+			a.FreeChain(0, &c)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+	})
 }

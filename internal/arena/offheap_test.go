@@ -12,6 +12,11 @@ import (
 // classes are mapped, not Go objects. Building them leaves the Go heap
 // all but untouched and moves Mapped by exactly the three slab arrays.
 func TestSlabsOffHeap(t *testing.T) {
+	// Every attempt's arena stays reachable until the test ends: dropped,
+	// its unmap would be queued by the next attempt's GC and could land
+	// inside that attempt's measurement, and so on down the retries.
+	var built []*Arena
+	defer func() { runtime.KeepAlive(built) }()
 	for attempt := 1; ; attempt++ {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -21,6 +26,7 @@ func TestSlabsOffHeap(t *testing.T) {
 		a.EnableBlobs(1 << 24)
 		m1 := Mapped()
 		runtime.ReadMemStats(&after)
+		built = append(built, a)
 
 		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
 			t.Fatalf("HeapAlloc grew by %d bytes building the arena, want < 1 MiB", grew)

@@ -58,14 +58,19 @@ func TestBlobAllocFreeRoundTrip(t *testing.T) {
 func TestBlobRecycleAndPoison(t *testing.T) {
 	a := New(64)
 	a.EnableBlobs(256) // tiny: forces recycling within a class
-	ref := a.AllocBlob(bytes.Repeat([]byte{0xAA}, 16))
-	block := a.Blob(ref)
-	a.freeBlob(ref)
-	for i, b := range block {
-		if b != blobPoison {
-			t.Fatalf("freed block byte %d = %#x, want poison %#x", i, b, blobPoison)
+	// Every class, and the whole block: the fill doubles through each size.
+	for size := blobMinClass; size <= 2*MaxBlob; size *= 2 {
+		ref := a.AllocBlob(bytes.Repeat([]byte{0xAA}, min(size, MaxBlob)))
+		block := a.Blob(ref)
+		a.freeBlob(ref)
+		for i, b := range block[:cap(block)] {
+			if b != blobPoison {
+				t.Fatalf("freed %d-byte block: byte %d = %#x, want poison %#x", size, i, b, blobPoison)
+			}
 		}
 	}
+	ref := a.AllocBlob(bytes.Repeat([]byte{0xAA}, 16))
+	a.freeBlob(ref)
 	ref2 := a.AllocBlob(bytes.Repeat([]byte{0xBB}, 10))
 	if ref2.idx() != ref.idx() || ref2.class() != ref.class() {
 		t.Fatalf("expected block recycle, got idx %d class %d", ref2.idx(), ref2.class())

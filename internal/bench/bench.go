@@ -350,9 +350,6 @@ func Run(cfg Config) (Result, error) {
 	tcfg.MaxThreads = total
 	a := takeArena(cfg.ArenaCap, bytesMode)
 	defer putArena(a, bytesMode)
-	// Benchmarks measure reclamation cost, not diagnostics: skip payload
-	// poisoning so Free costs what a C free() costs.
-	a.DisablePoison()
 	tr, err := trackers.New(cfg.Scheme, a, tcfg)
 	if err != nil {
 		return Result{}, err

@@ -649,23 +649,23 @@ func (t *Tracker) reap(tid int, ts *threadState) {
 }
 
 // freeBatchNow walks the chain of the batch owned by REFS node refsW and
-// returns every node to the arena.
+// returns every node to the arena with one push.
 // Hyaline has no limbo-list scan; each batch walk is its reclamation
 // pass, so it is what the Scans counter ticks on.
 func (t *Tracker) freeBatchNow(tid int, refsW ptr.Word) {
 	t.counters.Scan(tid)
 	refs := t.arena.Deref(refsW)
-	freed := int64(0)
+	var freed arena.Chain
 	cur := refs.BatchLink.Load()
 	for cur != refsW {
 		next := t.arena.Deref(cur).Refs.Load()
-		t.arena.Free(tid, ptr.Idx(cur))
-		freed++
+		t.arena.Release(&freed, ptr.Idx(cur))
 		cur = next
 	}
-	t.arena.Free(tid, ptr.Idx(refsW))
-	freed++
-	t.counters.Free(tid, freed)
+	t.arena.Release(&freed, ptr.Idx(refsW))
+	n := freed.Len()
+	t.arena.FreeChain(tid, &freed)
+	t.counters.Free(tid, n)
 }
 
 // Protect implements smr.Tracker. Robust variants implement Fig. 5 deref:

@@ -160,13 +160,12 @@ func (t *Tracker) scan(tid int) {
 	ts := &t.threads[tid]
 	var keepHead ptr.Word
 	keepCount := 0
-	freed := int64(0)
+	var freed arena.Chain
 	for w := ts.limboHead; !ptr.IsNil(w); {
 		n := t.arena.Deref(w)
 		next := n.Next.Load()
 		if t.canFree(n) {
-			t.arena.Free(tid, ptr.Idx(w))
-			freed++
+			t.arena.Release(&freed, ptr.Idx(w))
 		} else {
 			n.Next.Store(keepHead)
 			keepHead = w
@@ -183,8 +182,9 @@ func (t *Tracker) scan(tid int) {
 	// retire-triggered scan would fire again until the list re-grew to
 	// the old high-water mark.
 	ts.nextScan = keepCount + t.cfg.ScanThreshold
-	if freed > 0 {
-		t.counters.Free(tid, freed)
+	if n := freed.Len(); n > 0 {
+		t.arena.FreeChain(tid, &freed)
+		t.counters.Free(tid, n)
 	}
 }
 

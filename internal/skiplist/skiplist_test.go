@@ -307,7 +307,6 @@ func TestMaskRetiresOnce(t *testing.T) {
 func BenchmarkSkipListGet50k(b *testing.B) {
 	const n = 50_000
 	a := arena.New(1 << 17)
-	a.DisablePoison()
 	tr := trackers.MustNew("hyaline", a, trackers.Config{MaxThreads: 1})
 	s := New(a, tr, 1)
 	keys := make([]uint64, n)

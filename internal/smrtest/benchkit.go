@@ -56,7 +56,6 @@ func BenchRetireFree(b *testing.B, f Factory) {
 	// Size the pool to the iteration count (capacity is virtual until
 	// touched): Leaky never frees, so it needs one node per iteration.
 	a := arena.New(b.N + 1<<16)
-	a.DisablePoison()
 	tr := f(a, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +97,6 @@ func BenchProtect(b *testing.B, f Factory) {
 // cores CAS one register, retiring displaced nodes.
 func BenchRegisterSwapParallel(b *testing.B, f Factory) {
 	a := arena.New(b.N + 1<<16) // Leaky needs one node per iteration
-	a.DisablePoison()
 	const workers = 64
 	tr := f(a, workers)
 	var register atomic.Uint64
