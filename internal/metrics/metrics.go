@@ -12,12 +12,11 @@
 //
 // # Counter sharding and padding layout
 //
-// A Counter is the only write-hot shared cell, so it is sharded the way
-// internal/session shards its tid freelist: a slice of cache-line-padded
-// words (one atomic.Uint64 plus 56 bytes of padding each), sized to the
-// next power of two of GOMAXPROCS at creation, so concurrent
-// incrementers on different Ps land on different cache lines instead of
-// bouncing one. Value() folds the shards; it is a scrape-path operation
+// A Counter is the only write-hot shared cell, so it is sharded: a slice
+// of cache-line-padded words (one atomic.Uint64 plus 56 bytes of padding
+// each), sized to the next power of two of GOMAXPROCS at creation, so
+// concurrent incrementers on different Ps land on different cache lines
+// instead of bouncing one. Value() folds the shards; it is a scrape-path operation
 // and may run concurrently with increments (the sum is then within the
 // in-flight increments of exact, which is all a monitoring read can ask).
 //

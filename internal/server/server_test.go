@@ -360,6 +360,24 @@ func TestMalformedFrameSegmentation(t *testing.T) {
 	}
 }
 
+// applyingStore closes started when the first batch reaches the store
+// and then holds that batch for hold before applying it: the window is
+// mid-apply at a moment the test can wait for.
+type applyingStore struct {
+	server.Store
+	once    sync.Once
+	started chan struct{}
+	hold    time.Duration
+}
+
+func (s *applyingStore) ApplyInto(dst []hyaline.Result, ops []hyaline.Op) []hyaline.Result {
+	s.once.Do(func() {
+		close(s.started)
+		time.Sleep(s.hold)
+	})
+	return s.Store.ApplyInto(dst, ops)
+}
+
 // TestGracefulShutdown: in-flight pipelined windows complete, their
 // replies arrive, Serve returns ErrServerClosed, no leases leak, and new
 // connections are refused.
@@ -372,7 +390,8 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(kv, server.Options{})
+	store := &applyingStore{Store: kv, started: make(chan struct{}), hold: 20 * time.Millisecond}
+	srv := server.New(store, server.Options{})
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	addr := ln.Addr().String()
@@ -399,6 +418,14 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	defer idle.Close()
 
+	// Shut down while the window is being applied. Without the wait, the
+	// drain could start before the server has read the window at all,
+	// and a window that was never read is not in flight.
+	select {
+	case <-store.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pipelined window never reached the store")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

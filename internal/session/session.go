@@ -9,53 +9,37 @@
 // "many ephemeral workers over few durable slots" arrangement a pod
 // scheduler uses for containers over hosts.
 //
-// The allocator is lock-free: a free tid is a set bit in an atomic
-// bitmap, Acquire claims one with a single CAS, Release restores it with
-// a single atomic OR. When every tid is leased, Acquire spins briefly
-// (another goroutine is mid-operation and will release within
-// nanoseconds) and then parks on a wake channel so an oversubscribed
-// process does not burn cores busy-waiting.
+// Every tid has one preallocated Session, and the Session's held word is
+// the only record of who owns the tid: Acquire wins a tid by CASing its
+// held word from free to held, Release CASes it back, and InUse counts
+// the held words. The word is written on every lease, so each Session is
+// padded to its own cache line.
 //
-// # Freelist word layout
+// Acquire looks for a free tid in three places, cheapest first:
 //
-// The bitmap is sharded so that concurrent acquirers do not serialize on
-// one CAS word. Each shard is a single atomic.Uint64 padded to its own
-// cache line and owns a contiguous run of at most 64 tids: bit j of
-// shard i covers tid shards[i].base+j. The shard count is derived from
-// GOMAXPROCS at construction — one word per P, so under a balanced load
-// every P CASes a different cache line — floored at ceil(max/64) (each
-// shard word holds at most 64 tids) and capped at max (each shard owns
-// at least one tid). Tids are split as evenly as possible: the first
-// max%shards shards own one extra tid.
-//
-// Acquire picks a home shard and claims the lowest free bit there; when
-// the home shard's word is empty it steals, scanning the remaining
-// shards in order. Release always returns a tid to the shard that owns
-// it, so a tid's freelist bit lives at a fixed address for the pool's
-// lifetime.
-//
-// The home shard is P-affine when the machine is wide enough: each pool
-// keeps a sync.Pool of hint cells (pointers into a preallocated array,
-// so the hint path never allocates), and sync.Pool's per-P caches make a
-// goroutine overwhelmingly likely to get back the hint cell last used on
-// its P. The hint remembers the shard the previous acquisition on this P
-// succeeded on, so consecutive acquirers on one P CAS the same freelist
-// word — already exclusive in that core's cache — instead of scattering
-// CAS traffic (and the tids' tracker state) across all shard lines the
-// way a random draw does. When GOMAXPROCS < shards the hints cannot
-// cover every shard and the pool falls back to the pseudo-random home
-// (a per-thread PRNG draw, no shared state).
+//   - The per-P cache. Release puts the session into a sync.Pool, whose
+//     per-P caches make a goroutine overwhelmingly likely to get back the
+//     session its P released a moment ago — a line already in this core's
+//     cache. A cached handle may be stale (the scan below won its tid
+//     meanwhile, or it was cached twice), so it counts only once the held
+//     CAS succeeds.
+//   - The recovery scan. On a cache miss Acquire walks every session and
+//     CASes the first free one. This also recovers the sessions the GC
+//     dropped from the cache and those stranded in another P's private
+//     slot: the cache only speeds leasing up, it never owns a tid.
+//   - Park. When every tid is held, Acquire spins briefly (another
+//     goroutine is mid-operation and will release within nanoseconds) and
+//     then parks on a wake channel, so an oversubscribed process does not
+//     burn cores busy-waiting.
 //
 // Exclusive leasing is what makes sharing a tid across goroutines safe:
-// the Release CAS and the Acquire CAS on the same shard word form a
+// the Release CAS and the next Acquire CAS on the same held word form a
 // happens-before edge, so per-tid tracker state written by the previous
 // holder is visible to the next one without further synchronization.
 package session
 
 import (
 	"fmt"
-	"math/bits"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -63,12 +47,6 @@ import (
 	"hyaline/internal/ptr"
 	"hyaline/internal/smr"
 )
-
-// forceRandomHome disables the P-affine home-shard hint at pool
-// construction, falling back to the pseudo-random draw. A package-level
-// knob (not an option) because it exists only so tests and benchmarks
-// can compare the two policies.
-var forceRandomHome = false
 
 // acquireSpins is how many Gosched rounds Acquire burns before parking.
 // Leases are held for a handful of map operations, so a short spin
@@ -82,199 +60,94 @@ const acquireSpins = 32
 // value so the harness always measures the shipped batching behaviour.
 const BatchChunk = 64
 
-// freeShard is one word of the sharded freelist: bit j is set iff tid
-// base+j is free. The padding gives every shard its own cache line so
-// acquirers hashing to different shards never false-share.
-type freeShard struct {
-	bits atomic.Uint64
-	base uint32 // first tid this shard owns
-	_    [52]byte
-}
-
-// homeHint is one P-affine home-shard cell (see the package doc). The
-// padding keeps hints handed to different Ps off each other's cache
-// lines; the shard index is atomic because sync.Pool's steal path can
-// briefly hand the same cell to two Ps.
-type homeHint struct {
-	home atomic.Uint32
-	_    [60]byte
-}
-
 // Pool leases the tids of one tracker to goroutines.
 type Pool struct {
 	tr   smr.Tracker
 	trim smr.Trimmer // tr, if it supports Trim
 	fl   smr.Flusher // tr, if it supports Flush
-	max  int
-
-	// shards is the tid freelist (see the package doc's word layout).
-	shards []freeShard
-
-	// affine selects the P-affine home policy; hints is the preallocated
-	// cell array hintPool hands out (its New draws cells round-robin via
-	// nextHint, so the initial homes cover every shard without a heap
-	// allocation even on the New path).
-	affine   bool
-	hints    []homeHint
-	hintPool sync.Pool
-	nextHint atomic.Uint32
 
 	// sessions[tid] is the preallocated handle leased together with tid,
 	// so Acquire never touches the Go heap.
 	sessions []Session
 
+	// cache holds released sessions for per-P reuse (see the package doc).
+	cache sync.Pool
+
 	// waiters counts goroutines parked (or about to park) in Acquire;
 	// Release posts one wake token when it is nonzero. The channel is
-	// buffered to max tokens: a dropped send can only happen when enough
+	// buffered to MaxThreads tokens: a dropped send can only happen when enough
 	// tokens are already pending to wake every possible waiter.
 	waiters atomic.Int32
 	wake    chan struct{}
+
+	// flushMu serializes Flush: two flushes each holding part of the tids
+	// would wait for each other forever.
+	flushMu sync.Mutex
 }
 
 // NewPool creates a pool leasing tids [0, maxThreads) of tr. The tracker
 // must have been constructed with at least maxThreads thread slots.
 func NewPool(tr smr.Tracker, maxThreads int) *Pool {
-	return newPoolShards(tr, maxThreads, deriveShards(maxThreads))
-}
-
-// deriveShards picks the freelist shard count for maxThreads tids: one
-// word per P, floored at the word count a flat bitmap would need (a
-// shard word holds at most 64 tids) and capped at maxThreads (a shard
-// owns at least one tid).
-func deriveShards(maxThreads int) int {
-	s := runtime.GOMAXPROCS(0)
-	if s > maxThreads {
-		s = maxThreads
-	}
-	if w := (maxThreads + 63) / 64; s < w {
-		s = w
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// newPoolShards is NewPool with an explicit shard count (tests pin it so
-// the steal path is exercised regardless of the machine's GOMAXPROCS).
-func newPoolShards(tr smr.Tracker, maxThreads, shards int) *Pool {
 	if maxThreads <= 0 {
 		panic(fmt.Sprintf("session: maxThreads must be positive, got %d", maxThreads))
 	}
-	if shards < (maxThreads+63)/64 || shards > maxThreads {
-		panic(fmt.Sprintf("session: %d shards cannot hold %d tids at <=64 per word and >=1 each", shards, maxThreads))
-	}
 	p := &Pool{
-		tr:     tr,
-		max:    maxThreads,
-		shards: make([]freeShard, shards),
-		wake:   make(chan struct{}, maxThreads),
+		tr:       tr,
+		sessions: make([]Session, maxThreads),
+		wake:     make(chan struct{}, maxThreads),
 	}
 	p.trim, _ = tr.(smr.Trimmer)
 	p.fl, _ = tr.(smr.Flusher)
-	p.affine = !forceRandomHome && shards > 1 && runtime.GOMAXPROCS(0) >= shards
-	if p.affine {
-		p.hints = make([]homeHint, shards)
-		for i := range p.hints {
-			p.hints[i].home.Store(uint32(i))
-		}
-		p.hintPool.New = func() any {
-			return &p.hints[int(p.nextHint.Add(1)-1)%len(p.hints)]
-		}
-	}
-	p.sessions = make([]Session, maxThreads)
-	q, r := maxThreads/shards, maxThreads%shards
-	base := 0
-	for i := range p.shards {
-		n := q
-		if i < r {
-			n++
-		}
-		sh := &p.shards[i]
-		sh.base = uint32(base)
-		if n == 64 {
-			sh.bits.Store(^uint64(0))
-		} else {
-			sh.bits.Store(1<<n - 1)
-		}
-		for j := 0; j < n; j++ {
-			p.sessions[base+j] = Session{pool: p, tid: base + j, shard: i, bit: 1 << uint(j)}
-		}
-		base += n
+	for i := range p.sessions {
+		p.sessions[i].pool, p.sessions[i].tid = p, i
 	}
 	return p
 }
 
 // MaxThreads returns the number of leasable tids.
-func (p *Pool) MaxThreads() int { return p.max }
+func (p *Pool) MaxThreads() int { return len(p.sessions) }
 
 // Tracker returns the underlying reclamation scheme.
 func (p *Pool) Tracker() smr.Tracker { return p.tr }
 
-// TryAcquire leases a tid without blocking. It fails only when every
-// tid is currently leased. The scan starts at the home shard — the
-// P-affine hint when active, a pseudo-random draw otherwise — and steals
-// from the others on empty, so concurrent acquirers spread over the
-// shard words instead of serializing on the first one.
-func (p *Pool) TryAcquire() (*Session, bool) {
-	home := 0
-	var hint *homeHint
-	if p.affine {
-		hint = p.hintPool.Get().(*homeHint)
-		home = int(hint.home.Load())
-	} else if len(p.shards) > 1 {
-		// rand/v2's global generator is per-thread state: no shared word
-		// is touched picking the home shard.
-		home = int(rand.Uint64N(uint64(len(p.shards))))
-	}
-	for k := 0; k < len(p.shards); k++ {
-		i := home + k
-		if i >= len(p.shards) {
-			i -= len(p.shards)
-		}
-		sh := &p.shards[i]
-		for {
-			old := sh.bits.Load()
-			if old == 0 {
-				break
-			}
-			bit := bits.TrailingZeros64(old)
-			if sh.bits.CompareAndSwap(old, old&^(1<<bit)) {
-				if hint != nil {
-					if k != 0 {
-						// A steal moves this P's home to where the free tids
-						// actually are; k == 0 keeps the common path store-free.
-						hint.home.Store(uint32(i))
-					}
-					p.hintPool.Put(hint)
-				}
-				return &p.sessions[int(sh.base)+bit], true
-			}
+// tryAcquire leases the first free tid of the recovery scan without
+// blocking. It returns nil only when every tid is held.
+func (p *Pool) tryAcquire() *Session {
+	for i := range p.sessions {
+		s := &p.sessions[i]
+		if !s.held.Load() && s.held.CompareAndSwap(false, true) {
+			return s
 		}
 	}
-	if hint != nil {
-		p.hintPool.Put(hint)
-	}
-	return nil, false
+	return nil
 }
 
-// Acquire leases a tid, spinning briefly and then parking when the pool
-// is exhausted. The returned Session is exclusively owned until Release.
+// Acquire leases a tid: this P's cached session if its held CAS wins,
+// else the recovery scan, spinning briefly and then parking when the
+// pool is exhausted. The returned Session is exclusively owned until
+// Release.
 func (p *Pool) Acquire() *Session {
+	if s, ok := p.cache.Get().(*Session); ok && s.held.CompareAndSwap(false, true) {
+		return s
+	}
 	for i := 0; i < acquireSpins; i++ {
-		if s, ok := p.TryAcquire(); ok {
+		if s := p.tryAcquire(); s != nil {
 			return s
 		}
 		runtime.Gosched()
 	}
-	// Park. The waiter count is published before the final shard scan,
-	// and Release sets the bit before checking the count, so a release
-	// racing past the check below is guaranteed to observe the waiter
-	// and post a token — no lost wakeups, whichever shard releases.
+	return p.park()
+}
+
+// park waits for a Release. The waiter count is published before the
+// final scan, and Release frees the held word before checking the count,
+// so a release racing past the scan below is guaranteed to observe the
+// waiter and post a token — no lost wakeups.
+func (p *Pool) park() *Session {
 	p.waiters.Add(1)
 	defer p.waiters.Add(-1)
 	for {
-		if s, ok := p.TryAcquire(); ok {
+		if s := p.tryAcquire(); s != nil {
 			return s
 		}
 		<-p.wake
@@ -288,19 +161,12 @@ func (p *Pool) Release(s *Session) {
 	if s.pool != p {
 		panic("session: Release of a Session from a different pool")
 	}
-	sh := &p.shards[s.shard]
-	// Load/CAS instead of the value-returning atomic Or: this toolchain
-	// (go1.24.0) miscompiles the Or intrinsic when its result is used,
-	// clobbering the register that held the receiver.
-	for {
-		old := sh.bits.Load()
-		if old&s.bit != 0 {
-			panic(fmt.Sprintf("session: double release of tid %d", s.tid))
-		}
-		if sh.bits.CompareAndSwap(old, old|s.bit) {
-			break
-		}
+	// A CAS, never the value-returning atomic Or: this toolchain
+	// (go1.24.0) miscompiles the Or intrinsic when its result is used.
+	if !s.held.CompareAndSwap(true, false) {
+		panic(fmt.Sprintf("session: double release of tid %d", s.tid))
 	}
+	p.cache.Put(s)
 	if p.waiters.Load() > 0 {
 		select {
 		case p.wake <- struct{}{}:
@@ -320,27 +186,34 @@ func (p *Pool) Do(fn func(*Session)) {
 // InUse returns the number of currently leased tids (approximate under
 // concurrency; exact at quiescence).
 func (p *Pool) InUse() int {
-	n := p.max
-	for i := range p.shards {
-		n -= bits.OnesCount64(p.shards[i].bits.Load())
+	n := 0
+	for i := range p.sessions {
+		if p.sessions[i].held.Load() {
+			n++
+		}
 	}
 	return n
 }
 
-// Shards returns the freelist shard count (see the package doc's word
-// layout) — diagnostic, for tests and tuning.
-func (p *Pool) Shards() int { return len(p.shards) }
-
-// Flush drains pending reclamation for every tid. It must only be
-// called at quiescence (no leases outstanding, as after InUse() == 0):
-// smr.Flusher forbids flushing a tid that is inside an operation.
-// Trackers that do not implement Flusher make this a no-op.
+// Flush drains pending reclamation for every tid. It first leases every
+// tid, waiting out in-flight operations (smr.Flusher forbids flushing a
+// tid inside an operation), so it is safe beside other leases but must
+// not be called while holding one: it would wait for itself. Trackers
+// that do not implement Flusher make this a no-op.
 func (p *Pool) Flush() {
 	if p.fl == nil {
 		return
 	}
-	for tid := 0; tid < p.max; tid++ {
-		p.fl.Flush(tid)
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	for range p.sessions {
+		p.Acquire() // with every tid held, sessions[i] are all ours
+	}
+	for i := range p.sessions {
+		p.sessions[i].Flush()
+	}
+	for i := range p.sessions {
+		p.Release(&p.sessions[i])
 	}
 }
 
@@ -348,10 +221,10 @@ func (p *Pool) Flush() {
 // by exactly one goroutine between Acquire and Release and must not be
 // retained across that window.
 type Session struct {
-	pool  *Pool
-	tid   int
-	shard int    // index of the freelist shard owning tid
-	bit   uint64 // tid's bit within that shard's word
+	pool *Pool
+	tid  int
+	held atomic.Bool // the lease: set by Acquire's CAS, cleared by Release's
+	_    [44]byte    // pad to 64 B: one session per cache line
 }
 
 // Tid returns the leased thread id, for calling into the tid-keyed

@@ -5,8 +5,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"hyaline/internal/arena"
+	"hyaline/internal/smr"
 	"hyaline/internal/trackers"
 )
 
@@ -20,15 +23,26 @@ func newPool(t testing.TB, scheme string, max int) (*Pool, *arena.Arena) {
 	return NewPool(tr, max), a
 }
 
+// withProcs runs f with GOMAXPROCS at least n, so several per-P caches
+// hold sessions at once and leases migrate between them.
+func withProcs(t testing.TB, n int, f func()) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	f()
+}
+
 func TestAcquireReleasesDistinctTids(t *testing.T) {
-	const max = 70 // spans two bitmap words
+	const max = 70
 	p, _ := newPool(t, "leaky", max)
 	seen := make(map[int]bool)
 	held := make([]*Session, 0, max)
 	for i := 0; i < max; i++ {
-		s, ok := p.TryAcquire()
-		if !ok {
-			t.Fatalf("TryAcquire failed with %d/%d leased", i, max)
+		s := p.tryAcquire()
+		if s == nil {
+			t.Fatalf("tryAcquire failed with %d/%d leased", i, max)
 		}
 		if seen[s.Tid()] {
 			t.Fatalf("tid %d leased twice", s.Tid())
@@ -39,8 +53,8 @@ func TestAcquireReleasesDistinctTids(t *testing.T) {
 		seen[s.Tid()] = true
 		held = append(held, s)
 	}
-	if _, ok := p.TryAcquire(); ok {
-		t.Fatal("TryAcquire succeeded on an exhausted pool")
+	if p.tryAcquire() != nil {
+		t.Fatal("tryAcquire succeeded on an exhausted pool")
 	}
 	if got := p.InUse(); got != max {
 		t.Fatalf("InUse = %d, want %d", got, max)
@@ -67,130 +81,81 @@ func TestAcquireBlocksUntilRelease(t *testing.T) {
 	p.Release(s2)
 }
 
+// TestOversubscribedChurn runs far more goroutines than tids over
+// several Ps, so sessions migrate between per-P caches, stale cached
+// handles lose their held CAS to the recovery scan, and goroutines park
+// and wake: every lease must stay exclusive. Run with -race for the full
+// check.
 func TestOversubscribedChurn(t *testing.T) {
-	// Far more goroutines than tids: every lease must stay exclusive.
-	const (
-		max        = 4
-		goroutines = 32
-		rounds     = 2000
-	)
-	p, _ := newPool(t, "hyaline", max)
-	var owners [max]atomic.Int32
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				p.Do(func(s *Session) {
-					if n := owners[s.Tid()].Add(1); n != 1 {
-						t.Errorf("tid %d held by %d goroutines", s.Tid(), n)
+	const rounds = 2000
+	for _, tc := range []struct {
+		scheme          string
+		max, goroutines int
+	}{
+		{"hyaline", 4, 32},
+		{"epoch", 6, 24},
+		{"epoch", 8, 24},
+	} {
+		withProcs(t, 4, func() {
+			p, _ := newPool(t, tc.scheme, tc.max)
+			owners := make([]atomic.Int32, tc.max)
+			var wg sync.WaitGroup
+			for g := 0; g < tc.goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						p.Do(func(s *Session) {
+							if n := owners[s.Tid()].Add(1); n != 1 {
+								t.Errorf("%s: tid %d held by %d goroutines", tc.scheme, s.Tid(), n)
+							}
+							s.Enter()
+							s.Retire(s.Alloc())
+							s.Leave()
+							owners[s.Tid()].Add(-1)
+						})
 					}
-					s.Enter()
-					s.Retire(s.Alloc())
-					s.Leave()
-					owners[s.Tid()].Add(-1)
-				})
+				}()
 			}
-		}(g)
-	}
-	wg.Wait()
-	if got := p.InUse(); got != 0 {
-		t.Fatalf("InUse = %d at quiescence", got)
-	}
-	p.Flush()
-	// Flush pads partial batches with dummy nodes, so lower bounds only.
-	st := p.Tracker().Stats()
-	if st.Allocated < goroutines*rounds || st.Retired < goroutines*rounds {
-		t.Fatalf("stats %+v, want >= %d allocated+retired", st, goroutines*rounds)
-	}
-}
-
-func TestDeriveShardsBounds(t *testing.T) {
-	for _, max := range []int{1, 2, 7, 63, 64, 65, 128, 500} {
-		s := deriveShards(max)
-		if s < 1 || s > max {
-			t.Fatalf("deriveShards(%d) = %d outside [1, %d]", max, s, max)
-		}
-		if w := (max + 63) / 64; s < w {
-			t.Fatalf("deriveShards(%d) = %d cannot hold %d tids at 64/word", max, s, w)
-		}
-	}
-}
-
-func TestShardLayoutCoversAllTids(t *testing.T) {
-	// Every (max, shards) split must lease each tid exactly once and
-	// report the shard count it was built with.
-	for _, tc := range []struct{ max, shards int }{
-		{1, 1}, {8, 1}, {8, 8}, {70, 2}, {70, 7}, {130, 3}, {64, 64},
-	} {
-		a := arena.New(1 << 16)
-		tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: tc.max})
-		p := newPoolShards(tr, tc.max, tc.shards)
-		if got := p.Shards(); got != tc.shards {
-			t.Fatalf("max=%d: Shards() = %d, want %d", tc.max, got, tc.shards)
-		}
-		seen := make(map[int]bool)
-		for i := 0; i < tc.max; i++ {
-			s, ok := p.TryAcquire()
-			if !ok {
-				t.Fatalf("max=%d shards=%d: TryAcquire failed at %d", tc.max, tc.shards, i)
+			wg.Wait()
+			if got := p.InUse(); got != 0 {
+				t.Fatalf("%s: InUse = %d at quiescence", tc.scheme, got)
 			}
-			if s.Tid() < 0 || s.Tid() >= tc.max || seen[s.Tid()] {
-				t.Fatalf("max=%d shards=%d: bad or repeated tid %d", tc.max, tc.shards, s.Tid())
+			p.Flush()
+			// Flush pads partial batches with dummy nodes, so lower bounds only.
+			st := p.Tracker().Stats()
+			if want := int64(tc.goroutines * rounds); st.Allocated < want || st.Retired < want {
+				t.Fatalf("%s: stats %+v, want >= %d allocated+retired", tc.scheme, st, want)
 			}
-			seen[s.Tid()] = true
-		}
-		if _, ok := p.TryAcquire(); ok {
-			t.Fatalf("max=%d shards=%d: lease beyond capacity", tc.max, tc.shards)
-		}
+		})
 	}
 }
 
-func TestNewPoolShardsRejectsBadSplit(t *testing.T) {
-	a := arena.New(64)
-	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 1})
-	for _, tc := range []struct{ max, shards int }{
-		{130, 2}, // 2 words cannot hold 130 tids
-		{2, 3},   // a shard would own zero tids
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("newPoolShards(max=%d, shards=%d) must panic", tc.max, tc.shards)
-				}
-			}()
-			newPoolShards(tr, tc.max, tc.shards)
-		}()
-	}
-}
-
-// TestShardedExhaustionParksAndWakes exhausts every shard, parks a
-// waiter, and checks that a release on ANY shard — here the last one,
-// which a single-word waiter loop would never revisit — wakes it.
+// TestShardedExhaustionParksAndWakes exhausts the pool, waits until a
+// waiter has parked, and checks that releasing the highest tid — the
+// last one the recovery scan reaches — wakes it with that tid.
 func TestShardedExhaustionParksAndWakes(t *testing.T) {
-	const max, shards = 8, 4
-	a := arena.New(1 << 16)
-	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: max})
-	p := newPoolShards(tr, max, shards)
+	const max = 8
+	p, _ := newPool(t, "leaky", max)
 
 	held := make([]*Session, 0, max)
 	for i := 0; i < max; i++ {
-		s, ok := p.TryAcquire()
-		if !ok {
-			t.Fatalf("TryAcquire failed with %d/%d leased", i, max)
+		s := p.tryAcquire()
+		if s == nil {
+			t.Fatalf("tryAcquire failed with %d/%d leased", i, max)
 		}
 		held = append(held, s)
 	}
-	if _, ok := p.TryAcquire(); ok {
-		t.Fatal("TryAcquire succeeded with all shards empty")
+	if p.tryAcquire() != nil {
+		t.Fatal("tryAcquire succeeded with every tid held")
 	}
 
 	got := make(chan *Session)
 	go func() { got <- p.Acquire() }()
+	for p.waiters.Load() == 0 {
+		runtime.Gosched()
+	}
 
-	// Free the highest tid: it lives in the last shard, so the wake path
-	// must not assume shard 0.
 	var last *Session
 	for _, s := range held {
 		if last == nil || s.Tid() > last.Tid() {
@@ -213,210 +178,209 @@ func TestShardedExhaustionParksAndWakes(t *testing.T) {
 	}
 }
 
-// TestStealOnEmptyNeverDoubleLeases hammers a deliberately lopsided
-// pool (more shards than a flat bitmap needs, so most acquisitions
-// steal) and asserts exclusive ownership of every lease. Run with -race
-// for the full check.
-func TestStealOnEmptyNeverDoubleLeases(t *testing.T) {
-	const (
-		max        = 6
-		shards     = 6 // one tid per shard: every collision must steal
-		goroutines = 24
-		rounds     = 2000
-	)
-	a := arena.New(1 << 16)
-	tr := trackers.MustNew("epoch", a, trackers.Config{MaxThreads: max})
-	p := newPoolShards(tr, max, shards)
-	var owners [max]atomic.Int32
+// churnIntoCache leaves released sessions in p's cache from several
+// goroutines.
+func churnIntoCache(p *Pool) {
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
+			for i := 0; i < 200; i++ {
 				p.Do(func(s *Session) {
-					if n := owners[s.Tid()].Add(1); n != 1 {
-						t.Errorf("tid %d held by %d goroutines", s.Tid(), n)
-					}
 					s.Enter()
+					s.Retire(s.Alloc())
 					s.Leave()
-					owners[s.Tid()].Add(-1)
 				})
 			}
 		}()
 	}
 	wg.Wait()
-	if got := p.InUse(); got != 0 {
-		t.Fatalf("InUse = %d at quiescence", got)
-	}
 }
 
-// withProcs runs f with GOMAXPROCS at least n (some affinity paths only
-// arm on machines at least as wide as the shard count).
-func withProcs(t testing.TB, n int, f func()) {
+// acquireAll leases every tid of p before a deadline (a tid only the
+// cache could hand out would make Acquire park forever), checks that the
+// tids are distinct and that InUse reads MaxThreads, then releases them
+// and checks that InUse reads 0.
+func acquireAll(t *testing.T, p *Pool) {
 	t.Helper()
-	if prev := runtime.GOMAXPROCS(0); prev < n {
-		runtime.GOMAXPROCS(n)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	f()
-}
-
-// TestHomeHintAffinity: with the P-affine policy armed, a single
-// goroutine acquiring and releasing in a loop must keep leasing the same
-// tid — its hint pins the home shard, and the released bit is always the
-// lowest free one there. (The random policy hops shards by design.)
-func TestHomeHintAffinity(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector randomizes sync.Pool caching, breaking hint determinism")
-	}
-	const max, shards = 8, 4
-	withProcs(t, shards, func() {
-		a := arena.New(1 << 16)
-		tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: max})
-		p := newPoolShards(tr, max, shards)
-		if !p.affine {
-			t.Fatalf("affine policy not armed with GOMAXPROCS=%d >= shards=%d", runtime.GOMAXPROCS(0), shards)
+	max := p.MaxThreads()
+	done := make(chan []*Session, 1)
+	go func() {
+		held := make([]*Session, 0, max)
+		for len(held) < max {
+			held = append(held, p.Acquire())
 		}
-		s := p.Acquire()
-		tid := s.Tid()
+		done <- held
+	}()
+	var held []*Session
+	select {
+	case held = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("acquiring all %d tids hung: a released session was not recovered", max)
+	}
+	seen := map[int]bool{}
+	for _, s := range held {
+		if seen[s.Tid()] {
+			t.Fatalf("tid %d leased twice", s.Tid())
+		}
+		seen[s.Tid()] = true
+	}
+	if n := p.InUse(); n != max {
+		t.Fatalf("InUse = %d with all %d tids held", n, max)
+	}
+	for _, s := range held {
 		p.Release(s)
-		for i := 0; i < 100; i++ {
-			s, ok := p.TryAcquire()
-			if !ok {
-				t.Fatalf("TryAcquire failed on an idle pool (round %d)", i)
-			}
-			if s.Tid() != tid {
-				t.Fatalf("round %d leased tid %d, want the affine home's tid %d", i, s.Tid(), tid)
-			}
-			p.Release(s)
-		}
-	})
-}
-
-// TestHomeHintFallsBackToRandom: the affine policy must stay off when
-// the machine is narrower than the shard count (the hints could not
-// cover every shard) and when the test knob forces the random draw.
-func TestHomeHintFallsBackToRandom(t *testing.T) {
-	a := arena.New(1 << 16)
-	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 8})
-	if p := newPoolShards(tr, 8, 1); p.affine {
-		t.Fatal("affine policy armed with a single shard")
 	}
-	withProcs(t, 2, func() {
-		wide := runtime.GOMAXPROCS(0) + 1
-		tr := trackers.MustNew("leaky", arena.New(1<<16), trackers.Config{MaxThreads: wide})
-		if p := newPoolShards(tr, wide, wide); p.affine {
-			t.Fatalf("affine policy armed with shards=%d > GOMAXPROCS=%d", wide, runtime.GOMAXPROCS(0))
-		}
-		forceRandomHome = true
-		defer func() { forceRandomHome = false }()
-		tr2 := trackers.MustNew("leaky", arena.New(1<<16), trackers.Config{MaxThreads: 8})
-		if p := newPoolShards(tr2, 8, 2); p.affine {
-			t.Fatal("affine policy armed despite forceRandomHome")
-		}
-	})
+	if n := p.InUse(); n != 0 {
+		t.Fatalf("InUse = %d after releasing everything", n)
+	}
 }
 
-// TestAffineChurnStaysExclusive is TestStealOnEmptyNeverDoubleLeases
-// with the affine policy armed: hints must never let two goroutines
-// believe they own the same tid. Run with -race for the full check.
-func TestAffineChurnStaysExclusive(t *testing.T) {
-	const (
-		max        = 8
-		shards     = 4
-		goroutines = 24
-		rounds     = 2000
-	)
-	withProcs(t, shards, func() {
-		a := arena.New(1 << 16)
-		tr := trackers.MustNew("epoch", a, trackers.Config{MaxThreads: max})
-		p := newPoolShards(tr, max, shards)
-		if !p.affine {
-			t.Fatalf("affine policy not armed with GOMAXPROCS=%d >= shards=%d", runtime.GOMAXPROCS(0), shards)
-		}
-		var owners [max]atomic.Int32
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
+// TestAcquireRecoversStrandedCache replaces the cache wholesale after
+// churn, so no cache.Get can return the released sessions again — the
+// observable state of a session stuck in another P's private slot. The
+// recovery scan must still lease every tid.
+func TestAcquireRecoversStrandedCache(t *testing.T) {
+	p, _ := newPool(t, "hyaline", 4)
+	churnIntoCache(p)
+	p.cache = sync.Pool{}
+	acquireAll(t, p)
+}
+
+// TestAcquireRecoversGCDroppedSessions drops the cached sessions the
+// hard way: two GC cycles empty the sync.Pool, victim cache included.
+func TestAcquireRecoversGCDroppedSessions(t *testing.T) {
+	p, _ := newPool(t, "hyaline", 4)
+	churnIntoCache(p)
+	runtime.GC()
+	runtime.GC() // the second cycle clears the sync.Pool victim cache
+	acquireAll(t, p)
+	churnIntoCache(p) // and the pool still leases under churn
+	if n := p.InUse(); n != 0 {
+		t.Fatalf("InUse = %d after churn", n)
+	}
+}
+
+// TestFlushDuringChurn calls Flush in a loop while 3×max goroutines
+// cycle leases. Flush leases every tid before draining any, so it never
+// flushes a tid another goroutine holds, and it neither deadlocks
+// against the churn nor leaks a lease.
+func TestFlushDuringChurn(t *testing.T) {
+	const max, rounds = 4, 1000
+	for _, scheme := range []string{"hyaline", "hp"} {
+		p, _ := newPool(t, scheme, max)
+		owners := make([]atomic.Int32, max)
+		var churn sync.WaitGroup
+		for g := 0; g < 3*max; g++ {
+			churn.Add(1)
 			go func() {
-				defer wg.Done()
+				defer churn.Done()
 				for i := 0; i < rounds; i++ {
 					p.Do(func(s *Session) {
 						if n := owners[s.Tid()].Add(1); n != 1 {
-							t.Errorf("tid %d held by %d goroutines", s.Tid(), n)
+							t.Errorf("%s: tid %d held by %d goroutines", scheme, s.Tid(), n)
 						}
 						s.Enter()
+						s.Retire(s.Alloc())
 						s.Leave()
 						owners[s.Tid()].Add(-1)
 					})
 				}
 			}()
 		}
-		wg.Wait()
-		if got := p.InUse(); got != 0 {
-			t.Fatalf("InUse = %d at quiescence", got)
-		}
-	})
-}
-
-// TestTryAcquireDoesNotAllocate: the affine hint cells live in a
-// preallocated array, so even the hintPool.New path must not touch the
-// heap — KV batch paths build their zero-allocation guarantee on top of
-// this.
-func TestTryAcquireDoesNotAllocate(t *testing.T) {
-	const max, shards = 8, 4
-	withProcs(t, shards, func() {
-		a := arena.New(1 << 16)
-		tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: max})
-		p := newPoolShards(tr, max, shards)
-		if !p.affine {
-			t.Fatalf("affine policy not armed with GOMAXPROCS=%d >= shards=%d", runtime.GOMAXPROCS(0), shards)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			s, ok := p.TryAcquire()
-			if !ok {
-				t.Fatal("TryAcquire failed on an idle pool")
+		stop := make(chan struct{})
+		flusher := make(chan struct{})
+		go func() {
+			defer close(flusher)
+			for {
+				p.Flush()
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
-			p.Release(s)
+		}()
+		done := make(chan struct{})
+		go func() {
+			churn.Wait()
+			close(stop)
+			<-flusher
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: churn beside a looping Flush did not finish", scheme)
+		}
+		if n := p.InUse(); n != 0 {
+			t.Fatalf("%s: InUse = %d after churn and Flush", scheme, n)
+		}
+	}
+
+	// Without a Flusher there is nothing to drain: Flush returns at once,
+	// even with every tid held (leasing them would wait forever). Every
+	// scheme here implements Flusher, leaky included, so the tracker is
+	// wrapped to hide it.
+	tr := trackers.MustNew("leaky", arena.New(1<<10), trackers.Config{MaxThreads: max})
+	p := NewPool(struct{ smr.Tracker }{tr}, max)
+	held := make([]*Session, max)
+	for i := range held {
+		held[i] = p.Acquire()
+	}
+	done := make(chan struct{})
+	go func() {
+		p.Flush()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush without a Flusher waited for leases it has nothing to drain")
+	}
+	for _, s := range held {
+		p.Release(s)
+	}
+}
+
+// TestSessionIsCacheLineSized: every lease writes its session's held
+// word, so neighbouring sessions must not share a cache line.
+func TestSessionIsCacheLineSized(t *testing.T) {
+	if size := unsafe.Sizeof(Session{}); size%64 != 0 {
+		t.Fatalf("Session is %d bytes: neighbouring sessions share a cache line", size)
+	}
+}
+
+// TestTryAcquireDoesNotAllocate: a lease round trip — Acquire's cache
+// hit and held CAS, Release's CAS and Put — never touches the heap; the
+// KV's zero-allocation guarantee is built on top of this.
+func TestTryAcquireDoesNotAllocate(t *testing.T) {
+	p, _ := newPool(t, "leaky", 8)
+	allocs := testing.AllocsPerRun(200, func() {
+		p.Release(p.Acquire())
+	})
+	if allocs != 0 {
+		t.Fatalf("Acquire/Release allocates %.1f times per lease", allocs)
+	}
+}
+
+// BenchmarkAcquireRelease measures the lease round trip from at least
+// four Ps in parallel over 64 tids.
+func BenchmarkAcquireRelease(b *testing.B) {
+	withProcs(b, 4, func() {
+		p, _ := newPool(b, "leaky", 64)
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				s := p.Acquire()
+				s.Enter()
+				s.Leave()
+				p.Release(s)
+			}
 		})
-		if allocs != 0 {
-			t.Fatalf("TryAcquire/Release allocates %.1f times per lease", allocs)
-		}
 	})
 }
-
-// benchmarkAcquireRelease measures the lease round trip under both home
-// policies; run both to see what P-affinity buys (the affine policy's
-// win grows with real core counts — consecutive leases on one P reuse a
-// hot freelist word instead of bouncing cache lines).
-func benchmarkAcquireRelease(b *testing.B, random bool) {
-	forceRandomHome = random
-	defer func() { forceRandomHome = false }()
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		procs = 4
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	a := arena.New(1 << 16)
-	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 64})
-	p := newPoolShards(tr, 64, procs)
-	if p.affine == random {
-		b.Fatalf("affine=%v with forceRandomHome=%v", p.affine, random)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			s := p.Acquire()
-			s.Enter()
-			s.Leave()
-			p.Release(s)
-		}
-	})
-}
-
-func BenchmarkAcquireReleaseAffine(b *testing.B) { benchmarkAcquireRelease(b, false) }
-func BenchmarkAcquireReleaseRandom(b *testing.B) { benchmarkAcquireRelease(b, true) }
 
 func TestDoubleReleasePanics(t *testing.T) {
 	p, _ := newPool(t, "leaky", 2)

@@ -12,12 +12,12 @@ import (
 )
 
 // TestReleaseBitPublication is the regression test for the Release
-// freelist-bit write (session.go, "Load/CAS instead of the
-// value-returning atomic Or"). Under the go1.24.0 miscompile the Or
-// intrinsic could clobber the receiver register, so a released bit was
-// lost: the tid became unleasable and InUse never returned to zero.
-// Hammer the load/CAS path from many goroutines and check that every
-// released tid is reacquirable and the ledger balances.
+// write of the held word (session.go, "A CAS, never the value-returning
+// atomic Or"). Under the go1.24.0 miscompile the Or intrinsic could
+// clobber the receiver register, so a release was lost: the tid became
+// unleasable and InUse never returned to zero. Hammer the CAS path from
+// many goroutines and check that every released tid is reacquirable and
+// the ledger balances.
 func TestReleaseBitPublication(t *testing.T) {
 	const max = 8
 	p, _ := newPool(t, "leaky", max)
@@ -34,14 +34,14 @@ func TestReleaseBitPublication(t *testing.T) {
 	}
 	wg.Wait()
 	if n := p.InUse(); n != 0 {
-		t.Fatalf("%d tids still leased after all releases (lost freelist bit?)", n)
+		t.Fatalf("%d tids still leased after all releases (lost held-word write?)", n)
 	}
-	// Every tid must still be leasable: a lost bit would strand one.
+	// Every tid must still be leasable: a lost release would strand one.
 	seen := map[int]bool{}
 	var held []*Session
 	for i := 0; i < max; i++ {
-		s, ok := p.TryAcquire()
-		if !ok {
+		s := p.tryAcquire()
+		if s == nil {
 			t.Fatalf("only %d of %d tids leasable after churn", i, max)
 		}
 		if seen[s.Tid()] {

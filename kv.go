@@ -13,11 +13,11 @@ import (
 // exactly the duration of the operation, so any number of goroutines —
 // far more than MaxThreads — can share one KV.
 //
-// The lease fast path is a per-P cache (a sync.Pool): a goroutine
-// usually reuses the session its P released a moment ago, touching no
-// shared state and allocating nothing. On miss it claims a tid from the
-// pool's lock-free bitmap, and only when every tid is in flight does it
-// wait. (The machinery is the leaser every shard carries.)
+// The lease fast path is the pool's per-P cache (a sync.Pool): a
+// goroutine usually reuses the session its P released a moment ago,
+// winning it with one CAS on a line its core already holds and
+// allocating nothing. On a miss it scans the shard's sessions for a free
+// one, and only when every tid is in flight does it wait.
 //
 // When several operations are available at once, the batch API —
 // Apply, InsertBatch, DeleteBatch, GetBatch — runs them under a single

@@ -108,7 +108,7 @@ func batchTrim(ks *kvSession, i int) {
 
 // shard is one fully independent partition of a store: its own data
 // structure, tracker, arena and session leaser. Shards share nothing —
-// no CAS hot spot, retire list or tid bitmap — so every scheme's safety
+// no CAS hot spot, retire list or lease word — so every scheme's safety
 // argument applies per shard unchanged and there is no cross-shard
 // reclamation protocol to reason about.
 type shard[M any] struct {
@@ -242,24 +242,23 @@ func (st *store[M, O, R]) blobStats() arena.BlobStats {
 
 // Flush pushes pending reclamation to completion, best-effort. It
 // briefly leases every session of every shard (waiting out in-flight
-// operations), so it is expensive — meant for final accounting or idle
-// housekeeping, not the hot path. Like every operation it must not be
-// called from inside a Range callback: it waits for the callback's own
-// lease.
+// operations; session.Pool.Flush), so it is expensive — meant for final
+// accounting or idle housekeeping, not the hot path. Like every
+// operation it must not be called from inside a Range callback: it
+// waits for the callback's own lease.
 func (st *store[M, O, R]) Flush() {
 	for i := range st.shards {
-		st.shards[i].flush()
+		st.shards[i].pool.Flush()
 	}
 }
 
 // InFlight returns the number of sessions held by operations currently
-// executing (active leases; idle cached sessions do not count). Zero at
-// quiescence — the network server's graceful shutdown asserts on it to
-// prove no batch bracket outlived the drain.
+// executing. Zero at quiescence — the network server's graceful shutdown
+// asserts on it to prove no batch bracket outlived the drain.
 func (st *store[M, O, R]) InFlight() int {
 	n := 0
 	for i := range st.shards {
-		n += st.shards[i].inFlight()
+		n += st.shards[i].pool.InUse()
 	}
 	return n
 }
