@@ -81,54 +81,69 @@ func TestAcquireBlocksUntilRelease(t *testing.T) {
 	p.Release(s2)
 }
 
+// churnExclusive runs goroutines lease/alloc/retire loops over a pool of
+// max tids with GOMAXPROCS at least procs, failing if any tid is ever
+// held by two goroutines at once, and checks the pool and tracker
+// accounting at quiescence. Run with -race for the full check.
+func churnExclusive(t *testing.T, scheme string, max, goroutines, procs int) {
+	t.Helper()
+	const rounds = 2000
+	withProcs(t, procs, func() {
+		p, _ := newPool(t, scheme, max)
+		owners := make([]atomic.Int32, max)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					p.Do(func(s *Session) {
+						if n := owners[s.Tid()].Add(1); n != 1 {
+							t.Errorf("%s: tid %d held by %d goroutines", scheme, s.Tid(), n)
+						}
+						s.Enter()
+						s.Retire(s.Alloc())
+						s.Leave()
+						owners[s.Tid()].Add(-1)
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		if got := p.InUse(); got != 0 {
+			t.Fatalf("%s: InUse = %d at quiescence", scheme, got)
+		}
+		p.Flush()
+		// Flush pads partial batches with dummy nodes, so lower bounds only.
+		st := p.Tracker().Stats()
+		if want := int64(goroutines * rounds); st.Allocated < want || st.Retired < want {
+			t.Fatalf("%s: stats %+v, want >= %d allocated+retired", scheme, st, want)
+		}
+	})
+}
+
 // TestOversubscribedChurn runs far more goroutines than tids over
 // several Ps, so sessions migrate between per-P caches, stale cached
 // handles lose their held CAS to the recovery scan, and goroutines park
-// and wake: every lease must stay exclusive. Run with -race for the full
-// check.
+// and wake: every lease must stay exclusive.
 func TestOversubscribedChurn(t *testing.T) {
-	const rounds = 2000
-	for _, tc := range []struct {
-		scheme          string
-		max, goroutines int
-	}{
-		{"hyaline", 4, 32},
-		{"epoch", 6, 24},
-		{"epoch", 8, 24},
-	} {
-		withProcs(t, 4, func() {
-			p, _ := newPool(t, tc.scheme, tc.max)
-			owners := make([]atomic.Int32, tc.max)
-			var wg sync.WaitGroup
-			for g := 0; g < tc.goroutines; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						p.Do(func(s *Session) {
-							if n := owners[s.Tid()].Add(1); n != 1 {
-								t.Errorf("%s: tid %d held by %d goroutines", tc.scheme, s.Tid(), n)
-							}
-							s.Enter()
-							s.Retire(s.Alloc())
-							s.Leave()
-							owners[s.Tid()].Add(-1)
-						})
-					}
-				}()
-			}
-			wg.Wait()
-			if got := p.InUse(); got != 0 {
-				t.Fatalf("%s: InUse = %d at quiescence", tc.scheme, got)
-			}
-			p.Flush()
-			// Flush pads partial batches with dummy nodes, so lower bounds only.
-			st := p.Tracker().Stats()
-			if want := int64(tc.goroutines * rounds); st.Allocated < want || st.Retired < want {
-				t.Fatalf("%s: stats %+v, want >= %d allocated+retired", tc.scheme, st, want)
-			}
-		})
-	}
+	churnExclusive(t, "hyaline", 4, 32, 4)
+}
+
+// TestStealOnEmptyNeverDoubleLeases gives every tid its own P, so a
+// goroutine whose P cache is empty takes a tid through the recovery scan
+// while other Ps still cache that session's handle: the stale handle
+// must lose its held CAS rather than lease the tid a second time.
+func TestStealOnEmptyNeverDoubleLeases(t *testing.T) {
+	churnExclusive(t, "epoch", 6, 24, 6)
+}
+
+// TestAffineChurnStaysExclusive keeps more tids than Ps, so most
+// acquires are per-P cache hits that return a session to the P that
+// released it, while the rest migrate: the cache-hit path must stay as
+// exclusive as the scan.
+func TestAffineChurnStaysExclusive(t *testing.T) {
+	churnExclusive(t, "epoch", 8, 24, 4)
 }
 
 // TestShardedExhaustionParksAndWakes exhausts the pool, waits until a
