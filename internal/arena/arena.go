@@ -34,12 +34,19 @@
 // and one counter update for the whole pass rather than per node. Free
 // is Release and FreeChain of a chain of one.
 //
-// Release writes the poison and the chain link with plain stores
-// (store_plain.go): the FreeChain CAS orders them before any pop that can
-// return the node, and a stale reader sees the old word or Poison either
-// way. Race builds keep atomic stores (store_race.go), so the detector
-// sees a stale reader racing a free as it always has: atomic on both
-// sides, not a report.
+// A word that no other goroutine can yet read takes a plain store
+// (ptr.StoreOwned). One argument covers both cases there are: a node
+// being freed and a node not yet published each have one owner, and the
+// CAS that hands the node on — FreeChain's push for a freed node, the
+// structure's or the tracker's publishing CAS for a new or retired one —
+// orders every store before it for whoever that CAS hands the node to.
+// A stale reader racing the stores unordered sees the old word or the
+// new one, as it would with an atomic store. So Release writes the
+// poison and the chain link plainly, and so do a tracker's birth-era and
+// batch-header stores and a structure's stores into a node it has
+// allocated but not linked yet. Race builds keep atomic stores, so the
+// detector sees a stale reader racing a free as it always has: atomic on
+// both sides, not a report.
 //
 // Like jemalloc's heap, the slabs are not Go objects. The node pool and
 // the blob slabs are private anonymous mappings (offheap.go), so
@@ -105,7 +112,10 @@ type Node struct {
 	// traversals may validly race a concurrent Free's poisoning (e.g.
 	// the Natarajan & Mittal seek under hazard pointers, a protocol
 	// looseness shared with the paper's evaluation framework), and such
-	// reads must return garbage, not undefined behaviour.
+	// reads must return garbage, not undefined behaviour. Writes that
+	// need no ordering of their own — Release's poison, a payload stored
+	// before the node is published — are plain stores through
+	// ptr.StoreOwned, under the package doc's one argument.
 	Key  atomic.Uint64
 	Val  atomic.Uint64
 	Left atomic.Uint64 // ptr.Word: list next, tree left child
@@ -176,7 +186,23 @@ type paddedCounter struct {
 // which never frees) costs only virtual address space until nodes are
 // actually allocated.
 type Arena struct {
-	nodes []Node
+	// The read-mostly words lead, alone on the struct's first cache line.
+	// nodes is the slice header that every Deref and Node reads on every
+	// traversal hop, and nothing writes this line after construction.
+	// Every word an allocation or a free writes sits on a later line, so
+	// a push or pop on one core does not invalidate the line a traversal
+	// on another core reads (TestLayoutReadMostlyLine).
+	nodes    []Node
+	capacity int
+
+	// blobs is the optional variable-size slab heap (see slab.go). When
+	// enabled, every node freed through this arena must hold a valid
+	// BlobRef (or NilBlob) in both Key and Val — Free releases them with
+	// the node — so blob-enabled arenas are reserved for the bytes
+	// structures; the uint64 structures keep arbitrary words in Key/Val
+	// and must run on a plain arena.
+	blobs *blobHeap
+	_     [24]byte // to the end of the read-mostly line
 
 	// frontier is the next never-allocated index.
 	frontier atomic.Int64
@@ -188,6 +214,7 @@ type Arena struct {
 	// markEmpty), so while nothing is ever freed it stays zero and costs
 	// an allocation one load.
 	nonEmpty atomic.Uint64
+	_        [48]byte // off shard 0's head, which its owner writes on every push and pop
 
 	// Each shard head packs a 32-bit ABA tag with a 32-bit (index+1) so
 	// that Treiber-stack pops cannot be fooled by recycling.
@@ -196,16 +223,6 @@ type Arena struct {
 	// counters are sharded by tid: a single global pair would be the
 	// hottest cache line in every benchmark.
 	counters [shards]paddedCounter
-
-	capacity int
-
-	// blobs is the optional variable-size slab heap (see slab.go). When
-	// enabled, every node freed through this arena must hold a valid
-	// BlobRef (or NilBlob) in both Key and Val — Free releases them with
-	// the node — so blob-enabled arenas are reserved for the bytes
-	// structures; the uint64 structures keep arbitrary words in Key/Val
-	// and must run on a plain arena.
-	blobs *blobHeap
 }
 
 // New creates an arena with capacity nodes, all initially free. The
@@ -398,7 +415,7 @@ func (c *Chain) Len() int64 { return c.n }
 // node's blobs, poisons every word but Next and Seq so stale readers can
 // be caught, and links the node at the head of c. The node cannot be
 // allocated again until FreeChain pushes c. The stores are plain outside
-// race builds (see the package doc).
+// race builds (ptr.StoreOwned, see the package doc).
 func (a *Arena) Release(c *Chain, idx ptr.Index) {
 	n := &a.nodes[idx]
 	if seq := n.Seq.Add(1); seq&1 == 0 {
@@ -417,20 +434,20 @@ func (a *Arena) Release(c *Chain, idx ptr.Index) {
 			a.freeBlob(ref)
 		}
 	}
-	storeFreed(&n.BatchLink, Poison)
-	storeFreed(&n.Refs, Poison)
-	storeFreed(&n.Key, Poison)
-	storeFreed(&n.Val, Poison)
-	storeFreed(&n.Left, Poison)
-	storeFreed(&n.Right, Poison)
-	storeFreed(&n.Aux, Poison)
+	ptr.StoreOwned(&n.BatchLink, Poison)
+	ptr.StoreOwned(&n.Refs, Poison)
+	ptr.StoreOwned(&n.Key, Poison)
+	ptr.StoreOwned(&n.Val, Poison)
+	ptr.StoreOwned(&n.Left, Poison)
+	ptr.StoreOwned(&n.Right, Poison)
+	ptr.StoreOwned(&n.Aux, Poison)
 	for i := range n.Extra {
-		storeFreed(&n.Extra[i], Poison)
+		ptr.StoreOwned(&n.Extra[i], Poison)
 	}
 	if c.n == 0 {
 		c.tail = idx // its link is the shard's old head, set by FreeChain
 	} else {
-		storeFreed(&n.Next, uint64(c.head)+1)
+		ptr.StoreOwned(&n.Next, uint64(c.head)+1)
 	}
 	c.head = idx
 	c.n++
@@ -448,7 +465,7 @@ func (a *Arena) FreeChain(tid int, c *Chain) {
 	tail := &a.nodes[c.tail].Next
 	for {
 		head := a.free[s].head.Load()
-		storeFreed(tail, head&headIdxMask)
+		ptr.StoreOwned(tail, head&headIdxMask)
 		newHead := ((head &^ headIdxMask) + headTagIncr) | (uint64(c.head) + 1)
 		if a.free[s].head.CompareAndSwap(head, newHead) {
 			if head&headIdxMask == 0 {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hyaline/internal/ptr"
 )
@@ -95,7 +96,7 @@ func nodeWords(t *testing.T, n *Node) map[string]*atomic.Uint64 {
 // TestPoisonOnFree checks that every word of a freed node but the
 // free-list link and the stamp reads Poison, through Free and through
 // Release+FreeChain alike. Run under -race as well: that build stores
-// the poison with the other body of storeFreed.
+// the poison with the other body of ptr.StoreOwned.
 func TestPoisonOnFree(t *testing.T) {
 	free := map[string]func(a *Arena, idx ptr.Index){
 		"Free": func(a *Arena, idx ptr.Index) { a.Free(0, idx) },
@@ -646,4 +647,47 @@ func BenchmarkFree(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
 	})
+}
+
+// TestLayoutReadMostlyLine checks that no cache line holding the words
+// every traversal hop reads (nodes, and capacity and blobs beside it)
+// holds a word that an allocation or a free writes: frontier, nonEmpty
+// or any shard's free-list head. Otherwise every pop and push by one
+// core would invalidate the line another core's Deref reads. Lines are
+// counted in whole 64-byte lines from the start of the struct: the Go
+// heap does not promise an Arena 64-byte alignment, so this checks the
+// layout the code controls, not where one allocation's lines fall.
+func TestLayoutReadMostlyLine(t *testing.T) {
+	const line = 64
+	var a Arena
+	type word struct {
+		name      string
+		off, size uintptr
+	}
+	readMostly := []word{
+		{"nodes", unsafe.Offsetof(a.nodes), unsafe.Sizeof(a.nodes)},
+		{"capacity", unsafe.Offsetof(a.capacity), unsafe.Sizeof(a.capacity)},
+		{"blobs", unsafe.Offsetof(a.blobs), unsafe.Sizeof(a.blobs)},
+	}
+	written := []word{
+		{"frontier", unsafe.Offsetof(a.frontier), unsafe.Sizeof(a.frontier)},
+		{"nonEmpty", unsafe.Offsetof(a.nonEmpty), unsafe.Sizeof(a.nonEmpty)},
+	}
+	for s := range a.free {
+		off := unsafe.Offsetof(a.free) + uintptr(s)*unsafe.Sizeof(a.free[0]) + unsafe.Offsetof(a.free[0].head)
+		written = append(written, word{fmt.Sprintf("free[%d].head", s), off, unsafe.Sizeof(a.free[s].head)})
+	}
+	readLines := make(map[uintptr]string)
+	for _, r := range readMostly {
+		for l := r.off / line; l <= (r.off+r.size-1)/line; l++ {
+			readLines[l] = r.name
+		}
+	}
+	for _, w := range written {
+		for l := w.off / line; l <= (w.off+w.size-1)/line; l++ {
+			if r, ok := readLines[l]; ok {
+				t.Errorf("%s (offset %d) shares line %d with the read-mostly %s", w.name, w.off, l, r)
+			}
+		}
+	}
 }

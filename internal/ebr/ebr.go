@@ -66,11 +66,17 @@ type threadState struct {
 
 // Tracker is the epoch-based reclamation scheme.
 type Tracker struct {
+	// epoch is the global epoch. It advances every EpochFreq retirements
+	// per thread, so it leads the struct on a cache line of its own: an
+	// advance must not invalidate the slice headers below, which every
+	// operation reads (TestEpochOwnLine).
+	epoch atomic.Uint64
+	_     [56]byte
+
 	arena    *arena.Arena
 	counters *smr.Counters
 	cfg      Config
 
-	epoch   atomic.Uint64
 	resv    []reservation
 	threads []threadState
 }

@@ -1,6 +1,7 @@
 package ebr
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -123,4 +124,12 @@ func TestProperties(t *testing.T) {
 	if tr.Name() != "epoch" {
 		t.Fatalf("name %q", tr.Name())
 	}
+}
+
+// TestEpochOwnLine checks that the global epoch, which advances every
+// EpochFreq retirements per thread, shares no cache line with the
+// tracker fields every operation reads. Lines are counted from the
+// start of the struct (see smrtest.OwnLine).
+func TestEpochOwnLine(t *testing.T) {
+	smrtest.OwnLine(t, reflect.TypeFor[Tracker](), "epoch")
 }

@@ -1,6 +1,7 @@
 package he
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -105,4 +106,12 @@ func TestProperties(t *testing.T) {
 	if p := tr.Properties(); p.Robust != "Yes" {
 		t.Fatalf("properties %+v", p)
 	}
+}
+
+// TestEraOwnLine checks that the era clock, which advances every Freq
+// allocations per thread, shares no cache line with the tracker fields
+// every operation reads. Lines are counted from the start of the struct
+// (see smrtest.OwnLine).
+func TestEraOwnLine(t *testing.T) {
+	smrtest.OwnLine(t, reflect.TypeFor[Tracker](), "era")
 }

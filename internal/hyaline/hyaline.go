@@ -236,6 +236,14 @@ type threadState struct {
 
 // Tracker implements one of the four Hyaline variants.
 type Tracker struct {
+	// allocEra is the global era clock (Robust variants). It advances
+	// every Freq allocations per thread, so it leads the struct on a
+	// cache line of its own: the fields below are read by every Enter,
+	// Leave, Alloc, Retire and Protect, and an advance must not
+	// invalidate them on every other core (TestAllocEraOwnLine).
+	allocEra atomic.Uint64
+	_        [56]byte
+
 	arena    *arena.Arena
 	counters *smr.Counters
 	cfg      Config
@@ -247,8 +255,6 @@ type Tracker struct {
 	// slots; dir[s] (s ≥ 1) covers indices [kmin·2^(s-1), kmin·2^s).
 	dir  [33]atomic.Pointer[[]slotState]
 	kmin int
-
-	allocEra atomic.Uint64 // global era clock (Robust variants)
 
 	threads []threadState
 }
@@ -453,8 +459,9 @@ func (t *Tracker) Alloc(tid int) ptr.Index {
 			t.allocEra.Add(1)
 		}
 		// Birth era shares space with the batch chain link (§4.2): it
-		// only needs to survive until the node joins a batch.
-		t.arena.Node(idx).Refs.Store(t.allocEra.Load())
+		// only needs to survive until the node joins a batch. The node
+		// is not published yet, so the store is plain (ptr.StoreOwned).
+		ptr.StoreOwned(&t.arena.Node(idx).Refs, t.allocEra.Load())
 	}
 	return idx
 }
@@ -487,6 +494,8 @@ func (t *Tracker) Retire(tid int, idx ptr.Index) {
 }
 
 // add appends node n (packed reference w, birth era birth) to the batch.
+// The header stores are plain: nothing reads a node's BatchLink or Refs
+// before retireBatch's slot CAS publishes the batch.
 func (b *batch) add(n *arena.Node, w ptr.Word, birth uint64) {
 	if ptr.IsNil(b.refs) {
 		// First node of a new batch becomes the REFS node.
@@ -496,8 +505,8 @@ func (b *batch) add(n *arena.Node, w ptr.Word, birth uint64) {
 		b.count = 1
 		return
 	}
-	n.BatchLink.Store(b.refs)
-	n.Refs.Store(b.chain) // batch_next, overwrites the birth era
+	ptr.StoreOwned(&n.BatchLink, b.refs)
+	ptr.StoreOwned(&n.Refs, b.chain) // batch_next, overwrites the birth era
 	b.chain = w
 	b.count++
 	if birth < b.minBirth {
@@ -512,9 +521,12 @@ func (t *Tracker) retireBatch(tid int, ts *threadState, b *batch) {
 	adjs := adjsFor(k)
 	refsW := b.refs
 	refs := t.arena.Deref(refsW)
-	refs.BatchLink.Store(b.chain) // chain entry for free_batch
-	refs.Next.Store(adjs)         // per-batch Adjs (§4.3)
-	refs.Refs.Store(0)            // NRef starts at 0
+	// The REFS node is reachable only through a node's BatchLink once a
+	// slot CAS below publishes that node, so its header stores are plain
+	// (ptr.StoreOwned), as is each node's list link before its CAS.
+	ptr.StoreOwned(&refs.BatchLink, b.chain) // chain entry for free_batch
+	ptr.StoreOwned(&refs.Next, adjs)         // per-batch Adjs (§4.3)
+	ptr.StoreOwned(&refs.Refs, 0)            // NRef starts at 0
 	minBirth := b.minBirth
 
 	robust := t.robust()
@@ -549,7 +561,7 @@ func (t *Tracker) retireBatch(tid int, ts *threadState, b *batch) {
 			// Read the chain successor before publishing: after the last
 			// CAS the whole batch may be adjusted and freed by others.
 			nextInChain := node.Refs.Load()
-			node.Next.Store(headPtr(head))
+			ptr.StoreOwned(&node.Next, headPtr(head))
 			newHead := packHead(headRef(head), cur)
 			if !st.head.CompareAndSwap(head, newHead) {
 				continue
@@ -727,9 +739,10 @@ func (t *Tracker) Flush(tid int) {
 			n := t.arena.Node(idx)
 			// Dummies never carry payloads, but a recycled node still
 			// holds poison in Key/Val; clear both so a blob-enabled
-			// arena's Free doesn't decode the poison as a BlobRef.
-			n.Key.Store(0)
-			n.Val.Store(0)
+			// arena's Free doesn't decode the poison as a BlobRef. The
+			// dummy is never published to a structure: plain stores.
+			ptr.StoreOwned(&n.Key, 0)
+			ptr.StoreOwned(&n.Val, 0)
 			birth := uint64(0)
 			if t.robust() {
 				birth = n.Refs.Load()

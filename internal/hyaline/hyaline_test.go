@@ -1,6 +1,7 @@
 package hyaline
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -385,4 +386,12 @@ func TestConfigDefaults(t *testing.T) {
 			t.Errorf("%+v: default Slots = %d, want %d", in, c.cfg.Slots, c.want)
 		}
 	}
+}
+
+// TestAllocEraOwnLine checks that the era clock, which advances every
+// Freq allocations per thread, shares no cache line with the tracker
+// fields every operation reads. Lines are counted from the start of the
+// struct (see smrtest.OwnLine).
+func TestAllocEraOwnLine(t *testing.T) {
+	smrtest.OwnLine(t, reflect.TypeFor[Tracker](), "allocEra")
 }

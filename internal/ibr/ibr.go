@@ -59,11 +59,17 @@ type threadState struct {
 
 // Tracker is the 2GE interval-based reclamation scheme.
 type Tracker struct {
+	// era is the global era clock. It advances every Freq allocations
+	// per thread, so it leads the struct on a cache line of its own: an
+	// advance must not invalidate the slice headers below, which every
+	// operation reads (TestEraOwnLine).
+	era atomic.Uint64
+	_   [56]byte
+
 	arena    *arena.Arena
 	counters *smr.Counters
 	cfg      Config
 
-	era     atomic.Uint64
 	resv    []interval
 	threads []threadState
 }
@@ -115,7 +121,8 @@ func (t *Tracker) Alloc(tid int) ptr.Index {
 		t.era.Add(1)
 	}
 	idx := t.arena.Alloc(tid)
-	t.arena.Node(idx).Refs.Store(t.era.Load())
+	// The node is not published yet: a plain store (ptr.StoreOwned).
+	ptr.StoreOwned(&t.arena.Node(idx).Refs, t.era.Load())
 	return idx
 }
 

@@ -119,11 +119,13 @@ func (c *Core) Insert(tid int, head *atomic.Uint64, key, val uint64) bool {
 		if ptr.IsNil(newW) {
 			idx := tr.Alloc(tid)
 			n := c.Arena.Node(idx)
-			n.Key.Store(key)
-			n.Val.Store(val)
+			// The node is ours until the CAS below publishes it, and the
+			// CAS orders these stores before it: plain stores.
+			ptr.StoreOwned(&n.Key, key)
+			ptr.StoreOwned(&n.Val, val)
 			newW = ptr.Pack(idx)
 		}
-		c.Arena.Deref(newW).Left.Store(ptr.Clean(curr))
+		ptr.StoreOwned(&c.Arena.Deref(newW).Left, ptr.Clean(curr))
 		if prevAddr.CompareAndSwap(ptr.Clean(curr), newW) {
 			return true
 		}

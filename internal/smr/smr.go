@@ -159,17 +159,29 @@ type Properties struct {
 
 // Counters is a per-thread sharded counter set used by schemes to track
 // retire/free totals without adding a contended atomic to the hot path.
+//
+// Each tid's shard has one writer: the goroutine holding the tid, whose
+// exclusivity the caller already guarantees (a tracker's per-tid state
+// assumes it, and a leased tid passes between goroutines only through
+// the lease's synchronizing handoff). So an update is a load and a plain
+// store (ptr.StoreOwned), not a locked add. Sum may run on any goroutine
+// beside the writers: its atomic loads see each word old or new, never
+// torn, so every field of a snapshot is at most the true total, never
+// falls between snapshots, and is exact once the writers are quiescent.
 type Counters struct {
 	shards []counterShard
 }
 
 type counterShard struct {
-	allocated atomic.Int64
-	retired   atomic.Int64
-	freed     atomic.Int64
-	scans     atomic.Int64
+	allocated atomic.Uint64
+	retired   atomic.Uint64
+	freed     atomic.Uint64
+	scans     atomic.Uint64
 	_         [4]uint64 // pad to 64 B
 }
+
+// add bumps an owner-only counter word by n.
+func add(w *atomic.Uint64, n int64) { ptr.StoreOwned(w, w.Load()+uint64(n)) }
 
 // NewCounters creates counters for maxThreads threads.
 func NewCounters(maxThreads int) *Counters {
@@ -177,35 +189,35 @@ func NewCounters(maxThreads int) *Counters {
 }
 
 // Alloc records one allocation by tid.
-func (c *Counters) Alloc(tid int) { c.shards[tid].allocated.Add(1) }
+func (c *Counters) Alloc(tid int) { add(&c.shards[tid].allocated, 1) }
 
 // Retire records one retirement by tid.
-func (c *Counters) Retire(tid int) { c.shards[tid].retired.Add(1) }
+func (c *Counters) Retire(tid int) { add(&c.shards[tid].retired, 1) }
 
 // RetireN records n retirements by tid.
-func (c *Counters) RetireN(tid int, n int64) { c.shards[tid].retired.Add(n) }
+func (c *Counters) RetireN(tid int, n int64) { add(&c.shards[tid].retired, n) }
 
 // Dealloc records a free of a never-published node: it counts as retired
 // and freed at once, so Unreclaimed and Live stay consistent.
 func (c *Counters) Dealloc(tid int) {
-	c.shards[tid].retired.Add(1)
-	c.shards[tid].freed.Add(1)
+	add(&c.shards[tid].retired, 1)
+	add(&c.shards[tid].freed, 1)
 }
 
 // Free records n nodes freed by tid.
-func (c *Counters) Free(tid int, n int64) { c.shards[tid].freed.Add(n) }
+func (c *Counters) Free(tid int, n int64) { add(&c.shards[tid].freed, n) }
 
 // Scan records one reclamation pass by tid.
-func (c *Counters) Scan(tid int) { c.shards[tid].scans.Add(1) }
+func (c *Counters) Scan(tid int) { add(&c.shards[tid].scans, 1) }
 
 // Sum folds the shards into a Stats snapshot.
 func (c *Counters) Sum() Stats {
 	var s Stats
 	for i := range c.shards {
-		s.Allocated += c.shards[i].allocated.Load()
-		s.Retired += c.shards[i].retired.Load()
-		s.Freed += c.shards[i].freed.Load()
-		s.Scans += c.shards[i].scans.Load()
+		s.Allocated += int64(c.shards[i].allocated.Load())
+		s.Retired += int64(c.shards[i].retired.Load())
+		s.Freed += int64(c.shards[i].freed.Load())
+		s.Scans += int64(c.shards[i].scans.Load())
 	}
 	return s
 }

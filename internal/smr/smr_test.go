@@ -165,3 +165,64 @@ func TestDeallocConcurrentWithRetireTraffic(t *testing.T) {
 		t.Fatalf("Unreclaimed = %d, want 0", s.Unreclaimed())
 	}
 }
+
+// TestCountersOwnerWrites runs the one-writer-per-tid contract the
+// counters' plain stores rely on: four goroutines each own one tid and
+// loop over every update method, while a fifth folds Sum throughout and
+// checks that no field ever falls. The final Sum must be exact. Run it
+// with and without -race: the two builds have the two bodies of
+// ptr.StoreOwned (atomic and plain).
+func TestCountersOwnerWrites(t *testing.T) {
+	const (
+		owners = 4
+		rounds = 20000
+	)
+	c := NewCounters(owners)
+	var writers, reader sync.WaitGroup
+	done := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var last Stats
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s := c.Sum()
+			if s.Allocated < last.Allocated || s.Retired < last.Retired ||
+				s.Freed < last.Freed || s.Scans < last.Scans {
+				t.Errorf("Sum fell from %+v to %+v", last, s)
+				return
+			}
+			last = s
+		}
+	}()
+	for tid := 0; tid < owners; tid++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for range rounds {
+				c.Alloc(tid)
+				c.Retire(tid)
+				c.RetireN(tid, 3)
+				c.Dealloc(tid)
+				c.Free(tid, 2)
+				c.Scan(tid)
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	reader.Wait()
+	want := Stats{
+		Allocated: owners * rounds,
+		Retired:   owners * rounds * (1 + 3 + 1),
+		Freed:     owners * rounds * (1 + 2),
+		Scans:     owners * rounds,
+	}
+	if s := c.Sum(); s != want {
+		t.Fatalf("Sum = %+v, want %+v", s, want)
+	}
+}
