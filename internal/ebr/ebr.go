@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"hyaline/internal/arena"
+	"hyaline/internal/limbo"
 	"hyaline/internal/ptr"
 	"hyaline/internal/smr"
 )
@@ -53,15 +54,10 @@ type reservation struct {
 	_     [7]uint64
 }
 
+// threadState is a tid's own retire count, which drives the epoch.
 type threadState struct {
-	limboHead ptr.Word // intrusive list via Node.Next; thread-local
-	// nextScan is the adaptive scan trigger: when pinned garbage keeps
-	// a long limbo list alive, rescanning every ScanThreshold retires
-	// would be quadratic, so the trigger moves with the surviving count.
-	nextScan   int
-	limboCount int
-	retires    int
-	_          [5]uint64
+	retires int
+	_       [7]uint64
 }
 
 // Tracker is the epoch-based reclamation scheme.
@@ -73,11 +69,11 @@ type Tracker struct {
 	epoch atomic.Uint64
 	_     [56]byte
 
-	arena    *arena.Arena
-	counters *smr.Counters
-	cfg      Config
+	smr.Base
+	cfg Config
 
 	resv    []reservation
+	limbo   limbo.List
 	threads []threadState
 }
 
@@ -86,12 +82,13 @@ var _ smr.Tracker = (*Tracker)(nil)
 // New creates an EBR tracker over a.
 func New(a *arena.Arena, cfg Config) *Tracker {
 	cfg.fill()
+	base := smr.NewBase(a, cfg.MaxThreads)
 	t := &Tracker{
-		arena:    a,
-		counters: smr.NewCounters(cfg.MaxThreads),
-		cfg:      cfg,
-		resv:     make([]reservation, cfg.MaxThreads),
-		threads:  make([]threadState, cfg.MaxThreads),
+		Base:    base,
+		cfg:     cfg,
+		resv:    make([]reservation, cfg.MaxThreads),
+		limbo:   limbo.New(base, cfg.MaxThreads, cfg.ScanThreshold),
+		threads: make([]threadState, cfg.MaxThreads),
 	}
 	for i := range t.resv {
 		t.resv[i].epoch.Store(inactive)
@@ -112,31 +109,17 @@ func (t *Tracker) Leave(tid int) {
 	t.resv[tid].epoch.Store(inactive)
 }
 
-// Alloc implements smr.Tracker.
-func (t *Tracker) Alloc(tid int) ptr.Index {
-	t.counters.Alloc(tid)
-	return t.arena.Alloc(tid)
-}
-
 // Retire implements smr.Tracker: tag with the current epoch, park on the
 // limbo list, advance the epoch and scan periodically.
 func (t *Tracker) Retire(tid int, idx ptr.Index) {
+	t.Arena.Node(idx).BatchLink.Store(t.epoch.Load()) // retire epoch
+	due := t.limbo.Retire(tid, idx)
 	ts := &t.threads[tid]
-	n := t.arena.Node(idx)
-	n.BatchLink.Store(t.epoch.Load()) // retire epoch
-	n.Next.Store(ts.limboHead)
-	ts.limboHead = ptr.Pack(idx)
-	ts.limboCount++
-	t.counters.Retire(tid)
-
 	ts.retires++
 	if ts.retires%t.cfg.EpochFreq == 0 {
 		t.epoch.Add(1)
 	}
-	if ts.nextScan < t.cfg.ScanThreshold {
-		ts.nextScan = t.cfg.ScanThreshold
-	}
-	if ts.limboCount >= ts.nextScan {
+	if due {
 		t.scan(tid)
 	}
 }
@@ -144,42 +127,15 @@ func (t *Tracker) Retire(tid int, idx ptr.Index) {
 // scan frees every limbo node whose retire epoch precedes all live
 // reservations.
 func (t *Tracker) scan(tid int) {
-	t.counters.Scan(tid)
 	minRes := uint64(inactive)
 	for i := range t.resv {
 		if e := t.resv[i].epoch.Load(); e < minRes {
 			minRes = e
 		}
 	}
-	ts := &t.threads[tid]
-	var keepHead ptr.Word
-	keepCount := 0
-	var freed arena.Chain
-	for w := ts.limboHead; !ptr.IsNil(w); {
-		n := t.arena.Deref(w)
-		next := n.Next.Load()
-		if n.BatchLink.Load() < minRes {
-			t.arena.Release(&freed, ptr.Idx(w))
-		} else {
-			n.Next.Store(keepHead)
-			keepHead = w
-			keepCount++
-		}
-		w = next
-	}
-	ts.limboHead = keepHead
-	ts.limboCount = keepCount
-	// Re-arm the adaptive trigger from the surviving count here, not at
-	// the Retire call site: a scan reached through Flush must also
-	// lower the trigger, or a limbo list that once ballooned behind a
-	// stalled reader stops scanning after the flush drains it — no
-	// retire-triggered scan would fire again until the list re-grew to
-	// the old high-water mark.
-	ts.nextScan = keepCount + t.cfg.ScanThreshold
-	if n := freed.Len(); n > 0 {
-		t.arena.FreeChain(tid, &freed)
-		t.counters.Free(tid, n)
-	}
+	t.limbo.Scan(tid, func(_ ptr.Word, n *arena.Node) bool {
+		return n.BatchLink.Load() >= minRes
+	})
 }
 
 // Flush implements smr.Flusher: advance the epoch and scan the limbo
@@ -197,9 +153,6 @@ func (t *Tracker) Protect(_, _ int, addr *atomic.Uint64) ptr.Word {
 
 // PlainLoad implements smr.PlainLoader: Protect above is a bare load.
 func (t *Tracker) PlainLoad() bool { return true }
-
-// Stats implements smr.Tracker.
-func (t *Tracker) Stats() smr.Stats { return t.counters.Sum() }
 
 // Properties implements smr.Tracker (Table 1 row "EBR").
 func (t *Tracker) Properties() smr.Properties {

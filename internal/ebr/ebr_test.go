@@ -18,6 +18,10 @@ func TestConformance(t *testing.T) {
 	smrtest.RunAll(t, factory, smrtest.Options{})
 }
 
+func TestConformanceExtra(t *testing.T) {
+	smrtest.RunExtra(t, factory, smrtest.Options{})
+}
+
 func TestEpochAdvances(t *testing.T) {
 	a := arena.New(1 << 12)
 	tr := New(a, Config{MaxThreads: 1, EpochFreq: 10, ScanThreshold: 1 << 30})

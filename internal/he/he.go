@@ -15,9 +15,11 @@
 package he
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"hyaline/internal/arena"
+	"hyaline/internal/limbo"
 	"hyaline/internal/ptr"
 	"hyaline/internal/smr"
 )
@@ -53,14 +55,11 @@ type eraRow struct {
 	_     [8]uint64
 }
 
+// threadState is a tid's allocation count, which drives the era clock,
+// and its reused era snapshot buffer.
 type threadState struct {
-	limboHead ptr.Word
-	// nextScan is the adaptive scan trigger: when pinned garbage keeps
-	// a long limbo list alive, rescanning every ScanThreshold retires
-	// would be quadratic, so the trigger moves with the surviving count.
-	nextScan     int
-	limboCount   int
 	allocCounter int
+	scratch      []uint64
 	_            [4]uint64
 }
 
@@ -73,11 +72,11 @@ type Tracker struct {
 	era atomic.Uint64
 	_   [56]byte
 
-	arena    *arena.Arena
-	counters *smr.Counters
-	cfg      Config
+	smr.Base
+	cfg Config
 
 	resv    []eraRow
+	limbo   limbo.List
 	threads []threadState
 }
 
@@ -89,12 +88,13 @@ var (
 // New creates a hazard-eras tracker over a.
 func New(a *arena.Arena, cfg Config) *Tracker {
 	cfg.fill()
+	base := smr.NewBase(a, cfg.MaxThreads)
 	t := &Tracker{
-		arena:    a,
-		counters: smr.NewCounters(cfg.MaxThreads),
-		cfg:      cfg,
-		resv:     make([]eraRow, cfg.MaxThreads),
-		threads:  make([]threadState, cfg.MaxThreads),
+		Base:    base,
+		cfg:     cfg,
+		resv:    make([]eraRow, cfg.MaxThreads),
+		limbo:   limbo.New(base, cfg.MaxThreads, cfg.ScanThreshold),
+		threads: make([]threadState, cfg.MaxThreads),
 	}
 	for i := range t.resv {
 		t.resv[i].slots = make([]atomic.Uint64, cfg.Eras)
@@ -122,15 +122,15 @@ func (t *Tracker) Leave(tid int) {
 
 // Alloc implements smr.Tracker: stamp the birth era (Refs header word).
 func (t *Tracker) Alloc(tid int) ptr.Index {
-	t.counters.Alloc(tid)
 	ts := &t.threads[tid]
 	ts.allocCounter++
 	if ts.allocCounter%t.cfg.Freq == 0 {
 		t.era.Add(1)
 	}
-	idx := t.arena.Alloc(tid)
+	t.Counters.Alloc(tid)
+	idx := t.Arena.Alloc(tid)
 	// The node is not published yet: a plain store (ptr.StoreOwned).
-	ptr.StoreOwned(&t.arena.Node(idx).Refs, t.era.Load())
+	ptr.StoreOwned(&t.Arena.Node(idx).Refs, t.era.Load())
 	return idx
 }
 
@@ -152,69 +152,38 @@ func (t *Tracker) Protect(tid, slot int, addr *atomic.Uint64) ptr.Word {
 
 // Retire implements smr.Tracker: stamp the retire era and park the node.
 func (t *Tracker) Retire(tid int, idx ptr.Index) {
-	t.counters.Retire(tid)
-	ts := &t.threads[tid]
-	n := t.arena.Node(idx)
-	n.BatchLink.Store(t.era.Load()) // retire era
-	n.Next.Store(ts.limboHead)
-	ts.limboHead = ptr.Pack(idx)
-	ts.limboCount++
-	if ts.nextScan < t.cfg.ScanThreshold {
-		ts.nextScan = t.cfg.ScanThreshold
-	}
-	if ts.limboCount >= ts.nextScan {
+	t.Arena.Node(idx).BatchLink.Store(t.era.Load()) // retire era
+	if t.limbo.Retire(tid, idx) {
 		t.scan(tid)
 	}
 }
 
 // scan frees limbo nodes whose [birth, retire] lifespan no reservation
-// era intersects.
+// era intersects. The reserved eras are snapshotted once and sorted, so
+// a node is kept iff the first reserved era ≥ its birth is ≤ its retire:
+// O(log R) on plain memory per node for R reservations.
 func (t *Tracker) scan(tid int) {
-	t.counters.Scan(tid)
 	ts := &t.threads[tid]
-	var keepHead ptr.Word
-	keepCount := 0
-	var freed arena.Chain
-	for w := ts.limboHead; !ptr.IsNil(w); {
-		n := t.arena.Deref(w)
-		next := n.Next.Load()
-		if t.canFree(n) {
-			t.arena.Release(&freed, ptr.Idx(w))
-		} else {
-			n.Next.Store(keepHead)
-			keepHead = w
-			keepCount++
-		}
-		w = next
-	}
-	ts.limboHead = keepHead
-	ts.limboCount = keepCount
-	// Re-arm the adaptive trigger from the surviving count here, not at
-	// the Retire call site: a scan reached through Flush must also
-	// lower the trigger, or a limbo list that once ballooned behind a
-	// stalled reader stops scanning after the flush drains it — no
-	// retire-triggered scan would fire again until the list re-grew to
-	// the old high-water mark.
-	ts.nextScan = keepCount + t.cfg.ScanThreshold
-	if n := freed.Len(); n > 0 {
-		t.arena.FreeChain(tid, &freed)
-		t.counters.Free(tid, n)
-	}
-}
-
-func (t *Tracker) canFree(n *arena.Node) bool {
-	birth := n.Refs.Load()
-	retire := n.BatchLink.Load()
+	eras := ts.scratch[:0]
 	for i := range t.resv {
 		row := &t.resv[i]
 		for j := range row.slots {
-			r := row.slots[j].Load()
-			if r != 0 && birth <= r && r <= retire {
-				return false
+			if r := row.slots[j].Load(); r != 0 {
+				eras = append(eras, r)
 			}
 		}
 	}
-	return true
+	ts.scratch = eras
+	slices.Sort(eras)
+	t.limbo.Scan(tid, func(_ ptr.Word, n *arena.Node) bool {
+		return covered(eras, n.Refs.Load(), n.BatchLink.Load())
+	})
+}
+
+// covered reports whether the sorted eras hold one in [birth, retire].
+func covered(eras []uint64, birth, retire uint64) bool {
+	i, _ := slices.BinarySearch(eras, birth)
+	return i < len(eras) && eras[i] <= retire
 }
 
 // Flush implements smr.Flusher.
@@ -222,9 +191,6 @@ func (t *Tracker) Flush(tid int) {
 	t.era.Add(1)
 	t.scan(tid)
 }
-
-// Stats implements smr.Tracker.
-func (t *Tracker) Stats() smr.Stats { return t.counters.Sum() }
 
 // Properties implements smr.Tracker (Table 1 row "HE").
 func (t *Tracker) Properties() smr.Properties {

@@ -2,8 +2,10 @@ package he
 
 import (
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 
 	"hyaline/internal/arena"
 	"hyaline/internal/ptr"
@@ -17,6 +19,10 @@ func factory(a *arena.Arena, maxThreads int) smr.Tracker {
 
 func TestConformance(t *testing.T) {
 	smrtest.RunAll(t, factory, smrtest.Options{})
+}
+
+func TestConformanceExtra(t *testing.T) {
+	smrtest.RunExtra(t, factory, smrtest.Options{})
 }
 
 func TestBirthAndRetireEras(t *testing.T) {
@@ -114,4 +120,26 @@ func TestProperties(t *testing.T) {
 // (see smrtest.OwnLine).
 func TestEraOwnLine(t *testing.T) {
 	smrtest.OwnLine(t, reflect.TypeFor[Tracker](), "era")
+}
+
+// TestCoveredMatchesLinearScan checks the per-pass lookup against the
+// definition it replaces: a node is pinned iff some reserved era lies
+// in its [birth, retire] lifespan.
+func TestCoveredMatchesLinearScan(t *testing.T) {
+	f := func(raw []uint8, b, r uint8) bool {
+		eras := make([]uint64, len(raw))
+		for i, e := range raw {
+			eras[i] = uint64(e)
+		}
+		slices.Sort(eras)
+		birth, retire := uint64(min(b, r)), uint64(max(b, r))
+		want := false
+		for _, e := range eras {
+			want = want || (birth <= e && e <= retire)
+		}
+		return covered(eras, birth, retire) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
 }

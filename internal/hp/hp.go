@@ -13,10 +13,11 @@
 package hp
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"hyaline/internal/arena"
+	"hyaline/internal/limbo"
 	"hyaline/internal/ptr"
 	"hyaline/internal/smr"
 )
@@ -47,24 +48,19 @@ type hazardRow struct {
 	_     [8]uint64
 }
 
+// threadState is a tid's reused hazard snapshot buffer.
 type threadState struct {
-	limboHead ptr.Word
-	// nextScan is the adaptive scan trigger: when pinned garbage keeps
-	// a long limbo list alive, rescanning every ScanThreshold retires
-	// would be quadratic, so the trigger moves with the surviving count.
-	nextScan   int
-	limboCount int
-	scratch    []uint64 // reused hazard snapshot buffer
-	_          [4]uint64
+	scratch []uint64
+	_       [5]uint64
 }
 
 // Tracker is the hazard-pointer scheme.
 type Tracker struct {
-	arena    *arena.Arena
-	counters *smr.Counters
-	cfg      Config
+	smr.Base
+	cfg Config
 
 	hazards []hazardRow
+	limbo   limbo.List
 	threads []threadState
 }
 
@@ -76,12 +72,13 @@ var (
 // New creates a hazard-pointer tracker over a.
 func New(a *arena.Arena, cfg Config) *Tracker {
 	cfg.fill()
+	base := smr.NewBase(a, cfg.MaxThreads)
 	t := &Tracker{
-		arena:    a,
-		counters: smr.NewCounters(cfg.MaxThreads),
-		cfg:      cfg,
-		hazards:  make([]hazardRow, cfg.MaxThreads),
-		threads:  make([]threadState, cfg.MaxThreads),
+		Base:    base,
+		cfg:     cfg,
+		hazards: make([]hazardRow, cfg.MaxThreads),
+		limbo:   limbo.New(base, cfg.MaxThreads, cfg.ScanThreshold),
+		threads: make([]threadState, cfg.MaxThreads),
 	}
 	for i := range t.hazards {
 		t.hazards[i].slots = make([]atomic.Uint64, cfg.Hazards)
@@ -103,12 +100,6 @@ func (t *Tracker) Leave(tid int) {
 	}
 }
 
-// Alloc implements smr.Tracker.
-func (t *Tracker) Alloc(tid int) ptr.Index {
-	t.counters.Alloc(tid)
-	return t.arena.Alloc(tid)
-}
-
 // Protect implements smr.Tracker: publish-and-validate. The loop
 // terminates as soon as two consecutive reads of *addr agree while the
 // hazard is published, the linearization argument of [26].
@@ -125,23 +116,14 @@ func (t *Tracker) Protect(tid, slot int, addr *atomic.Uint64) ptr.Word {
 
 // Retire implements smr.Tracker.
 func (t *Tracker) Retire(tid int, idx ptr.Index) {
-	t.counters.Retire(tid)
-	ts := &t.threads[tid]
-	n := t.arena.Node(idx)
-	n.Next.Store(ts.limboHead)
-	ts.limboHead = ptr.Pack(idx)
-	ts.limboCount++
-	if ts.nextScan < t.cfg.ScanThreshold {
-		ts.nextScan = t.cfg.ScanThreshold
-	}
-	if ts.limboCount >= ts.nextScan {
+	if t.limbo.Retire(tid, idx) {
 		t.scan(tid)
 	}
 }
 
-// scan frees every limbo node not present in any thread's hazard slots.
+// scan frees every limbo node not present in any thread's hazard slots,
+// looked up in one sorted snapshot of them.
 func (t *Tracker) scan(tid int) {
-	t.counters.Scan(tid)
 	ts := &t.threads[tid]
 	hz := ts.scratch[:0]
 	for i := range t.hazards {
@@ -152,44 +134,15 @@ func (t *Tracker) scan(tid int) {
 		}
 	}
 	ts.scratch = hz
-	sort.Slice(hz, func(i, j int) bool { return hz[i] < hz[j] })
-
-	var keepHead ptr.Word
-	keepCount := 0
-	var freed arena.Chain
-	for w := ts.limboHead; !ptr.IsNil(w); {
-		n := t.arena.Deref(w)
-		next := n.Next.Load()
-		i := sort.Search(len(hz), func(i int) bool { return hz[i] >= w })
-		if i < len(hz) && hz[i] == w {
-			n.Next.Store(keepHead)
-			keepHead = w
-			keepCount++
-		} else {
-			t.arena.Release(&freed, ptr.Idx(w))
-		}
-		w = next
-	}
-	ts.limboHead = keepHead
-	ts.limboCount = keepCount
-	// Re-arm the adaptive trigger from the surviving count here, not at
-	// the Retire call site: a scan reached through Flush must also
-	// lower the trigger, or a limbo list that once ballooned behind a
-	// stalled reader stops scanning after the flush drains it — no
-	// retire-triggered scan would fire again until the list re-grew to
-	// the old high-water mark.
-	ts.nextScan = keepCount + t.cfg.ScanThreshold
-	if n := freed.Len(); n > 0 {
-		t.arena.FreeChain(tid, &freed)
-		t.counters.Free(tid, n)
-	}
+	slices.Sort(hz)
+	t.limbo.Scan(tid, func(w ptr.Word, _ *arena.Node) bool {
+		_, found := slices.BinarySearch(hz, w)
+		return found
+	})
 }
 
 // Flush implements smr.Flusher.
 func (t *Tracker) Flush(tid int) { t.scan(tid) }
-
-// Stats implements smr.Tracker.
-func (t *Tracker) Stats() smr.Stats { return t.counters.Sum() }
 
 // Properties implements smr.Tracker (Table 1 row "HP").
 func (t *Tracker) Properties() smr.Properties {

@@ -18,6 +18,10 @@ func TestConformance(t *testing.T) {
 	smrtest.RunAll(t, factory, smrtest.Options{})
 }
 
+func TestConformanceExtra(t *testing.T) {
+	smrtest.RunExtra(t, factory, smrtest.Options{})
+}
+
 func TestProtectPinsExactNode(t *testing.T) {
 	a := arena.New(64)
 	tr := New(a, Config{MaxThreads: 2, ScanThreshold: 1})

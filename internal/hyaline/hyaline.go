@@ -244,9 +244,8 @@ type Tracker struct {
 	allocEra atomic.Uint64
 	_        [56]byte
 
-	arena    *arena.Arena
-	counters *smr.Counters
-	cfg      Config
+	smr.Base
+	cfg Config
 
 	// k is the current slot count; it only changes when Resize is on.
 	k atomic.Uint64
@@ -269,11 +268,10 @@ var (
 func New(a *arena.Arena, cfg Config) *Tracker {
 	cfg.fill()
 	t := &Tracker{
-		arena:    a,
-		counters: smr.NewCounters(cfg.MaxThreads),
-		cfg:      cfg,
-		kmin:     cfg.Slots,
-		threads:  make([]threadState, cfg.MaxThreads),
+		Base:    smr.NewBase(a, cfg.MaxThreads),
+		cfg:     cfg,
+		kmin:    cfg.Slots,
+		threads: make([]threadState, cfg.MaxThreads),
 	}
 	block := make([]slotState, cfg.Slots)
 	t.dir[0].Store(&block)
@@ -304,9 +302,6 @@ func (t *Tracker) slot(i int) *slotState {
 
 // Name implements smr.Tracker.
 func (t *Tracker) Name() string { return t.cfg.Variant.String() }
-
-// Arena returns the arena this tracker manages.
-func (t *Tracker) Arena() *arena.Arena { return t.arena }
 
 // Slots returns the current slot count k (it grows only under Resize).
 func (t *Tracker) Slots() int { return int(t.k.Load()) }
@@ -402,7 +397,7 @@ func (t *Tracker) Leave(tid int) {
 		if curr != handle {
 			// Reading the first node is safe: while we are counted in
 			// HRef, the head batch cannot complete its adjustments.
-			next = t.arena.Deref(curr).Next.Load()
+			next = t.Arena.Deref(curr).Next.Load()
 		}
 		newPtr := curr
 		if headRef(oldHead) == 1 {
@@ -439,7 +434,7 @@ func (t *Tracker) Trim(tid int) {
 	ts := &t.threads[tid]
 	curr := headPtr(ts.st.head.Load())
 	if curr != ts.handle {
-		next := t.arena.Deref(curr).Next.Load()
+		next := t.Arena.Deref(curr).Next.Load()
 		t.traverse(ts, next, ts.handle)
 		ts.handle = curr
 	}
@@ -449,8 +444,8 @@ func (t *Tracker) Trim(tid int) {
 // Alloc implements smr.Tracker. Robust variants stamp the birth era
 // (Fig. 5 init_node); the era clock advances every Freq allocations.
 func (t *Tracker) Alloc(tid int) ptr.Index {
-	t.counters.Alloc(tid)
-	idx := t.arena.Alloc(tid)
+	t.Counters.Alloc(tid)
+	idx := t.Arena.Alloc(tid)
 	if t.robust() {
 		ts := &t.threads[tid]
 		ts.eraCountdown--
@@ -461,7 +456,7 @@ func (t *Tracker) Alloc(tid int) ptr.Index {
 		// Birth era shares space with the batch chain link (§4.2): it
 		// only needs to survive until the node joins a batch. The node
 		// is not published yet, so the store is plain (ptr.StoreOwned).
-		ptr.StoreOwned(&t.arena.Node(idx).Refs, t.allocEra.Load())
+		ptr.StoreOwned(&t.Arena.Node(idx).Refs, t.allocEra.Load())
 	}
 	return idx
 }
@@ -474,9 +469,9 @@ func (t *Tracker) robust() bool {
 // thread's batches; once that batch exceeds both MinBatch and the current
 // slot count, push it to the slots (Fig. 3 retire).
 func (t *Tracker) Retire(tid int, idx ptr.Index) {
-	t.counters.Retire(tid)
+	t.Counters.Retire(tid)
 	ts := &t.threads[tid]
-	n := t.arena.Node(idx)
+	n := t.Arena.Node(idx)
 
 	birth := uint64(0)
 	if t.robust() {
@@ -520,7 +515,7 @@ func (t *Tracker) retireBatch(tid int, ts *threadState, b *batch) {
 	k := int(t.k.Load())
 	adjs := adjsFor(k)
 	refsW := b.refs
-	refs := t.arena.Deref(refsW)
+	refs := t.Arena.Deref(refsW)
 	// The REFS node is reachable only through a node's BatchLink once a
 	// slot CAS below publishes that node, so its header stores are plain
 	// (ptr.StoreOwned), as is each node's list link before its CAS.
@@ -557,7 +552,7 @@ func (t *Tracker) retireBatch(tid int, ts *threadState, b *batch) {
 				doAdj = true
 				break
 			}
-			node := t.arena.Deref(cur)
+			node := t.Arena.Deref(cur)
 			// Read the chain successor before publishing: after the last
 			// CAS the whole batch may be adjusted and freed by others.
 			nextInChain := node.Refs.Load()
@@ -609,7 +604,7 @@ func (t *Tracker) retireBatch(tid int, ts *threadState, b *batch) {
 // batchAdjs returns the Adjs constant recorded in the batch that node w
 // belongs to (§4.3: stored in the REFS node's unused Next field).
 func (t *Tracker) batchAdjs(w ptr.Word) uint64 {
-	refs := t.arena.Deref(t.arena.Deref(w).BatchLink.Load())
+	refs := t.Arena.Deref(t.Arena.Deref(w).BatchLink.Load())
 	return refs.Next.Load()
 }
 
@@ -617,8 +612,8 @@ func (t *Tracker) batchAdjs(w ptr.Word) uint64 {
 // batch for freeing when the counter returns to zero (Fig. 3 adjust).
 // w must be an ordinary (non-REFS) node.
 func (t *Tracker) adjust(tid int, w ptr.Word, val uint64) {
-	refsW := t.arena.Deref(w).BatchLink.Load()
-	refs := t.arena.Deref(refsW)
+	refsW := t.Arena.Deref(w).BatchLink.Load()
+	refs := t.Arena.Deref(refsW)
 	if refs.Refs.Add(val) == 0 {
 		t.freeBatchNow(tid, refsW)
 	}
@@ -635,10 +630,10 @@ func (t *Tracker) traverse(ts *threadState, next, handle ptr.Word) {
 			break
 		}
 		counter++
-		n := t.arena.Deref(curr)
+		n := t.Arena.Deref(curr)
 		next = n.Next.Load()
 		refsW := n.BatchLink.Load()
-		refs := t.arena.Deref(refsW)
+		refs := t.Arena.Deref(refsW)
 		if refs.Refs.Add(^uint64(0)) == 0 { // FAA(-1) reached zero
 			ts.deferred = append(ts.deferred, refsW)
 		}
@@ -665,19 +660,19 @@ func (t *Tracker) reap(tid int, ts *threadState) {
 // Hyaline has no limbo-list scan; each batch walk is its reclamation
 // pass, so it is what the Scans counter ticks on.
 func (t *Tracker) freeBatchNow(tid int, refsW ptr.Word) {
-	t.counters.Scan(tid)
-	refs := t.arena.Deref(refsW)
+	t.Counters.Scan(tid)
+	refs := t.Arena.Deref(refsW)
 	var freed arena.Chain
 	cur := refs.BatchLink.Load()
 	for cur != refsW {
-		next := t.arena.Deref(cur).Refs.Load()
-		t.arena.Release(&freed, ptr.Idx(cur))
+		next := t.Arena.Deref(cur).Refs.Load()
+		t.Arena.Release(&freed, ptr.Idx(cur))
 		cur = next
 	}
-	t.arena.Release(&freed, ptr.Idx(refsW))
+	t.Arena.Release(&freed, ptr.Idx(refsW))
 	n := freed.Len()
-	t.arena.FreeChain(tid, &freed)
-	t.counters.Free(tid, n)
+	t.Arena.FreeChain(tid, &freed)
+	t.Counters.Free(tid, n)
 }
 
 // Protect implements smr.Tracker. Robust variants implement Fig. 5 deref:
@@ -735,8 +730,8 @@ func (t *Tracker) Flush(tid int) {
 		}
 		for b.count <= k {
 			idx := t.Alloc(tid)
-			t.counters.Retire(tid)
-			n := t.arena.Node(idx)
+			t.Counters.Retire(tid)
+			n := t.Arena.Node(idx)
 			// Dummies never carry payloads, but a recycled node still
 			// holds poison in Key/Val; clear both so a blob-enabled
 			// arena's Free doesn't decode the poison as a BlobRef. The
@@ -752,9 +747,6 @@ func (t *Tracker) Flush(tid int) {
 		t.retireBatch(tid, ts, b)
 	}
 }
-
-// Stats implements smr.Tracker.
-func (t *Tracker) Stats() smr.Stats { return t.counters.Sum() }
 
 // Properties implements smr.Tracker (Table 1 rows).
 func (t *Tracker) Properties() smr.Properties {

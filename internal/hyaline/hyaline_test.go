@@ -24,16 +24,32 @@ func TestConformanceBasic(t *testing.T) {
 	smrtest.RunAll(t, factory(Basic), smrtest.Options{})
 }
 
+func TestConformanceExtraBasic(t *testing.T) {
+	smrtest.RunExtra(t, factory(Basic), smrtest.Options{})
+}
+
 func TestConformanceOne(t *testing.T) {
 	smrtest.RunAll(t, factory(One), smrtest.Options{})
+}
+
+func TestConformanceExtraOne(t *testing.T) {
+	smrtest.RunExtra(t, factory(One), smrtest.Options{})
 }
 
 func TestConformanceRobust(t *testing.T) {
 	smrtest.RunAll(t, factory(Robust), smrtest.Options{})
 }
 
+func TestConformanceExtraRobust(t *testing.T) {
+	smrtest.RunExtra(t, factory(Robust), smrtest.Options{})
+}
+
 func TestConformanceRobustOne(t *testing.T) {
 	smrtest.RunAll(t, factory(RobustOne), smrtest.Options{})
+}
+
+func TestConformanceExtraRobustOne(t *testing.T) {
+	smrtest.RunExtra(t, factory(RobustOne), smrtest.Options{})
 }
 
 func TestAdjsFor(t *testing.T) {

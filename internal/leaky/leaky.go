@@ -15,8 +15,7 @@ import (
 
 // Tracker is the no-op reclamation scheme.
 type Tracker struct {
-	arena    *arena.Arena
-	counters *smr.Counters
+	smr.Base
 }
 
 var _ smr.Tracker = (*Tracker)(nil)
@@ -24,7 +23,7 @@ var _ smr.Tracker = (*Tracker)(nil)
 // New creates a leaky tracker over a. The arena must be sized for the
 // whole run, since nothing is ever recycled.
 func New(a *arena.Arena, maxThreads int) *Tracker {
-	return &Tracker{arena: a, counters: smr.NewCounters(maxThreads)}
+	return &Tracker{Base: smr.NewBase(a, maxThreads)}
 }
 
 // Name implements smr.Tracker.
@@ -36,15 +35,9 @@ func (t *Tracker) Enter(int) {}
 // Leave implements smr.Tracker. It is a no-op.
 func (t *Tracker) Leave(int) {}
 
-// Alloc implements smr.Tracker.
-func (t *Tracker) Alloc(tid int) ptr.Index {
-	t.counters.Alloc(tid)
-	return t.arena.Alloc(tid)
-}
-
 // Retire implements smr.Tracker: the node is abandoned, never freed.
 func (t *Tracker) Retire(tid int, _ ptr.Index) {
-	t.counters.Retire(tid)
+	t.Counters.Retire(tid)
 }
 
 // Flush implements smr.Flusher. Leaky has nothing to flush.
@@ -57,9 +50,6 @@ func (t *Tracker) Protect(_, _ int, addr *atomic.Uint64) ptr.Word {
 
 // PlainLoad implements smr.PlainLoader: Protect above is a bare load.
 func (t *Tracker) PlainLoad() bool { return true }
-
-// Stats implements smr.Tracker.
-func (t *Tracker) Stats() smr.Stats { return t.counters.Sum() }
 
 // Properties implements smr.Tracker.
 func (t *Tracker) Properties() smr.Properties {

@@ -16,6 +16,10 @@ func TestConformance(t *testing.T) {
 	smrtest.RunAll(t, factory, smrtest.Options{SkipQuiescence: true})
 }
 
+func TestConformanceExtra(t *testing.T) {
+	smrtest.RunExtra(t, factory, smrtest.Options{SkipQuiescence: true})
+}
+
 func TestNeverFrees(t *testing.T) {
 	a := arena.New(1 << 10)
 	tr := New(a, 1)

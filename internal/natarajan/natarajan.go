@@ -12,9 +12,11 @@
 //
 // Reclamation follows the evaluation framework the paper uses: the
 // thread whose cleanup CAS succeeds retires the parent and the leaf.
-// Under deep tag chains (rare, contended deletes) intermediate chain
-// nodes can leak — a bounded imprecision shared with the original
-// framework, noted in DESIGN.md.
+// Under deep tag chains (rare, contended deletes) the intermediate
+// nodes of a spliced chain are never retired, so they leak: a few nodes
+// per such delete, an imprecision shared with the original framework.
+// ROADMAP.md item 1 tracks it with the open traversal-through-detached-
+// chain defect of the same cleanup path.
 //
 // Sentinel keys occupy the top of the key space: user keys must be below
 // KeyMax.

@@ -13,6 +13,7 @@ package smr
 import (
 	"sync/atomic"
 
+	"hyaline/internal/arena"
 	"hyaline/internal/ptr"
 )
 
@@ -132,6 +133,38 @@ type Trimmer interface {
 type Flusher interface {
 	Flush(tid int)
 }
+
+// Base is the state every tracker shares: the arena it allocates from
+// and its per-thread counters. A tracker embeds it for Alloc, Dealloc
+// and Stats. Schemes that stamp a birth era shadow Alloc and call
+// Counters.Alloc and Arena.Alloc themselves: Base.Alloc is over the
+// inliner's budget, and calling it would add a call to every
+// allocation.
+type Base struct {
+	Arena    *arena.Arena
+	Counters *Counters
+}
+
+// NewBase binds a fresh counter set for maxThreads threads to a.
+func NewBase(a *arena.Arena, maxThreads int) Base {
+	return Base{Arena: a, Counters: NewCounters(maxThreads)}
+}
+
+// Alloc implements Tracker for schemes that record nothing per node.
+func (b *Base) Alloc(tid int) ptr.Index {
+	b.Counters.Alloc(tid)
+	return b.Arena.Alloc(tid)
+}
+
+// Dealloc implements Tracker: a never-published speculative node is
+// freed directly, as unmanaged code would, bypassing reclamation.
+func (b *Base) Dealloc(tid int, idx ptr.Index) {
+	b.Counters.Dealloc(tid)
+	b.Arena.Free(tid, idx)
+}
+
+// Stats implements Tracker.
+func (b *Base) Stats() Stats { return b.Counters.Sum() }
 
 // Stats are cumulative reclamation counters.
 type Stats struct {

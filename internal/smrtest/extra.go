@@ -12,8 +12,10 @@ import (
 	"hyaline/internal/smr"
 )
 
-// RunExtra runs the second-tier conformance scenarios. It is separate
-// from RunAll so scheme packages can opt individual scenarios out.
+// RunExtra runs the second-tier conformance scenarios. Every scheme
+// package calls it beside RunAll, with the same Options, and no scheme
+// opts out: a scenario that does not apply (Trim, a scan trigger)
+// skips itself.
 func RunExtra(t *testing.T, f Factory, opts Options) {
 	t.Run("Dealloc", func(t *testing.T) { Dealloc(t, f) })
 	t.Run("FlushIdempotent", func(t *testing.T) { FlushIdempotent(t, f) })
@@ -24,7 +26,7 @@ func RunExtra(t *testing.T, f Factory, opts Options) {
 }
 
 // ScanAfterFlush is the regression test for the stuck scan trigger:
-// schemes with an adaptive limbo-scan threshold (nextScan moves with
+// schemes with an adaptive limbo-scan threshold (the trigger moves with
 // the surviving count so a pinned limbo list is not rescanned
 // quadratically) must re-arm that trigger when a scan reached through
 // Flush drains the list. Before the fix the trigger stayed at the

@@ -66,6 +66,46 @@ func RunAll(t *testing.T, f Factory, opts Options) {
 	t.Run("RegisterTorture", func(t *testing.T) { RegisterTorture(t, f, opts) })
 	t.Run("ChainTorture", func(t *testing.T) { ChainTorture(t, f, opts) })
 	t.Run("Quiescence", func(t *testing.T) { Quiescence(t, f, opts) })
+	t.Run("PassAllocatesNothing", func(t *testing.T) { PassAllocatesNothing(t, f) })
+}
+
+// PassAllocatesNothing checks that retiring, and the reclamation passes
+// retiring sets off, allocate nothing on the Go heap: snapshot buffers
+// are reused and keep predicates do not escape. Three other threads
+// hold published protections, so each pass has reservations to collect
+// and nodes to keep.
+func PassAllocatesNothing(t *testing.T, f Factory) {
+	const readers, retires = 3, 256
+	a := arena.New(1 << 14)
+	tr := f(a, readers+1)
+	var links [readers][2]atomic.Uint64
+	tr.Enter(0)
+	for i := range links {
+		for s := range links[i] {
+			links[i][s].Store(ptr.Pack(tr.Alloc(0)))
+		}
+	}
+	tr.Leave(0)
+	for i := range links {
+		tid := i + 1
+		tr.Enter(tid)
+		for s := range links[i] {
+			tr.Protect(tid, s, &links[i][s])
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for range retires {
+			tr.Enter(0)
+			tr.Retire(0, tr.Alloc(0))
+			tr.Leave(0)
+		}
+	})
+	for i := range links {
+		tr.Leave(i + 1)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v heap allocations per %d retires with %d readers protecting", allocs, retires, readers)
+	}
 }
 
 // Lifecycle checks the basic single-threaded alloc/retire/flush protocol.
