@@ -121,13 +121,15 @@ type Node struct {
 	Left atomic.Uint64 // ptr.Word: list next, tree left child
 
 	// Right is payload no scheme has a claim on: the trees' right child,
-	// the skiplist's level mask, and for the bytes list the key's first
-	// 8 bytes, big-endian and zero-padded (list.keyPrefix), so that a
-	// traversal hop compares one word and reads the key blob only on a
-	// tie. The list writes it with Key and Val before the node is
-	// published and nothing writes it again until Free's poison.
+	// the skiplist's level mask, and every list node's order word — the
+	// key itself in a uint64 list or hash map bucket, and in the bytes
+	// list the key's first 8 bytes, big-endian and zero-padded
+	// (list.keyPrefix) — so that a traversal hop compares one word and
+	// reads a bytes key's blob only on a tie. The list writes it with Key
+	// and Val before the node is published and nothing writes it again
+	// until Free's poison.
 	//
-	// The prefix is here and not in Aux because Aux is the one payload
+	// The order word is here and not in Aux because Aux is the one payload
 	// word promised to the era schemes, from Retire on, as their retire
 	// stamp (HE/IBR in this tree stamp BatchLink instead, but the
 	// skiplist reads its height from Aux defensively for that reason):

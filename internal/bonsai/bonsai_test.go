@@ -15,16 +15,22 @@ func factory(a *arena.Arena, tr smr.Tracker) dstest.Map {
 	return New(a, tr, 64)
 }
 
+var suiteOptions = dstest.Options{
+	// As in the paper, the Bonsai tree runs under the epoch- and
+	// era-based schemes only (no HP/HE).
+	Schemes:  []string{"leaky", "epoch", "ibr", "hyaline", "hyaline-1", "hyaline-s", "hyaline-1s"},
+	KeySpace: 256,
+	// Bonsai writers allocate O(log n) per op; give them headroom.
+	ArenaCap:     1 << 22,
+	OpsPerThread: 8000,
+}
+
 func TestAllSchemes(t *testing.T) {
-	dstest.RunAll(t, factory, dstest.Options{
-		// As in the paper, the Bonsai tree runs under the epoch- and
-		// era-based schemes only (no HP/HE).
-		Schemes:  []string{"leaky", "epoch", "ibr", "hyaline", "hyaline-1", "hyaline-s", "hyaline-1s"},
-		KeySpace: 256,
-		// Bonsai writers allocate O(log n) per op; give them headroom.
-		ArenaCap:     1 << 22,
-		OpsPerThread: 8000,
-	})
+	dstest.RunAll(t, factory, suiteOptions)
+}
+
+func TestFreedReads(t *testing.T) {
+	dstest.FreedReads(t, factory, suiteOptions)
 }
 
 // TestWeightBalance checks the BB[ω] invariant after sequential inserts

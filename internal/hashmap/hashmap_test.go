@@ -23,6 +23,10 @@ func TestAllSchemes(t *testing.T) {
 	dstest.RunAll(t, factory, dstest.Options{KeySpace: 2048})
 }
 
+func TestFreedReads(t *testing.T) {
+	dstest.FreedReads(t, factory, dstest.Options{KeySpace: 2048})
+}
+
 // leakyMap builds a map nothing is reclaimed from, for the tests and
 // benchmarks that are about the table and not about a scheme.
 func leakyMap(nodes, buckets int) *Map {

@@ -15,11 +15,11 @@ func bytesFactory(a *arena.Arena, tr smr.Tracker) dstest.BytesMap {
 }
 
 func TestBytesAllSchemes(t *testing.T) {
-	dstest.RunAllBytes(t, bytesFactory, dstest.Options{
-		// Lists are slow; keep the churn volume moderate.
-		OpsPerThread: 4000,
-		KeySpace:     64,
-	})
+	dstest.RunAllBytes(t, bytesFactory, suiteOptions)
+}
+
+func TestBytesFreedReads(t *testing.T) {
+	dstest.FreedReadsBytes(t, bytesFactory, suiteOptions)
 }
 
 func TestBytesSortedOrder(t *testing.T) {
@@ -48,6 +48,45 @@ func TestBytesSortedOrder(t *testing.T) {
 	}
 }
 
+// TestBytesEmptyKey pins that nil and []byte{} are one bytes key, and
+// never the uint64 key 0: both tie on order word 0 with "\x00", which
+// only the bytes compare tells apart.
+func TestBytesEmptyKey(t *testing.T) {
+	for _, keys := range [][2][]byte{{nil, {}}, {{}, nil}} {
+		ins, other := keys[0], keys[1]
+		a := arena.New(1 << 8)
+		a.EnableBlobs(1 << 13)
+		tr := trackers.MustNew("hyaline", a, trackers.Config{MaxThreads: 1})
+		l := NewBytes(a, tr)
+		tr.Enter(0)
+		if !l.Insert(0, []byte("\x00"), []byte("z")) {
+			t.Fatal(`Insert("\x00") failed`)
+		}
+		if _, ok := l.Get(0, other, nil); ok {
+			t.Fatalf("Get(%#v) hit before any empty key was inserted", other)
+		}
+		if !l.Insert(0, ins, []byte("e")) {
+			t.Fatalf("Insert(%#v) failed beside \"\\x00\"", ins)
+		}
+		if l.Insert(0, other, []byte("x")) {
+			t.Fatalf("Insert(%#v) after Insert(%#v) succeeded", other, ins)
+		}
+		if v, ok := l.Get(0, other, nil); !ok || string(v) != "e" {
+			t.Fatalf("Get(%#v) = (%q, %v), want \"e\"", other, v, ok)
+		}
+		if !l.Delete(0, other) || l.Delete(0, ins) {
+			t.Fatalf("Delete(%#v) then Delete(%#v): want true, false", other, ins)
+		}
+		if v, ok := l.Get(0, []byte("\x00"), nil); !ok || string(v) != "z" {
+			t.Fatalf(`Get("\x00") = (%q, %v) after the empty key went`, v, ok)
+		}
+		tr.Leave(0)
+		if l.Len() != 1 {
+			t.Fatalf("Len = %d, want 1", l.Len())
+		}
+	}
+}
+
 func TestNewBytesRequiresBlobs(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -59,11 +98,11 @@ func TestNewBytesRequiresBlobs(t *testing.T) {
 	NewBytes(a, tr)
 }
 
-// FuzzKeyPrefixOrder checks the one-way order property findBytes rests
-// on — a strictly smaller 8-byte prefix implies a bytewise smaller key,
-// so only a tie needs the blob — and then that ties do reach the full
-// compare: both keys go into a list, which must hold them in
-// bytes.Compare order and answer for each separately. The seeds are the
+// FuzzKeyPrefixOrder checks the one-way order property that find rests
+// on for bytes keys — a strictly smaller 8-byte prefix implies a
+// bytewise smaller key, so only a tie needs the blob — and then that
+// ties do reach the full compare: both keys go into a list, which must
+// hold them in bytes.Compare order and answer for each separately. The seeds are the
 // places a padded prefix can go wrong: the empty key, keys shorter than
 // the prefix, a key against its own zero-extension, keys that first
 // differ beyond byte 8, and the all-ones prefix.

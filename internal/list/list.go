@@ -7,11 +7,15 @@
 // help unlink marked nodes, and only the thread whose compare-and-swap
 // performs the unlink retires the node — exactly once.
 //
-// The Core type operates on an explicit head word so that the Michael
-// hash map (package hashmap) reuses the identical algorithm per bucket.
+// One Core runs the algorithm for both key families, on an explicit head
+// word so that the Michael hash map (package hashmap) reuses it per
+// bucket. Every node carries its order word in Node.Right: the key
+// itself in a uint64 list, the key's 8-byte prefix in a BytesList. A hop
+// compares that word and reads a bytes key's blob only on a tie.
 package list
 
 import (
+	"bytes"
 	"sync/atomic"
 
 	"hyaline/internal/arena"
@@ -58,16 +62,31 @@ func (l *List) Get(tid int, key uint64) (uint64, bool) {
 	return l.core.Get(tid, &l.head, key)
 }
 
-// find locates the first node with Key >= key. It returns the address of
-// the link pointing at that node (prevAddr), the protected word for the
-// node (curr, possibly nil), and whether the key matched. Marked nodes
-// encountered on the way are unlinked and retired (Michael's helping).
+// A searchKey is what find orders nodes by: word is compared with each
+// node's order word, and for a bytes key (isBytes) key is the full key
+// that breaks a tie. The family is its own field so that an empty bytes
+// key, nil or not, is never taken for the uint64 key 0.
+type searchKey struct {
+	word    uint64
+	key     []byte
+	isBytes bool
+}
+
+// find locates the first node ordered at or after k. It returns the
+// address of the link pointing at that node (prevAddr), the protected
+// word for the node (curr, possibly nil), and whether the key matched.
+// Marked nodes encountered on the way are unlinked and retired
+// (Michael's helping).
 //
 // Protection protocol: three rotating slots. When advancing, the node
 // that owned slot s becomes prev and stays protected; its successor,
 // protected at slot s+1, becomes curr. The validation read of *prevAddr
 // doubles as hazard validation and as the unmarked-predecessor check.
-func (c *Core) find(tid int, head *atomic.Uint64, key uint64) (prevAddr *atomic.Uint64, curr ptr.Word, found bool) {
+// A marked curr came out of a deleted prev's frozen link and may already
+// be free, so the walk restarts before dereferencing it; the validation
+// would reject it anyway. A bytes key's blob is read only after the
+// validation, under the protection that covers every other field.
+func (c *Core) find(tid int, head *atomic.Uint64, k searchKey) (prevAddr *atomic.Uint64, curr ptr.Word, found bool) {
 	tr := c.Tracker
 retry:
 	for {
@@ -77,6 +96,9 @@ retry:
 		for {
 			if ptr.IsNil(curr) {
 				return prevAddr, curr, false
+			}
+			if ptr.Marked(curr) {
+				continue retry
 			}
 			cn := c.Arena.Deref(curr)
 			next := tr.Protect(tid, (s+1)%3, &cn.Left)
@@ -93,8 +115,15 @@ retry:
 				curr = tr.Protect(tid, s, prevAddr)
 				continue
 			}
-			if cn.Key.Load() >= key {
-				return prevAddr, curr, cn.Key.Load() == key
+			if w := cn.Right.Load(); w > k.word {
+				return prevAddr, curr, false
+			} else if w == k.word {
+				if !k.isBytes {
+					return prevAddr, curr, true
+				}
+				if cmp := bytes.Compare(c.keyBytes(cn), k.key); cmp >= 0 {
+					return prevAddr, curr, cmp == 0
+				}
 			}
 			prevAddr = &cn.Left
 			s = (s + 1) % 3 // cn keeps its hazard while serving as prev
@@ -103,12 +132,15 @@ retry:
 	}
 }
 
-// Insert implements the list insert against an explicit head word.
-func (c *Core) Insert(tid int, head *atomic.Uint64, key, val uint64) bool {
+// insert links a node for k unless find matches it. The node is
+// allocated at first need and carries val, or for a bytes key blobs of
+// k.key and valBytes; one that loses to a duplicate is deallocated,
+// which returns its blobs too.
+func (c *Core) insert(tid int, head *atomic.Uint64, k searchKey, val uint64, valBytes []byte) bool {
 	tr := c.Tracker
 	newW := ptr.Nil
 	for {
-		prevAddr, curr, found := c.find(tid, head, key)
+		prevAddr, curr, found := c.find(tid, head, k)
 		if found {
 			if !ptr.IsNil(newW) {
 				// Speculative node never published: free it directly.
@@ -119,10 +151,17 @@ func (c *Core) Insert(tid int, head *atomic.Uint64, key, val uint64) bool {
 		if ptr.IsNil(newW) {
 			idx := tr.Alloc(tid)
 			n := c.Arena.Node(idx)
+			kw := k.word
+			if k.isBytes {
+				// Both refs are stored before any path that can free the
+				// node: Free decodes whatever Key and Val hold.
+				kw, val = uint64(c.Arena.AllocBlob(k.key)), uint64(c.Arena.AllocBlob(valBytes))
+			}
 			// The node is ours until the CAS below publishes it, and the
 			// CAS orders these stores before it: plain stores.
-			ptr.StoreOwned(&n.Key, key)
+			ptr.StoreOwned(&n.Key, kw)
 			ptr.StoreOwned(&n.Val, val)
+			ptr.StoreOwned(&n.Right, k.word)
 			newW = ptr.Pack(idx)
 		}
 		ptr.StoreOwned(&c.Arena.Deref(newW).Left, ptr.Clean(curr))
@@ -132,11 +171,11 @@ func (c *Core) Insert(tid int, head *atomic.Uint64, key, val uint64) bool {
 	}
 }
 
-// Delete implements the two-step logical+physical delete.
-func (c *Core) Delete(tid int, head *atomic.Uint64, key uint64) bool {
+// delete is the two-step logical+physical delete.
+func (c *Core) delete(tid int, head *atomic.Uint64, k searchKey) bool {
 	tr := c.Tracker
 	for {
-		prevAddr, curr, found := c.find(tid, head, key)
+		prevAddr, curr, found := c.find(tid, head, k)
 		if !found {
 			return false
 		}
@@ -153,16 +192,27 @@ func (c *Core) Delete(tid int, head *atomic.Uint64, key uint64) bool {
 		if prevAddr.CompareAndSwap(ptr.Clean(curr), ptr.Clean(next)) {
 			tr.Retire(tid, ptr.Idx(curr))
 		} else {
-			c.find(tid, head, key)
+			c.find(tid, head, k)
 		}
 		return true
 	}
 }
 
+// Insert adds key→val against an explicit head word; it returns false
+// if the key already exists.
+func (c *Core) Insert(tid int, head *atomic.Uint64, key, val uint64) bool {
+	return c.insert(tid, head, searchKey{word: key}, val, nil)
+}
+
+// Delete removes key against an explicit head word.
+func (c *Core) Delete(tid int, head *atomic.Uint64, key uint64) bool {
+	return c.delete(tid, head, searchKey{word: key})
+}
+
 // Get looks the key up. It shares find, so it also helps unlink marked
 // nodes, as in Michael's original algorithm.
 func (c *Core) Get(tid int, head *atomic.Uint64, key uint64) (uint64, bool) {
-	_, curr, found := c.find(tid, head, key)
+	_, curr, found := c.find(tid, head, searchKey{word: key})
 	if !found {
 		return 0, false
 	}
@@ -172,7 +222,8 @@ func (c *Core) Get(tid int, head *atomic.Uint64, key uint64) (uint64, bool) {
 // Range visits every key in [lo, hi] in ascending order against an
 // explicit head word, calling fn for each until it returns false. The
 // traversal follows the find protocol — three rotating hazard slots,
-// validation through the predecessor link, helping unlink marked nodes —
+// no dereference through a marked link, validation through the
+// predecessor link, helping unlink marked nodes —
 // so it is lock-free and reclamation-safe under every scheme.
 //
 // A scan is not an atomic snapshot: concurrent inserts and deletes may
@@ -194,6 +245,9 @@ retry:
 		for {
 			if ptr.IsNil(curr) {
 				return
+			}
+			if ptr.Marked(curr) {
+				continue retry // out of a deleted prev: see find
 			}
 			cn := c.Arena.Deref(curr)
 			next := tr.Protect(tid, (s+1)%3, &cn.Left)
@@ -235,7 +289,8 @@ func (l *List) Range(tid int, lo, hi uint64, fn func(key, val uint64) bool) {
 }
 
 // Len counts the unmarked nodes; it is not linearizable and exists for
-// tests run at quiescence.
+// tests run at quiescence. It is its own loop, not each's callback: the
+// hash map calls it once per bucket.
 func (c *Core) Len(head *atomic.Uint64) int {
 	n := 0
 	for w := head.Load(); !ptr.IsNil(w); {
@@ -249,19 +304,24 @@ func (c *Core) Len(head *atomic.Uint64) int {
 	return n
 }
 
+// each calls fn on every unmarked node in order at quiescence (the Keys
+// helpers' walk).
+func (c *Core) each(head *atomic.Uint64, fn func(n *arena.Node)) {
+	for w := head.Load(); !ptr.IsNil(w); {
+		node := c.Arena.Deref(ptr.Clean(w))
+		next := node.Left.Load()
+		if !ptr.Marked(next) {
+			fn(node)
+		}
+		w = next
+	}
+}
+
 // Len counts the list's unmarked nodes at quiescence.
 func (l *List) Len() int { return l.core.Len(&l.head) }
 
 // Keys returns the keys in order at quiescence (test helper).
-func (l *List) Keys() []uint64 {
-	var keys []uint64
-	for w := l.head.Load(); !ptr.IsNil(w); {
-		node := l.core.Arena.Deref(ptr.Clean(w))
-		next := node.Left.Load()
-		if !ptr.Marked(next) {
-			keys = append(keys, node.Key.Load())
-		}
-		w = next
-	}
+func (l *List) Keys() (keys []uint64) {
+	l.core.each(&l.head, func(n *arena.Node) { keys = append(keys, n.Key.Load()) })
 	return keys
 }

@@ -1,6 +1,7 @@
 package list
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,12 +16,16 @@ func factory(a *arena.Arena, tr smr.Tracker) dstest.Map {
 	return New(a, tr)
 }
 
+// suiteOptions serves both key families' suites. Lists are slow; keep
+// the churn volume moderate.
+var suiteOptions = dstest.Options{OpsPerThread: 4000, KeySpace: 64}
+
 func TestAllSchemes(t *testing.T) {
-	dstest.RunAll(t, factory, dstest.Options{
-		// Lists are slow; keep the churn volume moderate.
-		OpsPerThread: 4000,
-		KeySpace:     64,
-	})
+	dstest.RunAll(t, factory, suiteOptions)
+}
+
+func TestFreedReads(t *testing.T) {
+	dstest.FreedReads(t, factory, suiteOptions)
 }
 
 func TestSortedOrder(t *testing.T) {
@@ -178,4 +183,48 @@ func TestDeleteRetiresExactlyOnce(t *testing.T) {
 	if live := a.Live(); live != 0 {
 		t.Fatalf("%d live nodes leaked", live)
 	}
+}
+
+// BenchmarkGet times one bracketed Get per iteration under hyaline,
+// for each key family, over a 256-key universe with every other key
+// present. A per-hop change is a few ns per Get: compare with
+// -count=10 and benchstat, not one run.
+func BenchmarkGet(b *testing.B) {
+	const universe = 256
+	b.Run("list", func(b *testing.B) {
+		a := arena.New(1 << 12)
+		tr := trackers.MustNew("hyaline", a, trackers.Config{MaxThreads: 1})
+		l := New(a, tr)
+		tr.Enter(0)
+		for k := uint64(0); k < universe; k += 2 {
+			l.Insert(0, k, k)
+		}
+		tr.Leave(0)
+		for i := uint64(0); b.Loop(); i++ {
+			tr.Enter(0)
+			l.Get(0, i%universe)
+			tr.Leave(0)
+		}
+	})
+	b.Run("blist", func(b *testing.B) {
+		a := arena.New(1 << 12)
+		a.EnableBlobs(1 << 16)
+		tr := trackers.MustNew("hyaline", a, trackers.Config{MaxThreads: 1})
+		l := NewBytes(a, tr)
+		keys := make([][]byte, universe)
+		for k := range keys {
+			keys[k] = fmt.Appendf(nil, "key:%03d", k)
+		}
+		tr.Enter(0)
+		for k := 0; k < universe; k += 2 {
+			l.Insert(0, keys[k], keys[k])
+		}
+		tr.Leave(0)
+		buf := make([]byte, 0, 16)
+		for i := 0; b.Loop(); i++ {
+			tr.Enter(0)
+			l.Get(0, keys[i%universe], buf)
+			tr.Leave(0)
+		}
+	})
 }

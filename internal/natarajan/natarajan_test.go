@@ -23,6 +23,11 @@ func TestAllSchemes(t *testing.T) {
 	})
 }
 
+// There is no TestFreedReads here yet: seek and succLeaf follow flagged
+// and tagged edges out of nodes a cleanup has already spliced out, and
+// the freed-read check (dstest.FreedReads) fires under hp, he and
+// hyaline-s. The tree joins the check with that fix (ROADMAP item 1).
+
 func TestSentinelSkeleton(t *testing.T) {
 	a := arena.New(64)
 	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 1})

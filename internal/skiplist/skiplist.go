@@ -139,7 +139,10 @@ func (s *SkipList) abandon(tid int, w ptr.Word, from, height int) {
 // node keeps its slot while curr and next rotate through the other two,
 // and the validation read of *prevAddr doubles as hazard validation and
 // as the unmarked-predecessor check. Descents keep the pred node (and
-// its slot) and re-protect curr from the lower link.
+// its slot) and re-protect curr from the lower link. A marked curr came
+// out of a deleted pred's frozen link and may already be free, so the
+// walk restarts before dereferencing it (Michael's order; the
+// validation would reject it anyway).
 func (s *SkipList) find(tid int, key uint64, targetLevel int) (prevAddr *atomic.Uint64, curr ptr.Word, found bool) {
 	tr := s.tracker
 retry:
@@ -157,6 +160,9 @@ retry:
 			for {
 				if ptr.IsNil(curr) {
 					break // level exhausted: descend
+				}
+				if ptr.Marked(curr) {
+					continue retry // out of a deleted pred: may be free
 				}
 				cn := s.arena.Deref(curr)
 				next := tr.Protect(tid, (sc+1)%3, cn.Link(level))
@@ -337,6 +343,9 @@ retry:
 		for {
 			if ptr.IsNil(curr) {
 				return
+			}
+			if ptr.Marked(curr) {
+				continue retry // as in find
 			}
 			cn := s.arena.Deref(curr)
 			sn := 3 + (sl-3+1)%3

@@ -20,6 +20,10 @@ func TestAllSchemes(t *testing.T) {
 	dstest.RunAll(t, factory, dstest.Options{KeySpace: 512})
 }
 
+func TestFreedReads(t *testing.T) {
+	dstest.FreedReads(t, factory, dstest.Options{KeySpace: 512})
+}
+
 func TestKeysStaySorted(t *testing.T) {
 	a := arena.New(1 << 12)
 	tr := trackers.MustNew("leaky", a, trackers.Config{MaxThreads: 1})

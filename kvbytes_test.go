@@ -52,6 +52,36 @@ func TestKVBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKVBytesEmptyKey pins that nil and []byte{} are one key through
+// the store, sharded or not: insert with one, then get and delete with
+// the other, beside "\x00", whose order word in the list is also 0.
+func TestKVBytesEmptyKey(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, keys := range [][2][]byte{{nil, {}}, {{}, nil}} {
+			ins, other := keys[0], keys[1]
+			kv, err := hyaline.NewShardedKVBytes("blist", "hyaline", shards, hyaline.KVOptions{
+				MaxThreads: 2, ArenaCap: 1 << 10, BlobClassBudget: 1 << 14,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv.Insert([]byte("\x00"), []byte("z"))
+			if !kv.Insert(ins, []byte("e")) || kv.Insert(other, []byte("x")) {
+				t.Fatalf("shards %d: Insert(%#v) then Insert(%#v): want true, false", shards, ins, other)
+			}
+			if v, ok := kv.Get(other); !ok || string(v) != "e" {
+				t.Fatalf("shards %d: Get(%#v) = (%q, %v), want \"e\"", shards, other, v, ok)
+			}
+			if !kv.Delete(other) || kv.Delete(ins) {
+				t.Fatalf("shards %d: Delete(%#v) then Delete(%#v): want true, false", shards, other, ins)
+			}
+			if v, ok := kv.Get([]byte("\x00")); !ok || string(v) != "z" || kv.Len() != 1 {
+				t.Fatalf("shards %d: Get(\"\\x00\") = (%q, %v), Len %d after the empty key went", shards, v, ok, kv.Len())
+			}
+		}
+	}
+}
+
 func TestKVBytesGetAppend(t *testing.T) {
 	kv := newBytesKV(t, "epoch")
 	kv.Insert([]byte("k1"), []byte("vvv1"))
