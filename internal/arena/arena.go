@@ -16,6 +16,17 @@
 // the reclamation costs the benchmarks measure — the role jemalloc plays
 // in the paper's testbed.
 //
+// A node is one cache line unless it needs a tower. Node is eight words:
+// the paper's three header words (§2.4), the four payload words Key, Val,
+// Left and Right, and the Seq stamp. Those are all the words the schemes,
+// the list, the hash map, the bytes list and the Natarajan tree touch, so
+// their arenas stay narrow, nodes 64 bytes apart. The skiplist's tower and
+// Bonsai's subtree size live in a Tail, the line after the node, and
+// their constructors Widen the arena to a 128-byte stride before anything
+// is allocated from it. The slab is mapped at 128 bytes a node either
+// way, so Mapped does not depend on the width; the half a narrow arena
+// never addresses is never touched and costs no resident memory.
+//
 // That role includes remote frees. Under Hyaline a batch is freed by
 // whichever thread drops its last reference, not by the thread that
 // allocated or retired its nodes, so a node routinely comes back on
@@ -74,6 +85,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"hyaline/internal/ptr"
 )
@@ -82,9 +94,11 @@ import (
 // prematurely reclaimed memory observe an obviously invalid value.
 const Poison = 0xDEAD_BEEF_DEAD_BEEF
 
-// Node is one block of the simulated heap. The first three fields are the
-// reclamation header; the paper (§2.4) budgets exactly three CPU words for
-// Hyaline's header, and this layout mirrors it:
+// Node is one block of the simulated heap: one 64-byte cache line, the
+// paper's three header words, four payload words and Seq. The first
+// three fields are the reclamation header; the paper (§2.4) budgets
+// exactly three CPU words for Hyaline's header, and this layout mirrors
+// it:
 //
 //	Next      — per-slot retirement-list link (shared: free-list link,
 //	            EBR/HP/HE/IBR limbo-list link)
@@ -95,9 +109,11 @@ const Poison = 0xDEAD_BEEF_DEAD_BEEF
 //	            other nodes: the birth era (Hyaline-S/HE/IBR), which the
 //	            paper notes need not survive retirement
 //
-// The remaining fields are the data-structure payload, wide enough for all
-// benchmark structures (the list's next pointer lives in Left; the
-// skiplist's tower links live in Left plus Extra, see Link).
+// Key, Val, Left and Right are the data-structure payload, enough for
+// the list, the hash map, the bytes list and the Natarajan tree, whose
+// nodes are this one line and nothing more. The skiplist and Bonsai also
+// need the words of a Tail, the line after the node, and build on an
+// arena they Widen (see Tail).
 //
 // Nodes live in the arena's mapped slab, outside the Go heap (see the
 // package doc), so Node must never gain a Go pointer: the garbage
@@ -128,15 +144,7 @@ type Node struct {
 	// reads a bytes key's blob only on a tie. The list writes it with Key
 	// and Val before the node is published and nothing writes it again
 	// until Free's poison.
-	//
-	// The order word is here and not in Aux because Aux is the one payload
-	// word promised to the era schemes, from Retire on, as their retire
-	// stamp (HE/IBR in this tree stamp BatchLink instead, but the
-	// skiplist reads its height from Aux defensively for that reason):
-	// a word a scheme may overwrite at Retire cannot hold what a reader
-	// still standing on the retired node compares.
 	Right atomic.Uint64
-	Aux   atomic.Uint64 // tree size (Bonsai), tower height (skiplist)
 
 	// Seq is the node's incarnation stamp: even while allocated, odd
 	// while free, bumped on every recycle and Free (never-allocated nodes
@@ -144,26 +152,58 @@ type Node struct {
 	// store-free). It gives tests recycle detection, and the arena panics
 	// on double-free and on corruption of the live/free discipline.
 	Seq atomic.Uint64
+}
 
-	// Extra holds the additional link words of multi-link nodes (skiplist
-	// towers: the level-1..7 next pointers, addressed through Link). The
-	// single-link structures never touch these words, so for them Extra
-	// is exactly the padding it replaced — the node stays 128 B (two
-	// cache lines, Intel prefetcher pair) either way.
+// Tail is the second cache line of a node in a wide arena (see Widen):
+// the words that only the multi-word structures use. It sits directly
+// after its Node, so a wide node is 128 B, an adjacent-line prefetch
+// pair. On a narrow arena those bytes are the next node's header, and
+// Tail and Link above level 0 must not be used.
+type Tail struct {
+	// Aux is the tree size (Bonsai) or the tower height (skiplist). It
+	// is the one payload word promised to the era schemes, from Retire
+	// on, as their retire stamp (HE/IBR in this tree stamp BatchLink
+	// instead, but the skiplist reads its height defensively for that
+	// reason), which is why the list's order word lives in Right: a word
+	// a scheme may overwrite at Retire cannot hold what a reader still
+	// standing on the retired node compares.
+	Aux atomic.Uint64
+
+	// Extra holds the skiplist's level-1..7 next pointers, addressed
+	// through Link.
 	Extra [MaxLinks - 1]atomic.Uint64
 }
 
-// MaxLinks is the number of per-level link words a node can hold: Left
-// (level 0) plus the Extra words. It caps the skiplist tower height.
+// MaxLinks is the number of per-level link words a wide node can hold:
+// Left (level 0) plus the Tail's Extra words. It caps the skiplist tower
+// height.
 const MaxLinks = 8
 
+const (
+	nodeShift = 6 // log2 of a narrow node's bytes: one Node
+	wideShift = 7 // log2 of a wide node's bytes: a Node and its Tail
+)
+
+// The narrow stride is exactly one Node (this line fails to compile if
+// the node gains or loses a word), and a Tail fills the rest of a wide
+// one.
+var _ = [1]struct{}{}[unsafe.Sizeof(Node{})-1<<nodeShift]
+var _ = [1]struct{}{}[unsafe.Sizeof(Tail{})-(1<<wideShift-1<<nodeShift)]
+
+// Tail returns the node's second line. The node must belong to a wide
+// arena.
+func (n *Node) Tail() *Tail {
+	return (*Tail)(unsafe.Add(unsafe.Pointer(n), unsafe.Sizeof(Node{})))
+}
+
 // Link returns the node's link word for the given level of a multi-link
-// structure: level 0 aliases Left, levels 1..MaxLinks-1 live in Extra.
+// structure: level 0 aliases Left, levels 1..MaxLinks-1 live in the
+// Tail's Extra words, so only level 0 is valid on a narrow arena.
 func (n *Node) Link(level int) *atomic.Uint64 {
 	if level == 0 {
 		return &n.Left
 	}
-	return &n.Extra[level-1]
+	return &n.Tail().Extra[level-1]
 }
 
 // shards is the number of free-list shards. Power of two.
@@ -187,15 +227,26 @@ type paddedCounter struct {
 // pages: a deliberately oversized arena (used for the Leaky baseline,
 // which never frees) costs only virtual address space until nodes are
 // actually allocated.
+//
+// An arena is narrow or wide. A narrow arena's nodes are one Node apart,
+// one cache line each; a wide arena's are a Node and its Tail, two lines.
+// Every arena starts narrow, and the structures that need a Tail — the
+// skiplist and Bonsai — Widen theirs in their constructors.
 type Arena struct {
 	// The read-mostly words lead, alone on the struct's first cache line.
-	// nodes is the slice header that every Deref and Node reads on every
+	// nodes, mask and shift are what every Deref and Node reads on every
 	// traversal hop, and nothing writes this line after construction.
 	// Every word an allocation or a free writes sits on a later line, so
 	// a push or pop on one core does not invalidate the line a traversal
 	// on another core reads (TestLayoutReadMostlyLine).
+	//
+	// The slab is mapped at two Nodes (128 B) per index whatever the
+	// width, so Mapped does not depend on it and a narrow arena's unused
+	// half stays virtual. Node i starts i<<shift bytes into it.
 	nodes    []Node
 	capacity int
+	mask     uint32 // backing indices - 1: Deref wraps wild words with it
+	shift    uint32 // log2 of the node stride: nodeShift, or wideShift once widened
 
 	// blobs is the optional variable-size slab heap (see slab.go). When
 	// enabled, every node freed through this arena must hold a valid
@@ -204,7 +255,7 @@ type Arena struct {
 	// structures; the uint64 structures keep arbitrary words in Key/Val
 	// and must run on a plain arena.
 	blobs *blobHeap
-	_     [24]byte // to the end of the read-mostly line
+	_     [16]byte // to the end of the read-mostly line
 
 	// frontier is the next never-allocated index.
 	frontier atomic.Int64
@@ -244,16 +295,51 @@ func New(capacity int) *Arena {
 	for backing < capacity {
 		backing <<= 1
 	}
-	a := &Arena{capacity: capacity}
-	a.nodes = newSlab[Node](a, backing)
+	a := &Arena{capacity: capacity, mask: uint32(backing - 1), shift: nodeShift}
+	a.nodes = newSlab[Node](a, backing<<(wideShift-nodeShift))
 	return a
 }
+
+// Widen gives every node of the arena a Tail, doubling the stride to
+// 128 B. The skiplist and Bonsai call it from their constructors; every
+// other structure leaves its arena narrow. Like EnableBlobs it belongs to
+// construction: it must not race with any use of the arena, and it
+// panics once a node has been allocated (since New or the last Reset) —
+// the nodes already handed out would move. Widening a wide arena is a
+// no-op.
+func (a *Arena) Widen() {
+	if a.shift == wideShift {
+		return
+	}
+	if a.frontier.Load() != 0 {
+		panic("arena: Widen after the first allocation")
+	}
+	a.shift = wideShift
+}
+
+// Stride returns the bytes from one node to the next: 64 on a narrow
+// arena, 128 on a wide one.
+func (a *Arena) Stride() uintptr { return 1 << a.shift }
 
 // Cap returns the arena capacity in nodes.
 func (a *Arena) Cap() int { return a.capacity }
 
 // Node returns the node with index i, which must be a valid allocation.
-func (a *Arena) Node(i ptr.Index) *Node { return &a.nodes[i] }
+// The index is bounds-checked against the slab.
+func (a *Arena) Node(i ptr.Index) *Node {
+	return &a.nodes[a.offset(i)>>nodeShift]
+}
+
+// node is Node without the bounds check, for indices the arena itself
+// handed out or took back.
+func (a *Arena) node(i ptr.Index) *Node {
+	return (*Node)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(a.nodes)), a.offset(i)))
+}
+
+// offset is node i's byte offset into the slab. The shift count is masked
+// as the shift instruction masks it anyway, which spares the compiler's
+// check for counts of 64 or more on every hop.
+func (a *Arena) offset(i ptr.Index) uintptr { return uintptr(i) << (a.shift & 63) }
 
 // Deref returns the node referenced by w, which must not be nil.
 //
@@ -264,7 +350,7 @@ func (a *Arena) Node(i ptr.Index) *Node { return &a.nodes[i] }
 // that the algorithm's validation then rejects; wrapping reproduces
 // that behaviour instead of crashing the simulation.
 func (a *Arena) Deref(w ptr.Word) *Node {
-	return &a.nodes[ptr.Idx(w)&uint32(len(a.nodes)-1)]
+	return a.node(ptr.Idx(w) & a.mask)
 }
 
 const (
@@ -281,7 +367,7 @@ func (a *Arena) tryPop(s int) (ptr.Index, bool) {
 			return 0, false
 		}
 		idx := ptr.Index(hi - 1)
-		next := a.nodes[idx].Next.Load() & headIdxMask
+		next := a.node(idx).Next.Load() & headIdxMask
 		newHead := ((head &^ headIdxMask) + headTagIncr) | next
 		if a.free[s].head.CompareAndSwap(head, newHead) {
 			return idx, true
@@ -377,7 +463,7 @@ func (a *Arena) markEmpty(s int) {
 
 // scrub marks a recycled node live, enforcing the free/live discipline.
 func (a *Arena) scrub(idx ptr.Index) {
-	if seq := a.nodes[idx].Seq.Add(1); seq&1 != 0 {
+	if seq := a.node(idx).Seq.Add(1); seq&1 != 0 {
 		panic("arena: allocated a node that was not free (free-list corruption)")
 	}
 }
@@ -415,11 +501,12 @@ func (c *Chain) Len() int64 { return c.n }
 // Release frees node idx into c: it bumps the incarnation stamp (a node
 // already free, or already in a chain, panics "double free"), frees the
 // node's blobs, poisons every word but Next and Seq so stale readers can
-// be caught, and links the node at the head of c. The node cannot be
-// allocated again until FreeChain pushes c. The stores are plain outside
-// race builds (ptr.StoreOwned, see the package doc).
+// be caught — the Tail's too on a wide arena, and nothing past the Node
+// on a narrow one — and links the node at the head of c. The node cannot
+// be allocated again until FreeChain pushes c. The stores are plain
+// outside race builds (ptr.StoreOwned, see the package doc).
 func (a *Arena) Release(c *Chain, idx ptr.Index) {
-	n := &a.nodes[idx]
+	n := a.Node(idx)
 	if seq := n.Seq.Add(1); seq&1 == 0 {
 		panic("arena: double free")
 	}
@@ -442,9 +529,12 @@ func (a *Arena) Release(c *Chain, idx ptr.Index) {
 	ptr.StoreOwned(&n.Val, Poison)
 	ptr.StoreOwned(&n.Left, Poison)
 	ptr.StoreOwned(&n.Right, Poison)
-	ptr.StoreOwned(&n.Aux, Poison)
-	for i := range n.Extra {
-		ptr.StoreOwned(&n.Extra[i], Poison)
+	if a.shift == wideShift {
+		t := n.Tail()
+		ptr.StoreOwned(&t.Aux, Poison)
+		for i := range t.Extra {
+			ptr.StoreOwned(&t.Extra[i], Poison)
+		}
 	}
 	if c.n == 0 {
 		c.tail = idx // its link is the shard's old head, set by FreeChain
@@ -464,7 +554,7 @@ func (a *Arena) FreeChain(tid int, c *Chain) {
 		return
 	}
 	s := tid & (shards - 1)
-	tail := &a.nodes[c.tail].Next
+	tail := &a.node(c.tail).Next
 	for {
 		head := a.free[s].head.Load()
 		ptr.StoreOwned(tail, head&headIdxMask)
@@ -480,17 +570,18 @@ func (a *Arena) FreeChain(tid int, c *Chain) {
 	}
 }
 
-// Reset returns the arena to its freshly constructed state, zeroing only
-// the region the bump frontier ever touched. It must not race with any
-// concurrent use; the benchmark harness calls it between runs so that
-// multi-gigabyte arenas are recycled with their touched pages resident
-// and their untouched pages never zeroed.
+// Reset returns the arena to its freshly constructed state, narrow and
+// zeroed over the region the bump frontier ever touched. It must not race
+// with any concurrent use; the benchmark harness calls it between runs so
+// that multi-gigabyte arenas are recycled with their touched pages
+// resident and their untouched pages never zeroed.
 func (a *Arena) Reset() {
 	f := a.frontier.Load()
 	if f > int64(a.capacity) {
 		f = int64(a.capacity) // the frontier may overshoot (see TryAlloc)
 	}
-	clear(a.nodes[:f])
+	clear(a.nodes[:f<<a.shift>>nodeShift])
+	a.shift = nodeShift
 	a.frontier.Store(0)
 	a.nonEmpty.Store(0)
 	for s := range a.free {

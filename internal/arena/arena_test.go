@@ -70,15 +70,24 @@ func TestSeqDiscipline(t *testing.T) {
 	runtime.KeepAlive(a) // n points into a's slab
 }
 
-// nodeWords returns every atomic.Uint64 word of n by field path, found by
-// reflection so that a field added to Node later is covered without
-// editing the tests that use it. A field of any other type fails t.
-func nodeWords(t *testing.T, n *Node) map[string]*atomic.Uint64 {
+// nodeWords returns every atomic.Uint64 word of n by field path, and of
+// its Tail too when wide, found by reflection so that a field added to
+// Node or Tail later is covered without editing the tests that use it. A
+// field of any other type fails t.
+func nodeWords(t *testing.T, n *Node, wide bool) map[string]*atomic.Uint64 {
 	t.Helper()
 	words := map[string]*atomic.Uint64{}
-	v := reflect.ValueOf(n).Elem()
+	structWords(t, "", reflect.ValueOf(n).Elem(), words)
+	if wide {
+		structWords(t, "Tail.", reflect.ValueOf(n.Tail()).Elem(), words)
+	}
+	return words
+}
+
+func structWords(t *testing.T, prefix string, v reflect.Value, words map[string]*atomic.Uint64) {
+	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
-		f, name := v.Field(i), v.Type().Field(i).Name
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
 		switch w := f.Addr().Interface().(type) {
 		case *atomic.Uint64:
 			words[name] = w
@@ -87,16 +96,27 @@ func nodeWords(t *testing.T, n *Node) map[string]*atomic.Uint64 {
 				words[fmt.Sprintf("%s[%d]", name, j)] = &w[j]
 			}
 		default:
-			t.Fatalf("Node.%s is a %s: neither an atomic.Uint64 nor the Extra array", name, f.Type())
+			t.Fatalf("%s is a %s: neither an atomic.Uint64 nor the Extra array", name, f.Type())
 		}
 	}
-	return words
+}
+
+// widths builds a fresh arena of each width.
+var widths = map[string]func(capacity int) *Arena{
+	"narrow": New,
+	"wide": func(capacity int) *Arena {
+		a := New(capacity)
+		a.Widen()
+		return a
+	},
 }
 
 // TestPoisonOnFree checks that every word of a freed node but the
 // free-list link and the stamp reads Poison, through Free and through
-// Release+FreeChain alike. Run under -race as well: that build stores
-// the poison with the other body of ptr.StoreOwned.
+// Release+FreeChain alike, on either width: a wide node's Tail included,
+// and on a narrow arena not one word of the next node, whose header the
+// poison would otherwise overwrite. Run under -race as well: that build
+// stores the poison with the other body of ptr.StoreOwned.
 func TestPoisonOnFree(t *testing.T) {
 	free := map[string]func(a *Arena, idx ptr.Index){
 		"Free": func(a *Arena, idx ptr.Index) { a.Free(0, idx) },
@@ -106,28 +126,43 @@ func TestPoisonOnFree(t *testing.T) {
 			a.FreeChain(0, &c)
 		},
 	}
-	for how, free := range free {
-		a := New(4)
-		idx := a.Alloc(0)
-		n := a.Node(idx)
-		words := nodeWords(t, n)
-		for _, w := range words {
-			w.Store(1234)
-		}
-		seq := n.Seq.Load()
-		free(a, idx)
-		for name, w := range words {
-			switch got := w.Load(); {
-			case name == "Seq":
-				if got != seq+1 {
-					t.Errorf("%s: Seq = %d, want %d", how, got, seq+1)
-				}
-			case name == "Next":
-			case got != Poison:
-				t.Errorf("%s: %s = %#x after free, want poison", how, name, got)
+	for width, build := range widths {
+		for how, free := range free {
+			how := width + "/" + how
+			a := build(4)
+			idx, next := a.Alloc(0), a.Alloc(0)
+			if next != idx+1 {
+				t.Fatalf("%s: fresh nodes %d and %d are not adjacent", how, idx, next)
 			}
+			n := a.Node(idx)
+			words := nodeWords(t, n, width == "wide")
+			neighbour := nodeWords(t, a.Node(next), width == "wide")
+			for _, w := range words {
+				w.Store(1234)
+			}
+			for _, w := range neighbour {
+				w.Store(5678)
+			}
+			seq := n.Seq.Load()
+			free(a, idx)
+			for name, w := range words {
+				switch got := w.Load(); {
+				case name == "Seq":
+					if got != seq+1 {
+						t.Errorf("%s: Seq = %d, want %d", how, got, seq+1)
+					}
+				case name == "Next":
+				case got != Poison:
+					t.Errorf("%s: %s = %#x after free, want poison", how, name, got)
+				}
+			}
+			for name, w := range neighbour {
+				if got := w.Load(); got != 5678 {
+					t.Errorf("%s: freeing node %d wrote node %d's %s: %#x", how, idx, next, name, got)
+				}
+			}
+			runtime.KeepAlive(a) // n points into a's slab
 		}
-		runtime.KeepAlive(a) // n points into a's slab
 	}
 }
 
@@ -232,7 +267,7 @@ func TestChainsUnderCrossTidFrees(t *testing.T) {
 	}
 	f := min(a.frontier.Load(), int64(a.capacity)) // the frontier may overshoot
 	for i := int64(0); i < f; i++ {
-		if seq := a.nodes[i].Seq.Load(); seq&1 == 0 {
+		if seq := a.Node(ptr.Index(i)).Seq.Load(); seq&1 == 0 {
 			t.Fatalf("node %d has live stamp %d at quiescence", i, seq)
 		}
 	}
@@ -247,41 +282,51 @@ func TestChainsUnderCrossTidFrees(t *testing.T) {
 
 func TestLinkWords(t *testing.T) {
 	// Multi-link nodes: Link(0) aliases Left, upper levels map onto the
-	// Extra words, and all of them are poisoned on Free.
-	a := New(4)
-	idx := a.Alloc(0)
-	n := a.Node(idx)
-	if n.Link(0) != &n.Left {
-		t.Fatal("Link(0) must alias Left")
-	}
-	for lvl := 1; lvl < MaxLinks; lvl++ {
-		if n.Link(lvl) != &n.Extra[lvl-1] {
-			t.Fatalf("Link(%d) must alias Extra[%d]", lvl, lvl-1)
+	// Tail's Extra words, and on a wide arena all of them are poisoned on
+	// Free. On a narrow arena the Tail's bytes are the next node's header,
+	// and Free leaves them alone.
+	for width, build := range widths {
+		a := build(4)
+		idx, next := a.Alloc(0), a.Alloc(0)
+		n := a.Node(idx)
+		if n.Link(0) != &n.Left {
+			t.Fatalf("%s: Link(0) must alias Left", width)
 		}
-	}
-	for lvl := 0; lvl < MaxLinks; lvl++ {
-		n.Link(lvl).Store(uint64(100 + lvl))
-	}
-	for lvl := 0; lvl < MaxLinks; lvl++ {
-		if got := n.Link(lvl).Load(); got != uint64(100+lvl) {
-			t.Fatalf("Link(%d) = %d after store", lvl, got)
+		for lvl := 1; lvl < MaxLinks; lvl++ {
+			if n.Link(lvl) != &n.Tail().Extra[lvl-1] {
+				t.Fatalf("%s: Link(%d) must alias Tail().Extra[%d]", width, lvl, lvl-1)
+			}
 		}
-	}
-	a.Free(0, idx)
-	for lvl := 0; lvl < MaxLinks; lvl++ {
-		if got := n.Link(lvl).Load(); got != Poison {
-			t.Fatalf("Link(%d) = %#x after Free, want poison", lvl, got)
+		if tail, nn := uintptr(unsafe.Pointer(n.Tail())), uintptr(unsafe.Pointer(a.Node(next))); width == "narrow" && tail != nn {
+			t.Fatalf("narrow: Tail at %#x, want node %d's header at %#x", tail, next, nn)
 		}
+		before := make([]uint64, MaxLinks)
+		for lvl := 0; lvl < MaxLinks; lvl++ {
+			if width == "wide" {
+				n.Link(lvl).Store(uint64(100 + lvl))
+			}
+			before[lvl] = n.Link(lvl).Load()
+		}
+		a.Free(0, idx)
+		for lvl := 0; lvl < MaxLinks; lvl++ {
+			want := uint64(Poison)
+			if width == "narrow" && lvl > 0 {
+				want = before[lvl]
+			}
+			if got := n.Link(lvl).Load(); got != want {
+				t.Fatalf("%s: Link(%d) = %#x after Free, want %#x", width, lvl, got, want)
+			}
+		}
+		runtime.KeepAlive(a) // n points into a's slab
 	}
-	runtime.KeepAlive(a) // n points into a's slab
 }
 
-// TestLinkOutOfRangePanics pins the Link contract at its edges: the
-// valid levels 0..MaxLinks-1 address MaxLinks distinct words, and any
-// level outside that range panics instead of silently aliasing a
-// neighbouring node's memory.
+// TestLinkOutOfRangePanics pins the Link contract at its edges: on a
+// wide arena the valid levels 0..MaxLinks-1 address MaxLinks distinct
+// words, and any level outside that range panics instead of silently
+// aliasing a neighbouring node's memory.
 func TestLinkOutOfRangePanics(t *testing.T) {
-	a := New(4)
+	a := widths["wide"](4)
 	n := a.Node(a.Alloc(0))
 
 	seen := map[*atomic.Uint64]int{}
@@ -345,12 +390,12 @@ func freeListLens(t *testing.T, a *Arena) (lens [shards]int) {
 	t.Helper()
 	seen := make(map[ptr.Index]bool)
 	for s := range a.free {
-		for hi := a.free[s].head.Load() & headIdxMask; hi != 0; hi = a.nodes[hi-1].Next.Load() & headIdxMask {
+		for hi := a.free[s].head.Load() & headIdxMask; hi != 0; hi = a.Node(ptr.Index(hi-1)).Next.Load() & headIdxMask {
 			idx := ptr.Index(hi - 1)
 			if seen[idx] {
 				t.Fatalf("node %d is on the free lists twice", idx)
 			}
-			if a.nodes[idx].Seq.Load()&1 == 0 {
+			if a.Node(idx).Seq.Load()&1 == 0 {
 				t.Fatalf("node %d is on shard %d's free list with a live stamp", idx, s)
 			}
 			seen[idx] = true
@@ -466,14 +511,20 @@ func TestStats(t *testing.T) {
 }
 
 func TestDeref(t *testing.T) {
-	a := New(8)
-	idx := a.Alloc(0)
-	w := ptr.Pack(idx)
-	if a.Deref(w) != a.Node(idx) {
-		t.Fatal("Deref and Node disagree")
-	}
-	if a.Deref(ptr.WithMark(w)) != a.Node(idx) {
-		t.Fatal("Deref must ignore mark bits")
+	for width, build := range widths {
+		a := build(8)
+		a.Alloc(0)
+		idx := a.Alloc(0)
+		w := ptr.Pack(idx)
+		if a.Deref(w) != a.Node(idx) {
+			t.Fatalf("%s: Deref and Node disagree", width)
+		}
+		if a.Deref(ptr.WithMark(w)) != a.Node(idx) {
+			t.Fatalf("%s: Deref must ignore mark bits", width)
+		}
+		if got := uintptr(unsafe.Pointer(a.Node(idx))) - uintptr(unsafe.Pointer(a.Node(idx-1))); got != a.Stride() {
+			t.Fatalf("%s: nodes %d bytes apart, Stride %d", width, got, a.Stride())
+		}
 	}
 }
 
@@ -650,7 +701,8 @@ func BenchmarkFree(b *testing.B) {
 }
 
 // TestLayoutReadMostlyLine checks that no cache line holding the words
-// every traversal hop reads (nodes, and capacity and blobs beside it)
+// every traversal hop reads (nodes, mask and shift, and capacity and
+// blobs beside them)
 // holds a word that an allocation or a free writes: frontier, nonEmpty
 // or any shard's free-list head. Otherwise every pop and push by one
 // core would invalidate the line another core's Deref reads. Lines are
@@ -667,6 +719,8 @@ func TestLayoutReadMostlyLine(t *testing.T) {
 	readMostly := []word{
 		{"nodes", unsafe.Offsetof(a.nodes), unsafe.Sizeof(a.nodes)},
 		{"capacity", unsafe.Offsetof(a.capacity), unsafe.Sizeof(a.capacity)},
+		{"mask", unsafe.Offsetof(a.mask), unsafe.Sizeof(a.mask)},
+		{"shift", unsafe.Offsetof(a.shift), unsafe.Sizeof(a.shift)},
 		{"blobs", unsafe.Offsetof(a.blobs), unsafe.Sizeof(a.blobs)},
 	}
 	written := []word{
@@ -689,5 +743,36 @@ func TestLayoutReadMostlyLine(t *testing.T) {
 				t.Errorf("%s (offset %d) shares line %d with the read-mostly %s", w.name, w.off, l, r)
 			}
 		}
+	}
+}
+
+// TestWidenAfterAllocPanics: nodes already handed out would move, so
+// Widen refuses once anything is allocated; on a wide arena it is a
+// no-op, and Reset makes an arena narrow and widenable again.
+func TestWidenAfterAllocPanics(t *testing.T) {
+	a := New(8)
+	a.Alloc(0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Widen after an allocation must panic")
+			}
+		}()
+		a.Widen()
+	}()
+	if a.Stride() != 64 {
+		t.Fatalf("Stride = %d after a refused Widen, want 64", a.Stride())
+	}
+
+	a.Reset()
+	a.Widen()
+	a.Alloc(0)
+	a.Widen() // already wide: nothing moves
+	if a.Stride() != 128 {
+		t.Fatalf("Stride = %d, want 128", a.Stride())
+	}
+	a.Reset()
+	if a.Stride() != 64 {
+		t.Fatalf("Stride = %d after Reset, want 64", a.Stride())
 	}
 }

@@ -44,8 +44,11 @@ type Tree struct {
 	scratch []opScratch
 }
 
-// New creates an empty tree for up to maxThreads concurrent writers.
+// New creates an empty tree for up to maxThreads concurrent writers. A
+// node keeps its subtree size in its Tail's Aux word, so New widens a
+// (arena.Widen): call it before anything allocates from a.
 func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *Tree {
+	a.Widen()
 	return &Tree{
 		arena:   a,
 		tracker: smr.NewDeref(tr),
@@ -57,7 +60,7 @@ func (t *Tree) size(w ptr.Word) uint64 {
 	if ptr.IsNil(w) {
 		return 0
 	}
-	return t.arena.Deref(w).Aux.Load()
+	return t.arena.Deref(w).Tail().Aux.Load()
 }
 
 // mkNode builds a fresh node; its size is derived from the children.
@@ -68,7 +71,7 @@ func (t *Tree) mkNode(tid int, sc *opScratch, key, val uint64, l, r ptr.Word) pt
 	n.Val.Store(val)
 	n.Left.Store(l)
 	n.Right.Store(r)
-	n.Aux.Store(1 + t.size(l) + t.size(r))
+	n.Tail().Aux.Store(1 + t.size(l) + t.size(r))
 	w := ptr.Pack(idx)
 	sc.created = append(sc.created, w)
 	return w

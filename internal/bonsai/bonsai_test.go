@@ -62,7 +62,7 @@ func TestWeightBalance(t *testing.T) {
 		node := a.Deref(w)
 		l, r := node.Left.Load(), node.Right.Load()
 		ls, rs := tree.size(l), tree.size(r)
-		if node.Aux.Load() != 1+ls+rs {
+		if node.Tail().Aux.Load() != 1+ls+rs {
 			t.Fatalf("size field wrong at key %d", node.Key.Load())
 		}
 		if ls+rs >= 2 && (ls > weight*rs+1 || rs > weight*ls+1) {

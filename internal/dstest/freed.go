@@ -29,27 +29,27 @@ import (
 // later hits only count.
 type freedReads struct {
 	smr.Tracker
-	a         *arena.Arena
-	base, end uintptr // the node pool's address range
-	report    func(msg string)
-	hits      atomic.Int64
+	a      *arena.Arena
+	base   uintptr // the node pool's first address
+	report func(msg string)
+	hits   atomic.Int64
 }
 
-const nodeSize = unsafe.Sizeof(arena.Node{})
-
 func newFreedReads(a *arena.Arena, tr smr.Tracker, report func(msg string)) *freedReads {
-	base := uintptr(unsafe.Pointer(a.Node(0)))
-	return &freedReads{Tracker: tr, a: a, base: base, end: base + uintptr(a.Cap())*nodeSize, report: report}
+	return &freedReads{Tracker: tr, a: a, base: uintptr(unsafe.Pointer(a.Node(0))), report: report}
 }
 
 // Protect checks the node addr lies in, if any, and then protects
-// through the wrapped tracker.
+// through the wrapped tracker. The node stride is read here, not when
+// the wrapper is built: the structure's constructor, which runs after,
+// may widen the arena.
 func (f *freedReads) Protect(tid, slot int, addr *atomic.Uint64) ptr.Word {
-	if p := uintptr(unsafe.Pointer(addr)); p >= f.base && p < f.end {
-		idx := ptr.Index((p - f.base) / nodeSize)
+	stride := f.a.Stride()
+	if p := uintptr(unsafe.Pointer(addr)); p >= f.base && p < f.base+uintptr(f.a.Cap())*stride {
+		idx := ptr.Index((p - f.base) / stride)
 		if seq := f.a.Node(idx).Seq.Load(); seq&1 != 0 && f.hits.Add(1) == 1 {
 			f.report(fmt.Sprintf("tid %d: Protect(slot %d) reads word %d of free node %d (seq %d, word %#x)",
-				tid, slot, (p-f.base)%nodeSize/8, idx, seq, addr.Load()))
+				tid, slot, (p-f.base)%stride/8, idx, seq, addr.Load()))
 		}
 	}
 	return f.Tracker.Protect(tid, slot, addr)

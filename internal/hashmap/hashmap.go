@@ -23,6 +23,11 @@
 //     to collapse into a few hundred buckets). A sharded store routes on
 //     fmix64(key) % shards, an unrelated mix, so the keys one shard
 //     receives still spread over all of that shard's buckets.
+//   - An entry is one 64-byte arena node, one cache line: the map's
+//     nodes use only the words of arena.Node, so the map leaves its arena
+//     narrow, and neither an operation nor a free touches a second line.
+//     With the 1 MiB of heads that is 64 bytes per entry plus about 21
+//     bytes of table per entry at the benchmark's 50 000 entries.
 //
 // Adjacent heads are only a performance question: each chain is its own
 // list and no operation reads two heads (TestAdjacentHeads runs the

@@ -1,10 +1,12 @@
 // Package skiplist implements a lock-free concurrent skiplist in the
 // style of Fraser and of Herlihy & Shavit's LockFreeSkipList: a sorted
 // multi-level structure whose towers are single arena nodes carrying one
-// next-link word per level (arena.Node.Link). Deletion marks a node's
-// link at every level of its tower (Harris-style: the mark on a node's
-// own link word logically deletes the node at that level) and traversals
-// help unlink marked nodes level by level.
+// next-link word per level (arena.Node.Link): Left, then the seven Extra
+// words of the node's Tail, so the skiplist widens its arena to 128-byte
+// nodes. Deletion marks a node's link at every level of its tower
+// (Harris-style: the mark on a node's own link word logically deletes
+// the node at that level) and traversals help unlink marked nodes level
+// by level.
 //
 // Towers are promoted with probability 1/4 per level (randomHeight), so
 // level l holds about n/4^l nodes and the MaxHeight = 8 link words an
@@ -60,7 +62,7 @@ const MaxHeight = arena.MaxLinks
 //	Key, Val      — the entry
 //	Left + Extra  — the tower: Link(l) is the level-l next word, whose
 //	                mark bit logically deletes the node at that level
-//	Aux           — tower height, immutable after publish (HE/IBR recycle
+//	Tail().Aux    — tower height, immutable after publish (HE/IBR recycle
 //	                Aux as the retire era, but only once the node is
 //	                retired, which the mask protocol orders after every
 //	                reader that cares about the height)
@@ -78,8 +80,11 @@ type paddedSeed struct {
 }
 
 // New creates an empty skiplist managed by tr for up to maxThreads
-// concurrent threads (tower-height randomness is sharded by tid).
+// concurrent threads (tower-height randomness is sharded by tid). The
+// towers live in the nodes' Tails, so New widens a (arena.Widen): call it
+// before anything allocates from a.
 func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *SkipList {
+	a.Widen()
 	if maxThreads < 1 {
 		maxThreads = 1
 	}
@@ -222,16 +227,18 @@ func (s *SkipList) Insert(tid int, key, val uint64) bool {
 		if ptr.IsNil(newW) {
 			idx := tr.Alloc(tid)
 			n = s.arena.Node(idx)
-			n.Key.Store(key)
-			n.Val.Store(val)
-			n.Aux.Store(uint64(h))
-			n.Right.Store(uint64(1)<<h - 1) // own every tower level
+			// The node is ours until the level-0 CAS below publishes it,
+			// and the CAS orders these stores before it: plain stores.
+			ptr.StoreOwned(&n.Key, key)
+			ptr.StoreOwned(&n.Val, val)
+			ptr.StoreOwned(&n.Tail().Aux, uint64(h))
+			ptr.StoreOwned(&n.Right, uint64(1)<<h-1) // own every tower level
 			for i := 1; i < h; i++ {
-				n.Link(i).Store(ptr.Nil)
+				ptr.StoreOwned(n.Link(i), ptr.Nil)
 			}
 			newW = ptr.Pack(idx)
 		}
-		n.Link(0).Store(ptr.Clean(curr))
+		ptr.StoreOwned(n.Link(0), ptr.Clean(curr))
 		if prevAddr.CompareAndSwap(ptr.Clean(curr), newW) {
 			break
 		}
@@ -276,7 +283,7 @@ func (s *SkipList) Delete(tid int, key uint64) bool {
 			return false
 		}
 		cn := s.arena.Deref(curr)
-		h := int(cn.Aux.Load())
+		h := int(cn.Tail().Aux.Load())
 		if h < 1 || h > MaxHeight {
 			// Aux is only overwritten (by HE/IBR, as the retire era) once
 			// the node is retired, i.e. this candidate lost a race long
@@ -420,7 +427,7 @@ func (s *SkipList) Height(key uint64) int {
 	h := 0
 	s.each(func(n *arena.Node) bool {
 		if n.Key.Load() == key {
-			h = int(n.Aux.Load())
+			h = int(n.Tail().Aux.Load())
 			return false
 		}
 		return true
