@@ -64,6 +64,7 @@ import (
 
 	"hyaline"
 	"hyaline/internal/metrics"
+	"hyaline/internal/metricshttp"
 	"hyaline/internal/server"
 )
 
@@ -190,7 +191,7 @@ func run(args []string) error {
 			ln.Close()
 			return fmt.Errorf("-metrics %s: %w", *metricsAt, err)
 		}
-		msrv = &http.Server{Handler: metrics.Handler(srv.Metrics())}
+		msrv = &http.Server{Handler: metricshttp.Handler(srv.Metrics())}
 		logger.Printf("metrics on http://%s/metrics (also /metrics.json, /debug/pprof/)", mln.Addr())
 		go func() {
 			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {

@@ -1,7 +1,15 @@
 // Package metrics is the in-process observability core: lock-free
 // counters, gauges and concurrent log-linear histograms behind a
 // registry that snapshots on demand and encodes itself as Prometheus
-// text exposition or JSON (see prom.go, http.go).
+// text exposition or JSON (see prom.go), plus the process-level gauges
+// (process.go).
+//
+// The package imports nothing from net/http: the HTTP view over a
+// registry (/metrics, /metrics.json, /debug/pprof/) is
+// internal/metricshttp, and only cmd/hyalined links it. A process that
+// embeds the KV or the server and scrapes its registry in-process
+// (Registry.Snapshot, WriteProm, WriteJSON) links no HTTP or TLS stack,
+// which CI's dependency-direction step checks.
 //
 // The design contract is that instrumenting a hot path costs atomic
 // arithmetic only: Counter.Add, Gauge.Set and Histogram.Observe are

@@ -1,39 +1,14 @@
-// http.go mounts the registry on an HTTP mux: /metrics (Prometheus text
-// exposition), /metrics.json (the raw snapshot) and the standard
-// net/http/pprof profiling handlers under /debug/pprof/ — the three
-// endpoints `hyalined -metrics <addr>` serves. The pprof handlers are
-// mounted on this private mux explicitly rather than through the
-// package's DefaultServeMux side effect, so a process embedding the
-// server does not silently grow debug endpoints on its own mux.
+// process.go holds the process-level gauges and the descriptor count
+// they and the bench harness share. The HTTP view over a registry is
+// internal/metricshttp, so nothing here pulls in net/http.
 package metrics
 
 import (
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
 
 	"hyaline/internal/arena"
 )
-
-// Handler returns the observability mux over r.
-func Handler(r *Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WriteProm(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		r.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
 
 // RegisterProcess adds the process-level gauges every hyaline binary
 // wants next to its server families: runtime goroutines, open file

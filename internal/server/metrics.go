@@ -198,5 +198,5 @@ func (s *Server) ActiveConns() int64 {
 }
 
 // Metrics returns the server's registry, for mounting on an HTTP
-// endpoint (metrics.Handler) or sampling in-process.
+// endpoint (metricshttp.Handler) or sampling in-process.
 func (s *Server) Metrics() *metrics.Registry { return s.m.reg }

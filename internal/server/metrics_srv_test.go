@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"hyaline/internal/metrics"
+	"hyaline/internal/metricshttp"
 	"hyaline/internal/protocol"
 	"hyaline/internal/server"
 )
@@ -78,7 +78,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		Coalesce:       true,
 		CoalesceWindow: 200 * time.Microsecond,
 	})
-	ep := httptest.NewServer(metrics.Handler(srv.Metrics()))
+	ep := httptest.NewServer(metricshttp.Handler(srv.Metrics()))
 	defer ep.Close()
 
 	// Scraper: hammer /metrics until the workload is done. Grammar and
