@@ -20,12 +20,17 @@
 // the paper's three header words (§2.4), the four payload words Key, Val,
 // Left and Right, and the Seq stamp. Those are all the words the schemes,
 // the list, the hash map, the bytes list and the Natarajan tree touch, so
-// their arenas stay narrow, nodes 64 bytes apart. The skiplist's tower and
-// Bonsai's subtree size live in a Tail, the line after the node, and
-// their constructors Widen the arena to a 128-byte stride before anything
-// is allocated from it. The slab is mapped at 128 bytes a node either
-// way, so Mapped does not depend on the width; the half a narrow arena
-// never addresses is never touched and costs no resident memory.
+// they allocate only nodes, 64 bytes each. The arena has a second size
+// class, the pair: a Node and its Tail on the next line, 128 bytes, for
+// the words only a skiplist tower of height 2 or more and a Bonsai node
+// use (AllocWide). The slab is mapped at two lines per index of the
+// power-of-two backing whatever the mix: nodes are carved upward from
+// line 0 and pairs downward from the top, so every pair starts on an
+// even line and the two ends never meet, and Mapped depends only on the
+// capacity. The lines nothing has carved are never touched and cost no
+// resident memory. A pair counts as one node in the capacity, Stats and
+// Live, and the capacity is capped at 2^30 so that a line index plus one
+// fits a free-list head's 32 bits.
 //
 // That role includes remote frees. Under Hyaline a batch is freed by
 // whichever thread drops its last reference, not by the thread that
@@ -34,7 +39,7 @@
 // paired with a freeing one it is the only case there is. Allocation
 // therefore recycles before it grows: the home shard first, then any
 // shard a one-word hint says holds free nodes, and only then a fresh
-// node from the bump frontier (see TryAlloc). Without the second step
+// node from the bump frontier (see tryAlloc). Without the second step
 // the frontier, and with it resident memory, climbs with throughput
 // while freed nodes sit idle one shard over.
 //
@@ -111,9 +116,9 @@ const Poison = 0xDEAD_BEEF_DEAD_BEEF
 //
 // Key, Val, Left and Right are the data-structure payload, enough for
 // the list, the hash map, the bytes list and the Natarajan tree, whose
-// nodes are this one line and nothing more. The skiplist and Bonsai also
-// need the words of a Tail, the line after the node, and build on an
-// arena they Widen (see Tail).
+// nodes are this one line and nothing more. A skiplist tower above
+// height 1 and a Bonsai node also need the words of a Tail, the line
+// after the node, and are allocated as pairs (see Tail).
 //
 // Nodes live in the arena's mapped slab, outside the Go heap (see the
 // package doc), so Node must never gain a Go pointer: the garbage
@@ -150,15 +155,17 @@ type Node struct {
 	// while free, bumped on every recycle and Free (never-allocated nodes
 	// are live at Seq 0, so the bump-frontier allocation path stays
 	// store-free). It gives tests recycle detection, and the arena panics
-	// on double-free and on corruption of the live/free discipline.
+	// on double-free and on corruption of the live/free discipline. A
+	// pair's Seq also carries pairSeq, set when the pair is carved and
+	// kept through every bump, so a pair stays a pair (see Wide).
 	Seq atomic.Uint64
 }
 
-// Tail is the second cache line of a node in a wide arena (see Widen):
-// the words that only the multi-word structures use. It sits directly
-// after its Node, so a wide node is 128 B, an adjacent-line prefetch
-// pair. On a narrow arena those bytes are the next node's header, and
-// Tail and Link above level 0 must not be used.
+// Tail is the second cache line of a pair (see AllocWide): the words
+// that only the multi-word structures use. It sits directly after its
+// Node, so a pair is 128 B, an adjacent-line prefetch pair. After a
+// node that is not a pair those bytes belong to another node or to no
+// one, and Tail and Link above level 0 must not be used.
 type Tail struct {
 	// Aux is the tree size (Bonsai) or the tower height (skiplist). It
 	// is the one payload word promised to the era schemes, from Retire
@@ -174,31 +181,28 @@ type Tail struct {
 	Extra [MaxLinks - 1]atomic.Uint64
 }
 
-// MaxLinks is the number of per-level link words a wide node can hold:
-// Left (level 0) plus the Tail's Extra words. It caps the skiplist tower
+// MaxLinks is the number of per-level link words a pair can hold: Left
+// (level 0) plus the Tail's Extra words. It caps the skiplist tower
 // height.
 const MaxLinks = 8
 
-const (
-	nodeShift = 6 // log2 of a narrow node's bytes: one Node
-	wideShift = 7 // log2 of a wide node's bytes: a Node and its Tail
-)
+// nodeShift is log2 of a line's bytes: one Node, or one Tail.
+const nodeShift = 6
 
-// The narrow stride is exactly one Node (this line fails to compile if
-// the node gains or loses a word), and a Tail fills the rest of a wide
-// one.
+// A Node is exactly one line (this line fails to compile if the node
+// gains or loses a word), and so is the Tail that completes a pair.
 var _ = [1]struct{}{}[unsafe.Sizeof(Node{})-1<<nodeShift]
-var _ = [1]struct{}{}[unsafe.Sizeof(Tail{})-(1<<wideShift-1<<nodeShift)]
+var _ = [1]struct{}{}[unsafe.Sizeof(Tail{})-1<<nodeShift]
 
-// Tail returns the node's second line. The node must belong to a wide
-// arena.
+// Tail returns the node's second line. The node must be a pair.
 func (n *Node) Tail() *Tail {
 	return (*Tail)(unsafe.Add(unsafe.Pointer(n), unsafe.Sizeof(Node{})))
 }
 
 // Link returns the node's link word for the given level of a multi-link
 // structure: level 0 aliases Left, levels 1..MaxLinks-1 live in the
-// Tail's Extra words, so only level 0 is valid on a narrow arena.
+// Tail's Extra words, so only level 0 is valid on a node that is not a
+// pair.
 func (n *Node) Link(level int) *atomic.Uint64 {
 	if level == 0 {
 		return &n.Left
@@ -206,7 +210,21 @@ func (n *Node) Link(level int) *atomic.Uint64 {
 	return &n.Tail().Extra[level-1]
 }
 
-// shards is the number of free-list shards. Power of two.
+// class is a size class: a node, one line, or a pair, a Node and its
+// Tail on the next line.
+type class int
+
+const (
+	narrow class = iota
+	wide
+	classes
+)
+
+// pairSeq marks a pair in its Seq word. The stamp's bumps never reach
+// it, so it survives every free and recycle.
+const pairSeq = 1 << 63
+
+// shards is the number of free-list shards per class. Power of two.
 const shards = 64
 
 type paddedHead struct {
@@ -221,32 +239,32 @@ type paddedCounter struct {
 }
 
 // Arena is a fixed-capacity pool of nodes with sharded lock-free free
-// lists. The zero value is not usable; call New.
+// lists, one set per size class. The zero value is not usable; call
+// New.
 //
 // Fresh nodes come from a bump frontier, so New never touches the backing
 // pages: a deliberately oversized arena (used for the Leaky baseline,
 // which never frees) costs only virtual address space until nodes are
 // actually allocated.
 //
-// An arena is narrow or wide. A narrow arena's nodes are one Node apart,
-// one cache line each; a wide arena's are a Node and its Tail, two lines.
-// Every arena starts narrow, and the structures that need a Tail — the
-// skiplist and Bonsai — Widen theirs in their constructors.
+// Alloc hands out nodes, one line each, and AllocWide pairs, a Node and
+// its Tail. The structures that need a Tail — a skiplist tower of height
+// 2 or more, every Bonsai node — ask for a pair; nothing else does.
 type Arena struct {
 	// The read-mostly words lead, alone on the struct's first cache line.
-	// nodes, mask and shift are what every Deref and Node reads on every
+	// nodes and mask are what every Deref and Node reads on every
 	// traversal hop, and nothing writes this line after construction.
 	// Every word an allocation or a free writes sits on a later line, so
 	// a push or pop on one core does not invalidate the line a traversal
 	// on another core reads (TestLayoutReadMostlyLine).
 	//
-	// The slab is mapped at two Nodes (128 B) per index whatever the
-	// width, so Mapped does not depend on it and a narrow arena's unused
-	// half stays virtual. Node i starts i<<shift bytes into it.
+	// The slab is two lines (128 B) per index of the backing, whatever
+	// the mix of classes, so Mapped depends only on the capacity. Node
+	// i starts i lines into it: nodes count up from line 0, pairs down
+	// from the top (see carve).
 	nodes    []Node
 	capacity int
-	mask     uint32 // backing indices - 1: Deref wraps wild words with it
-	shift    uint32 // log2 of the node stride: nodeShift, or wideShift once widened
+	mask     uint32 // slab lines - 1: Deref wraps wild words with it
 
 	// blobs is the optional variable-size slab heap (see slab.go). When
 	// enabled, every node freed through this arena must hold a valid
@@ -257,26 +275,31 @@ type Arena struct {
 	blobs *blobHeap
 	_     [16]byte // to the end of the read-mostly line
 
-	// frontier is the next never-allocated index.
-	frontier atomic.Int64
+	// frontier counts the never-used slots carved so far: nodes in its
+	// low 32 bits, pairs in its high 32 (see carve).
+	frontier atomic.Uint64
 
-	// nonEmpty is the recycling hint: bit s is set while shard s may hold
-	// free nodes. It is advisory — a stale set bit costs one failed
-	// tryPop, a stale clear bit one fresh node — and written only when a
-	// shard changes between empty and non-empty (see markNonEmpty,
-	// markEmpty), so while nothing is ever freed it stays zero and costs
-	// an allocation one load.
-	nonEmpty atomic.Uint64
-	_        [48]byte // off shard 0's head, which its owner writes on every push and pop
+	// nonEmpty is each class's recycling hint: bit s is set while shard s
+	// may hold free slots of that class. It is advisory — a stale set bit
+	// costs one failed tryPop, a stale clear bit one fresh slot — and
+	// written only when a shard changes between empty and non-empty (see
+	// markNonEmpty, markEmpty), so while nothing is ever freed it stays
+	// zero and costs an allocation one load.
+	nonEmpty [classes]atomic.Uint64
+	_        [40]byte // off shard 0's head, which its owner writes on every push and pop
 
 	// Each shard head packs a 32-bit ABA tag with a 32-bit (index+1) so
 	// that Treiber-stack pops cannot be fooled by recycling.
-	free [shards]paddedHead
+	free [classes][shards]paddedHead
 
 	// counters are sharded by tid: a single global pair would be the
-	// hottest cache line in every benchmark.
+	// hottest cache line in every benchmark. A pair counts as one node.
 	counters [shards]paddedCounter
 }
+
+// maxCapacity caps New: the slab's lines, twice the backing, must leave
+// room for a line index plus one in a free-list head's low 32 bits.
+const maxCapacity = 1 << 30
 
 // New creates an arena with capacity nodes, all initially free. The
 // backing slab is rounded up to a power of two so Deref can wrap wild
@@ -288,38 +311,17 @@ func New(capacity int) *Arena {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("arena: non-positive capacity %d", capacity))
 	}
-	if capacity >= 1<<31 {
+	if capacity > maxCapacity {
 		panic(fmt.Sprintf("arena: capacity %d exceeds index space", capacity))
 	}
 	backing := 1
 	for backing < capacity {
 		backing <<= 1
 	}
-	a := &Arena{capacity: capacity, mask: uint32(backing - 1), shift: nodeShift}
-	a.nodes = newSlab[Node](a, backing<<(wideShift-nodeShift))
+	a := &Arena{capacity: capacity, mask: uint32(2*backing - 1)}
+	a.nodes = newSlab[Node](a, 2*backing)
 	return a
 }
-
-// Widen gives every node of the arena a Tail, doubling the stride to
-// 128 B. The skiplist and Bonsai call it from their constructors; every
-// other structure leaves its arena narrow. Like EnableBlobs it belongs to
-// construction: it must not race with any use of the arena, and it
-// panics once a node has been allocated (since New or the last Reset) —
-// the nodes already handed out would move. Widening a wide arena is a
-// no-op.
-func (a *Arena) Widen() {
-	if a.shift == wideShift {
-		return
-	}
-	if a.frontier.Load() != 0 {
-		panic("arena: Widen after the first allocation")
-	}
-	a.shift = wideShift
-}
-
-// Stride returns the bytes from one node to the next: 64 on a narrow
-// arena, 128 on a wide one.
-func (a *Arena) Stride() uintptr { return 1 << a.shift }
 
 // Cap returns the arena capacity in nodes.
 func (a *Arena) Cap() int { return a.capacity }
@@ -327,19 +329,14 @@ func (a *Arena) Cap() int { return a.capacity }
 // Node returns the node with index i, which must be a valid allocation.
 // The index is bounds-checked against the slab.
 func (a *Arena) Node(i ptr.Index) *Node {
-	return &a.nodes[a.offset(i)>>nodeShift]
+	return &a.nodes[i]
 }
 
 // node is Node without the bounds check, for indices the arena itself
 // handed out or took back.
 func (a *Arena) node(i ptr.Index) *Node {
-	return (*Node)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(a.nodes)), a.offset(i)))
+	return (*Node)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(a.nodes)), uintptr(i)<<nodeShift))
 }
-
-// offset is node i's byte offset into the slab. The shift count is masked
-// as the shift instruction masks it anyway, which spares the compiler's
-// check for counts of 64 or more on every hop.
-func (a *Arena) offset(i ptr.Index) uintptr { return uintptr(i) << (a.shift & 63) }
 
 // Deref returns the node referenced by w, which must not be nil.
 //
@@ -353,42 +350,75 @@ func (a *Arena) Deref(w ptr.Word) *Node {
 	return a.node(ptr.Idx(w) & a.mask)
 }
 
+// Wide reports whether node i, a valid allocation, is a pair: whether
+// its Tail is its own.
+func (a *Arena) Wide(i ptr.Index) bool {
+	return a.node(i).Seq.Load()&pairSeq != 0
+}
+
+// Owner returns the node whose words include the one at p, and the
+// word's number within it: 0..7 on the Node's line, 8..15 on a pair's
+// Tail. It reports false if p is not in the slab. A line nothing has
+// carved belongs to the node of its own index. It is for checkers that
+// map an address back to the node it lies in.
+func (a *Arena) Owner(p unsafe.Pointer) (idx ptr.Index, word int, ok bool) {
+	off := uintptr(p) - uintptr(unsafe.Pointer(unsafe.SliceData(a.nodes)))
+	if off >= uintptr(len(a.nodes))<<nodeShift {
+		return 0, 0, false
+	}
+	idx = ptr.Index(off >> nodeShift)
+	if idx&1 != 0 && a.Wide(idx-1) { // pairs start on even lines
+		idx--
+	}
+	return idx, int(off-uintptr(idx)<<nodeShift) / 8, true
+}
+
 const (
 	headIdxMask = (1 << 32) - 1
 	headTagIncr = 1 << 32
 )
 
-// tryPop pops one node from shard s.
-func (a *Arena) tryPop(s int) (ptr.Index, bool) {
+// tryPop pops one slot from shard s of class c.
+func (a *Arena) tryPop(c class, s int) (ptr.Index, bool) {
+	head := &a.free[c][s].head
 	for {
-		head := a.free[s].head.Load()
-		hi := head & headIdxMask
+		h := head.Load()
+		hi := h & headIdxMask
 		if hi == 0 {
 			return 0, false
 		}
 		idx := ptr.Index(hi - 1)
 		next := a.node(idx).Next.Load() & headIdxMask
-		newHead := ((head &^ headIdxMask) + headTagIncr) | next
-		if a.free[s].head.CompareAndSwap(head, newHead) {
+		newHead := ((h &^ headIdxMask) + headTagIncr) | next
+		if head.CompareAndSwap(h, newHead) {
 			return idx, true
 		}
 	}
 }
 
-// TryAlloc recycles before it grows: it pops from the shard of tid, then
-// from the shards the nonEmpty hint names — nodes freed under another
-// tid, the common case under Hyaline (see the package doc) — then bumps
-// the fresh-node frontier, and only when that is exhausted scans every
-// shard head. It returns false only when the whole pool is exhausted.
+// TryAlloc returns a node, or false if the pool is exhausted; see
+// tryAlloc.
+func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) { return a.tryAlloc(tid, narrow) }
+
+// TryAllocWide returns a pair, or false if the pool is exhausted; see
+// tryAlloc.
+func (a *Arena) TryAllocWide(tid int) (ptr.Index, bool) { return a.tryAlloc(tid, wide) }
+
+// tryAlloc recycles before it grows: it pops a slot of class c from the
+// shard of tid, then from the shards the class's nonEmpty hint names —
+// slots freed under another tid, the common case under Hyaline (see the
+// package doc) — then carves a fresh one, and only when the pool is
+// exhausted scans every shard head. It returns false only when the whole
+// pool is exhausted.
 //
-// Like malloc, TryAlloc leaves the node's contents unspecified (fresh
+// Like malloc, tryAlloc leaves the slot's contents unspecified (fresh
 // nodes are zero, recycled ones carry stale or poisoned data): callers
 // must initialize every field they later read before publishing the
 // node. Zeroing here would cost eight sequentially-consistent stores on
 // the hottest path of every benchmark.
-func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
+func (a *Arena) tryAlloc(tid int, c class) (ptr.Index, bool) {
 	home := tid & (shards - 1)
-	if idx, ok := a.tryPop(home); ok {
+	if idx, ok := a.tryPop(c, home); ok {
 		a.scrub(idx)
 		a.counters[home].allocated.Add(1)
 		return idx, true
@@ -396,29 +426,24 @@ func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
 	// Home shard empty: recycle a remote free if the hint knows of one.
 	// With nothing freed anywhere (prefill, Leaky) this is a single load
 	// of zero and no shard head is touched.
-	for w := a.nonEmpty.Load() &^ (1 << home); w != 0; w &= w - 1 {
+	for w := a.nonEmpty[c].Load() &^ (1 << home); w != 0; w &= w - 1 {
 		s := bits.TrailingZeros64(w)
-		if idx, ok := a.tryPop(s); ok {
+		if idx, ok := a.tryPop(c, s); ok {
 			a.scrub(idx)
 			a.counters[home].allocated.Add(1)
 			return idx, true
 		}
-		a.markEmpty(s)
+		a.markEmpty(c, s)
 	}
-	// Nothing to recycle: take a never-used node with a single fetch-add
-	// (a CAS loop here melts under allocation-heavy schemes like Leaky).
-	// Fresh nodes are already zero — live at Seq 0 — so this path does
-	// not write the node at all. The frontier may overshoot capacity; it
-	// never comes back down, which only wastes the few indices claimed
-	// by racing losers.
-	if f := a.frontier.Add(1) - 1; f < int64(a.capacity) {
+	// Nothing to recycle: carve a never-used slot.
+	if idx, ok := a.carve(c); ok {
 		a.counters[home].allocated.Add(1)
-		return ptr.Index(f), true
+		return idx, true
 	}
 	// Frontier exhausted: scan every other shard, hinted or not (a stale
 	// clear bit must not turn into a false out-of-nodes).
 	for off := 1; off < shards; off++ {
-		if idx, ok := a.tryPop((home + off) & (shards - 1)); ok {
+		if idx, ok := a.tryPop(c, (home+off)&(shards-1)); ok {
 			a.scrub(idx)
 			a.counters[home].allocated.Add(1)
 			return idx, true
@@ -427,37 +452,74 @@ func (a *Arena) TryAlloc(tid int) (ptr.Index, bool) {
 	return 0, false
 }
 
-// markNonEmpty sets shard s's hint bit; FreeChain calls it after the push
-// that took the shard from empty to non-empty. Load/CAS rather than Or:
-// go1.24.0 miscompiles the value-returning form (see CHANGES.md), and
-// the load lets a shard whose bit is already set skip the write.
-func (a *Arena) markNonEmpty(s int) {
-	bit := uint64(1) << s
+// carve claims a never-used slot of class c with a single fetch-add on
+// the frontier (a CAS loop here melts under allocation-heavy schemes like
+// Leaky), which also sees every earlier claim of either class. Nodes are
+// carved upward from line 0 and pairs downward from the slab's top, so a
+// pair starts on an even line. A claim is valid while nodes + pairs stay
+// within the capacity, and since nodes + 2·pairs <= 2·capacity is at
+// most the slab's lines, the two ends never meet.
+//
+// Fresh nodes are already zero — live at Seq 0 — so carving a node does
+// not write it at all; a pair takes one plain store of pairSeq while it
+// is still private. The frontier is loaded before the add and left alone
+// once full: racing claims overshoot it by at most one each and never
+// come back, but a full arena's failed allocations must not add up
+// until the node count carries into the pair count.
+func (a *Arena) carve(c class) (ptr.Index, bool) {
+	one := uint64(1) << (32 * c)
+	if claimed(a.frontier.Load()) >= uint64(a.capacity) {
+		return 0, false
+	}
+	f := a.frontier.Add(one) - one
+	if claimed(f) >= uint64(a.capacity) {
+		return 0, false
+	}
+	if c == narrow {
+		return ptr.Index(uint32(f)), true
+	}
+	idx := ptr.Index(a.mask - 1 - 2*uint32(f>>32))
+	ptr.StoreOwned(&a.node(idx).Seq, pairSeq)
+	return idx, true
+}
+
+// claimed is the number of slots a frontier word has handed out,
+// counting a pair as one.
+func claimed(f uint64) uint64 { return f&headIdxMask + f>>32 }
+
+// markNonEmpty sets shard s's hint bit for class c; FreeChain calls it
+// after the push that took the shard from empty to non-empty. Load/CAS
+// rather than Or: go1.24.0 miscompiles the value-returning form (see
+// CHANGES.md), and the load lets a shard whose bit is already set skip
+// the write.
+func (a *Arena) markNonEmpty(c class, s int) {
+	hint, bit := &a.nonEmpty[c], uint64(1)<<s
 	for {
-		w := a.nonEmpty.Load()
-		if w&bit != 0 || a.nonEmpty.CompareAndSwap(w, w|bit) {
+		w := hint.Load()
+		if w&bit != 0 || hint.CompareAndSwap(w, w|bit) {
 			return
 		}
 	}
 }
 
-// markEmpty clears shard s's hint bit after a hinted pop found the shard
-// empty. The head is re-read after the clear: a FreeChain that filled the
-// shard in between saw the bit still set and wrote nothing, so the bit
-// is put back here — which is what keeps "non-empty implies hinted"
-// exact once the arena is quiescent. The owner's own pops never clear
-// the bit (a thread freeing and reallocating one node would write the
-// shared word twice per pair); the next thief to come up empty does.
-func (a *Arena) markEmpty(s int) {
-	bit := uint64(1) << s
+// markEmpty clears shard s's hint bit for class c after a hinted pop
+// found the shard empty. The head is re-read after the clear: a FreeChain
+// that filled the shard in between saw the bit still set and wrote
+// nothing, so the bit is put back here — which is what keeps "non-empty
+// implies hinted" exact once the arena is quiescent. The owner's own pops
+// never clear the bit (a thread freeing and reallocating one node would
+// write the shared word twice per pair); the next thief to come up empty
+// does.
+func (a *Arena) markEmpty(c class, s int) {
+	hint, bit := &a.nonEmpty[c], uint64(1)<<s
 	for {
-		w := a.nonEmpty.Load()
-		if w&bit == 0 || a.nonEmpty.CompareAndSwap(w, w&^bit) {
+		w := hint.Load()
+		if w&bit == 0 || hint.CompareAndSwap(w, w&^bit) {
 			break
 		}
 	}
-	if a.free[s].head.Load()&headIdxMask != 0 {
-		a.markNonEmpty(s)
+	if a.free[c][s].head.Load()&headIdxMask != 0 {
+		a.markNonEmpty(c, s)
 	}
 }
 
@@ -468,10 +530,21 @@ func (a *Arena) scrub(idx ptr.Index) {
 	}
 }
 
-// Alloc pops a free node and panics if the pool is exhausted. Benchmarks
-// size the pool so that exhaustion indicates a leak or runaway limbo list.
+// Alloc returns a node, one line, and panics if the pool is exhausted.
+// Benchmarks size the pool so that exhaustion indicates a leak or runaway
+// limbo list. It calls tryAlloc itself, not TryAlloc, which keeps it
+// small enough to inline into every tracker's Alloc.
 func (a *Arena) Alloc(tid int) ptr.Index {
-	idx, ok := a.TryAlloc(tid)
+	idx, ok := a.tryAlloc(tid, narrow)
+	if !ok {
+		panic("arena: out of nodes (reclamation too slow or leaking)")
+	}
+	return idx
+}
+
+// AllocWide is Alloc for a pair: a Node whose Tail is its own.
+func (a *Arena) AllocWide(tid int) ptr.Index {
+	idx, ok := a.tryAlloc(tid, wide)
 	if !ok {
 		panic("arena: out of nodes (reclamation too slow or leaking)")
 	}
@@ -488,26 +561,32 @@ func (a *Arena) Free(tid int, idx ptr.Index) {
 }
 
 // Chain is a list of released nodes waiting for one FreeChain: a
-// reclamation pass's nodes, linked through Next. The zero value is an
-// empty chain; it is owned by the one goroutine that fills and pushes it.
+// reclamation pass's nodes, linked through Next, one list per class. The
+// zero value is an empty chain; it is owned by the one goroutine that
+// fills and pushes it.
 type Chain struct {
+	lists [classes]chainList
+}
+
+type chainList struct {
 	head, tail ptr.Index // valid while n > 0
 	n          int64
 }
 
-// Len returns the number of nodes in the chain.
-func (c *Chain) Len() int64 { return c.n }
+// Len returns the number of nodes in the chain, pairs included.
+func (c *Chain) Len() int64 { return c.lists[narrow].n + c.lists[wide].n }
 
 // Release frees node idx into c: it bumps the incarnation stamp (a node
 // already free, or already in a chain, panics "double free"), frees the
 // node's blobs, poisons every word but Next and Seq so stale readers can
-// be caught — the Tail's too on a wide arena, and nothing past the Node
-// on a narrow one — and links the node at the head of c. The node cannot
-// be allocated again until FreeChain pushes c. The stores are plain
-// outside race builds (ptr.StoreOwned, see the package doc).
+// be caught — a pair's Tail too, and nothing past a node that is not a
+// pair — and links the node at the head of its class's list in c. The
+// node cannot be allocated again until FreeChain pushes c. The stores are
+// plain outside race builds (ptr.StoreOwned, see the package doc).
 func (a *Arena) Release(c *Chain, idx ptr.Index) {
 	n := a.Node(idx)
-	if seq := n.Seq.Add(1); seq&1 == 0 {
+	seq := n.Seq.Add(1)
+	if seq&1 == 0 {
 		panic("arena: double free")
 	}
 	if a.blobs != nil {
@@ -529,63 +608,77 @@ func (a *Arena) Release(c *Chain, idx ptr.Index) {
 	ptr.StoreOwned(&n.Val, Poison)
 	ptr.StoreOwned(&n.Left, Poison)
 	ptr.StoreOwned(&n.Right, Poison)
-	if a.shift == wideShift {
+	l := &c.lists[narrow]
+	if seq&pairSeq != 0 {
 		t := n.Tail()
 		ptr.StoreOwned(&t.Aux, Poison)
 		for i := range t.Extra {
 			ptr.StoreOwned(&t.Extra[i], Poison)
 		}
+		l = &c.lists[wide]
 	}
-	if c.n == 0 {
-		c.tail = idx // its link is the shard's old head, set by FreeChain
+	if l.n == 0 {
+		l.tail = idx // its link is the shard's old head, set by FreeChain
 	} else {
-		ptr.StoreOwned(&n.Next, uint64(c.head)+1)
+		ptr.StoreOwned(&n.Next, uint64(l.head)+1)
 	}
-	c.head = idx
-	c.n++
+	l.head = idx
+	l.n++
 }
 
-// FreeChain pushes every node of c onto tid's shard with one CAS, head
-// first in line for the next pop, and empties c. The CAS is what
-// publishes the chain: it orders Release's plain stores before any pop
-// that can return one of its nodes.
+// FreeChain pushes every node of c onto tid's shard with one CAS per
+// non-empty class list, head first in line for the next pop, makes one
+// counter add, and empties c. The CAS is what publishes a list: it orders
+// Release's plain stores before any pop that can return one of its nodes.
 func (a *Arena) FreeChain(tid int, c *Chain) {
-	if c.n == 0 {
-		return
-	}
 	s := tid & (shards - 1)
-	tail := &a.node(c.tail).Next
+	n := int64(0)
+	for k := range c.lists {
+		if l := &c.lists[k]; l.n > 0 {
+			a.push(class(k), s, l)
+			n += l.n
+		}
+	}
+	if n > 0 {
+		a.counters[s].freed.Add(n)
+		*c = Chain{}
+	}
+}
+
+// push links list l onto shard s of class c.
+func (a *Arena) push(c class, s int, l *chainList) {
+	head, tail := &a.free[c][s].head, &a.node(l.tail).Next
 	for {
-		head := a.free[s].head.Load()
-		ptr.StoreOwned(tail, head&headIdxMask)
-		newHead := ((head &^ headIdxMask) + headTagIncr) | (uint64(c.head) + 1)
-		if a.free[s].head.CompareAndSwap(head, newHead) {
-			if head&headIdxMask == 0 {
-				a.markNonEmpty(s)
+		h := head.Load()
+		ptr.StoreOwned(tail, h&headIdxMask)
+		if head.CompareAndSwap(h, ((h&^headIdxMask)+headTagIncr)|(uint64(l.head)+1)) {
+			if h&headIdxMask == 0 {
+				a.markNonEmpty(c, s)
 			}
-			a.counters[s].freed.Add(c.n)
-			*c = Chain{}
 			return
 		}
 	}
 }
 
-// Reset returns the arena to its freshly constructed state, narrow and
-// zeroed over the region the bump frontier ever touched. It must not race
-// with any concurrent use; the benchmark harness calls it between runs so
-// that multi-gigabyte arenas are recycled with their touched pages
-// resident and their untouched pages never zeroed.
+// Reset returns the arena to its freshly constructed state, zeroed over
+// both ends the frontier ever carved. It must not race with any
+// concurrent use; the benchmark harness calls it between runs so that
+// multi-gigabyte arenas are recycled with their touched pages resident
+// and their untouched pages never zeroed.
 func (a *Arena) Reset() {
-	f := a.frontier.Load()
-	if f > int64(a.capacity) {
-		f = int64(a.capacity) // the frontier may overshoot (see TryAlloc)
-	}
-	clear(a.nodes[:f<<a.shift>>nodeShift])
-	a.shift = nodeShift
+	// The counts may overshoot the capacity (see carve), never by more
+	// than the racing claims.
+	f, limit := a.frontier.Load(), uint64(a.capacity)
+	clear(a.nodes[:min(f&headIdxMask, limit)])
+	clear(a.nodes[uint64(len(a.nodes))-2*min(f>>32, limit):])
 	a.frontier.Store(0)
-	a.nonEmpty.Store(0)
-	for s := range a.free {
-		a.free[s].head.Store(0)
+	for c := range a.free {
+		a.nonEmpty[c].Store(0)
+		for s := range a.free[c] {
+			a.free[c][s].head.Store(0)
+		}
+	}
+	for s := range a.counters {
 		a.counters[s].allocated.Store(0)
 		a.counters[s].freed.Store(0)
 	}

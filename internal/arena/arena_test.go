@@ -101,22 +101,29 @@ func structWords(t *testing.T, prefix string, v reflect.Value, words map[string]
 	}
 }
 
-// widths builds a fresh arena of each width.
-var widths = map[string]func(capacity int) *Arena{
-	"narrow": New,
-	"wide": func(capacity int) *Arena {
-		a := New(capacity)
-		a.Widen()
-		return a
-	},
+// allocs allocates from each size class.
+var allocs = map[string]func(a *Arena, tid int) ptr.Index{
+	"node": (*Arena).Alloc,
+	"pair": (*Arena).AllocWide,
+}
+
+// neighbours reports whether fresh slots idx and next of a class are
+// carved side by side: nodes upward one line apart, pairs downward two
+// lines apart, each pair's Tail just below the pair carved before it.
+func neighbours(class string, idx, next ptr.Index) bool {
+	if class == "pair" {
+		return next == idx-2
+	}
+	return next == idx+1
 }
 
 // TestPoisonOnFree checks that every word of a freed node but the
 // free-list link and the stamp reads Poison, through Free and through
-// Release+FreeChain alike, on either width: a wide node's Tail included,
-// and on a narrow arena not one word of the next node, whose header the
-// poison would otherwise overwrite. Run under -race as well: that build
-// stores the poison with the other body of ptr.StoreOwned.
+// Release+FreeChain alike, for either class: a pair's Tail included, and
+// not one word of the neighbouring slot — the next node, whose header a
+// node's poison would otherwise overwrite, or the pair carved after. Run
+// under -race as well: that build stores the poison with the other body
+// of ptr.StoreOwned.
 func TestPoisonOnFree(t *testing.T) {
 	free := map[string]func(a *Arena, idx ptr.Index){
 		"Free": func(a *Arena, idx ptr.Index) { a.Free(0, idx) },
@@ -126,24 +133,29 @@ func TestPoisonOnFree(t *testing.T) {
 			a.FreeChain(0, &c)
 		},
 	}
-	for width, build := range widths {
+	for class, alloc := range allocs {
 		for how, free := range free {
-			how := width + "/" + how
-			a := build(4)
-			idx, next := a.Alloc(0), a.Alloc(0)
-			if next != idx+1 {
-				t.Fatalf("%s: fresh nodes %d and %d are not adjacent", how, idx, next)
+			how := class + "/" + how
+			a := New(4)
+			idx, next := alloc(a, 0), alloc(a, 0)
+			if !neighbours(class, idx, next) {
+				t.Fatalf("%s: fresh slots %d and %d are not adjacent", how, idx, next)
 			}
 			n := a.Node(idx)
-			words := nodeWords(t, n, width == "wide")
-			neighbour := nodeWords(t, a.Node(next), width == "wide")
-			for _, w := range words {
-				w.Store(1234)
+			words := nodeWords(t, n, class == "pair")
+			neighbour := nodeWords(t, a.Node(next), class == "pair")
+			// Every word but Seq, which carries a pair's class.
+			for name, w := range words {
+				if name != "Seq" {
+					w.Store(1234)
+				}
 			}
-			for _, w := range neighbour {
-				w.Store(5678)
+			for name, w := range neighbour {
+				if name != "Seq" {
+					w.Store(5678)
+				}
 			}
-			seq := n.Seq.Load()
+			seq, nseq := n.Seq.Load(), a.Node(next).Seq.Load()
 			free(a, idx)
 			for name, w := range words {
 				switch got := w.Load(); {
@@ -157,7 +169,11 @@ func TestPoisonOnFree(t *testing.T) {
 				}
 			}
 			for name, w := range neighbour {
-				if got := w.Load(); got != 5678 {
+				want := uint64(5678)
+				if name == "Seq" {
+					want = nseq
+				}
+				if got := w.Load(); got != want {
 					t.Errorf("%s: freeing node %d wrote node %d's %s: %#x", how, idx, next, name, got)
 				}
 			}
@@ -181,7 +197,7 @@ func TestFreeChain(t *testing.T) {
 
 	var c Chain
 	a.FreeChain(tid, &c)
-	if a.Stats() != before || a.nonEmpty.Load() != 0 || a.free[tid].head.Load() != 0 {
+	if a.Stats() != before || a.nonEmpty[narrow].Load() != 0 || a.free[narrow][tid].head.Load() != 0 {
 		t.Fatal("FreeChain of an empty chain changed the arena")
 	}
 	for _, x := range idx {
@@ -203,8 +219,8 @@ func TestFreeChain(t *testing.T) {
 	if a.Live() != 0 {
 		t.Fatalf("Live = %d, want 0", a.Live())
 	}
-	if a.nonEmpty.Load() != 1<<tid {
-		t.Fatalf("hint %#x after a push onto empty shard %d", a.nonEmpty.Load(), tid)
+	if a.nonEmpty[narrow].Load() != 1<<tid {
+		t.Fatalf("hint %#x after a push onto empty shard %d", a.nonEmpty[narrow].Load(), tid)
 	}
 	for i := n - 1; i >= 0; i-- {
 		if got := a.Alloc(tid); got != idx[i] {
@@ -265,14 +281,14 @@ func TestChainsUnderCrossTidFrees(t *testing.T) {
 	if s := a.Stats(); s.Allocated != s.Freed || s.Freed != workers*rounds*k {
 		t.Fatalf("Stats = %+v, want %d allocated and freed", s, workers*rounds*k)
 	}
-	f := min(a.frontier.Load(), int64(a.capacity)) // the frontier may overshoot
+	f := carvedNodes(a)
 	for i := int64(0); i < f; i++ {
 		if seq := a.Node(ptr.Index(i)).Seq.Load(); seq&1 == 0 {
 			t.Fatalf("node %d has live stamp %d at quiescence", i, seq)
 		}
 	}
 	total := 0
-	for _, n := range freeListLens(t, a) {
+	for _, n := range freeListLens(t, a, narrow) {
 		total += n
 	}
 	if int64(total) != f {
@@ -282,12 +298,12 @@ func TestChainsUnderCrossTidFrees(t *testing.T) {
 
 func TestLinkWords(t *testing.T) {
 	// Multi-link nodes: Link(0) aliases Left, upper levels map onto the
-	// Tail's Extra words, and on a wide arena all of them are poisoned on
-	// Free. On a narrow arena the Tail's bytes are the next node's header,
-	// and Free leaves them alone.
-	for width, build := range widths {
-		a := build(4)
-		idx, next := a.Alloc(0), a.Alloc(0)
+	// Tail's Extra words, and on a pair all of them are poisoned on Free.
+	// After a node that is not a pair the Tail's bytes are the next
+	// node's header, and Free leaves them alone.
+	for width, alloc := range allocs {
+		a := New(4)
+		idx, next := alloc(a, 0), alloc(a, 0)
 		n := a.Node(idx)
 		if n.Link(0) != &n.Left {
 			t.Fatalf("%s: Link(0) must alias Left", width)
@@ -297,12 +313,12 @@ func TestLinkWords(t *testing.T) {
 				t.Fatalf("%s: Link(%d) must alias Tail().Extra[%d]", width, lvl, lvl-1)
 			}
 		}
-		if tail, nn := uintptr(unsafe.Pointer(n.Tail())), uintptr(unsafe.Pointer(a.Node(next))); width == "narrow" && tail != nn {
-			t.Fatalf("narrow: Tail at %#x, want node %d's header at %#x", tail, next, nn)
+		if tail, nn := uintptr(unsafe.Pointer(n.Tail())), uintptr(unsafe.Pointer(a.Node(next))); width == "node" && tail != nn {
+			t.Fatalf("node: Tail at %#x, want node %d's header at %#x", tail, next, nn)
 		}
 		before := make([]uint64, MaxLinks)
 		for lvl := 0; lvl < MaxLinks; lvl++ {
-			if width == "wide" {
+			if width == "pair" {
 				n.Link(lvl).Store(uint64(100 + lvl))
 			}
 			before[lvl] = n.Link(lvl).Load()
@@ -310,7 +326,7 @@ func TestLinkWords(t *testing.T) {
 		a.Free(0, idx)
 		for lvl := 0; lvl < MaxLinks; lvl++ {
 			want := uint64(Poison)
-			if width == "narrow" && lvl > 0 {
+			if width == "node" && lvl > 0 {
 				want = before[lvl]
 			}
 			if got := n.Link(lvl).Load(); got != want {
@@ -322,12 +338,12 @@ func TestLinkWords(t *testing.T) {
 }
 
 // TestLinkOutOfRangePanics pins the Link contract at its edges: on a
-// wide arena the valid levels 0..MaxLinks-1 address MaxLinks distinct
-// words, and any level outside that range panics instead of silently
-// aliasing a neighbouring node's memory.
+// pair the valid levels 0..MaxLinks-1 address MaxLinks distinct words,
+// and any level outside that range panics instead of silently aliasing
+// a neighbouring node's memory.
 func TestLinkOutOfRangePanics(t *testing.T) {
-	a := widths["wide"](4)
-	n := a.Node(a.Alloc(0))
+	a := New(4)
+	n := a.Node(a.AllocWide(0))
 
 	seen := map[*atomic.Uint64]int{}
 	for lvl := 0; lvl < MaxLinks; lvl++ {
@@ -385,12 +401,18 @@ func TestRemoteFreeRecycles(t *testing.T) {
 	}
 }
 
-// freeListLens walks every shard's free list at quiescence.
-func freeListLens(t *testing.T, a *Arena) (lens [shards]int) {
+// carvedNodes is the number of nodes the frontier has carved, which may
+// overshoot the capacity (see carve).
+func carvedNodes(a *Arena) int64 {
+	return int64(min(a.frontier.Load()&headIdxMask, uint64(a.capacity)))
+}
+
+// freeListLens walks every shard's free list of class c at quiescence.
+func freeListLens(t *testing.T, a *Arena, c class) (lens [shards]int) {
 	t.Helper()
 	seen := make(map[ptr.Index]bool)
-	for s := range a.free {
-		for hi := a.free[s].head.Load() & headIdxMask; hi != 0; hi = a.Node(ptr.Index(hi-1)).Next.Load() & headIdxMask {
+	for s := range a.free[c] {
+		for hi := a.free[c][s].head.Load() & headIdxMask; hi != 0; hi = a.Node(ptr.Index(hi-1)).Next.Load() & headIdxMask {
 			idx := ptr.Index(hi - 1)
 			if seen[idx] {
 				t.Fatalf("node %d is on the free lists twice", idx)
@@ -445,9 +467,9 @@ func TestHintTracksFreeLists(t *testing.T) {
 	if live := a.Live(); live != 0 {
 		t.Fatalf("Live = %d after every node was freed", live)
 	}
-	lens := freeListLens(t, a)
+	lens := freeListLens(t, a, narrow)
 	total := int64(0)
-	hint := a.nonEmpty.Load()
+	hint := a.nonEmpty[narrow].Load()
 	for s, n := range lens {
 		total += int64(n)
 		if n > 0 && hint&(1<<s) == 0 {
@@ -455,14 +477,14 @@ func TestHintTracksFreeLists(t *testing.T) {
 		}
 	}
 	// Everything ever taken from the frontier was freed, exactly once.
-	f := a.frontier.Load()
+	f := carvedNodes(a)
 	if total != f {
 		t.Fatalf("free lists hold %d nodes, frontier handed out %d", total, f)
 	}
 	t.Logf("%d allocations were served from %d nodes", a.Stats().Allocated, f)
 
 	a.Reset()
-	if hint := a.nonEmpty.Load(); hint != 0 {
+	if hint := a.nonEmpty[narrow].Load(); hint != 0 {
 		t.Fatalf("hint %#x after Reset, want 0", hint)
 	}
 }
@@ -476,7 +498,7 @@ func TestHintStaysZeroWithoutFrees(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Alloc(i) // every shard allocates
 	}
-	if hint := a.nonEmpty.Load(); hint != 0 {
+	if hint := a.nonEmpty[narrow].Load(); hint != 0 {
 		t.Fatalf("hint %#x with nothing freed, want 0", hint)
 	}
 	if _, ok := a.TryAlloc(0); ok {
@@ -489,7 +511,7 @@ func TestHintStaysZeroWithoutFrees(t *testing.T) {
 func TestStaleClearHintStillSteals(t *testing.T) {
 	a := New(1)
 	a.Free(9, a.Alloc(0))
-	a.nonEmpty.Store(0) // as if a racing clear had won
+	a.nonEmpty[narrow].Store(0) // as if a racing clear had won
 	if _, ok := a.TryAlloc(0); !ok {
 		t.Fatal("node on an unhinted shard was not found once the frontier ran out")
 	}
@@ -511,19 +533,21 @@ func TestStats(t *testing.T) {
 }
 
 func TestDeref(t *testing.T) {
-	for width, build := range widths {
-		a := build(8)
-		a.Alloc(0)
-		idx := a.Alloc(0)
+	for class, alloc := range allocs {
+		a := New(8)
+		prev := alloc(a, 0)
+		idx := alloc(a, 0)
 		w := ptr.Pack(idx)
 		if a.Deref(w) != a.Node(idx) {
-			t.Fatalf("%s: Deref and Node disagree", width)
+			t.Fatalf("%s: Deref and Node disagree", class)
 		}
 		if a.Deref(ptr.WithMark(w)) != a.Node(idx) {
-			t.Fatalf("%s: Deref must ignore mark bits", width)
+			t.Fatalf("%s: Deref must ignore mark bits", class)
 		}
-		if got := uintptr(unsafe.Pointer(a.Node(idx))) - uintptr(unsafe.Pointer(a.Node(idx-1))); got != a.Stride() {
-			t.Fatalf("%s: nodes %d bytes apart, Stride %d", width, got, a.Stride())
+		// Every index is a line: nodes one line apart, pairs two.
+		want := map[string]uintptr{"node": 64, "pair": 128}[class]
+		if got := uintptr(unsafe.Pointer(a.Node(idx))) - uintptr(unsafe.Pointer(a.Node(prev))); got != want && -got != want {
+			t.Fatalf("%s: fresh slots %d and %d are %d bytes apart, want %d", class, prev, idx, int(got), want)
 		}
 	}
 }
@@ -636,7 +660,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestNewPanicsOnBadCapacity(t *testing.T) {
-	for _, c := range []int{0, -1} {
+	for _, c := range []int{0, -1, maxCapacity + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -701,10 +725,10 @@ func BenchmarkFree(b *testing.B) {
 }
 
 // TestLayoutReadMostlyLine checks that no cache line holding the words
-// every traversal hop reads (nodes, mask and shift, and capacity and
-// blobs beside them)
-// holds a word that an allocation or a free writes: frontier, nonEmpty
-// or any shard's free-list head. Otherwise every pop and push by one
+// every traversal hop reads (nodes and mask, and capacity and blobs
+// beside them) holds a word that an allocation or a free of either class
+// writes: frontier, a class's nonEmpty hint or any shard's free-list
+// head of the node class or the pair class. Otherwise every pop and push by one
 // core would invalidate the line another core's Deref reads. Lines are
 // counted in whole 64-byte lines from the start of the struct: the Go
 // heap does not promise an Arena 64-byte alignment, so this checks the
@@ -720,16 +744,18 @@ func TestLayoutReadMostlyLine(t *testing.T) {
 		{"nodes", unsafe.Offsetof(a.nodes), unsafe.Sizeof(a.nodes)},
 		{"capacity", unsafe.Offsetof(a.capacity), unsafe.Sizeof(a.capacity)},
 		{"mask", unsafe.Offsetof(a.mask), unsafe.Sizeof(a.mask)},
-		{"shift", unsafe.Offsetof(a.shift), unsafe.Sizeof(a.shift)},
 		{"blobs", unsafe.Offsetof(a.blobs), unsafe.Sizeof(a.blobs)},
 	}
 	written := []word{
 		{"frontier", unsafe.Offsetof(a.frontier), unsafe.Sizeof(a.frontier)},
-		{"nonEmpty", unsafe.Offsetof(a.nonEmpty), unsafe.Sizeof(a.nonEmpty)},
 	}
-	for s := range a.free {
-		off := unsafe.Offsetof(a.free) + uintptr(s)*unsafe.Sizeof(a.free[0]) + unsafe.Offsetof(a.free[0].head)
-		written = append(written, word{fmt.Sprintf("free[%d].head", s), off, unsafe.Sizeof(a.free[s].head)})
+	for c := range a.free {
+		hint := unsafe.Offsetof(a.nonEmpty) + uintptr(c)*unsafe.Sizeof(a.nonEmpty[0])
+		written = append(written, word{fmt.Sprintf("nonEmpty[%d]", c), hint, unsafe.Sizeof(a.nonEmpty[c])})
+		for s := range a.free[c] {
+			off := unsafe.Offsetof(a.free) + uintptr(c)*unsafe.Sizeof(a.free[0]) + uintptr(s)*unsafe.Sizeof(a.free[0][0]) + unsafe.Offsetof(a.free[0][0].head)
+			written = append(written, word{fmt.Sprintf("free[%d][%d].head", c, s), off, unsafe.Sizeof(a.free[c][s].head)})
+		}
 	}
 	readLines := make(map[uintptr]string)
 	for _, r := range readMostly {
@@ -743,36 +769,5 @@ func TestLayoutReadMostlyLine(t *testing.T) {
 				t.Errorf("%s (offset %d) shares line %d with the read-mostly %s", w.name, w.off, l, r)
 			}
 		}
-	}
-}
-
-// TestWidenAfterAllocPanics: nodes already handed out would move, so
-// Widen refuses once anything is allocated; on a wide arena it is a
-// no-op, and Reset makes an arena narrow and widenable again.
-func TestWidenAfterAllocPanics(t *testing.T) {
-	a := New(8)
-	a.Alloc(0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Widen after an allocation must panic")
-			}
-		}()
-		a.Widen()
-	}()
-	if a.Stride() != 64 {
-		t.Fatalf("Stride = %d after a refused Widen, want 64", a.Stride())
-	}
-
-	a.Reset()
-	a.Widen()
-	a.Alloc(0)
-	a.Widen() // already wide: nothing moves
-	if a.Stride() != 128 {
-		t.Fatalf("Stride = %d, want 128", a.Stride())
-	}
-	a.Reset()
-	if a.Stride() != 64 {
-		t.Fatalf("Stride = %d after Reset, want 64", a.Stride())
 	}
 }

@@ -16,6 +16,9 @@
 // the four structures — which is what makes this benchmark separate the
 // reclamation schemes so clearly (§6: Hyaline's steady ≈10% win over
 // EBR).
+//
+// A node keeps its subtree size in its Tail's Aux word, so every node is
+// an arena pair, a Node and its Tail, 128 bytes (arena.Arena.AllocWide).
 package bonsai
 
 import (
@@ -44,11 +47,8 @@ type Tree struct {
 	scratch []opScratch
 }
 
-// New creates an empty tree for up to maxThreads concurrent writers. A
-// node keeps its subtree size in its Tail's Aux word, so New widens a
-// (arena.Widen): call it before anything allocates from a.
+// New creates an empty tree for up to maxThreads concurrent writers.
 func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *Tree {
-	a.Widen()
 	return &Tree{
 		arena:   a,
 		tracker: smr.NewDeref(tr),
@@ -64,8 +64,10 @@ func (t *Tree) size(w ptr.Word) uint64 {
 }
 
 // mkNode builds a fresh node; its size is derived from the children.
+// Every node keeps its subtree size in its Tail's Aux word, so every node
+// is an arena pair.
 func (t *Tree) mkNode(tid int, sc *opScratch, key, val uint64, l, r ptr.Word) ptr.Word {
-	idx := t.tracker.Alloc(tid)
+	idx := t.tracker.AllocWide(tid)
 	n := t.arena.Node(idx)
 	n.Key.Store(key)
 	n.Val.Store(val)

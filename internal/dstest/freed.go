@@ -30,26 +30,22 @@ import (
 type freedReads struct {
 	smr.Tracker
 	a      *arena.Arena
-	base   uintptr // the node pool's first address
 	report func(msg string)
 	hits   atomic.Int64
 }
 
 func newFreedReads(a *arena.Arena, tr smr.Tracker, report func(msg string)) *freedReads {
-	return &freedReads{Tracker: tr, a: a, base: uintptr(unsafe.Pointer(a.Node(0))), report: report}
+	return &freedReads{Tracker: tr, a: a, report: report}
 }
 
-// Protect checks the node addr lies in, if any, and then protects
-// through the wrapped tracker. The node stride is read here, not when
-// the wrapper is built: the structure's constructor, which runs after,
-// may widen the arena.
+// Protect checks the node addr lies in, if any — a pair's Tail belongs
+// to its pair (arena.Arena.Owner) — and then protects through the wrapped
+// tracker.
 func (f *freedReads) Protect(tid, slot int, addr *atomic.Uint64) ptr.Word {
-	stride := f.a.Stride()
-	if p := uintptr(unsafe.Pointer(addr)); p >= f.base && p < f.base+uintptr(f.a.Cap())*stride {
-		idx := ptr.Index((p - f.base) / stride)
+	if idx, word, ok := f.a.Owner(unsafe.Pointer(addr)); ok {
 		if seq := f.a.Node(idx).Seq.Load(); seq&1 != 0 && f.hits.Add(1) == 1 {
-			f.report(fmt.Sprintf("tid %d: Protect(slot %d) reads word %d of free node %d (seq %d, word %#x)",
-				tid, slot, (p-f.base)%stride/8, idx, seq, addr.Load()))
+			f.report(fmt.Sprintf("tid %d: Protect(slot %d) reads word %d of free node %d (seq %#x, word %#x)",
+				tid, slot, word, idx, seq, addr.Load()))
 		}
 	}
 	return f.Tracker.Protect(tid, slot, addr)

@@ -121,14 +121,20 @@ func (t *Tracker) Leave(tid int) {
 }
 
 // Alloc implements smr.Tracker: stamp the birth era (Refs header word).
-func (t *Tracker) Alloc(tid int) ptr.Index {
+func (t *Tracker) Alloc(tid int) ptr.Index { return t.born(tid, t.Arena.Alloc(tid)) }
+
+// AllocWide implements smr.Tracker: a pair's birth era, as Alloc's.
+func (t *Tracker) AllocWide(tid int) ptr.Index { return t.born(tid, t.Arena.AllocWide(tid)) }
+
+// born counts tid's allocation of idx, advances the era clock every Freq
+// allocations and stamps idx's birth era.
+func (t *Tracker) born(tid int, idx ptr.Index) ptr.Index {
 	ts := &t.threads[tid]
 	ts.allocCounter++
 	if ts.allocCounter%t.cfg.Freq == 0 {
 		t.era.Add(1)
 	}
 	t.Counters.Alloc(tid)
-	idx := t.Arena.Alloc(tid)
 	// The node is not published yet: a plain store (ptr.StoreOwned).
 	ptr.StoreOwned(&t.Arena.Node(idx).Refs, t.era.Load())
 	return idx

@@ -443,9 +443,15 @@ func (t *Tracker) Trim(tid int) {
 
 // Alloc implements smr.Tracker. Robust variants stamp the birth era
 // (Fig. 5 init_node); the era clock advances every Freq allocations.
-func (t *Tracker) Alloc(tid int) ptr.Index {
+func (t *Tracker) Alloc(tid int) ptr.Index { return t.born(tid, t.Arena.Alloc(tid)) }
+
+// AllocWide implements smr.Tracker: a pair's birth era, as Alloc's.
+func (t *Tracker) AllocWide(tid int) ptr.Index { return t.born(tid, t.Arena.AllocWide(tid)) }
+
+// born counts tid's allocation of idx and, under the robust variants,
+// stamps its birth era.
+func (t *Tracker) born(tid int, idx ptr.Index) ptr.Index {
 	t.Counters.Alloc(tid)
-	idx := t.Arena.Alloc(tid)
 	if t.robust() {
 		ts := &t.threads[tid]
 		ts.eraCountdown--

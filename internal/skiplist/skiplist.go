@@ -2,11 +2,12 @@
 // style of Fraser and of Herlihy & Shavit's LockFreeSkipList: a sorted
 // multi-level structure whose towers are single arena nodes carrying one
 // next-link word per level (arena.Node.Link): Left, then the seven Extra
-// words of the node's Tail, so the skiplist widens its arena to 128-byte
-// nodes. Deletion marks a node's link at every level of its tower
-// (Harris-style: the mark on a node's own link word logically deletes
-// the node at that level) and traversals help unlink marked nodes level
-// by level.
+// words of the node's Tail. A tower of height 1 — three in four of them —
+// is one 64-byte node and has no Tail; a taller one is an arena pair, a
+// node and its Tail, 128 bytes (arena.Arena.AllocWide). Deletion marks a
+// node's link at every level of its tower (Harris-style: the mark on a
+// node's own link word logically deletes the node at that level) and
+// traversals help unlink marked nodes level by level.
 //
 // Towers are promoted with probability 1/4 per level (randomHeight), so
 // level l holds about n/4^l nodes and the MaxHeight = 8 link words an
@@ -62,10 +63,11 @@ const MaxHeight = arena.MaxLinks
 //	Key, Val      — the entry
 //	Left + Extra  — the tower: Link(l) is the level-l next word, whose
 //	                mark bit logically deletes the node at that level
-//	Tail().Aux    — tower height, immutable after publish (HE/IBR recycle
-//	                Aux as the retire era, but only once the node is
-//	                retired, which the mask protocol orders after every
-//	                reader that cares about the height)
+//	Tail().Aux    — a pair's tower height (2 and up), immutable after
+//	                publish (HE/IBR recycle Aux as the retire era, but
+//	                only once the node is retired, which the mask
+//	                protocol orders after every reader that cares about
+//	                the height); a node that is not a pair has height 1
 //	Right         — the link-level bitmask of the retire protocol
 type SkipList struct {
 	arena   *arena.Arena
@@ -80,11 +82,8 @@ type paddedSeed struct {
 }
 
 // New creates an empty skiplist managed by tr for up to maxThreads
-// concurrent threads (tower-height randomness is sharded by tid). The
-// towers live in the nodes' Tails, so New widens a (arena.Widen): call it
-// before anything allocates from a.
+// concurrent threads (tower-height randomness is sharded by tid).
 func New(a *arena.Arena, tr smr.Tracker, maxThreads int) *SkipList {
-	a.Widen()
 	if maxThreads < 1 {
 		maxThreads = 1
 	}
@@ -109,6 +108,15 @@ func (s *SkipList) randomHeight(tid int) int {
 		x >>= 2
 	}
 	return h
+}
+
+// height returns the tower height of node idx: 1 unless it is a pair,
+// which keeps its height in its Tail's Aux word.
+func (s *SkipList) height(idx ptr.Index, n *arena.Node) int {
+	if !s.arena.Wide(idx) {
+		return 1
+	}
+	return int(n.Tail().Aux.Load())
 }
 
 // unlinked records that the node referenced by w lost tower level, and
@@ -225,16 +233,23 @@ func (s *SkipList) Insert(tid int, key, val uint64) bool {
 			return false
 		}
 		if ptr.IsNil(newW) {
-			idx := tr.Alloc(tid)
+			var idx ptr.Index
+			if h == 1 {
+				idx = tr.Alloc(tid)
+			} else {
+				idx = tr.AllocWide(tid)
+			}
 			n = s.arena.Node(idx)
 			// The node is ours until the level-0 CAS below publishes it,
 			// and the CAS orders these stores before it: plain stores.
 			ptr.StoreOwned(&n.Key, key)
 			ptr.StoreOwned(&n.Val, val)
-			ptr.StoreOwned(&n.Tail().Aux, uint64(h))
 			ptr.StoreOwned(&n.Right, uint64(1)<<h-1) // own every tower level
-			for i := 1; i < h; i++ {
-				ptr.StoreOwned(n.Link(i), ptr.Nil)
+			if h > 1 {
+				ptr.StoreOwned(&n.Tail().Aux, uint64(h))
+				for i := 1; i < h; i++ {
+					ptr.StoreOwned(n.Link(i), ptr.Nil)
+				}
 			}
 			newW = ptr.Pack(idx)
 		}
@@ -283,7 +298,7 @@ func (s *SkipList) Delete(tid int, key uint64) bool {
 			return false
 		}
 		cn := s.arena.Deref(curr)
-		h := int(cn.Tail().Aux.Load())
+		h := s.height(ptr.Idx(curr), cn)
 		if h < 1 || h > MaxHeight {
 			// Aux is only overwritten (by HE/IBR, as the retire era) once
 			// the node is retired, i.e. this candidate lost a race long
@@ -392,11 +407,11 @@ retry:
 // each walks the bottom level at quiescence, visiting unmarked nodes in
 // order until fn returns false. Not linearizable; it backs the Len, Keys
 // and Height helpers the tests use.
-func (s *SkipList) each(fn func(n *arena.Node) bool) {
+func (s *SkipList) each(fn func(idx ptr.Index, n *arena.Node) bool) {
 	for w := s.head[0].Load(); !ptr.IsNil(w); {
 		node := s.arena.Deref(ptr.Clean(w))
 		next := node.Link(0).Load()
-		if !ptr.Marked(next) && !fn(node) {
+		if !ptr.Marked(next) && !fn(ptr.Idx(w), node) {
 			return
 		}
 		w = next
@@ -407,14 +422,14 @@ func (s *SkipList) each(fn func(n *arena.Node) bool) {
 // exists for tests run at quiescence.
 func (s *SkipList) Len() int {
 	n := 0
-	s.each(func(*arena.Node) bool { n++; return true })
+	s.each(func(ptr.Index, *arena.Node) bool { n++; return true })
 	return n
 }
 
 // Keys returns the keys in order at quiescence (test helper).
 func (s *SkipList) Keys() []uint64 {
 	var keys []uint64
-	s.each(func(n *arena.Node) bool {
+	s.each(func(_ ptr.Index, n *arena.Node) bool {
 		keys = append(keys, n.Key.Load())
 		return true
 	})
@@ -425,9 +440,9 @@ func (s *SkipList) Keys() []uint64 {
 // key is absent; quiescent test helper for the level distribution.
 func (s *SkipList) Height(key uint64) int {
 	h := 0
-	s.each(func(n *arena.Node) bool {
+	s.each(func(idx ptr.Index, n *arena.Node) bool {
 		if n.Key.Load() == key {
-			h = int(n.Tail().Aux.Load())
+			h = s.height(idx, n)
 			return false
 		}
 		return true

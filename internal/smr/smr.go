@@ -41,6 +41,10 @@ type Tracker interface {
 	// era recorded). It must be called between Enter and Leave.
 	Alloc(tid int) ptr.Index
 
+	// AllocWide is Alloc for a pair, a node whose Tail is its own (see
+	// arena.Arena.AllocWide). The scheme treats it as one node.
+	AllocWide(tid int) ptr.Index
+
 	// Retire hands a node that has been unlinked from the data structure
 	// to the reclamation scheme. The node must be unreachable from
 	// subsequent operations.
@@ -135,11 +139,10 @@ type Flusher interface {
 }
 
 // Base is the state every tracker shares: the arena it allocates from
-// and its per-thread counters. A tracker embeds it for Alloc, Dealloc
-// and Stats. Schemes that stamp a birth era shadow Alloc and call
-// Counters.Alloc and Arena.Alloc themselves: Base.Alloc is over the
-// inliner's budget, and calling it would add a call to every
-// allocation.
+// and its per-thread counters. A tracker embeds it for Alloc,
+// AllocWide, Dealloc and Stats. Schemes that stamp a birth era shadow
+// Alloc and AllocWide: each calls Arena.Alloc or Arena.AllocWide, which
+// inline, and then one helper the two share that counts and stamps.
 type Base struct {
 	Arena    *arena.Arena
 	Counters *Counters
@@ -154,6 +157,12 @@ func NewBase(a *arena.Arena, maxThreads int) Base {
 func (b *Base) Alloc(tid int) ptr.Index {
 	b.Counters.Alloc(tid)
 	return b.Arena.Alloc(tid)
+}
+
+// AllocWide implements Tracker for schemes that record nothing per node.
+func (b *Base) AllocWide(tid int) ptr.Index {
+	b.Counters.Alloc(tid)
+	return b.Arena.AllocWide(tid)
 }
 
 // Dealloc implements Tracker: a never-published speculative node is

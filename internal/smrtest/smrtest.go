@@ -67,6 +67,73 @@ func RunAll(t *testing.T, f Factory, opts Options) {
 	t.Run("ChainTorture", func(t *testing.T) { ChainTorture(t, f, opts) })
 	t.Run("Quiescence", func(t *testing.T) { Quiescence(t, f, opts) })
 	t.Run("PassAllocatesNothing", func(t *testing.T) { PassAllocatesNothing(t, f) })
+	t.Run("AllocWide", func(t *testing.T) { AllocWide(t, f) })
+}
+
+// AllocWide checks that a pair is one node to the scheme. AllocWide
+// counts one allocation and stamps what Alloc stamps: under the schemes
+// that keep a birth era (hyaline-s, hyaline-1s, he, ibr) a pair's Refs
+// word lies between the eras of the nodes allocated just before and just
+// after it, and the clock moves over the run; under the others it is as
+// untouched as theirs. A retired or Dealloc'd pair is freed as a pair:
+// still Wide, its Tail poisoned.
+func AllocWide(t *testing.T, f Factory) {
+	const n = 1000
+	a := arena.New(1 << 14)
+	tr := f(a, 1)
+	nodes, pairs := make([]ptr.Index, n+1), make([]ptr.Index, n)
+	tr.Enter(0)
+	nodes[0] = tr.Alloc(0)
+	for i := range pairs {
+		pairs[i] = tr.AllocWide(0)
+		nodes[i+1] = tr.Alloc(0)
+	}
+	tr.Leave(0)
+	if st := tr.Stats(); st.Allocated != 2*n+1 {
+		t.Fatalf("Allocated = %d after %d Allocs and %d AllocWides", st.Allocated, n+1, n)
+	}
+	born := func(idx ptr.Index) uint64 { return a.Node(idx).Refs.Load() }
+	for i, p := range pairs {
+		if !a.Wide(p) {
+			t.Fatalf("AllocWide returned %d, not a pair", p)
+		}
+		if lo, e, hi := born(nodes[i]), born(p), born(nodes[i+1]); e < lo || e > hi {
+			t.Fatalf("pair %d stamped %d between nodes stamped %d and %d", p, e, lo, hi)
+		}
+	}
+	stamps := map[string]bool{"hyaline-s": true, "hyaline-1s": true, "he": true, "ibr": true}[tr.Name()]
+	if moved := born(nodes[n]) > born(nodes[0]); moved != stamps {
+		t.Fatalf("%s: birth era moved %v over %d allocations, want %v", tr.Name(), moved, 2*n+1, stamps)
+	}
+
+	for i := range pairs {
+		tr.Enter(0)
+		tr.Retire(0, pairs[i])
+		tr.Retire(0, nodes[i])
+		tr.Leave(0)
+	}
+	if fl, ok := tr.(smr.Flusher); ok {
+		fl.Flush(0)
+	}
+	tr.Enter(0)
+	spec := tr.AllocWide(0)
+	tr.Dealloc(0, spec)
+	tr.Leave(0)
+	freed := 0
+	for _, p := range append(pairs, spec) {
+		nd := a.Node(p)
+		if nd.Seq.Load()&1 == 0 {
+			continue // still live: not reclaimed yet, or leaky
+		}
+		freed++
+		if !a.Wide(p) || nd.Tail().Aux.Load() != arena.Poison {
+			t.Fatalf("freed pair %d: Wide %v, Tail.Aux %#x", p, a.Wide(p), nd.Tail().Aux.Load())
+		}
+	}
+	if _, leaky := isLeaky(tr); freed == 0 || (leaky && freed != 1) {
+		t.Fatalf("%s: %d of %d retired pairs and the Dealloc'd one freed", tr.Name(), freed, n)
+	}
+	runtime.KeepAlive(a)
 }
 
 // PassAllocatesNothing checks that retiring, and the reclamation passes
