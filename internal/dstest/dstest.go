@@ -687,6 +687,16 @@ func RangeScan(t *testing.T, f Factory, scheme string, opts Options) {
 	}
 }
 
+// underLease runs fn under a tid leased from pool with its bracket open,
+// the way the KV runs one operation (or one batch).
+func underLease(pool *session.Pool, fn func(s *session.Session)) {
+	s := pool.Acquire()
+	defer pool.Release(s)
+	s.Enter()
+	defer s.Leave()
+	fn(s)
+}
+
 // SessionChurn drives the structure through the goroutine-transparent
 // session layer: far more goroutines than tids, each leasing a session
 // per operation from a session.Pool. A tid therefore migrates between
@@ -720,9 +730,7 @@ func SessionChurn(t *testing.T, f Factory, scheme string, opts Options) {
 				// Own-stripe keys: key % goroutines == g.
 				key := uint64(rng.Intn(int(opts.KeySpace)))*uint64(goroutines) + uint64(g)
 				fail := ""
-				pool.Do(func(s *session.Session) {
-					s.Enter()
-					defer s.Leave()
+				underLease(pool, func(s *session.Session) {
 					tid := s.Tid()
 					switch rng.Intn(4) {
 					case 0:
@@ -776,9 +784,7 @@ func SessionChurn(t *testing.T, f Factory, scheme string, opts Options) {
 		for key, present := range model {
 			var v uint64
 			var ok bool
-			pool.Do(func(s *session.Session) {
-				s.Enter()
-				defer s.Leave()
+			underLease(pool, func(s *session.Session) {
 				v, ok = m.Get(s.Tid(), key)
 			})
 			if ok != present || (ok && v != checksum(key)) {
@@ -889,10 +895,8 @@ func BatchChurn(t *testing.T, f Factory, scheme string, opts Options) {
 						}
 					}
 					fail := ""
-					pool.Do(func(s *session.Session) {
+					underLease(pool, func(s *session.Session) {
 						tid := s.Tid()
-						s.Enter()
-						defer s.Leave()
 						for i, op := range batch {
 							if i > 0 && i%trimEvery == 0 {
 								s.Trim()
@@ -933,10 +937,8 @@ func BatchChurn(t *testing.T, f Factory, scheme string, opts Options) {
 			// Singleton caller: one lease per operation, same op budget.
 			for i := 0; i < batches*batchSize; i++ {
 				fail := ""
-				pool.Do(func(s *session.Session) {
+				underLease(pool, func(s *session.Session) {
 					tid := s.Tid()
-					s.Enter()
-					defer s.Leave()
 					switch rng.Intn(4) {
 					case 0:
 						key := stripeKey()
@@ -991,9 +993,7 @@ func BatchChurn(t *testing.T, f Factory, scheme string, opts Options) {
 		for key, present := range model {
 			var v uint64
 			var ok bool
-			pool.Do(func(s *session.Session) {
-				s.Enter()
-				defer s.Leave()
+			underLease(pool, func(s *session.Session) {
 				v, ok = m.Get(s.Tid(), key)
 			})
 			if ok != present || (ok && v != checksum(key)) {

@@ -60,9 +60,7 @@ func ShardedChurn(t *testing.T, f Factory, scheme string, opts Options) {
 	// that shard's pool.
 	doOn := func(key uint64, op func(sh *churnShard, tid int)) {
 		sh := &shards[shardRoute(key, nshards)]
-		sh.pool.Do(func(s *session.Session) {
-			s.Enter()
-			defer s.Leave()
+		underLease(sh.pool, func(s *session.Session) {
 			op(sh, s.Tid())
 		})
 	}

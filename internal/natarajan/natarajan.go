@@ -15,8 +15,14 @@
 // Under deep tag chains (rare, contended deletes) the intermediate
 // nodes of a spliced chain are never retired, so they leak: a few nodes
 // per such delete, an imprecision shared with the original framework.
-// ROADMAP.md item 1 tracks it with the open traversal-through-detached-
-// chain defect of the same cleanup path.
+//
+// A frozen (flagged or tagged) edge defeats the validation that hazard
+// pointers, hazard eras and intervals rely on: re-reading it shows the
+// same word after its target has been spliced out and freed. This is
+// why pointer- and era-based schemes do not apply to this tree
+// unmodified (Brown, PODC 2015). seek therefore checks a hop through a
+// marked edge against the ancestor's path edge, and keeps every node of
+// its window in a slot of its own; see there.
 //
 // Sentinel keys occupy the top of the key space: user keys must be below
 // KeyMax.
@@ -24,6 +30,7 @@ package natarajan
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"hyaline/internal/arena"
@@ -52,12 +59,18 @@ type Tree struct {
 	rootS ptr.Word
 }
 
-// seekRecord is the paper's seek window.
+// seekRecord is the paper's seek window, plus the router key of the
+// deepest internal node where the descent turned left. In a
+// leaf-oriented BST the left turns get smaller going down, so that
+// router is the smallest one greater than key: when the leaf holds a key
+// below the target, the next key in the tree (if any) is at or above it
+// (see Range).
 type seekRecord struct {
 	ancestor  ptr.Word // deepest node whose edge on the path is untagged
 	successor ptr.Word // ancestor's child on the access path
 	parent    ptr.Word // leaf's parent
 	leaf      ptr.Word // terminal leaf (clean)
+	diverge   uint64   // deepest left-turn router key; ∞1 from the turn at S
 }
 
 // New creates a tree with the three-leaf sentinel skeleton.
@@ -116,37 +129,66 @@ func (t *Tree) isLeaf(w ptr.Word) bool {
 // seek descends to the leaf for key, maintaining the ancestor/successor
 // window (the Fig. 5 seek of [29]): ancestor is the deepest node on the
 // access path whose outgoing path edge is untagged, successor its child.
-// Protection slots rotate through the descent as in the paper's
-// evaluation framework.
-func (t *Tree) seek(tid int, key uint64) seekRecord {
+//
+// Each hop protects the node it reaches in a slot that no node of the
+// window holds, so the ancestor, successor, parent and leaf stay
+// protected for as long as they are in the window — cleanup and Insert
+// CAS through them — and a descent needs five slots.
+//
+// A flagged or tagged edge is frozen: its node is being spliced out, and
+// re-reading the edge (Protect's validation under hazard pointers and
+// eras) no longer shows whether the node it points to is still in the
+// tree. Everything between the successor and such an edge hangs off the
+// ancestor's path edge (the ancestor counted with the node the hop
+// leaves), so after a hop through a marked edge seek re-reads that edge:
+// while it still points, unmarked, at the successor, the chain is
+// attached and the protection taken before the re-read holds; once it
+// has moved, seek restarts from the root. Unmarked hops pay nothing
+// extra.
+func (t *Tree) seek(tid int, key uint64) (s seekRecord) {
 	tr := t.tracker
-	s := seekRecord{
-		ancestor:  t.rootR,
-		successor: t.rootS,
-		parent:    t.rootS,
-	}
-	// parentField is the edge from parent (S) into the current leaf
-	// candidate; currentField is the candidate's own path edge.
-	parentField := tr.Protect(tid, 0, t.childAddr(t.rootS, key))
-	s.leaf = ptr.Clean(parentField)
-	currentField := tr.Protect(tid, 1, t.childAddr(s.leaf, key))
-	current := ptr.Clean(currentField)
-
-	slot := 2
-	for !ptr.IsNil(current) {
-		// current is internal: descend one level.
-		if !ptr.Tagged(parentField) {
-			s.ancestor = s.parent
-			s.successor = s.leaf
+restart:
+	for {
+		s = seekRecord{ancestor: t.rootR, successor: t.rootS, parent: t.rootR, leaf: t.rootS, diverge: inf1}
+		parentField := t.rootS // R's edge into S, never marked
+		// The slot of each window node's protection as a one-bit mask; R
+		// and S are never freed and hold none.
+		var ma, ms, mp, ml uint8
+		for {
+			n := t.arena.Deref(s.leaf)
+			rk := n.Key.Load()
+			addr := &n.Right
+			if key < rk {
+				addr = &n.Left
+			}
+			used := ma | ms | mp | ml
+			mc := ^used & (used + 1) // the lowest free slot
+			currentField := tr.Protect(tid, bits.TrailingZeros8(mc), addr)
+			if ptr.Bits(currentField) != 0 {
+				// The window as it stands with s.leaf in it: an untagged
+				// edge into s.leaf makes s.parent the ancestor.
+				anc, succ := s.ancestor, s.successor
+				if !ptr.Tagged(parentField) {
+					anc, succ = s.parent, s.leaf
+				}
+				if t.childAddr(anc, key).Load() != succ {
+					continue restart
+				}
+			}
+			current := ptr.Clean(currentField)
+			if ptr.IsNil(current) {
+				return s // s.leaf has no children: it is the leaf
+			}
+			if key < rk {
+				s.diverge = rk
+			}
+			if !ptr.Tagged(parentField) {
+				s.ancestor, s.successor, ma, ms = s.parent, s.leaf, mp, ml
+			}
+			s.parent, s.leaf, mp, ml = s.leaf, current, ml, mc
+			parentField = currentField
 		}
-		s.parent = s.leaf
-		s.leaf = current
-		parentField = currentField
-		currentField = tr.Protect(tid, slot, t.childAddr(current, key))
-		slot = slot%6 + 2 // cycle slots 2→4→6, keeping 0/1 for the window
-		current = ptr.Clean(currentField)
 	}
-	return s
 }
 
 // Insert adds key→val, returning false if the key already exists.
@@ -227,8 +269,16 @@ func (t *Tree) Delete(tid int, key uint64) bool {
 			}
 			continue
 		}
-		// Already injected: we succeed once our victim leaf is gone.
+		// Already injected: we succeed once our victim leaf is gone. The
+		// victim is not protected across seeks, so once gone it may be
+		// freed and its index reused by a fresh leaf on the same path; only
+		// a flagged edge into it still names our victim (a flag moves with
+		// the leaf when a cleanup promotes it). Cleaning up past an
+		// unflagged edge would splice out a live subtree.
 		if s.leaf != victim {
+			return true
+		}
+		if now := t.childAddr(s.parent, key).Load(); !ptr.Flagged(now) || ptr.Clean(now) != victim {
 			return true
 		}
 		if t.cleanup(tid, key, s) {
@@ -286,44 +336,14 @@ func (t *Tree) cleanup(tid int, key uint64, s seekRecord) bool {
 	return true
 }
 
-// succLeaf descends to the leaf for key exactly like seek, protecting
-// the path with the same rotating hazard slots, but additionally reports
-// the router key of the deepest internal node where the descent turned
-// left. In a leaf-oriented BST the left turns get smaller going down, so
-// that router is the smallest one greater than key — and when the
-// reached leaf holds a key below the target, the next key in the tree
-// (if any) lives at or above it. Edges whose mark bits are set (flagged
-// or tagged pending deletes) are followed cleaned, as in seek.
-func (t *Tree) succLeaf(tid int, key uint64) (leaf ptr.Word, diverge uint64) {
-	tr := t.tracker
-	// The descent always turns left at S (key < ∞1), so ∞1 bounds diverge.
-	diverge = inf1
-	leaf = ptr.Clean(tr.Protect(tid, 0, t.childAddr(t.rootS, key)))
-	currentField := tr.Protect(tid, 1, t.childAddr(leaf, key))
-	current := ptr.Clean(currentField)
-
-	slot := 2
-	for !ptr.IsNil(current) {
-		// leaf is internal: it just routed us; record a left turn.
-		if rk := t.arena.Deref(leaf).Key.Load(); key < rk {
-			diverge = rk
-		}
-		leaf = current
-		currentField = tr.Protect(tid, slot, t.childAddr(current, key))
-		slot = slot%6 + 2 // cycle slots 2→4→6, keeping 0/1 for the window (as in seek)
-		current = ptr.Clean(currentField)
-	}
-	return leaf, diverge
-}
-
 // Range visits every key in [lo, hi] in ascending order, calling fn for
 // each until it returns false. The scan is a leaf-order traversal
-// implemented by successor probing: each step descends for the cursor
-// (sharing seek's protection protocol, so it is lock-free and
-// reclamation-safe under every scheme); if the reached leaf holds a key
-// at or above the cursor it is the successor and is emitted, otherwise
-// the cursor jumps to the deepest left-turn router — the least upper
-// bound the descent established for the missing keys — and probes again.
+// implemented by successor probing: each step is a seek for the cursor
+// (so it is lock-free and reclamation-safe under every scheme); if the
+// reached leaf holds a key at or above the cursor it is the successor
+// and is emitted, otherwise the cursor jumps to the deepest left-turn
+// router (the seek record's diverge), the least upper bound the descent
+// established for the missing keys, and probes again.
 // Either way the cursor strictly increases, so every scan is sorted,
 // duplicate-free and bounded by [lo, hi].
 //
@@ -337,8 +357,8 @@ func (t *Tree) Range(tid int, lo, hi uint64, fn func(key, val uint64) bool) {
 	}
 	cursor := lo
 	for cursor <= hi {
-		leafW, diverge := t.succLeaf(tid, cursor)
-		n := t.arena.Deref(leafW)
+		sr := t.seek(tid, cursor)
+		n := t.arena.Deref(sr.leaf)
 		if k := n.Key.Load(); k >= cursor {
 			if k > hi {
 				return
@@ -352,10 +372,10 @@ func (t *Tree) Range(tid int, lo, hi uint64, fn func(key, val uint64) bool) {
 			cursor = k + 1
 		} else {
 			// cursor is absent; the next candidate key is >= diverge.
-			if diverge > hi {
+			if sr.diverge > hi {
 				return
 			}
-			cursor = diverge
+			cursor = sr.diverge
 		}
 	}
 }

@@ -14,19 +14,25 @@ func factory(a *arena.Arena, tr smr.Tracker) dstest.Map {
 	return New(a, tr)
 }
 
-func TestAllSchemes(t *testing.T) {
-	dstest.RunAll(t, factory, dstest.Options{
-		KeySpace: 512,
-		// Cleanup retires parent+leaf; deep tag chains may strand a few
-		// internal nodes, as in the paper's framework.
-		LeakSlack: 2048,
-	})
+// suiteOptions serves both the conformance suite and the freed-read
+// check.
+var suiteOptions = dstest.Options{
+	KeySpace: 512,
+	// Cleanup retires parent+leaf; deep tag chains may strand a few
+	// internal nodes, as in the paper's framework.
+	LeakSlack: 2048,
 }
 
-// There is no TestFreedReads here yet: seek and succLeaf follow flagged
-// and tagged edges out of nodes a cleanup has already spliced out, and
-// the freed-read check (dstest.FreedReads) fires under hp, he and
-// hyaline-s. The tree joins the check with that fix (ROADMAP item 1).
+func TestAllSchemes(t *testing.T) {
+	dstest.RunAll(t, factory, suiteOptions)
+}
+
+// TestFreedReads: no hop reads a link out of a freed node, under every
+// scheme. A hop through a flagged or tagged edge re-reads the ancestor's
+// path edge before it dereferences the node it reached (see seek).
+func TestFreedReads(t *testing.T) {
+	dstest.FreedReads(t, factory, suiteOptions)
+}
 
 func TestSentinelSkeleton(t *testing.T) {
 	a := arena.New(64)

@@ -44,7 +44,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hyaline/internal/ptr"
 	"hyaline/internal/smr"
 )
 
@@ -175,14 +174,6 @@ func (p *Pool) Release(s *Session) {
 	}
 }
 
-// Do brackets fn with an Acquire/Release pair: the leased session is
-// valid exactly for the dynamic extent of fn.
-func (p *Pool) Do(fn func(*Session)) {
-	s := p.Acquire()
-	defer p.Release(s)
-	fn(s)
-}
-
 // InUse returns the number of currently leased tids (approximate under
 // concurrency; exact at quiescence).
 func (p *Pool) InUse() int {
@@ -236,20 +227,6 @@ func (s *Session) Enter() { s.pool.tr.Enter(s.tid) }
 
 // Leave ends the operation; the goroutine is off the hook (§2.4).
 func (s *Session) Leave() { s.pool.tr.Leave(s.tid) }
-
-// Alloc returns a fresh node initialized for the scheme.
-func (s *Session) Alloc() ptr.Index { return s.pool.tr.Alloc(s.tid) }
-
-// Retire hands an unlinked node to the reclamation scheme.
-func (s *Session) Retire(idx ptr.Index) { s.pool.tr.Retire(s.tid, idx) }
-
-// Dealloc frees a never-published node directly.
-func (s *Session) Dealloc(idx ptr.Index) { s.pool.tr.Dealloc(s.tid, idx) }
-
-// Protect reads the link word *addr safely (smr.Tracker.Protect).
-func (s *Session) Protect(slot int, addr *atomic.Uint64) ptr.Word {
-	return s.pool.tr.Protect(s.tid, slot, addr)
-}
 
 // Trim is the paper's §3.3 leave-then-enter without touching the slot
 // head. Schemes without Trim support fall back to a real Leave+Enter

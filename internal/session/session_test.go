@@ -81,6 +81,14 @@ func TestAcquireBlocksUntilRelease(t *testing.T) {
 	p.Release(s2)
 }
 
+// churnOnce allocates and retires one node under the lease s of p.
+func churnOnce(p *Pool, s *Session) {
+	tr, tid := p.Tracker(), s.Tid()
+	s.Enter()
+	tr.Retire(tid, tr.Alloc(tid))
+	s.Leave()
+}
+
 // churnExclusive runs goroutines lease/alloc/retire loops over a pool of
 // max tids with GOMAXPROCS at least procs, failing if any tid is ever
 // held by two goroutines at once, and checks the pool and tracker
@@ -97,15 +105,13 @@ func churnExclusive(t *testing.T, scheme string, max, goroutines, procs int) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					p.Do(func(s *Session) {
-						if n := owners[s.Tid()].Add(1); n != 1 {
-							t.Errorf("%s: tid %d held by %d goroutines", scheme, s.Tid(), n)
-						}
-						s.Enter()
-						s.Retire(s.Alloc())
-						s.Leave()
-						owners[s.Tid()].Add(-1)
-					})
+					s := p.Acquire()
+					if n := owners[s.Tid()].Add(1); n != 1 {
+						t.Errorf("%s: tid %d held by %d goroutines", scheme, s.Tid(), n)
+					}
+					churnOnce(p, s)
+					owners[s.Tid()].Add(-1)
+					p.Release(s)
 				}
 			}()
 		}
@@ -202,11 +208,9 @@ func churnIntoCache(p *Pool) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				p.Do(func(s *Session) {
-					s.Enter()
-					s.Retire(s.Alloc())
-					s.Leave()
-				})
+				s := p.Acquire()
+				churnOnce(p, s)
+				p.Release(s)
 			}
 		}()
 	}
@@ -292,15 +296,13 @@ func TestFlushDuringChurn(t *testing.T) {
 			go func() {
 				defer churn.Done()
 				for i := 0; i < rounds; i++ {
-					p.Do(func(s *Session) {
-						if n := owners[s.Tid()].Add(1); n != 1 {
-							t.Errorf("%s: tid %d held by %d goroutines", scheme, s.Tid(), n)
-						}
-						s.Enter()
-						s.Retire(s.Alloc())
-						s.Leave()
-						owners[s.Tid()].Add(-1)
-					})
+					s := p.Acquire()
+					if n := owners[s.Tid()].Add(1); n != 1 {
+						t.Errorf("%s: tid %d held by %d goroutines", scheme, s.Tid(), n)
+					}
+					churnOnce(p, s)
+					owners[s.Tid()].Add(-1)
+					p.Release(s)
 				}
 			}()
 		}
@@ -438,16 +440,16 @@ func TestNewPoolRejectsNonPositiveMax(t *testing.T) {
 func TestSessionSurface(t *testing.T) {
 	for _, scheme := range []string{"hyaline", "hp"} {
 		p, _ := newPool(t, scheme, 2)
-		p.Do(func(s *Session) {
-			s.Enter()
-			idx := s.Alloc()
-			s.Dealloc(idx)
-			idx = s.Alloc()
-			s.Retire(idx)
-			s.Trim() // native Trim on hyaline, Leave+Enter fallback on hp
-			s.Leave()
-			s.Flush()
-		})
+		tr := p.Tracker()
+		s := p.Acquire()
+		tid := s.Tid()
+		s.Enter()
+		tr.Dealloc(tid, tr.Alloc(tid))
+		tr.Retire(tid, tr.Alloc(tid))
+		s.Trim() // native Trim on hyaline, Leave+Enter fallback on hp
+		s.Leave()
+		s.Flush()
+		p.Release(s)
 		p.Flush()
 		// Hyaline's Flush pads partial batches with dummy nodes, so only
 		// lower bounds hold for the counters.
@@ -472,9 +474,9 @@ func TestLeaseHandoffPublishesState(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				p.Do(func(s *Session) {
-					scratch[s.Tid()]++ // exclusive by leasing alone
-				})
+				s := p.Acquire()
+				scratch[s.Tid()]++ // exclusive by leasing alone
+				p.Release(s)
 			}
 		}()
 	}

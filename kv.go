@@ -2,6 +2,7 @@ package hyaline
 
 import (
 	"fmt"
+	"sync"
 
 	"hyaline/internal/ds"
 )
@@ -39,7 +40,8 @@ import (
 // (the benchmark harness pins tids to workers for the paper's figures).
 type KV struct {
 	store[Map, Op, Result]
-	r []Ranger // per-shard scan surface; nil when the structure is unordered
+	r     []Ranger  // per-shard scan surface; nil when the structure is unordered
+	scans sync.Pool // *scan: Range's per-shard cursors
 }
 
 // ShardedKV is KV: sharding is a constructor argument, not a type.
@@ -92,25 +94,25 @@ func (kv *KV) shard(key uint64) *shard[Map] {
 // Insert adds key→val, failing if the key exists.
 func (kv *KV) Insert(key, val uint64) bool {
 	sh := kv.shard(key)
-	ks := sh.enter()
-	defer sh.leave(ks)
-	return sh.m.Insert(ks.s.Tid(), key, val)
+	ss := sh.enter()
+	defer sh.leave(ss)
+	return sh.m.Insert(ss.Tid(), key, val)
 }
 
 // Delete removes key, failing if it is absent.
 func (kv *KV) Delete(key uint64) bool {
 	sh := kv.shard(key)
-	ks := sh.enter()
-	defer sh.leave(ks)
-	return sh.m.Delete(ks.s.Tid(), key)
+	ss := sh.enter()
+	defer sh.leave(ss)
+	return sh.m.Delete(ss.Tid(), key)
 }
 
 // Get returns the value under key.
 func (kv *KV) Get(key uint64) (uint64, bool) {
 	sh := kv.shard(key)
-	ks := sh.enter()
-	defer sh.leave(ks)
-	return sh.m.Get(ks.s.Tid(), key)
+	ss := sh.enter()
+	defer sh.leave(ss)
+	return sh.m.Get(ss.Tid(), key)
 }
 
 // Op is one operation of a batch.
@@ -177,11 +179,11 @@ func (kv *KV) exec(s int, r *shardRun[Op, Result]) {
 // applyShard runs ops on one shard under one lease and one chunked
 // bracket, appending a Result per op to dst.
 func (kv *KV) applyShard(sh *shard[Map], dst []Result, ops []Op) []Result {
-	ks := sh.enter()
-	defer sh.leave(ks)
-	tid := ks.s.Tid()
+	ss := sh.enter()
+	defer sh.leave(ss)
+	tid := ss.Tid()
 	for i := range ops {
-		batchTrim(ks, i)
+		batchTrim(ss, i)
 		op := &ops[i]
 		var r Result
 		switch op.Kind {
@@ -253,121 +255,113 @@ func (kv *KV) GetBatch(dst []Result, keys []uint64) []Result {
 // guarantees of Ranger apply (sorted, duplicate-free, bounded — not an
 // atomic snapshot).
 //
-// The scan is chunked: every batchChunk visited keys the underlying
-// traversal is restarted from the next unvisited key and the session's
-// reclamation bracket is re-armed with Trim, the same discipline the
-// batch API uses. A long scan — or a slow consumer in fn — therefore
-// pins at most one chunk's worth of traversal, instead of stalling
-// reclamation for the whole range. (Restarting costs a re-traversal to
-// the cursor on list-shaped structures; the chunk size trades that
-// against how long retired nodes stay pinned.)
+// The scan is pulled in chunks: each shard is read batchChunk keys at a
+// time under one lease and one Enter/Leave bracket, which are returned
+// before any of those keys reaches fn. So fn always runs with no lease
+// held and no bracket open — a slow consumer pins nothing, and fn may
+// call back into the KV — and a long scan pins at most one chunk's
+// traversal at a time. The next chunk restarts from the key after the
+// last one pulled (a re-traversal to the cursor on list-shaped
+// structures; the chunk size trades that against how long retired nodes
+// stay pinned).
 //
-// On a sharded KV each shard holds a disjoint slice of the keyspace and
-// yields it sorted, so a k-way merge of per-shard chunked scans
-// reproduces the unsharded contract exactly — and, at quiescence, the
-// unsharded output.
-//
-// fn must not call back into the KV: the scan holds a session lease
-// while fn runs, so a nested operation competes for the remaining
-// leases and deadlocks once they are exhausted (with MaxThreads 1,
-// immediately). Collect keys and operate after Range returns instead.
+// Each shard holds a disjoint slice of the keyspace and yields it
+// sorted, so a k-way merge of the shards' chunks reproduces the
+// unsharded contract exactly — and, at quiescence, the unsharded output.
+// An unsharded KV is the merge of one shard. The cursors are pooled, so
+// a Range allocates nothing.
 func (kv *KV) Range(lo, hi uint64, fn func(key, val uint64) bool) error {
 	if kv.r == nil {
 		return fmt.Errorf("hyaline: structure %q does not support range scans (ordered structures only)", kv.structure)
 	}
-	if len(kv.shards) == 1 {
-		kv.scan(0, lo, hi, fn) // unsharded: already sorted, no merge buffer
-		return nil
-	}
-	scans := make([]shardScan, len(kv.shards))
-	for i := range scans {
-		scans[i] = shardScan{hi: hi, next: lo}
-	}
+	sc := kv.takeScan(lo, hi)
 	for {
 		best := -1
-		for i := range scans {
-			sc := &scans[i]
-			if sc.i >= len(sc.buf) {
-				if sc.done {
+		for i := range sc.cur {
+			c := &sc.cur[i]
+			if c.i == len(c.buf) {
+				if c.done {
 					continue
 				}
-				sc.refill(kv, i)
-				if sc.i >= len(sc.buf) {
+				kv.pull(i, c)
+				if len(c.buf) == 0 {
 					continue
 				}
 			}
-			if best < 0 || sc.buf[sc.i].k < scans[best].buf[scans[best].i].k {
+			if best < 0 || c.buf[c.i].k < sc.cur[best].buf[sc.cur[best].i].k {
 				best = i
 			}
 		}
 		if best < 0 {
-			return nil
+			break
 		}
-		e := scans[best].buf[scans[best].i]
-		scans[best].i++
+		c := &sc.cur[best]
+		e := c.buf[c.i]
+		c.i++
 		if !fn(e.k, e.v) {
-			return nil
+			break
 		}
 	}
+	kv.scans.Put(sc)
+	return nil
 }
 
-// scan is the chunked scan of shard i's slice of [lo, hi]. The chunk
-// state lives in the leased session (see kvSession), so the scan itself
-// allocates nothing.
-func (kv *KV) scan(i int, lo, hi uint64, fn func(key, val uint64) bool) {
-	sh := &kv.shards[i]
-	ks := sh.enter()
-	ks.fn = fn
-	defer sh.leaveScan(ks)
-	cursor := lo
-	for {
-		ks.visited, ks.stopped, ks.last = 0, false, cursor
-		kv.r[i].Range(ks.s.Tid(), cursor, hi, ks.visit)
-		// Done unless the chunk filled with range left to cover. The
-		// last == hi check also guards cursor overflow at hi = 2^64-1.
-		if ks.stopped || ks.visited < batchChunk || ks.last == hi {
-			return
-		}
-		cursor = ks.last + 1
-		// Between chunks no node is referenced, so the bracket can be
-		// re-armed: retired nodes accumulated behind this scan become
-		// reclaimable before the next chunk starts.
-		ks.s.Trim()
-	}
-}
-
-// kvPair is one merged-scan entry buffered between a shard's chunked
-// pull and the caller's fn.
+// kvPair is one scanned entry, buffered between a shard's pull and the
+// caller's fn.
 type kvPair struct{ k, v uint64 }
 
-// shardScan is a pull-based cursor over one shard's slice of [lo, hi]:
-// it draws up to batchChunk entries per refill via the shard's own
-// scan (so each pull is one lease + one bracket, and the shard's
-// reclamation is re-armed between pulls).
-type shardScan struct {
-	hi   uint64
-	next uint64
+// cursor is one shard's position in a Range: the pairs pulled but not
+// yet delivered (buf[i:]) and the next key to pull from.
+type cursor struct {
 	buf  []kvPair
 	i    int
-	done bool
+	next uint64
+	hi   uint64
+	done bool                       // the shard has nothing left in [next, hi]
+	add  func(key, val uint64) bool // c.append, bound once: the structure's callback
 }
 
-// refill loads the next chunk from shard s. Call only when the buffer
-// is drained and the scan is not done.
-func (sc *shardScan) refill(kv *KV, s int) {
-	sc.buf = sc.buf[:0]
-	sc.i = 0
-	last := sc.next
-	kv.scan(s, sc.next, sc.hi, func(k, v uint64) bool {
-		sc.buf = append(sc.buf, kvPair{k, v})
-		last = k
-		return len(sc.buf) < batchChunk
-	})
-	// A short chunk means the shard is exhausted; last == hi also
-	// guards cursor overflow at hi = 2^64-1 (mirrors scan).
-	if len(sc.buf) < batchChunk || last == sc.hi {
-		sc.done = true
+// append buffers one pair and ends the pull after batchChunk.
+func (c *cursor) append(k, v uint64) bool {
+	c.buf = append(c.buf, kvPair{k, v})
+	return len(c.buf) < batchChunk
+}
+
+// scan is a Range's pooled state: one cursor per shard.
+type scan struct{ cur []cursor }
+
+// takeScan returns pooled cursors reset to [lo, hi], building them (and
+// binding each cursor's add) on a pool miss.
+func (kv *KV) takeScan(lo, hi uint64) *scan {
+	sc, ok := kv.scans.Get().(*scan)
+	if !ok {
+		sc = &scan{cur: make([]cursor, len(kv.shards))}
+		for i := range sc.cur {
+			c := &sc.cur[i]
+			c.buf = make([]kvPair, 0, batchChunk)
+			c.add = c.append
+		}
+	}
+	for i := range sc.cur {
+		c := &sc.cur[i]
+		c.buf, c.i, c.next, c.hi, c.done = c.buf[:0], 0, lo, hi, false
+	}
+	return sc
+}
+
+// pull refills c with shard s's next chunk under one lease and one
+// bracket, both returned before the chunk is delivered.
+func (kv *KV) pull(s int, c *cursor) {
+	c.buf, c.i = c.buf[:0], 0
+	sh := &kv.shards[s]
+	ss := sh.enter()
+	defer sh.leave(ss)
+	kv.r[s].Range(ss.Tid(), c.next, c.hi, c.add)
+	// A short chunk means the shard is exhausted; a last key of hi also
+	// guards the cursor's overflow at hi = 2^64-1.
+	if n := len(c.buf); n < batchChunk || c.buf[n-1].k == c.hi {
+		c.done = true
 	} else {
-		sc.next = last + 1
+		c.next = c.buf[n-1].k + 1
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hyaline"
 )
@@ -260,6 +261,108 @@ func TestKVRangeChunkBoundaries(t *testing.T) {
 	}
 }
 
+// rangeWithin runs kv.Range(lo, hi, fn) and fails the test if it has
+// not returned within a generous deadline: a callback that waits on a
+// lease the scan still holds would otherwise hang the suite.
+func rangeWithin(t *testing.T, kv *hyaline.KV, lo, hi uint64, fn func(k, v uint64) bool) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- kv.Range(lo, hi, fn) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Range did not return: its callback is waiting for a lease the scan holds")
+	}
+}
+
+// TestKVRangeCallbackReentersKV: fn runs with no lease held, so it may
+// call back into the KV — even at MaxThreads 1, where a scan that kept
+// its lease across fn would deadlock on the first nested operation.
+func TestKVRangeCallbackReentersKV(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		kv := mustShardedKV(t, "skiplist", "hyaline", shards, hyaline.KVOptions{MaxThreads: 1})
+		const n = 200 // several chunks per shard
+		for k := uint64(0); k < n; k++ {
+			kv.Insert(k, kvChecksum(k))
+		}
+		visited := 0
+		rangeWithin(t, kv, 0, n-1, func(k, v uint64) bool {
+			if got, ok := kv.Get(k); !ok || got != v {
+				t.Errorf("%d shards: Get(%d) inside Range = (%d, %v), want (%d, true)", shards, k, got, ok, v)
+			}
+			if !kv.Insert(k+n, kvChecksum(k+n)) { // above the scanned range
+				t.Errorf("%d shards: Insert(%d) inside Range failed", shards, k+n)
+			}
+			visited++
+			return true
+		})
+		if visited != n {
+			t.Fatalf("%d shards: Range visited %d keys, want %d", shards, visited, n)
+		}
+		if got := kv.Len(); got != 2*n {
+			t.Fatalf("%d shards: Len = %d after the nested inserts, want %d", shards, got, 2*n)
+		}
+	}
+}
+
+// TestKVRangeCallbackHoldsNoLease: every chunk's lease is returned
+// before its keys reach fn, so no lease is in flight while fn runs.
+func TestKVRangeCallbackHoldsNoLease(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		kv := mustShardedKV(t, "skiplist", "hyaline", shards, hyaline.KVOptions{MaxThreads: 4})
+		for k := uint64(0); k < 300; k++ {
+			kv.Insert(k, kvChecksum(k))
+		}
+		visited := 0
+		rangeWithin(t, kv, 0, 299, func(k, _ uint64) bool {
+			if n := kv.InFlight(); n != 0 {
+				t.Errorf("%d shards: %d leases in flight inside fn at key %d", shards, n, k)
+				return false
+			}
+			visited++
+			return true
+		})
+		if visited != 300 {
+			t.Errorf("%d shards: Range visited %d keys, want 300", shards, visited)
+		}
+	}
+}
+
+// TestKVRangePanicLeavesNoLease: a panicking fn unwinds through Range
+// with nothing to release, leaving no lease in flight and the KV usable.
+func TestKVRangePanicLeavesNoLease(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		kv := mustShardedKV(t, "skiplist", "hyaline", shards, hyaline.KVOptions{MaxThreads: 1})
+		for k := uint64(0); k < 200; k++ {
+			kv.Insert(k, kvChecksum(k))
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d shards: the callback's panic did not reach the caller", shards)
+				}
+			}()
+			kv.Range(0, 199, func(k, _ uint64) bool {
+				if k == 70 {
+					panic("callback failed")
+				}
+				return true
+			})
+		}()
+		if n := kv.InFlight(); n != 0 {
+			t.Fatalf("%d shards: %d leases in flight after a Range whose fn panicked", shards, n)
+		}
+		visited := 0
+		rangeWithin(t, kv, 0, 199, func(_, _ uint64) bool { visited++; return true })
+		if visited != 200 {
+			t.Fatalf("%d shards: Range after the panic visited %d keys, want 200", shards, visited)
+		}
+	}
+}
+
 func TestKVErrors(t *testing.T) {
 	if _, err := hyaline.NewKV("hashmap", "no-such-scheme", hyaline.KVOptions{}); err == nil {
 		t.Fatal("unknown scheme must error")
@@ -364,12 +467,13 @@ func BenchmarkKVRange64(b *testing.B) {
 }
 
 // TestKVRangeLongScanBounded: a long Range must not pin reclamation
-// for its whole duration. Range re-arms its bracket (Trim) every chunk
-// of visited keys, so a scan brackets at most one chunk's worth of
-// concurrent retires. The churn is driven in lockstep from inside the
-// scan callback (via a helper goroutine — fn must not call back into
-// the KV itself), so the retire volume between re-arms is fixed by
-// construction and the bound is deterministic: free-running churners
+// for its whole duration. Range opens a bracket only to pull one chunk
+// of keys and calls fn with every bracket closed, so a scan pins at most
+// one chunk's traversal and none of the retires made while fn runs. The
+// churn is driven in lockstep from inside the scan callback (via a
+// helper goroutine, standing in for the store's other users), so the
+// retire volume per visited key is fixed by construction and the bound
+// is deterministic: free-running churners
 // would spike the gauge whenever a goroutine is preempted mid-bracket,
 // drowning the signal this test is after. The tracker-level twin with
 // an unchunked-scan control is dstest.ScanPinning.
@@ -392,8 +496,8 @@ func TestKVRangeLongScanBounded(t *testing.T) {
 
 	// The churner runs pairsPerVisit insert+delete cycles on a disjoint
 	// high stripe each time the scan callback asks, then hands control
-	// back. While it runs, the scanner is parked mid-callback — inside
-	// its bracket — which is exactly the pinning scenario.
+	// back. While it runs, the scanner is parked mid-callback: the
+	// pinning scenario, were fn called inside a bracket.
 	const pairsPerVisit = 8
 	req := make(chan struct{})
 	ack := make(chan struct{})
@@ -434,8 +538,7 @@ func TestKVRangeLongScanBounded(t *testing.T) {
 	}
 	// Total churn is scanKeys*pairsPerVisit retires (32k); a scan that
 	// held one bracket throughout would sample unreclaimed counts of
-	// that order. The chunked re-arm brackets one chunk's churn (64*8)
-	// plus the scheme's batching slack.
+	// that order. Chunked pulls leave the scheme's batching slack.
 	const bound = 4096
 	if maxUnreclaimed > bound {
 		t.Fatalf("unreclaimed reached %d mid-scan (bound %d, total churn %d): the scan bracket is pinning reclamation",

@@ -399,32 +399,51 @@ func TestBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestKVRangeAllocFree: an unsharded Range keeps its chunking state in
-// the leased session, so a scan with a callback the caller built once
-// must not touch the Go heap — on the skiplist (logarithmic positioning)
-// and the list alike. The scan is exactly one chunk long, so the run
-// covers the full-chunk exit as well.
+// TestKVRangeAllocFree: Range keeps its per-shard cursors in a pool
+// and never stores fn, so a scan allocates nothing — whether the caller
+// built its callback once or passes a fresh capturing closure per call,
+// unsharded (a merge of one shard) and over two shards, on the skiplist
+// (logarithmic positioning) and the list alike. The scan is exactly one
+// chunk long, so the run covers the full-chunk exit as well.
 func TestKVRangeAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	for _, structure := range []string{"skiplist", "list"} {
-		kv := mustKV(t, structure, "hyaline", hyaline.KVOptions{MaxThreads: 8})
-		for k := uint64(0); k < 1024; k++ {
-			kv.Insert(k, kvChecksum(k))
-		}
-		seen := 0
-		fn := func(k, v uint64) bool { seen++; return true }
-		lo := uint64(0)
-		avg := testing.AllocsPerRun(500, func() {
-			kv.Range(lo, lo+63, fn)
-			lo = (lo + 64) % 960
-		})
-		if avg != 0 {
-			t.Errorf("%s: a 64-key Range allocates %.2f objects/run, want 0", structure, avg)
-		}
-		if seen != 501*64 { // AllocsPerRun warms up with one extra run
-			t.Errorf("%s: scans visited %d keys, want %d", structure, seen, 501*64)
+	for _, shards := range []int{1, 2} {
+		for _, structure := range []string{"skiplist", "list"} {
+			kv := mustShardedKV(t, structure, "hyaline", shards, hyaline.KVOptions{MaxThreads: 8})
+			for k := uint64(0); k < 1024; k++ {
+				kv.Insert(k, kvChecksum(k))
+			}
+			seen := 0
+			fn := func(k, v uint64) bool { seen++; return true }
+			for _, c := range []struct {
+				name string
+				scan func(lo uint64)
+			}{
+				{"a callback built once", func(lo uint64) { kv.Range(lo, lo+63, fn) }},
+				{"a fresh closure per call", func(lo uint64) {
+					kv.Range(lo, lo+63, func(k, v uint64) bool {
+						if k >= lo { // captures this call's lo, so the closure is built per call
+							seen++
+						}
+						return true
+					})
+				}},
+			} {
+				seen = 0
+				lo := uint64(0)
+				avg := testing.AllocsPerRun(500, func() {
+					c.scan(lo)
+					lo = (lo + 64) % 960
+				})
+				if avg != 0 {
+					t.Errorf("%s, %d shards: a 64-key Range with %s allocates %.2f objects/run, want 0", structure, shards, c.name, avg)
+				}
+				if seen != 501*64 { // AllocsPerRun warms up with one extra run
+					t.Errorf("%s, %d shards: scans with %s visited %d keys, want %d", structure, shards, c.name, seen, 501*64)
+				}
+			}
 		}
 	}
 }

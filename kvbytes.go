@@ -72,17 +72,17 @@ func (kv *KVBytes) shard(key []byte) *shard[ds.BytesMap] {
 // copied in; the caller keeps ownership of its buffers.
 func (kv *KVBytes) Insert(key, val []byte) bool {
 	sh := kv.shard(key)
-	ks := sh.enter()
-	defer sh.leave(ks)
-	return sh.m.Insert(ks.s.Tid(), key, val)
+	ss := sh.enter()
+	defer sh.leave(ss)
+	return sh.m.Insert(ss.Tid(), key, val)
 }
 
 // Delete removes key, failing if it is absent.
 func (kv *KVBytes) Delete(key []byte) bool {
 	sh := kv.shard(key)
-	ks := sh.enter()
-	defer sh.leave(ks)
-	return sh.m.Delete(ks.s.Tid(), key)
+	ss := sh.enter()
+	defer sh.leave(ss)
+	return sh.m.Delete(ss.Tid(), key)
 }
 
 // Get returns a copy of the value under key.
@@ -94,9 +94,9 @@ func (kv *KVBytes) Get(key []byte) ([]byte, bool) { return kv.GetAppend(nil, key
 // blob may be reclaimed the moment the bracket closes).
 func (kv *KVBytes) GetAppend(dst []byte, key []byte) ([]byte, bool) {
 	sh := kv.shard(key)
-	ks := sh.enter()
-	defer sh.leave(ks)
-	return sh.m.Get(ks.s.Tid(), key, dst)
+	ss := sh.enter()
+	defer sh.leave(ss)
+	return sh.m.Get(ss.Tid(), key, dst)
 }
 
 // BlobStats returns the blob slab counters: live blobs are the byte
@@ -193,11 +193,11 @@ func (kv *KVBytes) exec(s int, r *shardRun[BytesOp, BytesResult]) {
 // runs, so slicing eagerly would leave early results pointing into an
 // abandoned backing array.
 func (kv *KVBytes) applyShard(sh *shard[ds.BytesMap], dst []BytesResult, buf []byte, ops []BytesOp) ([]BytesResult, []byte) {
-	ks := sh.enter()
-	defer sh.leave(ks)
-	tid := ks.s.Tid()
+	ss := sh.enter()
+	defer sh.leave(ss)
+	tid := ss.Tid()
 	for i := range ops {
-		batchTrim(ks, i)
+		batchTrim(ss, i)
 		op := &ops[i]
 		var r BytesResult
 		switch op.Kind {

@@ -100,22 +100,39 @@ func checkPairs(keys, vals int) {
 const batchChunk = session.BatchChunk
 
 // batchTrim re-arms the bracket between chunks of one batch.
-func batchTrim(ks *kvSession, i int) {
+func batchTrim(ss *session.Session, i int) {
 	if i > 0 && i%batchChunk == 0 {
-		ks.s.Trim()
+		ss.Trim()
 	}
 }
 
 // shard is one fully independent partition of a store: its own data
-// structure, tracker, arena and session leaser. Shards share nothing —
+// structure, tracker, arena and session pool. Shards share nothing —
 // no CAS hot spot, retire list or lease word — so every scheme's safety
 // argument applies per shard unchanged and there is no cross-shard
 // reclamation protocol to reason about.
 type shard[M any] struct {
-	a  *Arena
-	tr Tracker
-	m  M
-	leaser
+	a    *Arena
+	tr   Tracker
+	m    M
+	pool *session.Pool // the shard's only lease allocator; see the KV doc
+}
+
+// enter leases a session for one operation (or one batch) and opens its
+// reclamation bracket; leave closes the bracket and returns the lease.
+// Every store operation is `ss := sh.enter(); defer sh.leave(ss)`, with
+// batchTrim re-arming the bracket between chunks of a long one. The
+// store keeps no per-tid state of its own: the lease is the whole
+// record of an operation in flight.
+func (sh *shard[M]) enter() *session.Session {
+	ss := sh.pool.Acquire()
+	ss.Enter()
+	return ss
+}
+
+func (sh *shard[M]) leave(ss *session.Session) {
+	ss.Leave()
+	sh.pool.Release(ss)
 }
 
 // store is the one engine behind both key families: a slice of shards
@@ -180,7 +197,7 @@ func (st *store[M, O, R]) init(structure, scheme string, shards int, opts KVOpti
 		if sh.m, err = build(structure, sh.a, sh.tr, maxThreads); err != nil {
 			return err
 		}
-		sh.leaser.init(sh.tr, maxThreads)
+		sh.pool = session.NewPool(sh.tr, maxThreads)
 	}
 	return nil
 }
@@ -243,9 +260,7 @@ func (st *store[M, O, R]) blobStats() arena.BlobStats {
 // Flush pushes pending reclamation to completion, best-effort. It
 // briefly leases every session of every shard (waiting out in-flight
 // operations; session.Pool.Flush), so it is expensive — meant for final
-// accounting or idle housekeeping, not the hot path. Like every
-// operation it must not be called from inside a Range callback: it
-// waits for the callback's own lease.
+// accounting or idle housekeeping, not the hot path.
 func (st *store[M, O, R]) Flush() {
 	for i := range st.shards {
 		st.shards[i].pool.Flush()
