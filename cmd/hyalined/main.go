@@ -25,10 +25,11 @@
 // hyalineload -seq for open-loop driving).
 //
 // With -shards N the daemon serves a hash-sharded KV: N independent
-// structure+tracker partitions, each batch split and applied per shard
-// concurrently. -threads stays the total lease bound, divided across
-// the shards (rounded up, so -shards above -threads still grants every
-// shard one lease).
+// structure+tracker partitions over one node pool (and blob heap), each
+// batch split and applied per shard concurrently. -arenacap and
+// -blobbudget size that one pool for the whole store. -threads stays
+// the total lease bound, divided across the shards (rounded up, so
+// -shards above -threads still grants every shard one lease).
 //
 // With -poll idle connections park their descriptors in an OS
 // readiness poller (epoll/kqueue) and are serviced by a bounded worker
@@ -83,10 +84,10 @@ func run(args []string) error {
 		scheme    = fs.String("scheme", "hyaline", "reclamation scheme")
 		threads   = fs.Int("threads", 0, "leased-tid bound (0 = 2x GOMAXPROCS); connections beyond it share leases")
 		pipeline  = fs.Int("pipeline", server.DefaultMaxPipeline, "max in-flight commands coalesced into one batched apply per connection")
-		arenaCap  = fs.Int("arenacap", 1<<22, "node pool capacity (virtual until touched)")
+		arenaCap  = fs.Int("arenacap", 1<<22, "node pool capacity of the whole store, shared by every shard (virtual until touched)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown budget before connections are closed forcibly")
 		bytesMode = fs.Bool("bytes", false, "serve []byte keys/values (GETB/SETB/DELB frames, blob slab heap)")
-		blobCap   = fs.Int("blobbudget", 1<<26, "per-size-class blob slab budget in bytes (-bytes only)")
+		blobCap   = fs.Int("blobbudget", 1<<26, "per-size-class blob budget in bytes of the whole store, shared by every shard (-bytes only)")
 		coalesce  = fs.Bool("coalesce", false, "merge apply batches across connections (wins with many low-pipeline clients)")
 		coWindow  = fs.Duration("coalescewindow", server.DefaultCoalesceWindow, "latency budget a non-full coalesced batch waits for more runs (-coalesce only)")
 		writeTO   = fs.Duration("writetimeout", server.DefaultWriteTimeout, "per-Write reply deadline; a peer that stops reading is disconnected (negative disables)")

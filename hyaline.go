@@ -37,10 +37,11 @@
 //
 // # The store
 //
-// There is one store engine (store.go): a slice of independent shards —
-// each its own structure, tracker, arena and session leaser — that owns
-// construction, the lease/Enter/Trim/Leave bracket, batch routing and
-// every aggregate. Two thin typed facades sit on it, one per key
+// There is one store engine (store.go): one arena (node pool, plus the
+// blob heap for bytes keys) and a slice of shards — each its own
+// structure, tracker and session pool, all allocating from that arena —
+// that owns construction, the lease/Enter/Trim/Leave bracket, batch
+// routing and every aggregate. Two thin typed facades sit on it, one per key
 // family: KV (uint64 keys and values) and KVBytes ([]byte keys and
 // values, payloads in the arena's blob slabs). Sharding is a
 // constructor argument, not a type: NewKV(s, sc, o) is

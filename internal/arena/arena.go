@@ -64,12 +64,13 @@
 // detector sees a stale reader racing a free as it always has: atomic on
 // both sides, not a report.
 //
-// Like jemalloc's heap, the slabs are not Go objects. The node pool and
-// the blob slabs are private anonymous mappings (offheap.go), so
-// building an arena is O(1) in its capacity: the runtime does not
-// re-zero a reused span for it, the garbage collector neither scans it
-// nor counts it towards the GC goal, and on Linux MAP_NORESERVE keeps
-// every page virtual until a node or blob first touches it. Mapped
+// Like jemalloc's heap, the slabs are not Go objects. The node pool is
+// one private anonymous mapping (offheap.go), and the blob heap, when
+// enabled, is one more whatever its class count, so building an arena
+// is O(1) in its capacity: the runtime does not re-zero a reused span
+// for it, the garbage collector neither scans it nor counts it towards
+// the GC goal, and on Linux MAP_NORESERVE keeps every page virtual
+// until a node or blob first touches it. Mapped
 // reports the bytes mapped. A race build keeps the slabs on the Go heap,
 // as do platforms other than Linux, Darwin and FreeBSD and a failed map:
 // the race detector ignores atomics on memory outside the Go heap.

@@ -1,7 +1,7 @@
-// Off-heap slabs: the node pool and the blob slabs are private anonymous
-// mappings, not Go objects. A Go-heap slab would be re-zeroed in full
-// whenever make reuses a span, and would set the GC goal by its size
-// rather than by the program's garbage. The package doc states where
+// Off-heap slabs: the node pool and the blob heap are private anonymous
+// mappings, one each, not Go objects. A Go-heap slab would be re-zeroed
+// in full whenever make reuses a span, and would set the GC goal by its
+// size rather than by the program's garbage. The package doc states where
 // the slabs fall back to the heap and the lifetime rule for callers.
 
 package arena
@@ -17,6 +17,10 @@ import (
 // heap, summed over every arena in the process.
 var mapped atomic.Int64
 
+// slabsMade counts the slabs newSlab has returned, mapped or made, over
+// the process's life; tests read it to count a construction's slabs.
+var slabsMade atomic.Int64
+
 // Mapped returns the slab bytes currently mapped outside the Go heap by
 // the process's arenas. A dropped arena's slabs leave the count once the
 // garbage collector has found the arena unreachable and its cleanup has
@@ -27,7 +31,7 @@ func Mapped() int64 { return mapped.Load() }
 // pointer: the garbage collector never scans a mapped slab, so a pointer
 // stored there would not keep its referent alive.
 type slabElem interface {
-	Node | byte | atomic.Uint64
+	Node | atomic.Uint64
 }
 
 // newSlab returns n zeroed elements owned by owner. It maps them outside
@@ -35,6 +39,7 @@ type slabElem interface {
 // make when the build has no mapping backend (see mapAnon) or the map
 // fails.
 func newSlab[T slabElem](owner *Arena, n int) []T {
+	slabsMade.Add(1)
 	var zero T
 	elem := int(unsafe.Sizeof(zero))
 	if n > 0 && n <= math.MaxInt/elem {

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // BlobRef is a packed reference to one slab block:
@@ -76,11 +77,12 @@ func packBlob(class int, idx uint32, n int) BlobRef {
 	return BlobRef(uint64(idx) + 1 | uint64(n)<<blobLenShift | uint64(class)<<blobClsShift)
 }
 
-// blobClass is one slab: fixed-size blocks carved from a single backing
-// slice, with a tagged Treiber free list and a bump frontier, mirroring
-// the node pool. The head is one word per class rather than sharded:
-// blob allocation happens once per insert (not per traversal step), so
-// the class CAS is not the hot line the node free list would be.
+// blobClass is one size class: fixed-size blocks carved from the heap's
+// one slab, with a tagged Treiber free list and a bump frontier,
+// mirroring the node pool. The head is one word per class rather than
+// sharded: blob allocation happens once per insert (not per traversal
+// step), so the class CAS is not the hot line the node free list would
+// be.
 type blobClass struct {
 	size     int
 	data     []byte
@@ -99,12 +101,14 @@ type blobHeap struct {
 
 // EnableBlobs attaches a slab heap to the arena: classBudget bytes of
 // backing per size class (rounded down to whole blocks, minimum one).
-// Like the node pool, each class's data and link arrays are mapped
-// outside the Go heap and unmapped with the arena (see the package
-// doc), so the cost does not grow with classBudget and the backing is
-// virtual until touched. It must be called once, before any concurrent
-// use; KV front-ends that carry bytes payloads call it during
-// construction.
+// The whole heap is one slab, mapped outside the Go heap and unmapped
+// with the arena like the node pool (see the package doc), so the cost
+// grows with neither classBudget nor the class count, and the backing
+// is virtual until touched. Each class takes its blocks and then its
+// link words from it in turn; a class's blocks span a multiple of 16
+// bytes, so every link word stays 8-byte aligned. It must be called
+// once, before any concurrent use; KV front-ends that carry bytes
+// payloads call it during construction.
 func (a *Arena) EnableBlobs(classBudget int) {
 	if a.blobs != nil {
 		panic("arena: EnableBlobs called twice")
@@ -113,23 +117,27 @@ func (a *Arena) EnableBlobs(classBudget int) {
 		panic(fmt.Sprintf("arena: non-positive blob class budget %d", classBudget))
 	}
 	h := &blobHeap{}
-	size := blobMinClass
+	words := 0
 	for c := range h.classes {
-		blocks := classBudget / size
-		if blocks < 1 {
-			blocks = 1
-		}
-		if blocks > blobIdxMask {
-			blocks = blobIdxMask
-		}
+		words += blobBlocks(classBudget, c) * (blobMinClass<<c/8 + 1)
+	}
+	slab := newSlab[atomic.Uint64](a, words)
+	for c := range h.classes {
+		size, n := blobMinClass<<c, blobBlocks(classBudget, c)
+		data := unsafe.SliceData(slab[:n*size/8])
 		h.classes[c] = blobClass{
 			size: size,
-			data: newSlab[byte](a, blocks*size),
-			link: newSlab[atomic.Uint64](a, blocks),
+			data: unsafe.Slice((*byte)(unsafe.Pointer(data)), n*size),
+			link: slab[n*size/8 : n*(size/8+1)],
 		}
-		size <<= 1
+		slab = slab[n*(size/8+1):]
 	}
 	a.blobs = h
+}
+
+// blobBlocks is how many blocks of class c a classBudget buys.
+func blobBlocks(classBudget, c int) int {
+	return min(max(classBudget/(blobMinClass<<c), 1), blobIdxMask)
 }
 
 // BlobsEnabled reports whether EnableBlobs has been called.

@@ -2,10 +2,14 @@ package arena
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestBlobClassOf(t *testing.T) {
@@ -30,6 +34,50 @@ func TestBlobRefPacking(t *testing.T) {
 	}
 	if !NilBlob.IsNil() {
 		t.Fatal("NilBlob not nil")
+	}
+}
+
+// TestOneSlabBlobHeap: EnableBlobs makes one slab whatever the class
+// count, mapped or on the Go heap (race builds). Each class's blocks
+// and link words are the sizes the budget buys, lie inside that slab
+// without overlapping and tile it exactly, and every link word is
+// 8-byte aligned. (TestSlabsOffHeap checks that the slab is mapped.)
+func TestOneSlabBlobHeap(t *testing.T) {
+	type span struct {
+		lo, hi uintptr
+		what   string
+	}
+	for _, budget := range []int{1, 1000, 1 << 14, 3<<15 + 8} {
+		a := New(64)
+		made := slabsMade.Load()
+		a.EnableBlobs(budget)
+		if n := slabsMade.Load() - made; n != 1 {
+			t.Fatalf("budget %d: EnableBlobs made %d slabs, want 1", budget, n)
+		}
+		var spans []span
+		for c := range a.blobs.classes {
+			cl := &a.blobs.classes[c]
+			if n := blobBlocks(budget, c); len(cl.link) != n || len(cl.data) != n*cl.size {
+				t.Fatalf("budget %d, class %d: %d links and %d data bytes, want %d blocks of %d bytes",
+					budget, c, len(cl.link), len(cl.data), n, cl.size)
+			}
+			d := uintptr(unsafe.Pointer(unsafe.SliceData(cl.data)))
+			l := uintptr(unsafe.Pointer(unsafe.SliceData(cl.link)))
+			if l%8 != 0 {
+				t.Errorf("budget %d, class %d: link words at %#x, not 8-byte aligned", budget, c, l)
+			}
+			spans = append(spans,
+				span{d, d + uintptr(len(cl.data)), fmt.Sprintf("class %d blocks", c)},
+				span{l, l + uintptr(len(cl.link))*8, fmt.Sprintf("class %d links", c)})
+		}
+		slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.lo, y.lo) })
+		for i := 1; i < len(spans); i++ {
+			if p, s := spans[i-1], spans[i]; s.lo != p.hi {
+				t.Fatalf("budget %d: %s ends at %#x but %s starts at %#x: not one tiled slab",
+					budget, p.what, p.hi, s.what, s.lo)
+			}
+		}
+		runtime.KeepAlive(a)
 	}
 }
 

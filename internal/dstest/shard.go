@@ -23,37 +23,39 @@ func shardRoute(key uint64, n int) int {
 	return int(key % uint64(n))
 }
 
-// churnShard is one fully independent partition: its own arena, its own
-// tracker, its own structure, its own session pool. Nothing is shared
-// across partitions, which is exactly the property the assertions lean
-// on — a node retired on one shard can never be resurrected by another
-// shard's reclamation.
+// churnShard is one partition: its own tracker, structure and session
+// pool over the arena every partition shares, as a sharded store's
+// shards share its one arena. Only the allocator is shared, never
+// reclamation state: a node one partition's tracker frees may be
+// recycled by another partition's structure, which is the same event
+// as reuse across tids of one tracker.
 type churnShard struct {
-	a    *arena.Arena
 	tr   smr.Tracker
 	m    Map
 	pool *session.Pool
 }
 
-// ShardedChurn drives several independent shard partitions — each with
-// its own arena, tracker, structure and session pool — from one set of
-// goroutines that route every key by hash, the in-structure analogue of
-// the sharded KV's ApplyInto fan-out. Each goroutine owns a key stripe
-// it models exactly while also issuing foreign checksum reads, so an
-// operation landing on the wrong shard, or a shard's reclamation
-// touching another shard's nodes, shows up as a model divergence or a
-// poisoned value. At quiescence every pool's lease ledger, the summed
-// Len against the model union, and each shard's unreclaimed count and
-// arena live bound must all hold independently.
+// ShardedChurn drives several shard partitions — each with its own
+// tracker, structure and session pool, all over one arena — from one
+// set of goroutines that route every key by hash, the in-structure
+// analogue of the sharded KV's ApplyInto fan-out. Each goroutine owns a
+// key stripe it models exactly while also issuing foreign checksum
+// reads, so an operation landing on the wrong shard, or a shard's
+// tracker freeing a node another shard still reaches, shows up as a
+// model divergence or a poisoned value; nodes freed by one partition's
+// tracker are recycled by the others throughout. At quiescence every
+// pool's lease ledger, the summed Len against the model union and each
+// shard's unreclaimed count must hold independently, and the shared
+// arena's live count must fit the store-wide bound.
 func ShardedChurn(t *testing.T, f Factory, scheme string, opts Options) {
 	const nshards = 3
 	maxThreads := 4
 	goroutines := 3 * maxThreads
+	a := arena.New(opts.ArenaCap)
 	shards := make([]churnShard, nshards)
 	for i := range shards {
-		a := arena.New(opts.ArenaCap)
 		tr := newTracker(t, scheme, a, maxThreads)
-		shards[i] = churnShard{a: a, tr: tr, m: f(a, tr), pool: session.NewPool(tr, maxThreads)}
+		shards[i] = churnShard{tr: tr, m: f(a, tr), pool: session.NewPool(tr, maxThreads)}
 	}
 	// doOn runs one op on key's shard under a leased session, routing
 	// exactly like the KV layer: pick the shard first, then lease from
@@ -166,7 +168,9 @@ func ShardedChurn(t *testing.T, f Factory, scheme string, opts Options) {
 	}
 
 	// Reclamation accounting holds per shard, not just in aggregate: a
-	// partition cannot hide its garbage behind a quieter sibling.
+	// partition cannot hide its garbage behind a quieter sibling. The
+	// arena is shared, so its live count is bounded across partitions.
+	var lower, upper int64
 	for i := range shards {
 		for pass := 0; pass < 3; pass++ {
 			shards[i].pool.Flush()
@@ -178,12 +182,10 @@ func ShardedChurn(t *testing.T, f Factory, scheme string, opts Options) {
 				t.Fatalf("shard %d: %d nodes unreclaimed at quiescence (slack %d)", i, un, slack)
 			}
 		}
-		live := shards[i].a.Live()
-		lower := st.Unreclaimed()
-		upper := st.Unreclaimed() + int64(structureNodeBound(shards[i].m.Len())) + opts.LeakSlack
-		if live < lower || live > upper {
-			t.Fatalf("shard %d: arena live=%d outside [%d, %d] (len=%d, stats %+v)",
-				i, live, lower, upper, shards[i].m.Len(), st)
-		}
+		lower += st.Unreclaimed()
+		upper += st.Unreclaimed() + int64(structureNodeBound(shards[i].m.Len())) + opts.LeakSlack
+	}
+	if live := a.Live(); live < lower || live > upper {
+		t.Fatalf("arena live=%d outside [%d, %d] (len=%d)", live, lower, upper, got)
 	}
 }

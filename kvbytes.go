@@ -38,8 +38,9 @@ func NewKVBytes(structure, scheme string, opts KVOptions) (*KVBytes, error) {
 }
 
 // NewShardedKVBytes builds a hash-sharded concurrent bytes map; opts
-// carries the total bounds (BlobClassBudget is divided across shards
-// too).
+// carries the store's total bounds: every shard allocates its nodes and
+// blobs from one arena and one blob heap, so ArenaCap and
+// BlobClassBudget hold however the keys fall across shards.
 func NewShardedKVBytes(structure, scheme string, shards int, opts KVOptions) (*KVBytes, error) {
 	kv := &KVBytes{}
 	if err := kv.init(structure, scheme, shards, opts, true, ds.ValidateBytes, ds.NewBytes); err != nil {
@@ -101,7 +102,7 @@ func (kv *KVBytes) GetAppend(dst []byte, key []byte) ([]byte, bool) {
 
 // BlobStats returns the blob slab counters: live blobs are the byte
 // payloads currently owned by live (or retired-but-unreclaimed) nodes.
-func (kv *KVBytes) BlobStats() arena.BlobStats { return kv.blobStats() }
+func (kv *KVBytes) BlobStats() arena.BlobStats { return kv.a.BlobStats() }
 
 // BytesOp is one operation of a bytes batch. Kind reuses the uint64
 // batch's OpKind values. Key and Val are read during Apply and copied

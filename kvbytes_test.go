@@ -341,12 +341,13 @@ func TestKVBytesConcurrent(t *testing.T) {
 	}
 }
 
-// benchBytesKV builds a bytes KV prefilled with n fixed-size entries,
-// keys "k%07d", for the Get/Apply payload benchmarks. The returned keys
-// slice lets hot loops pick keys without formatting per op.
-func benchBytesKV(b *testing.B, n, valueSize int) (*hyaline.KVBytes, [][]byte) {
+// benchBytesKV builds a bytes KV of the given shard count prefilled
+// with n fixed-size entries, keys "k%07d", for the Get/Apply payload
+// benchmarks. The returned keys slice lets hot loops pick keys without
+// formatting per op.
+func benchBytesKV(b *testing.B, shards, n, valueSize int) (*hyaline.KVBytes, [][]byte) {
 	b.Helper()
-	kv, err := hyaline.NewKVBytes("blist", "hyaline", hyaline.KVOptions{
+	kv, err := hyaline.NewShardedKVBytes("blist", "hyaline", shards, hyaline.KVOptions{
 		MaxThreads: 32, ArenaCap: 1 << 16, BlobClassBudget: 1 << 26,
 	})
 	if err != nil {
@@ -369,7 +370,7 @@ func benchBytesKV(b *testing.B, n, valueSize int) (*hyaline.KVBytes, [][]byte) {
 func BenchmarkKVBytesGet(b *testing.B) {
 	for _, size := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("valuesize=%d", size), func(b *testing.B) {
-			kv, keys := benchBytesKV(b, 10_000, size)
+			kv, keys := benchBytesKV(b, 1, 10_000, size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -390,21 +391,8 @@ func BenchmarkKVBytesApply(b *testing.B) {
 	const valueSize = 128
 	for _, size := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			kv, keys := benchBytesKV(b, 10_000, valueSize)
-			val := bytes.Repeat([]byte{0x5A}, valueSize)
-			rng := rand.New(rand.NewSource(1))
-			ops := make([]hyaline.BytesOp, size)
-			for i := range ops {
-				key := keys[rng.Intn(len(keys))]
-				switch i % 4 {
-				case 0:
-					ops[i] = hyaline.BytesOp{Kind: hyaline.OpInsert, Key: key, Val: val}
-				case 1:
-					ops[i] = hyaline.BytesOp{Kind: hyaline.OpDelete, Key: key}
-				default:
-					ops[i] = hyaline.BytesOp{Kind: hyaline.OpGet, Key: key}
-				}
-			}
+			kv, keys := benchBytesKV(b, 1, 10_000, valueSize)
+			ops := bytesApplyOps(keys, size, valueSize, 1)
 			dst := make([]hyaline.BytesResult, 0, size)
 			var buf []byte
 			b.ReportAllocs()
@@ -414,6 +402,55 @@ func BenchmarkKVBytesApply(b *testing.B) {
 			}
 		})
 	}
+	// Two goroutines drive a 2-shard store (run it at -cpu 2). Both
+	// shards allocate from the store's one arena and blob heap, so tid t
+	// of either shard pushes and pops the arena's home free list t&63,
+	// which the same tid of the other shard also uses, and both push and
+	// pop the one free list of a blob class: this row prices that
+	// sharing. Its 256 keys, serve_bytes's key space, keep the list walk
+	// from drowning the allocator's share. ns/op is per operation over
+	// both goroutines.
+	b.Run("shards=2/goroutines=2/batch=16", func(b *testing.B) {
+		const size, goroutines = 16, 2
+		kv, keys := benchBytesKV(b, 2, 256, valueSize)
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for g := range goroutines {
+			ops := bytesApplyOps(keys, size, valueSize, int64(g+1))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]hyaline.BytesResult, 0, size)
+				var buf []byte
+				for n := g * size; n < b.N; n += goroutines * size {
+					dst, buf = kv.ApplyBytesInto(dst[:0], buf[:0], ops)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+// bytesApplyOps is one batch of size ops over keys, drawn from seed: a
+// quarter inserts of valueSize-byte values, a quarter deletes, half
+// gets.
+func bytesApplyOps(keys [][]byte, size, valueSize int, seed int64) []hyaline.BytesOp {
+	val := bytes.Repeat([]byte{0x5A}, valueSize)
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]hyaline.BytesOp, size)
+	for i := range ops {
+		key := keys[rng.Intn(len(keys))]
+		switch i % 4 {
+		case 0:
+			ops[i] = hyaline.BytesOp{Kind: hyaline.OpInsert, Key: key, Val: val}
+		case 1:
+			ops[i] = hyaline.BytesOp{Kind: hyaline.OpDelete, Key: key}
+		default:
+			ops[i] = hyaline.BytesOp{Kind: hyaline.OpGet, Key: key}
+		}
+	}
+	return ops
 }
 
 // TestNewKVBytesRejectsBeforeAllocating: a rejected structure/scheme

@@ -1,8 +1,11 @@
 package hyaline_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -309,5 +312,98 @@ func TestShardedKVConcurrentApply(t *testing.T) {
 	st := kv.Stats()
 	if st.Freed > st.Retired || st.Retired > st.Allocated {
 		t.Fatalf("aggregate counters inconsistent: %+v", st)
+	}
+}
+
+// onShard0 returns the first n keys 0, 1, 2, … that route to shard 0,
+// read off a probe store's per-shard counters: insert(k) puts k into
+// the probe, and a key is shard 0's when shard 0's Allocated moves.
+func onShard0(n int, stats func() []hyaline.Stats, insert func(k uint64)) []uint64 {
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		before := stats()[0].Allocated
+		insert(k)
+		if stats()[0].Allocated != before {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// panicOf runs f and returns what it panicked with, nil if nothing. An
+// exhausted arena panics in the goroutine that calls Insert, so a test
+// that recovers it reports a failure instead of killing the test binary.
+func panicOf(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// TestSkewedKeysFillTheWholeArena: ArenaCap is the store's budget, not
+// each shard's. Keys that all route to one shard fill every node of the
+// store's pool at 1, 2 and 4 shards, and only the insert after that
+// finds it exhausted. A store that split the pool into ArenaCap/shards
+// per shard ran out at 512 of 1024 keys on 2 shards.
+func TestSkewedKeysFillTheWholeArena(t *testing.T) {
+	const arenaCap = 1 << 10
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			probe := mustShardedKV(t, "hashmap", "hyaline", shards, hyaline.KVOptions{MaxThreads: shards, ArenaCap: 1 << 16})
+			keys := onShard0(arenaCap+1, probe.ShardStats, func(k uint64) { probe.Insert(k, k) })
+			kv := mustShardedKV(t, "hashmap", "hyaline", shards, hyaline.KVOptions{MaxThreads: shards, ArenaCap: arenaCap})
+			for i, k := range keys[:arenaCap] {
+				if p := panicOf(func() { kv.Insert(k, k) }); p != nil {
+					t.Fatalf("insert %d of %d, all on shard 0: %v", i+1, arenaCap, p)
+				}
+			}
+			if live, on0 := kv.Live(), kv.ShardStats()[0].Allocated; live != arenaCap || on0 != arenaCap {
+				t.Fatalf("Live = %d and shard 0 allocated %d, want both %d", live, on0, arenaCap)
+			}
+			p := panicOf(func() { kv.Insert(keys[arenaCap], 0) })
+			if !strings.Contains(fmt.Sprint(p), "out of nodes") {
+				t.Fatalf("insert past ArenaCap = %d: got panic %v, want out of nodes", arenaCap, p)
+			}
+		})
+	}
+}
+
+// TestSkewedValuesFillTheWholeBlobBudget: BlobClassBudget is the
+// store's budget per class, not each shard's. Values of one size class
+// under keys that all route to one shard of two fill every block the
+// budget buys in that class, and only the next value finds it
+// exhausted. A store that split the budget per shard ran out at half.
+func TestSkewedValuesFillTheWholeBlobBudget(t *testing.T) {
+	const (
+		shards = 2
+		budget = 1 << 13
+		blocks = budget / 128 // a 100-byte value takes a 128-byte block
+	)
+	opts := hyaline.KVOptions{MaxThreads: shards, ArenaCap: 1 << 10, BlobClassBudget: budget}
+	var kb [8]byte
+	key := func(k uint64) []byte { return binary.BigEndian.AppendUint64(kb[:0], k) }
+	val := bytes.Repeat([]byte{0xA5}, 100)
+	probe, err := hyaline.NewShardedKVBytes("blist", "hyaline", shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := onShard0(blocks+1, probe.ShardStats, func(k uint64) { probe.Insert(key(k), nil) })
+	kv, err := hyaline.NewShardedKVBytes("blist", "hyaline", shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys[:blocks] {
+		if p := panicOf(func() { kv.Insert(key(k), val) }); p != nil {
+			t.Fatalf("value %d of %d, all on shard 0: %v", i+1, blocks, p)
+		}
+	}
+	if n := kv.ShardStats()[0].Allocated; n != blocks {
+		t.Fatalf("shard 0 allocated %d nodes, want %d", n, blocks)
+	}
+	if live := kv.BlobStats().Live(); live != 2*blocks {
+		t.Fatalf("%d blobs live, want %d (a key and a value per entry)", live, 2*blocks)
+	}
+	p := panicOf(func() { kv.Insert(key(keys[blocks]), val) })
+	if !strings.Contains(fmt.Sprint(p), "out of 128-byte blob blocks") {
+		t.Fatalf("value past the class budget: got panic %v, want out of 128-byte blob blocks", p)
 	}
 }

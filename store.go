@@ -6,30 +6,34 @@ import (
 	"slices"
 	"sync"
 
-	"hyaline/internal/arena"
 	"hyaline/internal/session"
 	"hyaline/internal/trackers"
 )
 
 // KVOptions configures a store (NewKV, NewKVBytes and their sharded
 // forms). The zero value picks defaults suitable for a process-wide
-// shared map. The bounds are *totals*: a sharded store divides them
-// across its shards, rounding up so every shard can run at least one
-// operation.
+// shared map. The bounds are *totals* for the whole store, however
+// many shards it has.
 type KVOptions struct {
 	// MaxThreads bounds how many operations can be *in flight*
 	// concurrently — not how many goroutines may call the KV. Thread
 	// ids are leased to goroutines per operation; callers beyond
-	// MaxThreads briefly wait for a lease. Default 2×GOMAXPROCS.
+	// MaxThreads briefly wait for a lease. Leases are per shard, so a
+	// sharded store divides MaxThreads across its shards, rounding up
+	// so every shard can run at least one operation. Default
+	// 2×GOMAXPROCS.
 	MaxThreads int
-	// ArenaCap is the node pool capacity. The pool is mapped outside the
-	// Go heap, so construction is O(1) in capacity and the pool is
-	// virtual until touched. Default 1<<20.
+	// ArenaCap is the capacity of the store's one node pool, which
+	// every shard allocates from: however the keys fall across shards,
+	// the store holds ArenaCap nodes. The pool is mapped outside the Go
+	// heap, so construction is O(1) in capacity and the pool is virtual
+	// until touched. Default 1<<20.
 	ArenaCap int
-	// BlobClassBudget is the byte budget per blob size class, used only
-	// by the bytes family (see arena.EnableBlobs). Default 1<<24 per
-	// class — mapped like the node pool: O(1) to build, virtual until
-	// touched.
+	// BlobClassBudget is the byte budget per blob size class of the
+	// store's one blob heap, shared by every shard like the node pool
+	// and used only by the bytes family (see arena.EnableBlobs).
+	// Default 1<<24 per class — mapped like the node pool: O(1) to
+	// build, virtual until touched.
 	BlobClassBudget int
 	// Tracker carries per-scheme tuning (slots, batch sizes, scan
 	// thresholds). Its MaxThreads field is overridden by MaxThreads
@@ -106,13 +110,16 @@ func batchTrim(ss *session.Session, i int) {
 	}
 }
 
-// shard is one fully independent partition of a store: its own data
-// structure, tracker, arena and session pool. Shards share nothing —
-// no CAS hot spot, retire list or lease word — so every scheme's safety
-// argument applies per shard unchanged and there is no cross-shard
-// reclamation protocol to reason about.
+// shard is one partition of a store: its own data structure, tracker
+// and session pool, over the store's one arena. Shards share the
+// allocator and no reclamation state — no retire list, era clock or
+// lease word — so every scheme's safety argument applies per shard
+// unchanged and there is no cross-shard reclamation protocol to reason
+// about. The arena is only the allocator under the trackers, the role
+// malloc plays in the paper: a slot that shard A's tracker frees and
+// shard B's structure reuses is the same event as reuse across two
+// tids of one tracker, which every scheme already allows for.
 type shard[M any] struct {
-	a    *Arena
 	tr   Tracker
 	m    M
 	pool *session.Pool // the shard's only lease allocator; see the KV doc
@@ -142,6 +149,7 @@ func (sh *shard[M]) leave(ss *session.Session) {
 // KVBytes embed it and add only the typed operations.
 type store[M interface{ Len() int }, O, R any] struct {
 	structure string
+	a         *Arena // the one node pool (and blob heap) every shard allocates from
 	shards    []shard[M]
 	scratches sync.Pool // *scratch[O, R]
 
@@ -153,48 +161,49 @@ type store[M interface{ Len() int }, O, R any] struct {
 	oneP bool
 }
 
-// init builds shards independent copies of the named structure over the
-// named scheme. validate and build are the family's ds registry hooks;
-// blobs enables the arena blob slabs the bytes structures need.
+// init builds shards copies of the named structure over the named
+// scheme, all on one arena sized by the store totals. validate and
+// build are the family's ds registry hooks; blobs enables the arena
+// blob heap the bytes structures need.
 func (st *store[M, O, R]) init(structure, scheme string, shards int, opts KVOptions, blobs bool,
 	validate func(structure, scheme string) error,
 	build func(structure string, a *Arena, tr Tracker, maxThreads int) (M, error)) error {
 	if shards <= 0 {
 		return fmt.Errorf("hyaline: shard count must be positive, got %d", shards)
 	}
-	// Validate the whole combination before committing resources: the
-	// arenas (and blob slabs) are the expensive part of construction,
-	// and a rejected structure/scheme pair must not leave them allocated.
+	// Validate the whole combination before committing resources: a
+	// rejected structure/scheme pair must not leave an arena (and its
+	// blob heap) mapped.
 	if err := validate(structure, scheme); err != nil {
 		return err
 	}
 	if !trackers.Known(scheme) {
 		return fmt.Errorf("hyaline: unknown scheme %q (known: %v)", scheme, trackers.Names())
 	}
-	perShard := func(total, def int) int {
-		if total <= 0 {
-			total = def
+	orDefault := func(v, def int) int {
+		if v <= 0 {
+			return def
 		}
-		return (total + shards - 1) / shards
+		return v
 	}
 	procs := runtime.GOMAXPROCS(0)
 	st.oneP = procs == 1
-	maxThreads := perShard(opts.MaxThreads, 2*procs)
+	maxThreads := (orDefault(opts.MaxThreads, 2*procs) + shards - 1) / shards
 	tcfg := opts.Tracker
 	tcfg.MaxThreads = maxThreads
 	st.structure = structure
+	st.a = NewArena(orDefault(opts.ArenaCap, 1<<20))
+	if blobs {
+		st.a.EnableBlobs(orDefault(opts.BlobClassBudget, 1<<24))
+	}
 	st.shards = make([]shard[M], shards)
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.a = NewArena(perShard(opts.ArenaCap, 1<<20))
-		if blobs {
-			sh.a.EnableBlobs(perShard(opts.BlobClassBudget, 1<<24))
-		}
 		var err error
-		if sh.tr, err = trackers.New(scheme, sh.a, tcfg); err != nil {
+		if sh.tr, err = trackers.New(scheme, st.a, tcfg); err != nil {
 			return err
 		}
-		if sh.m, err = build(structure, sh.a, sh.tr, maxThreads); err != nil {
+		if sh.m, err = build(structure, st.a, sh.tr, maxThreads); err != nil {
 			return err
 		}
 		sh.pool = session.NewPool(sh.tr, maxThreads)
@@ -238,24 +247,7 @@ func (st *store[M, O, R]) ShardStats() []Stats {
 // Live returns the number of arena nodes currently allocated: map
 // entries (plus structure-internal nodes) and retired-but-unreclaimed
 // nodes.
-func (st *store[M, O, R]) Live() int64 {
-	var n int64
-	for i := range st.shards {
-		n += st.shards[i].a.Live()
-	}
-	return n
-}
-
-// blobStats sums the blob slab counters (zero for the uint64 family).
-func (st *store[M, O, R]) blobStats() arena.BlobStats {
-	var t arena.BlobStats
-	for i := range st.shards {
-		bs := st.shards[i].a.BlobStats()
-		t.Allocated += bs.Allocated
-		t.Freed += bs.Freed
-	}
-	return t
-}
+func (st *store[M, O, R]) Live() int64 { return st.a.Live() }
 
 // Flush pushes pending reclamation to completion, best-effort. It
 // briefly leases every session of every shard (waiting out in-flight
