@@ -1,18 +1,17 @@
 // Bytes-structure conformance: the []byte-payload twin of the uint64
 // suite. Values live in variable-size blob slabs owned by their node,
 // so beyond the usual linearizability and use-after-free checks the
-// phases pin the blob ledger to the node ledger: a blist node owns
+// bytes phases pin the blob ledger to the node ledger: a blist node owns
 // exactly two blobs (key and value) from Alloc to Free, so the live
 // blob count must equal exactly twice the live node count — any drift
-// is a leaked or double-freed blob.
+// is a leaked or double-freed blob. ConcurrentChurnBytes is the churn
+// engine (churn.go) over this family.
 package dstest
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"hyaline/internal/arena"
@@ -65,20 +64,23 @@ func bytesVal(k uint64) []byte {
 	return bytes.Repeat([]byte{byte(checksum(k))}, n)
 }
 
-func checkBytesVal(k uint64, got []byte) string {
+// checkBytesVal returns "" when got is k's value, and otherwise
+// describes what was read (from the first byte that differs) and what
+// was due.
+func checkBytesVal(k uint64, got []byte) (read, due string) {
 	want := bytesVal(k)
-	if !bytes.Equal(got, want) {
-		return fmt.Sprintf("key %d: value is %d bytes (fill %#x...), want %d bytes of %#x (use-after-free?)",
-			k, len(got), first(got), len(want), want[0])
+	if bytes.Equal(got, want) {
+		return "", ""
 	}
-	return ""
-}
-
-func first(b []byte) byte {
-	if len(b) == 0 {
-		return 0
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
 	}
-	return b[0]
+	read = fmt.Sprintf("%d bytes", len(got))
+	if i < len(got) {
+		read += fmt.Sprintf(", byte %d %#x", i, got[i])
+	}
+	return read, fmt.Sprintf("%d bytes of %#x", len(want), want[0])
 }
 
 // RunAllBytes runs the bytes conformance phases for every scheme.
@@ -123,7 +125,8 @@ func SequentialBytes(t *testing.T, f BytesFactory, scheme string) {
 	}
 	if !op(func() bool {
 		got, ok := m.Get(0, k10, nil)
-		return ok && checkBytesVal(10, got) == ""
+		read, _ := checkBytesVal(10, got)
+		return ok && read == ""
 	}) {
 		t.Fatal("Get after Insert failed or returned wrong value")
 	}
@@ -164,148 +167,6 @@ func SequentialBytes(t *testing.T, f BytesFactory, scheme string) {
 			fl.Flush(1)
 		}
 	}
-	if blobLive, nodeLive := a.BlobStats().Live(), a.Live(); blobLive != 2*nodeLive {
-		t.Fatalf("blob ledger drifted: %d live blobs for %d live nodes (want exactly 2 per node)", blobLive, nodeLive)
-	}
-}
-
-// ConcurrentChurnBytes hammers the bytes structure from many
-// goroutines: striped exact models, foreign reads checking the value
-// invariant (any recycled or poisoned blob shows up as corrupt content)
-// and, at quiescence, model agreement plus the exact two-blobs-per-node
-// ledger identity.
-func ConcurrentChurnBytes(t *testing.T, f BytesFactory, scheme string, opts Options) {
-	threads := runtime.GOMAXPROCS(0)
-	if threads < 4 {
-		threads = 4
-	}
-	if threads > 8 {
-		threads = 8
-	}
-	a := newBytesArena(opts.ArenaCap)
-	tr := newTracker(t, scheme, a, threads)
-	m := f(a, tr)
-
-	// Bytes structures are ordered lists: keep the key space small
-	// enough that O(n) traversals stay fast under -race.
-	keySpace := int(opts.KeySpace) / 4
-	if keySpace < 64 {
-		keySpace = 64
-	}
-	ops := opts.OpsPerThread / 4
-
-	seed := phaseSeed(t)
-	errc := make(chan string, threads)
-	models := make([]map[uint64]bool, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			rng := laneRNG(seed, tid)
-			model := map[uint64]bool{}
-			models[tid] = model
-			var dst []byte
-			for i := 0; i < ops; i++ {
-				// Own-stripe keys: key % threads == tid.
-				key := uint64(rng.Intn(keySpace))*uint64(threads) + uint64(tid)
-				enter(tr, tid)
-				switch rng.Intn(4) {
-				case 0:
-					got := m.Insert(tid, bytesKey(key), bytesVal(key))
-					if got == model[key] {
-						errc <- fmt.Sprintf("tid %d: Insert(%d)=%v but model says %v", tid, key, got, model[key])
-						leave(tr, tid)
-						return
-					}
-					model[key] = true
-				case 1:
-					got := m.Delete(tid, bytesKey(key))
-					if got != model[key] {
-						errc <- fmt.Sprintf("tid %d: Delete(%d)=%v but model says %v", tid, key, got, model[key])
-						leave(tr, tid)
-						return
-					}
-					model[key] = false
-				case 2:
-					var ok bool
-					dst, ok = m.Get(tid, bytesKey(key), dst[:0])
-					if ok != model[key] {
-						errc <- fmt.Sprintf("tid %d: Get(%d) ok=%v but model says %v", tid, key, ok, model[key])
-						leave(tr, tid)
-						return
-					}
-					if ok {
-						if msg := checkBytesVal(key, dst); msg != "" {
-							errc <- fmt.Sprintf("tid %d: %s", tid, msg)
-							leave(tr, tid)
-							return
-						}
-					}
-				default:
-					// Foreign read: only the value invariant applies.
-					fk := uint64(rng.Intn(keySpace * threads))
-					var ok bool
-					dst, ok = m.Get(tid, bytesKey(fk), dst[:0])
-					if ok {
-						if msg := checkBytesVal(fk, dst); msg != "" {
-							errc <- fmt.Sprintf("tid %d: foreign %s", tid, msg)
-							leave(tr, tid)
-							return
-						}
-					}
-				}
-				leave(tr, tid)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errc)
-	for e := range errc {
-		t.Fatal(e)
-	}
-
-	// The final structure must match the union of per-thread models.
-	want := 0
-	var dst []byte
-	for tid, model := range models {
-		for key, present := range model {
-			enter(tr, tid)
-			var ok bool
-			dst, ok = m.Get(tid, bytesKey(key), dst[:0])
-			leave(tr, tid)
-			if ok != present {
-				t.Fatalf("post-churn: key %d present=%v want %v", key, ok, present)
-			}
-			if ok {
-				if msg := checkBytesVal(key, dst); msg != "" {
-					t.Fatalf("post-churn: %s", msg)
-				}
-				want++
-			}
-		}
-	}
-	if got := m.Len(); got != want {
-		t.Fatalf("Len = %d, models say %d", got, want)
-	}
-
-	// Reclamation accounting at quiescence.
-	if fl, ok := tr.(smr.Flusher); ok {
-		for pass := 0; pass < 3; pass++ {
-			for tid := 0; tid < threads; tid++ {
-				fl.Flush(tid)
-			}
-		}
-	}
-	st := tr.Stats()
-	if scheme != "leaky" {
-		slack := int64(4096) + opts.LeakSlack
-		if un := st.Unreclaimed(); un > slack {
-			t.Fatalf("%d nodes unreclaimed at quiescence (slack %d)", un, slack)
-		}
-	}
-	// The blob ledger tracks the node ledger exactly: two blobs per live
-	// node, whether that node is in the structure or retired-but-pinned.
 	if blobLive, nodeLive := a.BlobStats().Live(), a.Live(); blobLive != 2*nodeLive {
 		t.Fatalf("blob ledger drifted: %d live blobs for %d live nodes (want exactly 2 per node)", blobLive, nodeLive)
 	}

@@ -1,12 +1,30 @@
 // Package dstest provides the cross-scheme conformance suite for the
 // benchmark data structures. Each structure plugs in through a Factory
-// and is exercised under every reclamation scheme it supports: against a
-// sequential reference model, under concurrent churn with use-after-free
-// detection (value-invariant violations would expose recycled nodes),
-// through the Flush/Trim sub-interfaces with a quiescent drain check,
-// and — for structures implementing Ranger — under concurrent range
-// scans that must stay sorted, duplicate-free and bounded while inserts
-// and deletes churn around them.
+// (or a BytesFactory) and is exercised under every reclamation scheme it
+// supports: against a sequential reference model, under concurrent
+// churn with use-after-free detection (value-invariant violations would
+// expose recycled nodes), through the Flush/Trim sub-interfaces with a
+// quiescent drain check, and — for structures implementing Ranger —
+// under concurrent range scans that must stay sorted, duplicate-free and
+// bounded while inserts and deletes churn around them.
+//
+// The concurrent churn is one engine (churn.go) in five configurations,
+// which differ only in how a group of ops gets its tid and in the key
+// family:
+//
+//   - ConcurrentChurn: lane i is tid i, one Enter/Leave per op.
+//   - ConcurrentChurnBytes: the same over []byte keys and values in blob
+//     slabs, adding the two-blobs-per-node ledger.
+//   - SessionChurn: lanes outnumber tids 3:1 and lease one per op, so
+//     tids migrate between goroutines (the paper's transparency).
+//   - BatchChurn: half the lanes lease once per 32-op batch and Trim
+//     every 16 ops inside it (§3.3), beside per-op leases.
+//   - ShardedChurn: three partitions, each a tracker with its own pool
+//     over one shared arena; each op leases on its key's partition.
+//
+// Every check the engine makes (per-op model and value invariant, lease
+// ledgers, model union, per-tracker drain, arena live bound) runs in
+// every configuration.
 package dstest
 
 import (
@@ -20,7 +38,6 @@ import (
 	"time"
 
 	"hyaline/internal/arena"
-	"hyaline/internal/session"
 	"hyaline/internal/smr"
 	"hyaline/internal/trackers"
 )
@@ -245,127 +262,6 @@ func ReferenceModel(t *testing.T, f Factory, scheme string) {
 	}
 	if m.Len() != len(ref) {
 		t.Fatalf("Len = %d, ref %d", m.Len(), len(ref))
-	}
-}
-
-// ConcurrentChurn hammers the structure from many goroutines. Each
-// thread owns a key stripe it mutates and models exactly; all threads
-// additionally read random keys and verify the checksum invariant
-// (catching reads of recycled nodes). Afterwards the structure must
-// agree with the union of the per-thread models, and the arena must
-// account for every node.
-func ConcurrentChurn(t *testing.T, f Factory, scheme string, opts Options) {
-	threads := runtime.GOMAXPROCS(0)
-	if threads < 4 {
-		threads = 4
-	}
-	if threads > 16 {
-		threads = 16
-	}
-	a := arena.New(opts.ArenaCap)
-	tr := newTracker(t, scheme, a, threads)
-	m := f(a, tr)
-
-	seed := phaseSeed(t)
-	errc := make(chan string, threads)
-	var wg sync.WaitGroup
-	models := make([]map[uint64]bool, threads)
-
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			rng := laneRNG(seed, tid)
-			model := map[uint64]bool{}
-			models[tid] = model
-			for i := 0; i < opts.OpsPerThread; i++ {
-				// Own-stripe keys: key % threads == tid.
-				key := uint64(rng.Intn(int(opts.KeySpace)))*uint64(threads) + uint64(tid)
-				enter(tr, tid)
-				switch rng.Intn(4) {
-				case 0:
-					got := m.Insert(tid, key, checksum(key))
-					if got == model[key] {
-						errc <- fmt.Sprintf("tid %d: Insert(%d)=%v but model says %v", tid, key, got, model[key])
-						leave(tr, tid)
-						return
-					}
-					model[key] = true
-				case 1:
-					got := m.Delete(tid, key)
-					if got != model[key] {
-						errc <- fmt.Sprintf("tid %d: Delete(%d)=%v but model says %v", tid, key, got, model[key])
-						leave(tr, tid)
-						return
-					}
-					model[key] = false
-				case 2:
-					v, ok := m.Get(tid, key)
-					if ok != model[key] || (ok && v != checksum(key)) {
-						errc <- fmt.Sprintf("tid %d: Get(%d)=(%d,%v) but model says %v", tid, key, v, ok, model[key])
-						leave(tr, tid)
-						return
-					}
-				default:
-					// Foreign read: only the checksum invariant applies.
-					fk := uint64(rng.Intn(int(opts.KeySpace) * threads))
-					if v, ok := m.Get(tid, fk); ok && v != checksum(fk) {
-						errc <- fmt.Sprintf("tid %d: foreign Get(%d) returned %d, want %d (use-after-free?)", tid, fk, v, checksum(fk))
-						leave(tr, tid)
-						return
-					}
-				}
-				leave(tr, tid)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errc)
-	for e := range errc {
-		t.Fatal(e)
-	}
-
-	// The final structure must match the union of per-thread models.
-	want := 0
-	for tid, model := range models {
-		for key, present := range model {
-			enter(tr, tid)
-			v, ok := m.Get(tid, key)
-			leave(tr, tid)
-			if ok != present || (ok && v != checksum(key)) {
-				t.Fatalf("post-churn: key %d present=%v want %v", key, ok, present)
-			}
-			if present {
-				want++
-			}
-		}
-	}
-	if got := m.Len(); got != want {
-		t.Fatalf("Len = %d, models say %d", got, want)
-	}
-
-	// Reclamation accounting at quiescence.
-	if fl, ok := tr.(smr.Flusher); ok {
-		for pass := 0; pass < 3; pass++ {
-			for tid := 0; tid < threads; tid++ {
-				fl.Flush(tid)
-			}
-		}
-	}
-	st := tr.Stats()
-	if scheme != "leaky" {
-		slack := int64(4096) + opts.LeakSlack
-		if un := st.Unreclaimed(); un > slack {
-			t.Fatalf("%d nodes unreclaimed at quiescence (slack %d)", un, slack)
-		}
-	}
-	live := a.Live()
-	// live = structure nodes + retired-but-unreclaimed + bounded leaks.
-	lower := st.Unreclaimed()
-	upper := st.Unreclaimed() + int64(structureNodeBound(m.Len())) + opts.LeakSlack
-	if live < lower || live > upper {
-		t.Fatalf("arena live=%d outside [%d, %d] (len=%d, stats %+v)",
-			live, lower, upper, m.Len(), st)
 	}
 }
 
@@ -684,348 +580,6 @@ func RangeScan(t *testing.T, f Factory, scheme string, opts Options) {
 	leave(tr, 0)
 	if len(want) >= 3 && len(short) != 3 {
 		t.Fatalf("early-terminated scan visited %d keys, want 3", len(short))
-	}
-}
-
-// underLease runs fn under a tid leased from pool with its bracket open,
-// the way the KV runs one operation (or one batch).
-func underLease(pool *session.Pool, fn func(s *session.Session)) {
-	s := pool.Acquire()
-	defer pool.Release(s)
-	s.Enter()
-	defer s.Leave()
-	fn(s)
-}
-
-// SessionChurn drives the structure through the goroutine-transparent
-// session layer: far more goroutines than tids, each leasing a session
-// per operation from a session.Pool. A tid therefore migrates between
-// goroutines thousands of times under live insert/delete load — the
-// "threads off the hook at Leave" property end to end. Each goroutine
-// owns a key stripe it models exactly (correctness must not depend on
-// WHICH tid an operation happens to lease), all goroutines verify the
-// checksum invariant on foreign reads, and at quiescence the structure,
-// the models, the pool's lease ledger and the arena must all agree.
-func SessionChurn(t *testing.T, f Factory, scheme string, opts Options) {
-	a := arena.New(opts.ArenaCap)
-	maxThreads := 4
-	goroutines := 3 * maxThreads // strictly more goroutines than tids
-	tr := newTracker(t, scheme, a, maxThreads)
-	m := f(a, tr)
-	pool := session.NewPool(tr, maxThreads)
-
-	seed := phaseSeed(t)
-	ops := opts.OpsPerThread / 4
-	errc := make(chan string, goroutines)
-	models := make([]map[uint64]bool, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := laneRNG(seed, g)
-			model := map[uint64]bool{}
-			models[g] = model
-			for i := 0; i < ops; i++ {
-				// Own-stripe keys: key % goroutines == g.
-				key := uint64(rng.Intn(int(opts.KeySpace)))*uint64(goroutines) + uint64(g)
-				fail := ""
-				underLease(pool, func(s *session.Session) {
-					tid := s.Tid()
-					switch rng.Intn(4) {
-					case 0:
-						if got := m.Insert(tid, key, checksum(key)); got == model[key] {
-							fail = fmt.Sprintf("g %d (tid %d): Insert(%d)=%v but model says %v", g, tid, key, got, model[key])
-							return
-						}
-						model[key] = true
-					case 1:
-						if got := m.Delete(tid, key); got != model[key] {
-							fail = fmt.Sprintf("g %d (tid %d): Delete(%d)=%v but model says %v", g, tid, key, got, model[key])
-							return
-						}
-						model[key] = false
-					case 2:
-						v, ok := m.Get(tid, key)
-						if ok != model[key] || (ok && v != checksum(key)) {
-							fail = fmt.Sprintf("g %d (tid %d): Get(%d)=(%d,%v) but model says %v", g, tid, key, v, ok, model[key])
-							return
-						}
-					default:
-						// Foreign read: only the checksum invariant applies.
-						fk := uint64(rng.Intn(int(opts.KeySpace) * goroutines))
-						if v, ok := m.Get(tid, fk); ok && v != checksum(fk) {
-							fail = fmt.Sprintf("g %d (tid %d): foreign Get(%d) returned %d, want %d (use-after-free?)", g, tid, fk, v, checksum(fk))
-							return
-						}
-					}
-				})
-				if fail != "" {
-					errc <- fail
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for e := range errc {
-		t.Fatal(e)
-	}
-
-	// Quiescence: every lease must have been returned.
-	if leased := pool.InUse(); leased != 0 {
-		t.Fatalf("%d tids still leased after all goroutines exited", leased)
-	}
-
-	// The final structure must match the union of per-goroutine models.
-	want := 0
-	for g, model := range models {
-		for key, present := range model {
-			var v uint64
-			var ok bool
-			underLease(pool, func(s *session.Session) {
-				v, ok = m.Get(s.Tid(), key)
-			})
-			if ok != present || (ok && v != checksum(key)) {
-				t.Fatalf("g %d: post-churn key %d present=%v want %v", g, key, ok, present)
-			}
-			if present {
-				want++
-			}
-		}
-	}
-	if got := m.Len(); got != want {
-		t.Fatalf("Len = %d, models say %d", got, want)
-	}
-
-	// Reclamation accounting at quiescence, via the pool-wide drain.
-	for pass := 0; pass < 3; pass++ {
-		pool.Flush()
-	}
-	st := tr.Stats()
-	if scheme != "leaky" {
-		slack := int64(4096) + opts.LeakSlack
-		if un := st.Unreclaimed(); un > slack {
-			t.Fatalf("%d nodes unreclaimed at quiescence (slack %d)", un, slack)
-		}
-	}
-	live := a.Live()
-	lower := st.Unreclaimed()
-	upper := st.Unreclaimed() + int64(structureNodeBound(m.Len())) + opts.LeakSlack
-	if live < lower || live > upper {
-		t.Fatalf("arena live=%d outside [%d, %d] (len=%d, stats %+v)",
-			live, lower, upper, m.Len(), st)
-	}
-}
-
-// batchOp is one op of a BatchChurn batch, with its expected result
-// precomputed against the goroutine's stripe model (stripe ops are
-// sequential within their goroutine, so the model is exact).
-type batchOp struct {
-	kind   int // 0 insert, 1 delete, 2 own-stripe get, 3 foreign get
-	key    uint64
-	expect bool
-}
-
-// BatchChurn drives batched operations through the session layer
-// against singleton operations on the same structure: half the
-// goroutines lease ONE session per batch and run the whole batch under
-// a single (periodically trimmed) Enter/Leave bracket — the
-// amortization contract of the KV batch API — while the other half
-// lease per operation. Each goroutine owns a key stripe it models
-// exactly, so correctness must survive tids migrating between batched
-// and singleton callers mid-flight. At quiescence the structure, the
-// models, the pool's lease ledger and the arena must all agree.
-func BatchChurn(t *testing.T, f Factory, scheme string, opts Options) {
-	a := arena.New(opts.ArenaCap)
-	maxThreads := 4
-	goroutines := 3 * maxThreads // strictly more goroutines than tids
-	tr := newTracker(t, scheme, a, maxThreads)
-	m := f(a, tr)
-	pool := session.NewPool(tr, maxThreads)
-
-	const (
-		batchSize = 32
-		trimEvery = 16 // two trims per batch: reclamation advances mid-bracket
-	)
-	batches := opts.OpsPerThread / (4 * batchSize)
-	if batches < 8 {
-		batches = 8
-	}
-
-	seed := phaseSeed(t)
-	errc := make(chan string, goroutines)
-	models := make([]map[uint64]bool, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := laneRNG(seed, g)
-			model := map[uint64]bool{}
-			models[g] = model
-			stripeKey := func() uint64 {
-				return uint64(rng.Intn(int(opts.KeySpace)))*uint64(goroutines) + uint64(g)
-			}
-			foreignKey := func() uint64 {
-				return uint64(rng.Intn(int(opts.KeySpace) * goroutines))
-			}
-
-			if g%2 == 0 {
-				// Batched caller: one lease + one trimmed bracket per batch.
-				batch := make([]batchOp, 0, batchSize)
-				for b := 0; b < batches; b++ {
-					batch = batch[:0]
-					for i := 0; i < batchSize; i++ {
-						switch k := rng.Intn(4); k {
-						case 0:
-							key := stripeKey()
-							batch = append(batch, batchOp{kind: 0, key: key, expect: !model[key]})
-							model[key] = true
-						case 1:
-							key := stripeKey()
-							batch = append(batch, batchOp{kind: 1, key: key, expect: model[key]})
-							model[key] = false
-						case 2:
-							key := stripeKey()
-							batch = append(batch, batchOp{kind: 2, key: key, expect: model[key]})
-						default:
-							batch = append(batch, batchOp{kind: 3, key: foreignKey()})
-						}
-					}
-					fail := ""
-					underLease(pool, func(s *session.Session) {
-						tid := s.Tid()
-						for i, op := range batch {
-							if i > 0 && i%trimEvery == 0 {
-								s.Trim()
-							}
-							switch op.kind {
-							case 0:
-								if got := m.Insert(tid, op.key, checksum(op.key)); got != op.expect {
-									fail = fmt.Sprintf("g %d (tid %d): batched Insert(%d)=%v, model %v", g, tid, op.key, got, op.expect)
-									return
-								}
-							case 1:
-								if got := m.Delete(tid, op.key); got != op.expect {
-									fail = fmt.Sprintf("g %d (tid %d): batched Delete(%d)=%v, model %v", g, tid, op.key, got, op.expect)
-									return
-								}
-							case 2:
-								v, ok := m.Get(tid, op.key)
-								if ok != op.expect || (ok && v != checksum(op.key)) {
-									fail = fmt.Sprintf("g %d (tid %d): batched Get(%d)=(%d,%v), model %v", g, tid, op.key, v, ok, op.expect)
-									return
-								}
-							default:
-								if v, ok := m.Get(tid, op.key); ok && v != checksum(op.key) {
-									fail = fmt.Sprintf("g %d (tid %d): batched foreign Get(%d)=%d, want %d (use-after-free?)", g, tid, op.key, v, checksum(op.key))
-									return
-								}
-							}
-						}
-					})
-					if fail != "" {
-						errc <- fail
-						return
-					}
-				}
-				return
-			}
-
-			// Singleton caller: one lease per operation, same op budget.
-			for i := 0; i < batches*batchSize; i++ {
-				fail := ""
-				underLease(pool, func(s *session.Session) {
-					tid := s.Tid()
-					switch rng.Intn(4) {
-					case 0:
-						key := stripeKey()
-						if got := m.Insert(tid, key, checksum(key)); got == model[key] {
-							fail = fmt.Sprintf("g %d (tid %d): Insert(%d)=%v, model %v", g, tid, key, got, model[key])
-							return
-						}
-						model[key] = true
-					case 1:
-						key := stripeKey()
-						if got := m.Delete(tid, key); got != model[key] {
-							fail = fmt.Sprintf("g %d (tid %d): Delete(%d)=%v, model %v", g, tid, key, got, model[key])
-							return
-						}
-						model[key] = false
-					case 2:
-						key := stripeKey()
-						v, ok := m.Get(tid, key)
-						if ok != model[key] || (ok && v != checksum(key)) {
-							fail = fmt.Sprintf("g %d (tid %d): Get(%d)=(%d,%v), model %v", g, tid, key, v, ok, model[key])
-							return
-						}
-					default:
-						fk := foreignKey()
-						if v, ok := m.Get(tid, fk); ok && v != checksum(fk) {
-							fail = fmt.Sprintf("g %d (tid %d): foreign Get(%d)=%d, want %d (use-after-free?)", g, tid, fk, v, checksum(fk))
-							return
-						}
-					}
-				})
-				if fail != "" {
-					errc <- fail
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for e := range errc {
-		t.Fatal(e)
-	}
-
-	// Quiescence: the lease ledger must be empty again.
-	if leased := pool.InUse(); leased != 0 {
-		t.Fatalf("%d tids still leased after all goroutines exited", leased)
-	}
-
-	// The structure must match the union of the per-goroutine models.
-	want := 0
-	for g, model := range models {
-		for key, present := range model {
-			var v uint64
-			var ok bool
-			underLease(pool, func(s *session.Session) {
-				v, ok = m.Get(s.Tid(), key)
-			})
-			if ok != present || (ok && v != checksum(key)) {
-				t.Fatalf("g %d: post-churn key %d present=%v want %v", g, key, ok, present)
-			}
-			if present {
-				want++
-			}
-		}
-	}
-	if got := m.Len(); got != want {
-		t.Fatalf("Len = %d, models say %d", got, want)
-	}
-
-	// Reclamation accounting at quiescence: long brackets must not have
-	// starved the schemes (the per-chunk Trim is what guarantees this).
-	for pass := 0; pass < 3; pass++ {
-		pool.Flush()
-	}
-	st := tr.Stats()
-	if scheme != "leaky" {
-		slack := int64(4096) + opts.LeakSlack
-		if un := st.Unreclaimed(); un > slack {
-			t.Fatalf("%d nodes unreclaimed at quiescence (slack %d)", un, slack)
-		}
-	}
-	live := a.Live()
-	lower := st.Unreclaimed()
-	upper := st.Unreclaimed() + int64(structureNodeBound(m.Len())) + opts.LeakSlack
-	if live < lower || live > upper {
-		t.Fatalf("arena live=%d outside [%d, %d] (len=%d, stats %+v)",
-			live, lower, upper, m.Len(), st)
 	}
 }
 

@@ -458,8 +458,9 @@ func (s *Server) appendStats(b []byte) []byte {
 	})
 }
 
-// bufPool recycles reply buffers: each connection's window buffer, and
-// the per-run reply buffers the OOO scatter path encodes into.
+// bufPool recycles reply buffers: the one a connection holds while it
+// answers a window, and the per-run reply buffers the OOO scatter path
+// encodes into.
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
 	return &b
@@ -474,7 +475,9 @@ type conn struct {
 
 	b batch // pending data commands of the current run (and their results)
 
-	bp  *[]byte // current reply buffer (from bufPool)
+	// The reply buffer, from bufPool, is held only while a window (or
+	// readFailed's ERR) is being answered: an idle conn holds none.
+	bp  *[]byte // nil when not held
 	buf []byte  // alias of *bp being appended to
 
 	// seq is set by a HELLO that negotiated FlagSeq: every data command
@@ -529,14 +532,11 @@ func newConn(s *Server, c net.Conn) *conn {
 		// would serialize every pipelined client on the ACK clock.
 		tc.SetNoDelay(true)
 	}
-	bp := bufPool.Get().(*[]byte)
 	cn := &conn{
 		srv: s,
 		c:   c,
 		rd:  protocol.NewReader(&countingReader{src: c, n: s.m.bytesIn}),
 		b:   s.newBatch(),
-		bp:  bp,
-		buf: (*bp)[:0],
 	}
 	if s.co != nil {
 		cn.applied = make(chan struct{}, 1)
@@ -574,8 +574,10 @@ func (cn *conn) run() {
 // TCP segment with the frames before it.
 func (cn *conn) readFailed(err error) {
 	if errors.Is(err, protocol.ErrFraming) {
+		cn.holdBuf()
 		cn.protoErr(err)
 		cn.send()
+		cn.releaseBuf()
 	}
 }
 
@@ -584,6 +586,7 @@ func (cn *conn) readFailed(err error) {
 // flushed and the window's replies are written.
 func (cn *conn) window(f protocol.Frame) {
 	cn.wstart = time.Now()
+	cn.holdBuf()
 	cn.frame(f)
 	for !cn.fatal {
 		f, ok, err := cn.rd.TryReadFrame()
@@ -598,6 +601,7 @@ func (cn *conn) window(f protocol.Frame) {
 	}
 	cn.flushOps()
 	cn.send()
+	cn.releaseBuf()
 	if cn.wops > 0 {
 		// One elapsed-time sample per reply answered in this window:
 		// every op decoded at wstart waited for the whole window's
@@ -615,9 +619,26 @@ func (cn *conn) teardown() {
 	cn.oooBarrier()
 	cn.c.Close()
 	cn.srv.untrack(cn.c)
-	*cn.bp = cn.buf[:0]
-	bufPool.Put(cn.bp)
+	cn.releaseBuf()
 	cn.srv.wg.Done()
+}
+
+// holdBuf takes a reply buffer for the window about to be answered;
+// every append to cn.buf happens between holdBuf and releaseBuf.
+func (cn *conn) holdBuf() {
+	if cn.bp == nil {
+		cn.bp = bufPool.Get().(*[]byte)
+		cn.buf = (*cn.bp)[:0]
+	}
+}
+
+// releaseBuf gives the reply buffer back, if one is held.
+func (cn *conn) releaseBuf() {
+	if cn.bp != nil {
+		*cn.bp = cn.buf[:0]
+		bufPool.Put(cn.bp)
+		cn.bp, cn.buf = nil, nil
+	}
 }
 
 // write ships one encoded reply buffer to the peer, serialized against

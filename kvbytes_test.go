@@ -386,12 +386,15 @@ func BenchmarkKVBytesGet(b *testing.B) {
 
 // BenchmarkKVBytesApply is the bytes twin of BenchmarkKVApply, with the
 // same op mix and batch sizes; ns/op is per operation, so rows are
-// directly comparable between the two benchmarks.
+// directly comparable between the two benchmarks. Every row prefills
+// 256 keys, serve_bytes's key space: the bytes list is a linked list,
+// and at 10 000 keys its walk, not the lease and bracket the batch
+// amortises, would set the price.
 func BenchmarkKVBytesApply(b *testing.B) {
-	const valueSize = 128
+	const valueSize, prefill = 128, 256
 	for _, size := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			kv, keys := benchBytesKV(b, 1, 10_000, valueSize)
+			kv, keys := benchBytesKV(b, 1, prefill, valueSize)
 			ops := bytesApplyOps(keys, size, valueSize, 1)
 			dst := make([]hyaline.BytesResult, 0, size)
 			var buf []byte
@@ -407,12 +410,10 @@ func BenchmarkKVBytesApply(b *testing.B) {
 	// of either shard pushes and pops the arena's home free list t&63,
 	// which the same tid of the other shard also uses, and both push and
 	// pop the one free list of a blob class: this row prices that
-	// sharing. Its 256 keys, serve_bytes's key space, keep the list walk
-	// from drowning the allocator's share. ns/op is per operation over
-	// both goroutines.
+	// sharing. ns/op is per operation over both goroutines.
 	b.Run("shards=2/goroutines=2/batch=16", func(b *testing.B) {
 		const size, goroutines = 16, 2
-		kv, keys := benchBytesKV(b, 2, 256, valueSize)
+		kv, keys := benchBytesKV(b, 2, prefill, valueSize)
 		var wg sync.WaitGroup
 		b.ReportAllocs()
 		b.ResetTimer()
