@@ -157,9 +157,10 @@ func newChurn(t *testing.T, mode tidMode, fam keyFamily, scheme string, opts Opt
 	if mode == ownTid {
 		tids = c.lanes
 	}
-	c.a = arena.New(opts.ArenaCap)
 	if fam.blobs {
-		c.a.EnableBlobs(bytesBlobBudget)
+		c.a = newBytesArena(opts.ArenaCap)
+	} else {
+		c.a = arena.New(opts.ArenaCap)
 	}
 	for range nparts {
 		p := churnPart{tr: newTracker(t, scheme, c.a, tids)}

@@ -25,7 +25,8 @@ func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 // TestIdleConnHoldsNoReplyBuffer pins that a connection holds a reply
 // buffer only while it answers a window: none before its first window,
 // none after a served window or an ERR reply, and a PING window, taking
-// and returning one from the pool, allocates nothing.
+// and returning one from the pool, allocates nothing (not asserted under
+// the race detector, whose sync.Pool drops some Puts).
 func TestIdleConnHoldsNoReplyBuffer(t *testing.T) {
 	kv, err := hyaline.NewKV("list", "hyaline", hyaline.KVOptions{MaxThreads: 2, ArenaCap: 1 << 10})
 	if err != nil {
@@ -50,8 +51,16 @@ func TestIdleConnHoldsNoReplyBuffer(t *testing.T) {
 			t.Fatalf("op %#x: the conn still holds a reply buffer after its window", f.Code)
 		}
 	}
-	if avg := testing.AllocsPerRun(100, func() { cn.window(ping) }); avg != 0 {
+	if raceEnabled {
+		// The race runtime's sync.Pool drops about one Put in four, so
+		// some windows reallocate the buffer; the holding checks above
+		// and below still run.
+		cn.window(ping)
+	} else if avg := testing.AllocsPerRun(100, func() { cn.window(ping) }); avg != 0 {
 		t.Fatalf("a PING window allocates %.2f times", avg)
+	}
+	if cn.bp != nil {
+		t.Fatal("the conn still holds a reply buffer after its PING windows")
 	}
 	before := c.written
 	cn.readFailed(protocol.ErrFraming)

@@ -619,26 +619,23 @@ func (cn *conn) teardown() {
 	cn.oooBarrier()
 	cn.c.Close()
 	cn.srv.untrack(cn.c)
-	cn.releaseBuf()
 	cn.srv.wg.Done()
 }
 
 // holdBuf takes a reply buffer for the window about to be answered;
-// every append to cn.buf happens between holdBuf and releaseBuf.
+// every append to cn.buf happens between holdBuf and releaseBuf, which
+// window and readFailed pair within themselves, so no buffer is held
+// between windows or at teardown.
 func (cn *conn) holdBuf() {
-	if cn.bp == nil {
-		cn.bp = bufPool.Get().(*[]byte)
-		cn.buf = (*cn.bp)[:0]
-	}
+	cn.bp = bufPool.Get().(*[]byte)
+	cn.buf = (*cn.bp)[:0]
 }
 
-// releaseBuf gives the reply buffer back, if one is held.
+// releaseBuf gives the reply buffer back to bufPool.
 func (cn *conn) releaseBuf() {
-	if cn.bp != nil {
-		*cn.bp = cn.buf[:0]
-		bufPool.Put(cn.bp)
-		cn.bp, cn.buf = nil, nil
-	}
+	*cn.bp = cn.buf[:0]
+	bufPool.Put(cn.bp)
+	cn.bp, cn.buf = nil, nil
 }
 
 // write ships one encoded reply buffer to the peer, serialized against
