@@ -77,8 +77,9 @@
 //
 // The mappings are unmapped by a cleanup once the *Arena is unreachable,
 // and a *Node or a Blob slice pointing into one does not keep the arena
-// reachable. Hence the lifetime rule: a *Node or a Blob slice is used
-// only while its user also holds a reference that reaches the arena.
+// reachable, nor does a Slab view. Hence the lifetime rule: a *Node, a
+// Slab or a Blob slice is used only while its user also holds a
+// reference that reaches the arena.
 // Every structure and tracker holds its *Arena; the store's leave after
 // the structure call keeps the shard, and with it the arena, reachable
 // for the whole operation; and under the explicit-tid API the Leave that
@@ -203,12 +204,28 @@ func (n *Node) Tail() *Tail {
 // Link returns the node's link word for the given level of a multi-link
 // structure: level 0 aliases Left, levels 1..MaxLinks-1 live in the
 // Tail's Extra words, so only level 0 is valid on a node that is not a
-// pair.
+// pair. A level outside 0..MaxLinks-1 panics.
 func (n *Node) Link(level int) *atomic.Uint64 {
-	if level == 0 {
-		return &n.Left
+	return n.LinkAt(LinkOffset(level))
+}
+
+// LinkOffset returns the byte offset of a level's link word from its
+// node (see Link), and panics on a level outside 0..MaxLinks-1. A walk
+// that stays on one level computes it once and hops with LinkAt.
+func LinkOffset(level int) uintptr {
+	if uint(level) >= MaxLinks {
+		panic("arena: link level out of range")
 	}
-	return &n.Tail().Extra[level-1]
+	if level == 0 {
+		return unsafe.Offsetof(Node{}.Left)
+	}
+	return unsafe.Sizeof(Node{}) + unsafe.Offsetof(Tail{}.Extra) + uintptr(level-1)*8
+}
+
+// LinkAt returns the link word off bytes into n, an offset LinkOffset
+// returned.
+func (n *Node) LinkAt(off uintptr) *atomic.Uint64 {
+	return (*atomic.Uint64)(unsafe.Add(unsafe.Pointer(n), off))
 }
 
 // class is a size class: a node, one line, or a pair, a Node and its
@@ -254,7 +271,8 @@ type paddedCounter struct {
 type Arena struct {
 	// The read-mostly words lead, alone on the struct's first cache line.
 	// nodes and mask are what every Deref and Node reads on every
-	// traversal hop, and nothing writes this line after construction.
+	// traversal hop (or once per walk, through Slab), and nothing writes
+	// this line after construction.
 	// Every word an allocation or a free writes sits on a later line, so
 	// a push or pop on one core does not invalidate the line a traversal
 	// on another core reads (TestLayoutReadMostlyLine).
@@ -348,7 +366,27 @@ func (a *Arena) node(i ptr.Index) *Node {
 // that the algorithm's validation then rejects; wrapping reproduces
 // that behaviour instead of crashing the simulation.
 func (a *Arena) Deref(w ptr.Word) *Node {
-	return a.node(ptr.Idx(w) & a.mask)
+	return a.Slab().Deref(w)
+}
+
+// Slab is a read-only view of an arena's node slab: its base and wrap
+// mask, which never change after New. A traversal reads them once with
+// (*Arena).Slab and then dereferences each hop with Slab.Deref, instead
+// of loading both from the arena on every hop. It follows the package's
+// lifetime rule, as a *Node does: it does not keep the arena reachable.
+type Slab struct {
+	base unsafe.Pointer
+	mask uint32
+}
+
+// Slab returns the view of a's node slab.
+func (a *Arena) Slab() Slab {
+	return Slab{unsafe.Pointer(unsafe.SliceData(a.nodes)), a.mask}
+}
+
+// Deref is (*Arena).Deref through the view: the same node, the same wrap.
+func (s Slab) Deref(w ptr.Word) *Node {
+	return (*Node)(unsafe.Add(s.base, uintptr(ptr.Idx(w)&s.mask)<<nodeShift))
 }
 
 // Wide reports whether node i, a valid allocation, is a pair: whether

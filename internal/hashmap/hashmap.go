@@ -51,8 +51,8 @@ import (
 // heads and 2.03 M (+7 MB resident) for 2^17 padded ones. It is a
 // constant because one value serves every caller: load factor 0.38 at the
 // benchmark's 50 000 entries, 8 at a full default arena (1<<20 nodes; it
-// was 64). Each shard of a sharded store builds its own table over its
-// share of the arena.
+// was 64). Every shard of a sharded store allocates its nodes from the
+// store's one arena; only the table is per shard, 1 MiB each.
 //
 // The paper's framework ran the same 50 000 entries at a load factor
 // near 1.7; figures 8c/9c/11c/12c run here at 0.4, so a hashmap

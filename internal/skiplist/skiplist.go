@@ -39,6 +39,26 @@
 // clears the last bit proves the node unreachable from every level and
 // retires it — the skiplist analogue of "the thread dropping the last
 // reference frees the batch".
+//
+// Get and Delete's first search stop at the key (find's stopAtKey), as
+// Java's ConcurrentSkipListMap lookup does: they return at the first
+// level whose walk lands on a node holding the key, read through an
+// unmarked link at that level, instead of descending to level 0. That
+// node was in the set when the link was read. Every deleter marks all
+// upper levels of a tower before its level-0 mark, the linearization
+// point, so an unmarked level-l link means level 0 was not yet marked;
+// and Insert links level 0 before any upper level, so a node reachable
+// at level l was already published. Its Val is immutable after publish.
+// A search whose answer must be a level-0 position — Insert's, Range's,
+// the winning deleter's helping pass — descends all the way.
+//
+// A hop loads only what its scheme needs — the link through Protect, the
+// validation re-read, the key — and little else: the link word's byte
+// offset for a level is computed once per level (arena.LinkOffset)
+// rather than through Node.Link's branch on every hop, the hazard-slot
+// rotation is a compare and reset rather than a division, and the slab
+// base and wrap mask are read once per search (arena.Slab) rather than
+// from the arena on every Deref.
 package skiplist
 
 import (
@@ -148,6 +168,13 @@ func (s *SkipList) abandon(tid int, w ptr.Word, from, height int) {
 // down it unlinks every marked node it meets — at every level, not just
 // the target — applying the mask protocol to each unlink.
 //
+// With stopAtKey the search may end above targetLevel: the first level
+// whose walk lands on a node holding key, read through an unmarked link
+// at that level, returns that node as found, and prevAddr is then that
+// level's link (see the package doc for why the node is in the set).
+// Get and Delete's first search use it; positions that must be exact at
+// targetLevel (Insert, Range, the deleter's helping pass) do not.
+//
 // Protection mirrors the list's three rotating hazard slots: the pred
 // node keeps its slot while curr and next rotate through the other two,
 // and the validation read of *prevAddr doubles as hazard validation and
@@ -156,20 +183,26 @@ func (s *SkipList) abandon(tid int, w ptr.Word, from, height int) {
 // out of a deleted pred's frozen link and may already be free, so the
 // walk restarts before dereferencing it (Michael's order; the
 // validation would reject it anyway).
-func (s *SkipList) find(tid int, key uint64, targetLevel int) (prevAddr *atomic.Uint64, curr ptr.Word, found bool) {
+func (s *SkipList) find(tid int, key uint64, targetLevel int, stopAtKey bool) (prevAddr *atomic.Uint64, curr ptr.Word, found bool) {
 	tr := s.tracker
+	nodes := s.arena.Slab()
 retry:
 	for {
-		prevNode := ptr.Nil // pred node of the current level; Nil = head
-		sp := 0             // hazard slot of the pred node
+		var pred *arena.Node // pred node of the current level; nil = head
+		sp := 0              // hazard slot of the pred node
 		for level := MaxHeight - 1; level >= targetLevel; level-- {
-			if ptr.IsNil(prevNode) {
+			off := arena.LinkOffset(level)
+			if pred == nil {
 				prevAddr = &s.head[level]
 			} else {
-				prevAddr = s.arena.Deref(prevNode).Link(level)
+				prevAddr = pred.LinkAt(off)
 			}
-			sc := (sp + 1) % 3
+			sc := sp + 1 // the slot after pred's, mod 3
+			if sc == 3 {
+				sc = 0
+			}
 			curr = tr.Protect(tid, sc, prevAddr)
+			found = false
 			for {
 				if ptr.IsNil(curr) {
 					break // level exhausted: descend
@@ -177,8 +210,12 @@ retry:
 				if ptr.Marked(curr) {
 					continue retry // out of a deleted pred: may be free
 				}
-				cn := s.arena.Deref(curr)
-				next := tr.Protect(tid, (sc+1)%3, cn.Link(level))
+				cn := nodes.Deref(curr)
+				sn := sc + 1
+				if sn == 3 {
+					sn = 0
+				}
+				next := tr.Protect(tid, sn, cn.LinkAt(off))
 				// Validate: pred still links to curr and is not marked.
 				if prevAddr.Load() != ptr.Clean(curr) {
 					continue retry
@@ -193,20 +230,22 @@ retry:
 					curr = tr.Protect(tid, sc, prevAddr)
 					continue
 				}
-				if cn.Key.Load() >= key {
-					break // found this level's frontier: descend
+				if k := cn.Key.Load(); k >= key {
+					// This level's frontier: descend, unless it is the key
+					// and the caller stops there.
+					found = k == key
+					if found && stopAtKey {
+						return prevAddr, curr, true
+					}
+					break
 				}
-				prevNode = ptr.Clean(curr)
-				prevAddr = cn.Link(level)
-				sp = sc
-				sc = (sc + 1) % 3 // cn keeps its hazard while serving as pred
+				pred = cn
+				prevAddr = cn.LinkAt(off)
+				sp, sc = sc, sn // cn keeps its hazard while serving as pred
 				curr = next
 			}
 			if level == targetLevel {
-				if !ptr.IsNil(curr) && s.arena.Deref(curr).Key.Load() == key {
-					return prevAddr, curr, true
-				}
-				return prevAddr, curr, false
+				return prevAddr, curr, found
 			}
 		}
 		panic("skiplist: unreachable")
@@ -224,7 +263,7 @@ func (s *SkipList) Insert(tid int, key, val uint64) bool {
 	newW := ptr.Nil
 	var n *arena.Node
 	for {
-		prevAddr, curr, f := s.find(tid, key, 0)
+		prevAddr, curr, f := s.find(tid, key, 0, false)
 		if f {
 			if !ptr.IsNil(newW) {
 				// Speculative node never published: free it directly.
@@ -267,7 +306,7 @@ func (s *SkipList) Insert(tid int, key, val uint64) bool {
 				s.abandon(tid, newW, level, h)
 				return true
 			}
-			prevAddr, succ, _ := s.find(tid, key, level)
+			prevAddr, succ, _ := s.find(tid, key, level, false)
 			// Point the tower at the successor first (guarded against a
 			// concurrent delete marking this level), then splice in.
 			if !n.Link(level).CompareAndSwap(w, ptr.Clean(succ)) {
@@ -278,7 +317,7 @@ func (s *SkipList) Insert(tid int, key, val uint64) bool {
 					// The deleter may have searched before this splice
 					// and missed it: help unlink, then stop growing.
 					s.abandon(tid, newW, level+1, h)
-					s.find(tid, key, 0)
+					s.find(tid, key, 0, false)
 					return true
 				}
 				break
@@ -293,7 +332,7 @@ func (s *SkipList) Insert(tid int, key, val uint64) bool {
 // elects the single winning deleter, which then helps unlink physically.
 func (s *SkipList) Delete(tid int, key uint64) bool {
 	for {
-		_, curr, f := s.find(tid, key, 0)
+		_, curr, f := s.find(tid, key, 0, true)
 		if !f {
 			return false
 		}
@@ -321,7 +360,7 @@ func (s *SkipList) Delete(tid int, key uint64) bool {
 			}
 			if cn.Link(0).CompareAndSwap(w, ptr.WithMark(w)) {
 				// Winner: physically unlink what this traversal can reach.
-				s.find(tid, key, 0)
+				s.find(tid, key, 0, false)
 				return true
 			}
 		}
@@ -329,9 +368,10 @@ func (s *SkipList) Delete(tid int, key uint64) bool {
 }
 
 // Get returns the value stored under key. It shares find, so it also
-// helps unlink marked nodes, as in Michael's original list.
+// helps unlink the marked nodes it passes, as in Michael's original
+// list, and it stops at the first level that shows it the key.
 func (s *SkipList) Get(tid int, key uint64) (uint64, bool) {
-	_, curr, f := s.find(tid, key, 0)
+	_, curr, f := s.find(tid, key, 0, true)
 	if !f {
 		return 0, false
 	}
@@ -356,10 +396,11 @@ func (s *SkipList) Range(tid int, lo, hi uint64, fn func(key, val uint64) bool) 
 		return
 	}
 	tr := s.tracker
+	nodes := s.arena.Slab()
 	cursor := lo // smallest key not yet emitted
 retry:
 	for {
-		prevAddr, _, _ := s.find(tid, cursor, 0)
+		prevAddr, _, _ := s.find(tid, cursor, 0, false)
 		sl := 3
 		curr := tr.Protect(tid, sl, prevAddr)
 		for {
@@ -369,8 +410,11 @@ retry:
 			if ptr.Marked(curr) {
 				continue retry // as in find
 			}
-			cn := s.arena.Deref(curr)
-			sn := 3 + (sl-3+1)%3
+			cn := nodes.Deref(curr)
+			sn := sl + 1 // the slot after prev's, within 3..5
+			if sn == 6 {
+				sn = 3
+			}
 			next := tr.Protect(tid, sn, cn.Link(0))
 			// Validate: prev still links to curr and neither is marked.
 			if prevAddr.Load() != ptr.Clean(curr) {

@@ -3,6 +3,7 @@ package skiplist
 import (
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"hyaline/internal/arena"
@@ -306,27 +307,184 @@ func TestMaskRetiresOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkSkipListGet50k is the search the repository benchmark's
-// kv_mixed workload leans on: Get on 50 000 keys under hyaline.
-func BenchmarkSkipListGet50k(b *testing.B) {
-	const n = 50_000
+// BenchmarkSkipListGet is the search the repository benchmark's
+// kv_mixed workload leans on, at its key counts: Get under hyaline on
+// 50 000 keys drawn from 100 000, of keys present (hit) and absent
+// (miss), in random order. A hit may stop at the key's tower top; a miss
+// always walks to level 0.
+func BenchmarkSkipListGet(b *testing.B) {
+	const n, keyRange = 50_000, 100_000
 	a := arena.New(1 << 17)
 	tr := trackers.MustNew("hyaline", a, trackers.Config{MaxThreads: 1})
 	s := New(a, tr, 1)
-	keys := make([]uint64, n)
 	rng := rand.New(rand.NewSource(1))
-	for i := range keys {
-		keys[i] = rng.Uint64()
+	present := make([]bool, keyRange)
+	for inserted := 0; inserted < n; {
+		k := rng.Intn(keyRange)
 		tr.Enter(0)
-		s.Insert(0, keys[i], keys[i])
-		tr.Leave(0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Enter(0)
-		if _, ok := s.Get(0, keys[i%n]); !ok {
-			b.Fatalf("Get(%d) missed", keys[i%n])
+		if s.Insert(0, uint64(k), uint64(k)) {
+			present[k] = true
+			inserted++
 		}
 		tr.Leave(0)
+	}
+	var hits, misses []uint64
+	for _, k := range rng.Perm(keyRange) {
+		if present[k] {
+			hits = append(hits, uint64(k))
+		} else {
+			misses = append(misses, uint64(k))
+		}
+	}
+	for _, row := range []struct {
+		name string
+		keys []uint64
+		want bool
+	}{{"hit", hits, true}, {"miss", misses, false}} {
+		b.Run(row.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k := row.keys[i%len(row.keys)]
+				tr.Enter(0)
+				if _, ok := s.Get(0, k); ok != row.want {
+					b.Fatalf("Get(%d) found = %v, want %v", k, ok, row.want)
+				}
+				tr.Leave(0)
+			}
+		})
+	}
+}
+
+// protectCounter counts the Protect calls a structure makes through it.
+// It embeds the tracker, so it does not declare PlainLoad and the
+// structure's Deref handle calls its Protect on every hop, whatever the
+// scheme.
+type protectCounter struct {
+	smr.Tracker
+	calls int
+}
+
+func (c *protectCounter) Protect(tid, slot int, addr *atomic.Uint64) ptr.Word {
+	c.calls++
+	return c.Tracker.Protect(tid, slot, addr)
+}
+
+// tallTowers fills a fresh skiplist under scheme with keys 0..1023
+// (value 3k+1) and returns it with the keys whose towers are at least 3
+// high, of which there are about 64.
+func tallTowers(t *testing.T, scheme string, wrap func(smr.Tracker) smr.Tracker) (*SkipList, smr.Tracker, *arena.Arena, []uint64) {
+	t.Helper()
+	a := arena.New(1 << 12)
+	tr := wrap(trackers.MustNew(scheme, a, trackers.Config{MaxThreads: 1}))
+	s := New(a, tr, 1)
+	var tall []uint64
+	for k := uint64(0); k < 1024; k++ {
+		tr.Enter(0)
+		s.Insert(0, k, 3*k+1)
+		tr.Leave(0)
+	}
+	for k := uint64(0); k < 1024; k++ {
+		if s.Height(k) >= 3 {
+			tall = append(tall, k)
+		}
+	}
+	if len(tall) < 2 {
+		t.Fatalf("%d towers of height 3 or more in 1024 keys, want 2", len(tall))
+	}
+	return s, tr, a, tall
+}
+
+// TestGetStopsAtTowerTop: a Get of a key in the set ends at the top of
+// the key's tower, making exactly the Protect calls of a search that
+// targets that level, and fewer than a search down to level 0.
+func TestGetStopsAtTowerTop(t *testing.T) {
+	for _, scheme := range trackers.Names() {
+		t.Run(scheme, func(t *testing.T) {
+			var pc *protectCounter
+			s, tr, _, tall := tallTowers(t, scheme, func(tr smr.Tracker) smr.Tracker {
+				pc = &protectCounter{Tracker: tr}
+				return pc
+			})
+			key := tall[0]
+			calls := func(op func()) int {
+				pc.calls = 0
+				tr.Enter(0)
+				op()
+				tr.Leave(0)
+				return pc.calls
+			}
+			get := calls(func() {
+				if v, ok := s.Get(0, key); !ok || v != 3*key+1 {
+					t.Fatalf("Get(%d) = %d, %v", key, v, ok)
+				}
+			})
+			top := calls(func() { s.find(0, key, s.Height(key)-1, false) })
+			full := calls(func() { s.find(0, key, 0, false) })
+			if get != top || get >= full {
+				t.Fatalf("Get(%d) made %d Protect calls; a search to its tower top (level %d) makes %d, to level 0 %d",
+					key, get, s.Height(key)-1, top, full)
+			}
+		})
+	}
+}
+
+// TestGetDuringPausedDelete pauses a deleter between the marks of its
+// tower's upper levels and its level-0 mark, the linearization point:
+// the key is still in the set, so Get and Delete's first search must
+// find it, though every upper level now reads marked. Once level 0 is
+// marked, Get reports it absent. A second tower is marked at every level
+// with every link still in place, so no search may stop at it above
+// level 0 either. Both towers, unlinked from every level by the
+// searches that passed them, are retired exactly once.
+func TestGetDuringPausedDelete(t *testing.T) {
+	for _, scheme := range trackers.Names() {
+		t.Run(scheme, func(t *testing.T) {
+			s, tr, a, tall := tallTowers(t, scheme, func(tr smr.Tracker) smr.Tracker { return tr })
+			// markDown marks key's tower from its top level down to
+			// lowest as Delete does, with no search in between, and
+			// returns the node for a later mark.
+			markDown := func(key uint64, lowest int) *arena.Node {
+				tr.Enter(0)
+				_, w, ok := s.find(0, key, 0, false)
+				tr.Leave(0)
+				if !ok {
+					t.Fatalf("key %d missing before any mark", key)
+				}
+				n := a.Deref(w)
+				for level := s.Height(key) - 1; level >= lowest; level-- {
+					for {
+						old := n.Link(level).Load()
+						if ptr.Marked(old) || n.Link(level).CompareAndSwap(old, ptr.WithMark(old)) {
+							break
+						}
+					}
+				}
+				return n
+			}
+			expect := func(key uint64, want bool, when string) {
+				tr.Enter(0)
+				defer tr.Leave(0)
+				if v, ok := s.Get(0, key); ok != want || ok && v != 3*key+1 {
+					t.Fatalf("Get(%d) = %d, %v %s", key, v, ok, when)
+				}
+				if _, _, ok := s.find(0, key, 0, true); ok != want {
+					t.Fatalf("Delete's first search for %d found = %v %s", key, ok, when)
+				}
+			}
+
+			paused := markDown(tall[0], 1)
+			expect(tall[0], true, "with only the upper levels marked")
+			paused.Link(0).Store(ptr.WithMark(paused.Link(0).Load()))
+			expect(tall[0], false, "after the level-0 mark")
+
+			markDown(tall[1], 0)
+			expect(tall[1], false, "with every level marked and linked")
+
+			if n := s.Len(); n != 1022 {
+				t.Fatalf("Len = %d after two deletes of 1024 keys", n)
+			}
+			if st := tr.Stats(); st.Retired != 2 {
+				t.Fatalf("retired %d towers, want 2 (stats %+v)", st.Retired, st)
+			}
+		})
 	}
 }

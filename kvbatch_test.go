@@ -559,6 +559,12 @@ func FuzzKVApply(f *testing.F) {
 	})
 }
 
+// applyRing is the length of the op stream an Apply benchmark draws
+// once: a row applies consecutive windows of its batch size from it,
+// wrapping at the end, so every row runs the same ops whatever its batch
+// size. It is a multiple of every batch size the rows use.
+const applyRing = 4096
+
 // BenchmarkKVApply measures the per-operation cost of batched writes+
 // reads against batch=1 (the singleton bracket through the same code
 // path): the lease + Enter/Leave amortization must win from BatchSize
@@ -571,7 +577,7 @@ func BenchmarkKVApply(b *testing.B) {
 				kv.Insert(k, kvChecksum(k))
 			}
 			rng := rand.New(rand.NewSource(1))
-			ops := make([]hyaline.Op, size)
+			ops := make([]hyaline.Op, applyRing)
 			for i := range ops {
 				key := uint64(rng.Intn(20_000))
 				switch i % 4 {
@@ -588,8 +594,8 @@ func BenchmarkKVApply(b *testing.B) {
 			b.ResetTimer()
 			// b.N counts individual operations, so ns/op is per op and
 			// directly comparable across batch sizes.
-			for n := 0; n < b.N; n += size {
-				dst = kv.ApplyInto(dst[:0], ops)
+			for n, at := 0, 0; n < b.N; n, at = n+size, (at+size)%applyRing {
+				dst = kv.ApplyInto(dst[:0], ops[at:at+size])
 			}
 		})
 	}

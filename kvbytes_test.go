@@ -395,13 +395,13 @@ func BenchmarkKVBytesApply(b *testing.B) {
 	for _, size := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			kv, keys := benchBytesKV(b, 1, prefill, valueSize)
-			ops := bytesApplyOps(keys, size, valueSize, 1)
+			ops := bytesApplyOps(keys, valueSize, 1)
 			dst := make([]hyaline.BytesResult, 0, size)
 			var buf []byte
 			b.ReportAllocs()
 			b.ResetTimer()
-			for n := 0; n < b.N; n += size {
-				dst, buf = kv.ApplyBytesInto(dst[:0], buf[:0], ops)
+			for n, at := 0, 0; n < b.N; n, at = n+size, (at+size)%applyRing {
+				dst, buf = kv.ApplyBytesInto(dst[:0], buf[:0], ops[at:at+size])
 			}
 		})
 	}
@@ -418,14 +418,14 @@ func BenchmarkKVBytesApply(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for g := range goroutines {
-			ops := bytesApplyOps(keys, size, valueSize, int64(g+1))
+			ops := bytesApplyOps(keys, valueSize, int64(g+1))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				dst := make([]hyaline.BytesResult, 0, size)
 				var buf []byte
-				for n := g * size; n < b.N; n += goroutines * size {
-					dst, buf = kv.ApplyBytesInto(dst[:0], buf[:0], ops)
+				for n, at := g*size, 0; n < b.N; n, at = n+goroutines*size, (at+size)%applyRing {
+					dst, buf = kv.ApplyBytesInto(dst[:0], buf[:0], ops[at:at+size])
 				}
 			}()
 		}
@@ -433,13 +433,13 @@ func BenchmarkKVBytesApply(b *testing.B) {
 	})
 }
 
-// bytesApplyOps is one batch of size ops over keys, drawn from seed: a
-// quarter inserts of valueSize-byte values, a quarter deletes, half
+// bytesApplyOps is one ring of applyRing ops over keys, drawn from seed:
+// a quarter inserts of valueSize-byte values, a quarter deletes, half
 // gets.
-func bytesApplyOps(keys [][]byte, size, valueSize int, seed int64) []hyaline.BytesOp {
+func bytesApplyOps(keys [][]byte, valueSize int, seed int64) []hyaline.BytesOp {
 	val := bytes.Repeat([]byte{0x5A}, valueSize)
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]hyaline.BytesOp, size)
+	ops := make([]hyaline.BytesOp, applyRing)
 	for i := range ops {
 		key := keys[rng.Intn(len(keys))]
 		switch i % 4 {
