@@ -4,8 +4,8 @@
 // (million operations/second) and unreclaimed (the time-averaged
 // retired-but-not-freed node count). The paper's numbers came from a
 // 72-core Xeon; only the curve shapes are expected to transfer. For the
-// full sweeps and the serving figures use `hyalinebench -figure all`;
-// for a performance claim use benchmark/ (README, "Measuring").
+// full sweeps use `hyalinebench -figure all`; for a performance claim
+// use benchmark/ (README, "Measuring").
 package hyaline_test
 
 import (
@@ -42,13 +42,12 @@ func BenchmarkTable1Properties(b *testing.B) {
 	}
 }
 
-// BenchmarkFigures walks bench.AllFigures: every in-process sweep, each
-// curve at the core count and oversubscribed (stalled sweeps: one stalled
-// thread and half the cores). A point is Figure.Run on a one-curve,
-// one-x copy of the figure, so the curve→Config mapping is the CLI's.
-// Every point reports both metrics, so an unreclaimed figure that reruns
-// a throughput figure's sweep (9, 12, 18, 20) is skipped; the "conns"
-// sweeps stay with hyalinebench.
+// BenchmarkFigures walks bench.AllFigures, all of them in-process sweeps:
+// each curve at the core count and oversubscribed (stalled sweeps: one
+// stalled thread and half the cores). A point is Figure.Run on a
+// one-curve, one-x copy of the figure, so the curve→Config mapping is
+// the CLI's. Every point reports both metrics, so an unreclaimed figure
+// that reruns a throughput figure's sweep (9, 12) is skipped.
 func BenchmarkFigures(b *testing.B) {
 	cores := runtime.GOMAXPROCS(0)
 	sweeps := map[string][]int{
@@ -58,7 +57,7 @@ func BenchmarkFigures(b *testing.B) {
 	ran := map[string]bool{}
 	for _, f := range bench.AllFigures() {
 		xs, runs := sweeps[f.Sweep], fmt.Sprint(f.Structure, f.Workload, f.Sweep, f.Curves)
-		if xs == nil || (f.Metric == "unreclaimed" && ran[runs]) {
+		if f.Metric == "unreclaimed" && ran[runs] {
 			continue
 		}
 		ran[runs] = true

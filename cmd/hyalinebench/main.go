@@ -9,10 +9,7 @@
 //	hyalinebench -figure 8c                 # run one figure, CSV to stdout
 //	hyalinebench -figure all -duration 2s   # run everything (slow)
 //	hyalinebench -structure hashmap -scheme hyaline -threads 8   # one point
-//	hyalinebench -structure hashmap -scheme hyaline -sessions -batch 64   # batched leases
-//	hyalinebench -structure hashmap -scheme hyaline -conns 16 -pipeline 16   # client/server mode
-//	hyalinebench -structure blist -scheme hyaline -valuesize 128   # bytes payloads
-//	hyalinebench -structure hashmap -scheme hyaline -conns 16 -shards 4   # ... over a sharded store
+//	hyalinebench -structure hashmap -scheme hyaline -sessions -goroutines 32   # leased tids
 //
 // Absolute numbers depend on the machine; the paper's claims are about
 // shapes (scheme ordering, the oversubscription crossover, robustness
@@ -41,6 +38,16 @@ func main() {
 	}
 }
 
+// sweep runs one figure; tests replace it to inspect the options a
+// -figure run maps its flags to.
+var sweep = bench.Figure.Run
+
+// workloads are the -workload values: the paper's two mixes.
+var workloads = map[string]bench.Workload{
+	"write": bench.WriteHeavy,
+	"read":  bench.ReadMostly,
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("hyalinebench", flag.ContinueOnError)
 	var (
@@ -48,26 +55,15 @@ func run(args []string) error {
 		table1   = fs.Bool("table1", false, "print the paper's Table 1 (qualitative comparison)")
 		figure   = fs.String("figure", "", "figure id to regenerate (e.g. 8c, 10a; 'all' for everything)")
 		duration = fs.Duration("duration", time.Second, "measurement window per data point (paper: 10s)")
-		threads  = fs.Int("threads", runtime.GOMAXPROCS(0), "worker count for single runs / active threads for -figure 10a")
+		threads  = fs.Int("threads", runtime.GOMAXPROCS(0), "worker count for single runs; active threads for -figure 10a, which runs GOMAXPROCS-2 when this is unset")
 		stalled  = fs.Int("stalled", 0, "stalled-thread count for single runs")
 
 		structure = fs.String("structure", "", "single run: data structure (list|hashmap|bonsai|natarajan|skiplist)")
 		scheme    = fs.String("scheme", "", "single run: reclamation scheme")
-		workload  = fs.String("workload", "write", "workload mix: write (50i/50d), read (90g/10p) or scan (10i/10d/10r/70g)")
-		rangePct  = fs.Int("range", 0, "single run: percentage of operations that are range scans (ordered structures only; carved from the get share)")
-		rangeSpan = fs.Uint64("rangespan", 128, "single run: key width of one range scan")
+		workload  = fs.String("workload", "write", "workload mix: write (50i/50d) or read (90g/10p)")
 		trim      = fs.Bool("trim", false, "single run: use Hyaline trim (§3.3)")
 		sessions  = fs.Bool("sessions", false, "single run: drive workers through the leased-tid session layer (goroutines share -threads tids)")
 		gor       = fs.Int("goroutines", 0, "single run: session-mode worker count (0 or -1 = auto, 2x threads; may exceed -threads)")
-		batch     = fs.Int("batch", 0, "single run: operations per lease+Enter/Leave bracket (0/1 = singleton ops)")
-		conns     = fs.Int("conns", 0, "single run: client/server mode — drive an in-process TCP server with this many closed-loop connections")
-		pipe      = fs.Int("pipeline", 0, "single run: requests kept in flight per connection (needs -conns; 0 = 1, singleton round trips)")
-		coalesce  = fs.Bool("coalesce", false, "single run: merge apply batches across connections (needs -conns)")
-		poll      = fs.Bool("poll", false, "single run: park idle connections in the readiness poller (needs -conns and a poller backend)")
-		ooo       = fs.Bool("ooo", false, "single run: complete replies out of order on seq-framed connections; implies -coalesce (needs -conns)")
-		emitMet   = fs.Bool("metrics", false, "single run: print the server's metrics-registry snapshot (JSON) after the result (needs -conns)")
-		valsize   = fs.Int("valuesize", 0, "single run: bytes payload size — switches to []byte keys/values (bytes structures only, e.g. blist)")
-		shards    = fs.Int("shards", 0, "single run: shard count of the served store (needs -conns; 0/1 = unsharded; may exceed -threads — idle shards just see less traffic)")
 		slots     = fs.Int("slots", 0, "Hyaline slot cap k (0 = next pow2 of cores)")
 		prefill   = fs.Int("prefill", 50_000, "prefill element count")
 		keyrange  = fs.Uint64("keyrange", 100_000, "key universe size")
@@ -85,9 +81,10 @@ func run(args []string) error {
 	if *gor == -1 {
 		*gor = 0 // explicit auto, same as the default
 	}
+	wl, knownWorkload := workloads[*workload]
 	switch {
-	case *batch < 0:
-		return fmt.Errorf("-batch %d: a batch cannot have a negative size (0 or 1 = singleton ops)", *batch)
+	case !knownWorkload:
+		return fmt.Errorf("-workload %q: want write or read", *workload)
 	case *gor < 0:
 		return fmt.Errorf("-goroutines %d: want a positive worker count, or 0/-1 for auto (2x threads)", *gor)
 	case *gor > 0 && !*sessions:
@@ -96,32 +93,6 @@ func run(args []string) error {
 		return fmt.Errorf("-threads %d: need at least one worker thread", *threads)
 	case *stalled < 0:
 		return fmt.Errorf("-stalled %d: the stalled-thread count cannot be negative", *stalled)
-	case *conns < 0:
-		return fmt.Errorf("-conns %d: the connection count cannot be negative", *conns)
-	case *pipe < 0:
-		return fmt.Errorf("-pipeline %d: the pipeline depth cannot be negative", *pipe)
-	case *pipe > 0 && *conns == 0:
-		return fmt.Errorf("-pipeline %d without -conns: pipelining is a property of client connections (add -conns)", *pipe)
-	case *coalesce && *conns == 0:
-		return fmt.Errorf("-coalesce without -conns: coalescing merges apply batches across client connections (add -conns)")
-	case *poll && *conns == 0:
-		return fmt.Errorf("-poll without -conns: the readiness poller parks client connections (add -conns)")
-	case *ooo && *conns == 0:
-		return fmt.Errorf("-ooo without -conns: out-of-order completion is a serving-layer mode (add -conns)")
-	case *emitMet && *conns == 0:
-		return fmt.Errorf("-metrics without -conns: the metrics registry lives in the server (add -conns)")
-	case *conns > 0 && (*sessions || *gor > 0):
-		return fmt.Errorf("-conns %d with -sessions/-goroutines: client/server mode manages its own goroutines", *conns)
-	case *conns > 0 && *batch > 0:
-		return fmt.Errorf("-conns %d with -batch: the server batches pipelined commands itself (use -pipeline)", *conns)
-	case *valsize < 0:
-		return fmt.Errorf("-valuesize %d: the payload size cannot be negative (0 = uint64 payloads)", *valsize)
-	case *valsize > 0 && *conns > 0:
-		return fmt.Errorf("-valuesize %d with -conns: the client/server bench drives uint64 frames only", *valsize)
-	case *shards < 0:
-		return fmt.Errorf("-shards %d: the shard count cannot be negative (0 or 1 = unsharded)", *shards)
-	case *shards > 1 && *conns == 0:
-		return fmt.Errorf("-shards %d without -conns: sharding is a property of the served store (add -conns)", *shards)
 	}
 
 	switch {
@@ -130,27 +101,30 @@ func run(args []string) error {
 	case *table1:
 		return printTable1()
 	case *figure != "":
-		return runFigures(*figure, *duration, *threads, *prefill, *keyrange, *sweepCSV, *ascii)
+		xs, err := parseSweep(*sweepCSV)
+		if err != nil {
+			return err
+		}
+		opts := bench.RunOptions{Duration: *duration, Prefill: *prefill, KeyRange: *keyrange, Xs: xs}
+		// Figure.Run picks the stalled sweeps' active threads itself
+		// unless -threads says otherwise.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "threads" {
+				opts.ActiveThreads = *threads
+			}
+		})
+		return runFigures(*figure, opts, *ascii)
 	case *structure != "" && *scheme != "":
-		return runSingle(*workload, *rangePct, bench.Config{
+		return runSingle(bench.Config{
 			Structure:  *structure,
 			Scheme:     *scheme,
 			Threads:    *threads,
 			Stalled:    *stalled,
 			Duration:   *duration,
-			RangeSpan:  *rangeSpan,
+			Workload:   wl,
 			Trim:       *trim,
 			Sessions:   *sessions,
 			Goroutines: *gor,
-			BatchSize:  *batch,
-			Conns:      *conns,
-			Pipeline:   *pipe,
-			Coalesce:   *coalesce,
-			Poll:       *poll,
-			OOO:        *ooo,
-			ValueSize:  *valsize,
-			Shards:     *shards,
-			Metrics:    *emitMet,
 			Prefill:    *prefill,
 			KeyRange:   *keyrange,
 			ArenaCap:   *arenaCap,
@@ -205,11 +179,7 @@ func parseSweep(csv string) ([]int, error) {
 	return xs, nil
 }
 
-func runFigures(id string, duration time.Duration, active, prefill int, keyrange uint64, sweepCSV string, ascii bool) error {
-	xs, err := parseSweep(sweepCSV)
-	if err != nil {
-		return err
-	}
+func runFigures(id string, opts bench.RunOptions, ascii bool) error {
 	var figs []bench.Figure
 	if id == "all" {
 		figs = bench.AllFigures()
@@ -222,17 +192,9 @@ func runFigures(id string, duration time.Duration, active, prefill int, keyrange
 			figs = append(figs, f)
 		}
 	}
+	opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	for _, f := range figs {
-		tab, err := f.Run(bench.RunOptions{
-			Duration:      duration,
-			ActiveThreads: active,
-			Prefill:       prefill,
-			KeyRange:      keyrange,
-			Xs:            xs,
-			Progress: func(line string) {
-				fmt.Fprintln(os.Stderr, line)
-			},
-		})
+		tab, err := sweep(f, opts)
 		if err != nil {
 			return err
 		}
@@ -246,31 +208,8 @@ func runFigures(id string, duration time.Duration, active, prefill int, keyrange
 	return nil
 }
 
-// runSingle measures one data point: cfg with the named workload mix,
-// rangePct percent of it carved out for range scans.
-func runSingle(workload string, rangePct int, cfg bench.Config) error {
-	wl := bench.WriteHeavy
-	switch {
-	case strings.HasPrefix(workload, "read"):
-		wl = bench.ReadMostly
-	case strings.HasPrefix(workload, "scan"):
-		wl = bench.ScanMix
-	}
-	if rangePct < 0 || rangePct > 100 {
-		return fmt.Errorf("-range %d%% outside [0, 100]", rangePct)
-	}
-	if rangePct > 0 {
-		// Scans take their share from the gets first; if the mutation
-		// percentages no longer fit, shrink insert/delete proportionally
-		// so the mix still sums to 100.
-		wl.RangePct = rangePct
-		if over := wl.InsertPct + wl.DeletePct + wl.RangePct - 100; over > 0 {
-			wl.InsertPct -= over / 2
-			wl.DeletePct -= over - over/2
-		}
-		wl.GetPct = 100 - wl.InsertPct - wl.DeletePct - wl.RangePct
-	}
-	cfg.Workload = wl
+// runSingle measures one data point.
+func runSingle(cfg bench.Config) error {
 	res, err := bench.Run(cfg)
 	if err != nil {
 		return err
@@ -278,12 +217,5 @@ func runSingle(workload string, rangePct int, cfg bench.Config) error {
 	fmt.Println(res)
 	fmt.Printf("  ops=%d max-unreclaimed=%d stats=%+v\n",
 		res.Ops, res.MaxUnreclaimed, res.FinalStats)
-	if res.ScannedKeys > 0 {
-		fmt.Printf("  range scans visited %d keys (%.2f Mkeys/s)\n",
-			res.ScannedKeys, float64(res.ScannedKeys)/res.Duration.Seconds()/1e6)
-	}
-	if len(res.Metrics) > 0 {
-		fmt.Printf("  metrics: %s\n", res.Metrics)
-	}
 	return nil
 }

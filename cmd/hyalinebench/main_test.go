@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"hyaline/internal/bench"
 )
 
 // TestFlagValidation: contradictory or negative knobs must abort with a
@@ -14,28 +16,15 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string // substring of the error
 	}{
-		{"negative batch", append(single, "-batch=-8"), "-batch"},
 		{"goroutines below auto", append(single, "-goroutines=-2"), "-goroutines"},
 		{"goroutines without sessions", append(single, "-goroutines=4"), "-sessions"},
 		{"zero threads", append(single, "-threads=0"), "-threads"},
 		{"negative threads", append(single, "-threads=-3"), "-threads"},
 		{"negative stalled", append(single, "-stalled=-1"), "-stalled"},
-		{"negative conns", append(single, "-conns=-1"), "-conns"},
-		{"negative pipeline", append(single, "-pipeline=-1"), "-pipeline"},
-		{"pipeline without conns", append(single, "-pipeline=8"), "-conns"},
-		{"metrics without conns", append(single, "-metrics"), "-conns"},
-		{"conns with sessions", append(single, "-conns=2", "-sessions"), "-sessions"},
-		{"conns with batch", append(single, "-conns=2", "-batch=16"), "-batch"},
-		{"negative shards", append(single, "-shards=-1"), "-shards"},
-		// -shards is the served store's shard count: without -conns it is
-		// refused by one rule, whatever in-process knob rides along.
-		{"shards without conns", append(single, "-shards=4"), "-conns"},
-		{"shards with trim", append(single, "-shards=4", "-trim"), "-conns"},
-		{"shards with sessions", append(single, "-shards=4", "-sessions"), "-conns"},
-		{"shards with stalled", append(single, "-shards=4", "-stalled=1"), "-conns"},
-		{"shards with batch", append(single, "-shards=4", "-batch=16"), "-conns"},
-		{"shards with valuesize", append(single, "-shards=4", "-valuesize=64"), "-conns"},
-		{"shards with range", append(single, "-shards=4", "-range=10"), "-conns"},
+		// Only the paper's two mixes exist: a misspelt or retired mix name
+		// is refused, not run as write-heavy.
+		{"workload reed", append(single, "-workload=reed"), "-workload"},
+		{"workload scan", append(single, "-workload=scan"), "-workload"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -51,7 +40,7 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestFlagValidationAccepts: the knobs' legal shapes still run — -1 as
-// an explicit goroutines auto, and client/server mode with a pipeline.
+// an explicit goroutines auto, and both workload names.
 func TestFlagValidationAccepts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real (tiny) benchmark windows")
@@ -62,15 +51,39 @@ func TestFlagValidationAccepts(t *testing.T) {
 	}
 	cases := [][]string{
 		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-sessions", "-goroutines=-1"}, common...),
-		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-conns", "2", "-pipeline", "4"}, common...),
-		// shards above threads: legal — idle shards just see less traffic.
-		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-shards", "4", "-conns", "2"}, common...),
-		// -metrics rides serve mode: the result embeds a registry snapshot.
-		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-conns", "2", "-metrics"}, common...),
+		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-workload", "read"}, common...),
+		append([]string{"-structure", "hashmap", "-scheme", "epoch", "-workload", "write"}, common...),
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
 			t.Fatalf("run(%v): %v", args, err)
+		}
+	}
+}
+
+// TestFigureThreads: -figure passes -threads on as the sweep's active
+// thread count only when the flag was given, so Figure.Run's own default
+// (GOMAXPROCS-2 for the stalled sweeps) holds otherwise.
+func TestFigureThreads(t *testing.T) {
+	defer func(orig func(bench.Figure, bench.RunOptions) (bench.Table, error)) { sweep = orig }(sweep)
+	var got []int
+	sweep = func(f bench.Figure, opts bench.RunOptions) (bench.Table, error) {
+		got = append(got, opts.ActiveThreads)
+		return bench.Table{Figure: f}, nil
+	}
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-figure", "10a"}, 0},
+		{[]string{"-figure", "10a", "-threads", "3"}, 3},
+	} {
+		got = nil
+		if err := run(c.args); err != nil {
+			t.Fatalf("run(%v): %v", c.args, err)
+		}
+		if len(got) != 1 || got[0] != c.want {
+			t.Fatalf("run(%v) swept with ActiveThreads %v, want [%d]", c.args, got, c.want)
 		}
 	}
 }

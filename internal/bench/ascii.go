@@ -13,11 +13,7 @@ func (t Table) ASCII() string {
 	const barWidth = 40
 	var b strings.Builder
 	fmt.Fprintf(&b, "figure %s — %s\n", t.Figure.ID, t.Figure.Caption)
-	xName := "threads"
-	if t.Figure.Sweep == "stalled" {
-		xName = "stalled"
-	}
-	fmt.Fprintf(&b, "%s: %v   metric: %s (bar = last point)\n", xName, t.Xs, t.Figure.Metric)
+	fmt.Fprintf(&b, "%s: %v   metric: %s (bar = last point)\n", t.Figure.axis(), t.Xs, t.Figure.Metric)
 
 	maxVal := 0.0
 	for _, c := range t.Figure.Curves {

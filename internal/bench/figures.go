@@ -33,30 +33,6 @@ type Curve struct {
 	Slots int
 	// Resize enables Hyaline-S adaptive resizing.
 	Resize bool
-	// Sessions drives this curve through the leased-tid session layer.
-	Sessions bool
-	// Batch groups operations into brackets of this size (0/1 =
-	// singleton; see Config.BatchSize).
-	Batch int
-	// Pipeline is the per-connection in-flight request depth for the
-	// client/server figures (sweep "conns"); 0 elsewhere.
-	Pipeline int
-	// Coalesce runs this curve's server with cross-connection apply
-	// coalescing (sweep "conns" only).
-	Coalesce bool
-	// Poll parks this curve's idle connections in the readiness poller
-	// (sweep "conns" only; needs a poller backend).
-	Poll bool
-	// OOO completes this curve's replies out of order on seq-framed
-	// connections; implies Coalesce (sweep "conns" only).
-	OOO bool
-	// Structure overrides the figure's structure for this curve (empty =
-	// inherit). The payload-comparison figures use it to put the uint64
-	// structure and its bytes twin on the same axes.
-	Structure string
-	// ValueSize switches this curve to the bytes payload path with
-	// values of this size (see Config.ValueSize); 0 = uint64 payloads.
-	ValueSize int
 }
 
 // Figure is a runnable experiment specification.
@@ -72,16 +48,19 @@ type Figure struct {
 	// Metric selects what the figure plots: "throughput" (Mops/s) or
 	// "unreclaimed" (average retired-but-not-freed objects).
 	Metric string
-	// Sweep is the x-axis: "threads", "stalled" or "conns" (client/
-	// server mode: x is the loopback connection count).
+	// Sweep is the x-axis: "threads" or "stalled".
 	Sweep string
-	// Xs overrides the sweep's default x values for this figure (the
-	// explicit RunOptions.Xs still wins). Figures whose interesting
-	// regime is not the default sweep — figure 25's march toward
-	// thousands of connections — pin their points here.
-	Xs []int
 	// Curves lists the series.
 	Curves []Curve
+}
+
+// axis names the sweep's x-axis: "stalled", or "threads" for any other
+// Sweep value.
+func (f Figure) axis() string {
+	if f.Sweep == "stalled" {
+		return "stalled"
+	}
+	return "threads"
 }
 
 // standardCurves returns the paper's scheme line-up for a structure
@@ -170,179 +149,6 @@ func AllFigures() []Figure {
 
 	add("11", "throughput", ReadMostly)
 	add("12", "unreclaimed", ReadMostly)
-	// Figures 17/18 are reproduction extensions beyond the paper: the
-	// scan-mix workload over the ordered structures (ds.SupportsRange).
-	// Range scans pin long chains of nodes for the whole traversal, so
-	// these rows are where the schemes' unreclaimed-garbage behaviour
-	// diverges most.
-	addScan := func(num, metric string) {
-		for _, s := range structures {
-			if !ds.SupportsRange(s.name) {
-				continue
-			}
-			figs = append(figs, Figure{
-				ID: num + s.suffix,
-				Caption: fmt.Sprintf("x86-64: %s %s, %s workload (reproduction extension)",
-					s.name, metric, ScanMix.Name()),
-				Structure: s.name,
-				Workload:  ScanMix,
-				Metric:    metric,
-				Sweep:     "threads",
-				Curves:    standardCurves(s.name),
-			})
-		}
-	}
-	addScan("17", "throughput")
-	addScan("18", "unreclaimed")
-	// Figures 19/20 are reproduction extensions: batched operations
-	// through the session layer. One lease + one Enter/Leave bracket per
-	// batch amortizes the per-op session cost (figure 19, throughput);
-	// the per-chunk trim keeps retired garbage bounded even with big
-	// batches (figure 20, unreclaimed).
-	batchCurves := []Curve{
-		{Label: "hyaline-singleton", Scheme: "hyaline", Sessions: true, Batch: 1},
-		{Label: "hyaline-batch16", Scheme: "hyaline", Sessions: true, Batch: 16},
-		{Label: "hyaline-batch64", Scheme: "hyaline", Sessions: true, Batch: 64},
-		{Label: "hyaline-batch256", Scheme: "hyaline", Sessions: true, Batch: 256},
-		{Label: "epoch-singleton", Scheme: "epoch", Sessions: true, Batch: 1},
-		{Label: "epoch-batch64", Scheme: "epoch", Sessions: true, Batch: 64},
-	}
-	figs = append(figs, Figure{
-		ID:        "19",
-		Caption:   "x86-64: hashmap throughput, batched vs singleton leased operations (reproduction extension)",
-		Structure: "hashmap",
-		Workload:  WriteHeavy,
-		Metric:    "throughput",
-		Sweep:     "threads",
-		Curves:    batchCurves,
-	}, Figure{
-		ID:        "20",
-		Caption:   "x86-64: hashmap unreclaimed objects, batched vs singleton leased operations (reproduction extension)",
-		Structure: "hashmap",
-		Workload:  WriteHeavy,
-		Metric:    "unreclaimed",
-		Sweep:     "threads",
-		Curves:    batchCurves,
-	})
-	// Figures 21/22 are reproduction extensions: the network serving
-	// layer (internal/server). Closed-loop loopback connections drive the
-	// KV through the wire protocol; pipelined curves coalesce each
-	// connection's in-flight window into one Apply batch, singleton
-	// curves pay a full round trip and a full bracket per op.
-	var serveCurves []Curve
-	for _, s := range []string{"hyaline", "epoch", "ibr", "hp"} {
-		serveCurves = append(serveCurves,
-			Curve{Label: s + "-pipe1", Scheme: s, Pipeline: 1},
-			Curve{Label: s + "-pipe16", Scheme: s, Pipeline: 16},
-		)
-	}
-	figs = append(figs, Figure{
-		ID:        "21",
-		Caption:   "x86-64: hashmap served throughput, pipelined vs singleton connections (reproduction extension)",
-		Structure: "hashmap",
-		Workload:  WriteHeavy,
-		Metric:    "throughput",
-		Sweep:     "conns",
-		Curves:    serveCurves,
-	}, Figure{
-		ID:        "22",
-		Caption:   "x86-64: hashmap unreclaimed objects under served load, pipelined vs singleton connections (reproduction extension)",
-		Structure: "hashmap",
-		Workload:  WriteHeavy,
-		Metric:    "unreclaimed",
-		Sweep:     "conns",
-		Curves:    serveCurves,
-	})
-	// Figures 23/24 are reproduction extensions: uint64 vs bytes
-	// payloads. The same sorted-list protocol runs with uint64 payloads
-	// ("list") and with []byte keys/values in blob slabs ("blist"), so
-	// the gap between curves is the cost of variable-size payloads —
-	// key encode/compare, blob alloc/copy — not a structure change.
-	// Figure 23 is the per-operation Get-heavy view; figure 24 drives
-	// the same comparison through batched leased brackets (the
-	// measurement analogue of Apply/ApplyBytes).
-	payloadCurves := func(batch int) []Curve {
-		var curves []Curve
-		for _, s := range []string{"hyaline", "epoch"} {
-			curves = append(curves,
-				Curve{Label: s + "-u64", Scheme: s, Sessions: batch > 1, Batch: batch},
-				Curve{Label: s + "-16B", Scheme: s, Structure: "blist", ValueSize: 16, Sessions: batch > 1, Batch: batch},
-				Curve{Label: s + "-128B", Scheme: s, Structure: "blist", ValueSize: 128, Sessions: batch > 1, Batch: batch},
-				Curve{Label: s + "-1KiB", Scheme: s, Structure: "blist", ValueSize: 1024, Sessions: batch > 1, Batch: batch},
-			)
-		}
-		return curves
-	}
-	figs = append(figs, Figure{
-		ID:        "23",
-		Caption:   "x86-64: list Get throughput, uint64 vs bytes payloads (reproduction extension)",
-		Structure: "list",
-		Workload:  ReadMostly,
-		Metric:    "throughput",
-		Sweep:     "threads",
-		Curves:    payloadCurves(1),
-	}, Figure{
-		ID:        "24",
-		Caption:   "x86-64: list batched-apply throughput, uint64 vs bytes payloads (reproduction extension)",
-		Structure: "list",
-		Workload:  WriteHeavy,
-		Metric:    "throughput",
-		Sweep:     "threads",
-		Curves:    payloadCurves(64),
-	})
-	// Figure 25 is a reproduction extension: cross-connection apply
-	// coalescing. Every connection is a singleton-pipeline client — the
-	// worst case for per-connection batching, since each op pays a full
-	// session bracket — swept toward thousands of connections. The
-	// coalesced curves merge those singleton runs into shared kv.Apply
-	// batches under the 50µs default window; the per-connection curves
-	// are the PR-5 baseline. Results carry ops/batch, p99 round-trip
-	// latency and the goroutine high-water mark (2 server goroutines per
-	// connection), so the table shows what coalescing buys and what the
-	// goroutine-pair model costs at the 1k–4k scale the ROADMAP's
-	// event-driven-poller item targets.
-	var coalesceCurves []Curve
-	for _, s := range []string{"hyaline", "epoch"} {
-		coalesceCurves = append(coalesceCurves,
-			Curve{Label: s + "-perconn", Scheme: s, Pipeline: 1},
-			Curve{Label: s + "-coalesced", Scheme: s, Pipeline: 1, Coalesce: true},
-		)
-	}
-	figs = append(figs, Figure{
-		ID:        "25",
-		Caption:   "x86-64: hashmap served throughput from singleton-pipeline connections, per-connection vs coalesced apply (reproduction extension)",
-		Structure: "hashmap",
-		Workload:  WriteHeavy,
-		Metric:    "throughput",
-		Sweep:     "conns",
-		Xs:        []int{1, 8, 64, 256, 1024, 4096},
-		Curves:    coalesceCurves,
-	})
-	// Figure 27 is a reproduction extension: what the serving model
-	// itself costs at connection scale. Three curves over the same
-	// write-heavy hashmap, swept from 1k to 10k mostly-idle
-	// singleton-pipeline connections: the PR-5 goroutine-per-connection
-	// baseline, the readiness poller (idle conns park their fds in
-	// epoll/kqueue, a bounded worker pool services the readable ones),
-	// and the poller with out-of-order reply completion on top of
-	// coalesced apply. The gauge is Result.PeakSrvGoroutines — the
-	// server-only goroutine high-water mark, which must grow O(conns) for
-	// the baseline and stay O(workers) for the polled curves — plus
-	// PeakFDs for the descriptor bill the goroutines no longer hide.
-	figs = append(figs, Figure{
-		ID:        "27",
-		Caption:   "x86-64: hashmap served throughput and server goroutine high-water vs connection count, goroutine-per-conn vs readiness poller vs poller+OOO (reproduction extension)",
-		Structure: "hashmap",
-		Workload:  WriteHeavy,
-		Metric:    "throughput",
-		Sweep:     "conns",
-		Xs:        []int{1000, 2500, 5000, 10000},
-		Curves: []Curve{
-			{Label: "hyaline-perconn", Scheme: "hyaline", Pipeline: 1},
-			{Label: "hyaline-poll", Scheme: "hyaline", Pipeline: 1, Poll: true},
-			{Label: "hyaline-poll-ooo", Scheme: "hyaline", Pipeline: 1, Poll: true, OOO: true, Coalesce: true},
-		},
-	})
 	return figs
 }
 
@@ -363,7 +169,7 @@ type RunOptions struct {
 	// Xs overrides the sweep points (thread counts or stalled counts).
 	Xs []int
 	// ActiveThreads fixes the worker count for stalled sweeps
-	// (default GOMAXPROCS; the paper uses all 72 cores).
+	// (default GOMAXPROCS-2, at least 1; the paper uses all 72 cores).
 	ActiveThreads int
 	// Prefill and KeyRange override the paper's 50k/100k.
 	Prefill  int
@@ -386,21 +192,6 @@ func DefaultThreadSweep() []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// DefaultConnSweep spans 1 to 4×GOMAXPROCS connections in powers of two:
-// each connection is a goroutine pair server-side, so the top of the
-// sweep oversubscribes goroutines, connections and leased tids at once.
-func DefaultConnSweep() []int {
-	top := 4 * runtime.GOMAXPROCS(0)
-	var out []int
-	for x := 1; x <= top; x *= 2 {
-		out = append(out, x)
-	}
-	if out[len(out)-1] != top {
-		out = append(out, top) // pin the 4x endpoint on non-pow2 core counts
-	}
 	return out
 }
 
@@ -446,15 +237,9 @@ func (f Figure) Run(opts RunOptions) (Table, error) {
 	}
 	xs := opts.Xs
 	if len(xs) == 0 {
-		xs = f.Xs
-	}
-	if len(xs) == 0 {
-		switch f.Sweep {
-		case "stalled":
+		if f.Sweep == "stalled" {
 			xs = DefaultStallSweep(opts.ActiveThreads)
-		case "conns":
-			xs = DefaultConnSweep()
-		default:
+		} else {
 			xs = DefaultThreadSweep()
 		}
 	}
@@ -468,9 +253,6 @@ func (f Figure) Run(opts RunOptions) (Table, error) {
 				Workload:  f.Workload,
 				Duration:  opts.Duration,
 				Trim:      curve.Trim,
-				Sessions:  curve.Sessions,
-				BatchSize: curve.Batch,
-				ValueSize: curve.ValueSize,
 				Prefill:   opts.Prefill,
 				KeyRange:  opts.KeyRange,
 				Tracker: trackers.Config{
@@ -478,21 +260,10 @@ func (f Figure) Run(opts RunOptions) (Table, error) {
 					Resize: curve.Resize,
 				},
 			}
-			if curve.Structure != "" {
-				cfg.Structure = curve.Structure
-			}
-			switch f.Sweep {
-			case "stalled":
+			if f.Sweep == "stalled" {
 				cfg.Threads = opts.ActiveThreads
 				cfg.Stalled = x
-			case "conns":
-				cfg.Threads = opts.ActiveThreads
-				cfg.Conns = x
-				cfg.Pipeline = curve.Pipeline
-				cfg.Coalesce = curve.Coalesce
-				cfg.Poll = curve.Poll
-				cfg.OOO = curve.OOO
-			default:
+			} else {
 				cfg.Threads = x
 			}
 			res, err := Run(cfg)
@@ -521,15 +292,8 @@ func (t Table) CSV() string {
 	for _, c := range t.Figure.Curves {
 		labels = append(labels, c.Label)
 	}
-	xName := "threads"
-	switch t.Figure.Sweep {
-	case "stalled":
-		xName = "stalled"
-	case "conns":
-		xName = "conns"
-	}
 	fmt.Fprintf(&b, "# figure %s: %s (metric: %s)\n", t.Figure.ID, t.Figure.Caption, t.Figure.Metric)
-	fmt.Fprintf(&b, "%s,%s\n", xName, strings.Join(labels, ","))
+	fmt.Fprintf(&b, "%s,%s\n", t.Figure.axis(), strings.Join(labels, ","))
 	for i, x := range t.Xs {
 		row := make([]string, 0, len(labels)+1)
 		row = append(row, fmt.Sprintf("%d", x))

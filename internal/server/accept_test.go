@@ -164,7 +164,10 @@ func TestMaxConns(t *testing.T) {
 	over.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Rejected() == 0 {
+	for {
+		if n, _ := srv.Metrics().Value("hyaline_server_conns_rejected_total"); n > 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("over-cap accept was never rejected")
 		}

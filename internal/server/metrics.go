@@ -1,7 +1,6 @@
-// metrics.go binds the server to internal/metrics: every gauge the
-// bench harness used to read from ad-hoc atomic fields lives in a
-// Registry, so a live hyalined exposes the same numbers over
-// /metrics that figure 27's harness samples in-process. Counters and
+// metrics.go binds the server to internal/metrics: every server gauge
+// lives in one Registry, so a live hyalined exposes over /metrics the
+// same numbers its STATS reply and the server's tests read. Counters and
 // histograms on the serve path keep the package's 0 allocs/op
 // contract — the instruments are pre-registered here, never looked up
 // per request.

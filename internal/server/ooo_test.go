@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -66,23 +67,38 @@ func oooOptions() server.Options {
 // test lifecycle of testServer, returning its address.
 func serve(t *testing.T, srv *server.Server) string {
 	t.Helper()
+	addr, shutdown := start(t, srv)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	return addr
+}
+
+// start runs srv on a loopback listener and returns its address and the
+// call that shuts it down: Shutdown under ctx, then Serve's return,
+// which must be ErrServerClosed. A test that checks the drain itself
+// calls shutdown once, instead of leaving it to serve's cleanup.
+func start(t *testing.T, srv *server.Server) (string, func(context.Context) error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
+	return ln.Addr().String(), func(ctx context.Context) error {
 		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
+			return fmt.Errorf("Shutdown: %w", err)
 		}
 		if err := <-serveErr; err != server.ErrServerClosed {
-			t.Errorf("Serve returned %v, want ErrServerClosed", err)
+			return fmt.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
-	})
-	return ln.Addr().String()
+		return nil
+	}
 }
 
 const slowKey = uint64(1 << 40) // outside every test's data key range

@@ -6,7 +6,8 @@
 // windows until the connection goes idle again and re-parks it. N
 // mostly-idle connections therefore cost O(PollWorkers) server
 // goroutines instead of one (previously two) each, which is what lets
-// the conns sweep of figure 27 run to 10k and beyond.
+// one daemon hold 10k and more of them (hyaline_server_goroutines, the
+// STATS goroutines field, shows it).
 //
 // The conn's poll state machine has four states: parked (armed in the
 // poller, no goroutine attached), queued (readable, waiting for a

@@ -19,6 +19,13 @@ func skipWithoutPoller(t *testing.T) {
 	}
 }
 
+// serverGoroutines reads the server's hyaline_server_goroutines gauge:
+// connection readers, poll workers and the poller loop, coalescer shards.
+func serverGoroutines(srv *server.Server) float64 {
+	g, _ := srv.Metrics().Value("hyaline_server_goroutines")
+	return g
+}
+
 // countFDs returns the process's open descriptor count, or -1 where
 // /proc is unavailable.
 func countFDs() int {
@@ -58,10 +65,10 @@ func TestPollServing(t *testing.T) {
 	}
 }
 
-// TestPollGoroutineBound is the figure-27 property as a unit test: N
-// mostly-idle polled connections cost O(PollWorkers) server goroutines,
-// not O(N). 64 idle conns over 4 workers must keep Server.Goroutines()
-// at workers + the poller loop (+ nothing per connection).
+// TestPollGoroutineBound: N mostly-idle polled connections cost
+// O(PollWorkers) server goroutines, not O(N). 64 idle conns over 4
+// workers must keep the hyaline_server_goroutines gauge at workers + the
+// poller loop (+ nothing per connection).
 func TestPollGoroutineBound(t *testing.T) {
 	skipWithoutPoller(t)
 	const nconns, workers = 64, 4
@@ -80,15 +87,16 @@ func TestPollGoroutineBound(t *testing.T) {
 
 	// Every connection is idle now; wait for the workers to re-park the
 	// last of them.
-	bound := int64(workers + 1) // workers + poller loop
+	const bound = workers + 1 // workers + poller loop
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if g := srv.Goroutines(); g <= bound {
+		g := serverGoroutines(srv)
+		if g <= bound {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d idle conns pin %d server goroutines, want <= %d (poll mode must not be per-conn)",
-				nconns, srv.Goroutines(), bound)
+			t.Fatalf("%d idle conns pin %v server goroutines, want <= %d (poll mode must not be per-conn)",
+				nconns, g, bound)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -193,9 +201,9 @@ func TestPollShutdownParked(t *testing.T) {
 	// Wait until all eight are parked (no service pass running), then
 	// return: the cleanup's Shutdown has only parked conns to reap.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Goroutines() > 3 { // 2 workers + loop
+	for serverGoroutines(srv) > 3 { // 2 workers + loop
 		if time.Now().After(deadline) {
-			t.Fatalf("connections never went idle: %d server goroutines", srv.Goroutines())
+			t.Fatalf("connections never went idle: %v server goroutines", serverGoroutines(srv))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -389,16 +389,6 @@ func (s *Server) Counters() (accepted, active, served, batches int64) {
 		int64(s.m.served.Value()), int64(s.m.batches.Value())
 }
 
-// Goroutines reports how many goroutines the server is currently
-// running on behalf of its connections and workers: dedicated
-// connection readers, poll workers and the poller loop, and coalescer
-// shard workers. Under Options.Poll this stays O(PollWorkers) no matter
-// how many idle connections are parked — the gauge figure 27 plots.
-func (s *Server) Goroutines() int64 { return s.m.goroutines.Value() }
-
-// Rejected counts accepts refused by Options.MaxConns.
-func (s *Server) Rejected() int64 { return int64(s.m.rejected.Value()) }
-
 func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -452,7 +442,7 @@ func (s *Server) appendStats(b []byte) []byte {
 		Retired:     uint64(snap.Stats.Retired),
 		Freed:       uint64(snap.Stats.Freed),
 		Scans:       uint64(snap.Stats.Scans),
-		Goroutines:  uint64(s.Goroutines()),
+		Goroutines:  uint64(s.m.goroutines.Value()),
 		Rejected:    s.m.rejected.Value(),
 		ActiveConns: uint64(s.ActiveConns()),
 	})
