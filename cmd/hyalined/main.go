@@ -21,8 +21,8 @@
 // With -coalesce the apply batches are merged across connections:
 // decoded runs from many connections share one session bracket under a
 // -coalescewindow latency budget, which is where the batching win comes
-// from when the clients are many and barely pipelined (pair with
-// hyalineload -seq for open-loop driving).
+// from when the clients are many and barely pipelined. Replies stay in
+// request order on every connection whether or not batches are merged.
 //
 // With -shards N the daemon serves a hash-sharded KV: N independent
 // structure+tracker partitions over one node pool (and blob heap), each
@@ -34,9 +34,8 @@
 // With -poll idle connections park their descriptors in an OS
 // readiness poller (epoll/kqueue) and are serviced by a bounded worker
 // pool, so tens of thousands of mostly-idle connections cost O(workers)
-// goroutines. With -ooo (implies -coalesce) seq-framed replies complete
-// out of order as each shard batch lands. -maxconns caps concurrent
-// connections; accepts beyond the cap are refused immediately.
+// goroutines. -maxconns caps concurrent connections; accepts beyond the
+// cap are refused immediately.
 //
 // With -metrics ADDR the daemon serves an HTTP observability endpoint
 // on a second listener: /metrics (Prometheus text exposition),
@@ -94,7 +93,6 @@ func run(args []string) error {
 		shards    = fs.Int("shards", 1, "hash-shard the KV across N independent structure+tracker partitions (0 or 1 = unsharded)")
 		poll      = fs.Bool("poll", false, "park idle connections in an OS readiness poller (epoll/kqueue); O(workers) goroutines instead of one per connection")
 		pollWork  = fs.Int("pollworkers", 0, "poll-mode service pool size (0 = 2x GOMAXPROCS; -poll only)")
-		ooo       = fs.Bool("ooo", false, "complete seq-framed replies out of order as each coalesced shard batch lands (implies -coalesce)")
 		maxConns  = fs.Int("maxconns", 0, "cap on concurrently open connections; accepts beyond it are refused (0 = unlimited)")
 		metricsAt = fs.String("metrics", "", "HTTP observability listen address: /metrics (Prometheus), /metrics.json, /debug/pprof/ (empty = disabled)")
 	)
@@ -141,12 +139,11 @@ func run(args []string) error {
 	opts := server.Options{
 		Metrics:        reg,
 		MaxPipeline:    *pipeline,
-		Coalesce:       *coalesce || *ooo,
+		Coalesce:       *coalesce,
 		CoalesceWindow: *coWindow,
 		WriteTimeout:   *writeTO,
 		Poll:           *poll,
 		PollWorkers:    *pollWork,
-		OOO:            *ooo,
 		MaxConns:       *maxConns,
 		Logf:           logger.Printf,
 	}
@@ -180,8 +177,8 @@ func run(args []string) error {
 		return err
 	}
 
-	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v coalesce=%v poll=%v ooo=%v maxconns=%d)",
-		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, opts.Coalesce, *poll, *ooo, *maxConns)
+	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v coalesce=%v poll=%v maxconns=%d)",
+		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, *coalesce, *poll, *maxConns)
 
 	// The observability endpoint rides its own listener so a scrape or a
 	// profile can never contend with the serving port's accept loop.

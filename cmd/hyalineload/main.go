@@ -20,21 +20,14 @@
 // uniform "MIN-MAX", or "bimodal"). A GETB hit with any other content
 // is reported as a reclamation bug, exactly like the uint64 check.
 //
-// Every GET hit is integrity-checked (SET writes key*31+7, so a hit
-// returning anything else means a reclamation bug corrupted the map) and
-// any ERR reply aborts the run.
-//
-// With -seq every connection negotiates sequence-id framing via HELLO
-// and tags each data request with a u32 seq the server echoes on the
-// reply. The generator then records one latency sample per request
-// (flush to that request's own reply) instead of one per pipeline
-// window, and matches each echo against the window's outstanding seqs
-// — replies may arrive in any order (the protocol explicitly permits
-// out-of-order completion under FlagSeq, which hyalined -ooo
-// exercises), but an unknown seq, a duplicate echo, or a window that
-// completes with replies missing is an error. Integrity checks follow
-// the matched request, so a reordered GETB hit is still verified
-// against its own key.
+// Replies come back in request order, so the i-th reply of a window
+// answers its i-th request, and each is checked against that request:
+// a GET hit must carry the key's own value (SET writes key*31+7, so a
+// hit returning anything else means a reclamation bug corrupted the
+// map), a SET or DEL reply must carry no payload, and any ERR reply
+// aborts the run. A reply stream out of step with the requests fails
+// on the first reply that does not fit. One latency sample is recorded
+// per request: from the window's flush to that request's reply.
 package main
 
 import (
@@ -161,7 +154,6 @@ func run(args []string) error {
 		prefill  = fs.Int("prefill", 0, "SETs to issue before measuring (warms the map for read mixes)")
 		useBytes = fs.Bool("bytes", false, "drive GETB/SETB/DELB against a hyalined -bytes server")
 		vsFlag   = fs.String("valuesize", "64", "value-size distribution for -bytes: N, MIN-MAX, or bimodal")
-		useSeq   = fs.Bool("seq", false, "negotiate seq framing (HELLO) and record per-request latency matched by seq echo")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -212,7 +204,7 @@ func run(args []string) error {
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
-			n, err := drive(*addr, i, *pipeline, m, *keyrange, newPayload(*useBytes, *useSeq, vs), &stop, &started, release, &hists[i])
+			n, err := drive(*addr, i, *pipeline, m, *keyrange, newPayload(*useBytes, vs), &stop, &started, release, &hists[i])
 			ops[i] = n
 			if err != nil {
 				fail(err)
@@ -242,110 +234,18 @@ func run(args []string) error {
 	if *useBytes {
 		family = "bytes valuesize=" + *vsFlag
 	}
-	fmt.Printf("hyalineload: addr=%s conns=%d pipeline=%d mix=%s payload=%s seq=%v window=%v\n",
-		*addr, *conns, *pipeline, *mixFlag, family, *useSeq, elapsed.Round(time.Millisecond))
+	fmt.Printf("hyalineload: addr=%s conns=%d pipeline=%d mix=%s payload=%s window=%v\n",
+		*addr, *conns, *pipeline, *mixFlag, family, elapsed.Round(time.Millisecond))
 	fmt.Printf("  client: ops=%d throughput=%.3f Mops/s\n",
 		total, float64(total)/elapsed.Seconds()/1e6)
-	latLabel := "per pipelined round trip"
-	if *useSeq {
-		latLabel = "per request, seq-matched"
-	}
-	fmt.Printf("  latency (%s): p50=%v p99=%v\n",
-		latLabel, agg.Quantile(0.50).Round(time.Microsecond), agg.Quantile(0.99).Round(time.Microsecond))
+	fmt.Printf("  latency (per request, flush to reply): p50=%v p99=%v\n",
+		agg.Quantile(0.50).Round(time.Microsecond), agg.Quantile(0.99).Round(time.Microsecond))
 
 	return printServerStats(*addr)
 }
 
-// negotiateSeq performs the HELLO handshake on a fresh connection and
-// fails unless the server accepts seq framing.
-func negotiateSeq(w *protocol.Writer, rd *protocol.Reader) error {
-	w.Hello(protocol.FlagSeq)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	f, err := rd.ReadFrame()
-	if err != nil {
-		return err
-	}
-	if protocol.Status(f.Code) != protocol.StatusOK {
-		return fmt.Errorf("HELLO rejected: %s", f.Payload)
-	}
-	accepted, err := protocol.ParseHello(f.Payload)
-	if err != nil {
-		return err
-	}
-	if accepted&protocol.FlagSeq == 0 {
-		return fmt.Errorf("server did not accept seq framing (flags %#x); is hyalined current?", accepted)
-	}
-	return nil
-}
-
-// seqWindow tracks the outstanding sequence ids of one pipeline window
-// — the contiguous range base..base+n-1 — and matches reply echoes
-// against them in whatever order they arrive. FlagSeq licenses
-// out-of-order completion, so in-order arrival must not be assumed;
-// what stays an error is a seq outside the window (unknown), a second
-// echo of one already matched (duplicate), or a window that runs out
-// of replies with seqs still pending (incomplete — checked by done).
-type seqWindow struct {
-	base uint32
-	seen []bool
-	left int
-}
-
-// reset arms the window for n requests starting at base.
-func (sw *seqWindow) reset(base uint32, n int) {
-	sw.base = base
-	if cap(sw.seen) < n {
-		sw.seen = make([]bool, n)
-	} else {
-		sw.seen = sw.seen[:n]
-		for i := range sw.seen {
-			sw.seen[i] = false
-		}
-	}
-	sw.left = n
-}
-
-// match verifies one echoed seq and returns the index of the request it
-// answers (offset within the window, valid into the caller's per-window
-// bookkeeping). Unsigned subtraction handles the u32 seq counter
-// wrapping mid-window.
-func (sw *seqWindow) match(got uint32) (int, error) {
-	idx := got - sw.base
-	if idx >= uint32(len(sw.seen)) {
-		return 0, fmt.Errorf("reply seq %d outside the outstanding window [%d..%d]",
-			got, sw.base, sw.base+uint32(len(sw.seen))-1)
-	}
-	if sw.seen[idx] {
-		return 0, fmt.Errorf("duplicate reply for seq %d", got)
-	}
-	sw.seen[idx] = true
-	sw.left--
-	return int(idx), nil
-}
-
-// done checks the window completed: every outstanding seq was echoed
-// exactly once.
-func (sw *seqWindow) done() error {
-	if sw.left != 0 {
-		return fmt.Errorf("window incomplete: %d of %d replies missing", sw.left, len(sw.seen))
-	}
-	return nil
-}
-
-// peelSeqReply splits one reply frame into its echoed seq and trailing
-// payload. ERR replies are reported as-is: the server never
-// seq-prefixes them.
-func peelSeqReply(f protocol.Frame) (uint32, []byte, error) {
-	if protocol.Status(f.Code) == protocol.StatusErr {
-		return 0, nil, fmt.Errorf("server error reply: %s", f.Payload)
-	}
-	return protocol.Seq(f.Payload)
-}
-
-// payload is what a connection puts on the wire: the key family and
-// framing SET/GET/DEL are encoded in, and how a GET hit is verified.
+// payload is what a connection puts on the wire: the key family
+// SET/GET/DEL are encoded in, and how a GET hit is verified.
 // uint64 SETs write key*31+7. Bytes keys are the same universe as 8-byte
 // big-endian encodings and values are runs of the fill byte key*31+7
 // whose length is drawn from vs, so a hit must be a run of the key's
@@ -353,13 +253,13 @@ func peelSeqReply(f protocol.Frame) (uint32, []byte, error) {
 // reclamation bug that hands back a recycled or poisoned node is caught
 // on the wire.
 type payload struct {
-	bytes, seq     bool
+	bytes          bool
 	vs             vsDist
 	keyBuf, valBuf []byte // bytes only: per-connection encode scratch
 }
 
-func newPayload(useBytes, useSeq bool, vs vsDist) *payload {
-	p := &payload{bytes: useBytes, seq: useSeq, vs: vs}
+func newPayload(useBytes bool, vs vsDist) *payload {
+	p := &payload{bytes: useBytes, vs: vs}
 	if useBytes {
 		p.keyBuf = make([]byte, 8)
 		p.valBuf = make([]byte, vs.cap())
@@ -373,46 +273,28 @@ func (p *payload) keyB(key uint64) []byte {
 	return p.keyBuf
 }
 
-func (p *payload) set(w *protocol.Writer, rng *rand.Rand, seq uint32, key uint64) {
-	var val []byte
+func (p *payload) set(w *protocol.Writer, rng *rand.Rand, key uint64) {
 	if p.bytes {
-		val = p.valBuf[:p.vs.sample(rng)]
+		val := p.valBuf[:p.vs.sample(rng)]
 		fillValue(val, key)
-	}
-	switch {
-	case p.bytes && p.seq:
-		w.SetBSeq(seq, p.keyB(key), val)
-	case p.bytes:
 		w.SetB(p.keyB(key), val)
-	case p.seq:
-		w.SetSeq(seq, key, key*31+7)
-	default:
+	} else {
 		w.Set(key, key*31+7)
 	}
 }
 
-func (p *payload) get(w *protocol.Writer, seq uint32, key uint64) {
-	switch {
-	case p.bytes && p.seq:
-		w.GetBSeq(seq, p.keyB(key))
-	case p.bytes:
+func (p *payload) get(w *protocol.Writer, key uint64) {
+	if p.bytes {
 		w.GetB(p.keyB(key))
-	case p.seq:
-		w.GetSeq(seq, key)
-	default:
+	} else {
 		w.Get(key)
 	}
 }
 
-func (p *payload) del(w *protocol.Writer, seq uint32, key uint64) {
-	switch {
-	case p.bytes && p.seq:
-		w.DelBSeq(seq, p.keyB(key))
-	case p.bytes:
+func (p *payload) del(w *protocol.Writer, key uint64) {
+	if p.bytes {
 		w.DelB(p.keyB(key))
-	case p.seq:
-		w.DelSeq(seq, key)
-	default:
+	} else {
 		w.Del(key)
 	}
 }
@@ -433,9 +315,7 @@ func (p *payload) checkHit(val []byte, key uint64) error {
 }
 
 // drive is one closed-loop connection: write a window, read its replies,
-// repeat until stop. Returns the completed-op count. With pl.seq the
-// window is seq-framed and one latency sample is recorded per request
-// (flush to that reply) instead of per window.
+// repeat until stop. Returns the completed-op count.
 func drive(addr string, seed, pipeline int, m mix, keyrange uint64, pl *payload,
 	stop *atomic.Bool, started *sync.WaitGroup, release <-chan struct{}, h *hist.Hist) (int64, error) {
 	c, err := net.Dial("tcp", addr)
@@ -447,88 +327,90 @@ func drive(addr string, seed, pipeline int, m mix, keyrange uint64, pl *payload,
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	rng := rand.New(rand.NewSource(int64(seed)*2654435761 + 1))
-	w := protocol.NewWriter(c)
-	rd := protocol.NewReader(c)
-	if pl.seq {
-		if err := negotiateSeq(w, rd); err != nil {
-			started.Done()
-			return 0, err
-		}
-	}
-	keys := make([]uint64, pipeline)
-	isGet := make([]bool, pipeline)
-	var sw seqWindow
+	cl := newClient(c, seed, pipeline, m, keyrange, pl, h)
 	started.Done()
 	<-release
 
 	ops := int64(0)
-	var seq uint32
 	for !stop.Load() {
-		base := seq
-		for p := 0; p < pipeline; p++ {
-			key := uint64(rng.Int63n(int64(keyrange)))
-			keys[p] = key
-			roll := rng.Intn(100)
-			isGet[p] = roll >= m.insertPct+m.deletePct
-			switch {
-			case roll < m.insertPct:
-				pl.set(w, rng, seq, key)
-			case !isGet[p]:
-				pl.del(w, seq, key)
-			default:
-				pl.get(w, seq, key)
-			}
-			seq++
-		}
-		if pl.seq {
-			sw.reset(base, pipeline)
-		}
-		t0 := time.Now()
-		if err := w.Flush(); err != nil {
+		if err := cl.roundTrip(); err != nil {
 			return ops, err
-		}
-		for p := 0; p < pipeline; p++ {
-			f, err := rd.ReadFrame()
-			if err != nil {
-				return ops, err
-			}
-			body := f.Payload
-			idx := p
-			if pl.seq {
-				got, rest, err := peelSeqReply(f)
-				if err != nil {
-					return ops, err
-				}
-				if idx, err = sw.match(got); err != nil {
-					return ops, err
-				}
-				body = rest
-				h.Record(time.Since(t0))
-			}
-			switch protocol.Status(f.Code) {
-			case protocol.StatusOK:
-				if isGet[idx] {
-					if err := pl.checkHit(body, keys[idx]); err != nil {
-						return ops, err
-					}
-				}
-			case protocol.StatusNil:
-				// clean miss / already-present — expected under churn
-			default:
-				return ops, fmt.Errorf("server error reply: %s", f.Payload)
-			}
-		}
-		if pl.seq {
-			if err := sw.done(); err != nil {
-				return ops, err
-			}
-		} else {
-			h.Record(time.Since(t0))
 		}
 		ops += int64(pipeline)
 	}
 	return ops, nil
+}
+
+// client is one connection's closed loop: the window of requests in
+// flight and the wire it travels over.
+type client struct {
+	w        *protocol.Writer
+	rd       *protocol.Reader
+	pl       *payload
+	rng      *rand.Rand
+	m        mix
+	keyrange uint64
+	keys     []uint64
+	ops      []protocol.Op // OpGet, OpSet or OpDel: the kind asked at each position
+	h        *hist.Hist
+}
+
+func newClient(c net.Conn, seed, pipeline int, m mix, keyrange uint64, pl *payload, h *hist.Hist) *client {
+	return &client{
+		w:        protocol.NewWriter(c),
+		rd:       protocol.NewReader(c),
+		pl:       pl,
+		rng:      rand.New(rand.NewSource(int64(seed)*2654435761 + 1)),
+		m:        m,
+		keyrange: keyrange,
+		keys:     make([]uint64, pipeline),
+		ops:      make([]protocol.Op, pipeline),
+		h:        h,
+	}
+}
+
+// roundTrip writes one window in a single flush and reads its replies,
+// recording one latency sample per reply and checking the i-th reply
+// against the i-th request.
+func (cl *client) roundTrip() error {
+	for i := range cl.keys {
+		key := uint64(cl.rng.Int63n(int64(cl.keyrange)))
+		cl.keys[i] = key
+		switch roll := cl.rng.Intn(100); {
+		case roll < cl.m.insertPct:
+			cl.ops[i] = protocol.OpSet
+			cl.pl.set(cl.w, cl.rng, key)
+		case roll < cl.m.insertPct+cl.m.deletePct:
+			cl.ops[i] = protocol.OpDel
+			cl.pl.del(cl.w, key)
+		default:
+			cl.ops[i] = protocol.OpGet
+			cl.pl.get(cl.w, key)
+		}
+	}
+	t0 := time.Now()
+	if err := cl.w.Flush(); err != nil {
+		return err
+	}
+	for i, op := range cl.ops {
+		f, err := cl.rd.ReadFrame()
+		if err != nil {
+			return err
+		}
+		cl.h.Record(time.Since(t0))
+		switch status := protocol.Status(f.Code); {
+		case status != protocol.StatusOK && status != protocol.StatusNil:
+			return fmt.Errorf("reply %d of the window: %s %s", i, status, f.Payload)
+		case status == protocol.StatusOK && op == protocol.OpGet:
+			if err := cl.pl.checkHit(f.Payload, cl.keys[i]); err != nil {
+				return fmt.Errorf("reply %d of the window: %w", i, err)
+			}
+		case len(f.Payload) != 0:
+			return fmt.Errorf("reply %d of the window: %s %d answered %s with a %d-byte payload (replies out of step?)",
+				i, op, cl.keys[i], status, len(f.Payload))
+		}
+	}
+	return nil
 }
 
 // fillValue writes the integrity pattern for key: a run of the fill
@@ -563,7 +445,7 @@ func doPrefill(addr string, count int, keyrange uint64, useBytes bool, vs vsDist
 	rng := rand.New(rand.NewSource(4242))
 	w := protocol.NewWriter(c)
 	rd := protocol.NewReader(c)
-	pl := newPayload(useBytes, false, vs)
+	pl := newPayload(useBytes, vs)
 	const window = 256
 	for sent := 0; sent < count; {
 		n := count - sent
@@ -571,7 +453,7 @@ func doPrefill(addr string, count int, keyrange uint64, useBytes bool, vs vsDist
 			n = window
 		}
 		for i := 0; i < n; i++ {
-			pl.set(w, rng, 0, uint64(rng.Int63n(int64(keyrange))))
+			pl.set(w, rng, uint64(rng.Int63n(int64(keyrange))))
 		}
 		if err := w.Flush(); err != nil {
 			return err

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/rand"
+	"net"
+	"strings"
 	"testing"
 
+	"hyaline/internal/hist"
 	"hyaline/internal/protocol"
 )
 
@@ -36,132 +38,107 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-// TestSeqWindowInOrder: FIFO arrival (a conforming degenerate server)
-// matches cleanly and completes.
-func TestSeqWindowInOrder(t *testing.T) {
-	var sw seqWindow
-	sw.reset(100, 4)
-	for i := 0; i < 4; i++ {
-		idx, err := sw.match(100 + uint32(i))
-		if err != nil {
-			t.Fatalf("match(%d): %v", 100+i, err)
-		}
-		if idx != i {
-			t.Fatalf("match(%d) index %d, want %d", 100+i, idx, i)
-		}
-	}
-	if err := sw.done(); err != nil {
-		t.Fatalf("done after full window: %v", err)
-	}
-}
-
-// TestSeqWindowReordered: arbitrary arrival order is legal under
-// FlagSeq; each echo must still map to its own request index.
-func TestSeqWindowReordered(t *testing.T) {
-	var sw seqWindow
-	sw.reset(7, 5)
-	for _, got := range []uint32{9, 7, 11, 8, 10} {
-		idx, err := sw.match(got)
-		if err != nil {
-			t.Fatalf("match(%d): %v", got, err)
-		}
-		if want := int(got - 7); idx != want {
-			t.Fatalf("match(%d) index %d, want %d", got, idx, want)
-		}
-	}
-	if err := sw.done(); err != nil {
-		t.Fatalf("done after reordered window: %v", err)
-	}
-}
-
-// TestSeqWindowUnknown: a seq outside the outstanding range is a
-// protocol violation, before and after the window partially fills.
-func TestSeqWindowUnknown(t *testing.T) {
-	var sw seqWindow
-	sw.reset(10, 3)
-	if _, err := sw.match(13); err == nil {
-		t.Fatal("seq one past the window accepted")
-	}
-	if _, err := sw.match(9); err == nil {
-		t.Fatal("seq one before the window accepted")
-	}
-	if _, err := sw.match(math.MaxUint32); err == nil {
-		t.Fatal("far-away seq accepted")
-	}
-}
-
-// TestSeqWindowDuplicate: the same seq echoed twice is an error even
-// though it is inside the window.
-func TestSeqWindowDuplicate(t *testing.T) {
-	var sw seqWindow
-	sw.reset(0, 2)
-	if _, err := sw.match(1); err != nil {
-		t.Fatalf("first match: %v", err)
-	}
-	if _, err := sw.match(1); err == nil {
-		t.Fatal("duplicate seq accepted")
-	}
-}
-
-// TestSeqWindowIncomplete: running out of replies with seqs pending is
-// detected by done.
-func TestSeqWindowIncomplete(t *testing.T) {
-	var sw seqWindow
-	sw.reset(50, 3)
-	if _, err := sw.match(51); err != nil {
-		t.Fatalf("match: %v", err)
-	}
-	if err := sw.done(); err == nil {
-		t.Fatal("incomplete window passed done")
-	}
-}
-
-// TestSeqWindowWrap: the u32 seq counter wrapping mid-window must not
-// confuse the range check (unsigned subtraction handles it).
-func TestSeqWindowWrap(t *testing.T) {
-	var sw seqWindow
-	base := uint32(math.MaxUint32 - 1) // window covers MaxUint32-1, MaxUint32, 0, 1
-	sw.reset(base, 4)
-	for _, got := range []uint32{0, math.MaxUint32 - 1, 1, math.MaxUint32} {
-		idx, err := sw.match(got)
-		if err != nil {
-			t.Fatalf("match(%d): %v", got, err)
-		}
-		if want := int(got - base); idx != want {
-			t.Fatalf("match(%d) index %d, want %d", got, idx, want)
-		}
-	}
-	if err := sw.done(); err != nil {
-		t.Fatalf("done after wrapped window: %v", err)
-	}
-}
-
 // TestPayloadEncodes: the one closed loop encodes through payload, so
-// each family × framing must put exactly the frame on the wire that the
-// protocol's own encoder produces for the same key, seq and value.
+// each family must put exactly the frame on the wire that the
+// protocol's own encoder produces for the same key and value.
 func TestPayloadEncodes(t *testing.T) {
-	const key, seq = uint64(0x0102030405060708), uint32(41)
+	const key = uint64(0x0102030405060708)
 	kb := binary.BigEndian.AppendUint64(nil, key)
 	val := make([]byte, 64)
 	fillValue(val, key)
-	want := map[[2]bool][]byte{ // {bytes, seq} → SET, GET, DEL
-		{false, false}: protocol.AppendDel(protocol.AppendGet(protocol.AppendSet(nil, key, key*31+7), key), key),
-		{false, true}:  protocol.AppendDelSeq(protocol.AppendGetSeq(protocol.AppendSetSeq(nil, seq, key, key*31+7), seq, key), seq, key),
-		{true, false}:  protocol.AppendDelB(protocol.AppendGetB(protocol.AppendSetB(nil, kb, val), kb), kb),
-		{true, true}:   protocol.AppendDelBSeq(protocol.AppendGetBSeq(protocol.AppendSetBSeq(nil, seq, kb, val), seq, kb), seq, kb),
+	want := map[bool][]byte{ // bytes → SET, GET, DEL
+		false: protocol.AppendDel(protocol.AppendGet(protocol.AppendSet(nil, key, key*31+7), key), key),
+		true:  protocol.AppendDelB(protocol.AppendGetB(protocol.AppendSetB(nil, kb, val), kb), kb),
 	}
-	for mode, frames := range want {
+	for bytesMode, frames := range want {
 		var wire bytes.Buffer
 		w := protocol.NewWriter(&wire)
-		pl := newPayload(mode[0], mode[1], vsDist{min: 64, max: 64})
-		pl.set(w, rand.New(rand.NewSource(1)), seq, key)
-		pl.get(w, seq, key)
-		pl.del(w, seq, key)
+		pl := newPayload(bytesMode, vsDist{min: 64, max: 64})
+		pl.set(w, rand.New(rand.NewSource(1)), key)
+		pl.get(w, key)
+		pl.del(w, key)
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wire.Bytes(), frames) {
-			t.Errorf("bytes=%v seq=%v: encoded %x, want %x", mode[0], mode[1], wire.Bytes(), frames)
+			t.Errorf("bytes=%v: encoded %x, want %x", bytesMode, wire.Bytes(), frames)
+		}
+	}
+}
+
+// fakeServer answers windows of n requests on c as a server holding
+// every key would — a GET hits with the key's value, a SET or DEL gets
+// an empty OK — but sends each window's replies rotated by shift
+// positions, and with hitAll answers a SET or DEL like a GET of its
+// key. It returns when c closes.
+func fakeServer(c net.Conn, n, shift int, hitAll bool) {
+	rd := protocol.NewReader(c)
+	replies := make([][]byte, n)
+	for {
+		for i := range replies {
+			f, err := rd.ReadFrame()
+			if err != nil {
+				return
+			}
+			// Every request's payload starts with its key: a uint64, or a
+			// 2-byte length and 8 big-endian bytes.
+			switch op := protocol.Op(f.Code); {
+			case op == protocol.OpGet || hitAll && (op == protocol.OpSet || op == protocol.OpDel):
+				key := binary.LittleEndian.Uint64(f.Payload)
+				replies[i] = protocol.AppendValue(nil, key*31+7)
+			case op == protocol.OpGetB || hitAll:
+				val := make([]byte, 16)
+				fillValue(val, binary.BigEndian.Uint64(f.Payload[2:]))
+				replies[i] = protocol.AppendValueB(nil, val)
+			default:
+				replies[i] = protocol.AppendOK(nil)
+			}
+		}
+		var out []byte
+		for i := range replies {
+			out = append(out, replies[(i+shift)%n]...)
+		}
+		if _, err := c.Write(out); err != nil {
+			return
+		}
+	}
+}
+
+// TestRoundTripChecksByPosition: replies are matched to requests by
+// position alone, so a reply stream in step passes window after window,
+// while the same stream shifted by one position, or one answering a SET
+// or DEL with a value, fails naming the reply.
+func TestRoundTripChecksByPosition(t *testing.T) {
+	const pipeline, rounds = 16, 4
+	cases := []struct {
+		name   string
+		shift  int
+		hitAll bool
+		ok     bool
+	}{
+		{"in step", 0, false, true},
+		{"shifted by one", 1, false, false},
+		{"SET and DEL answered with a value", 0, true, false},
+	}
+	for _, bytesMode := range []bool{false, true} {
+		for _, c := range cases {
+			cc, sc := net.Pipe()
+			go fakeServer(sc, pipeline, c.shift, c.hitAll)
+			var h hist.Hist
+			cl := newClient(cc, 1, pipeline, mix{20, 20}, 1<<20, newPayload(bytesMode, vsDist{min: 16, max: 16}), &h)
+			var err error
+			for r := 0; r < rounds && err == nil; r++ {
+				err = cl.roundTrip()
+			}
+			cc.Close()
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("bytes=%v %s: %v", bytesMode, c.name, err)
+			case c.ok && h.Count() != rounds*pipeline:
+				t.Errorf("bytes=%v %s: %d latency samples for %d replies", bytesMode, c.name, h.Count(), rounds*pipeline)
+			case !c.ok && (err == nil || !strings.Contains(err.Error(), "reply ")):
+				t.Errorf("bytes=%v %s: got %v, want an error naming the reply", bytesMode, c.name, err)
+			}
 		}
 	}
 }
@@ -170,7 +147,7 @@ func TestPayloadEncodes(t *testing.T) {
 // other content is reported as corruption, in both families.
 func TestPayloadCheckHit(t *testing.T) {
 	const key = uint64(12345)
-	u64 := newPayload(false, false, vsDist{})
+	u64 := newPayload(false, vsDist{})
 	if err := u64.checkHit(binary.LittleEndian.AppendUint64(nil, key*31+7), key); err != nil {
 		t.Errorf("uint64 hit with the right value: %v", err)
 	}
@@ -180,7 +157,7 @@ func TestPayloadCheckHit(t *testing.T) {
 	if err := u64.checkHit([]byte{1, 2, 3}, key); err == nil {
 		t.Error("uint64 hit with a short payload accepted")
 	}
-	bts := newPayload(true, false, vsDist{min: 16, max: 16})
+	bts := newPayload(true, vsDist{min: 16, max: 16})
 	val := make([]byte, 16)
 	fillValue(val, key)
 	if err := bts.checkHit(val, key); err != nil {

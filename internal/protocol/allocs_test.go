@@ -8,14 +8,14 @@ import (
 
 // TestPipelineWindowZeroAllocs guards the wire format's steady-state
 // allocation behaviour: encoding a full pipeline window of mixed
-// requests (plain, SEQ-framed and bytes ops), serving it — decode,
+// requests (plain and bytes ops), serving it — decode,
 // validate, build every reply — and decoding the replies back must not
 // touch the heap once the buffers have warmed up. The server's
 // per-connection hot loop and the load generator both lean on this; a
 // stray fmt.Sprintf or slice escape in the frame paths shows up here as
 // a test failure instead of a profile regression.
 func TestPipelineWindowZeroAllocs(t *testing.T) {
-	const depth = 16 // mixed ops below are queued twice: a 2×8 window
+	const depth = 12 // mixed ops below are queued twice: a 2×6 window
 	key := []byte("bytes-key")
 	val := []byte("bytes-value-payload")
 
@@ -31,12 +31,10 @@ func TestPipelineWindowZeroAllocs(t *testing.T) {
 	roundTrip := func() {
 		// Client side: queue one window, flush once.
 		wire.Reset()
-		for i := uint64(0); i < depth/8; i++ {
+		for i := uint64(0); i < depth/6; i++ {
 			w.Set(i, checksum(i))
 			w.Get(i)
 			w.Del(i)
-			w.SetSeq(uint32(i), i, checksum(i))
-			w.GetSeq(uint32(i)+1, i)
 			w.SetB(key, val)
 			w.GetB(key)
 			w.Ping(key)
@@ -47,8 +45,7 @@ func TestPipelineWindowZeroAllocs(t *testing.T) {
 		}
 
 		// Server side: decode each frame and build its reply, in the
-		// exact op order queued above (SEQ framing is a connection mode,
-		// not a frame property, so the test replays the known schedule).
+		// exact op order queued above.
 		src.Reset(wire.Bytes())
 		rd.Reset(&src)
 		reply = reply[:0]
@@ -64,7 +61,7 @@ func TestPipelineWindowZeroAllocs(t *testing.T) {
 				fail = "request decode failed"
 				return
 			}
-			switch i % 8 {
+			switch i % 6 {
 			case 0: // SET
 				k, v, err := KeyVal(f.Payload)
 				if err != nil || checksum(k) != v {
@@ -85,30 +82,7 @@ func TestPipelineWindowZeroAllocs(t *testing.T) {
 					return
 				}
 				reply = AppendNil(reply)
-			case 3: // SET (SEQ)
-				seq, rest, err := Seq(f.Payload)
-				if err != nil {
-					fail = "SEQ split failed"
-					return
-				}
-				if _, _, err := KeyVal(rest); err != nil {
-					fail = "SEQ SET payload mismatch"
-					return
-				}
-				reply = AppendOKSeq(reply, seq)
-			case 4: // GET (SEQ)
-				seq, rest, err := Seq(f.Payload)
-				if err != nil {
-					fail = "SEQ split failed"
-					return
-				}
-				k, err := U64(rest)
-				if err != nil {
-					fail = "SEQ GET payload mismatch"
-					return
-				}
-				reply = AppendValueSeq(reply, seq, checksum(k))
-			case 5: // SETB
+			case 3: // SETB
 				if err := ValidateRequest(OpSetB, f.Payload); err != nil {
 					fail = "SETB payload invalid"
 					return
@@ -119,14 +93,14 @@ func TestPipelineWindowZeroAllocs(t *testing.T) {
 					return
 				}
 				reply = AppendOK(reply)
-			case 6: // GETB
+			case 4: // GETB
 				k, err := KeyB(f.Payload)
 				if err != nil || !bytes.Equal(k, key) {
 					fail = "GETB payload mismatch"
 					return
 				}
 				reply = AppendValueB(reply, val)
-			case 7: // PING
+			case 5: // PING
 				reply = AppendPingReply(reply, f.Payload)
 			}
 		}

@@ -5,28 +5,12 @@
 // Status code; the two ranges are disjoint, so a desynchronized peer is
 // detected instead of misinterpreted.
 //
-// Without sequence framing, replies are returned strictly in request
-// order on each connection (the server coalesces a run of data
-// commands into one batched KV apply — per connection, or merged
-// across connections by the cross-connection coalescer), so a client
-// that pipelines N requests can read N replies back by FIFO counting.
-// Sequence numbers are opt-in: a client that sends a HELLO frame with
-// FlagSeq switches the connection's data commands
-// (GET/SET/DEL/GETB/SETB/DELB) to the SEQ variant, whose payloads —
-// and whose replies' payloads — carry a little-endian uint32 sequence
-// id prefix.
-//
-// The out-of-order reply contract: once FlagSeq is negotiated, the
-// server MAY answer data commands in any order — each reply carries
-// the echoed sequence id of the request it answers, every accepted
-// request is answered exactly once, and that id match is the only
-// correlation a client may rely on. (A FIFO server is a degenerate
-// but conforming implementation; a client must tolerate both.) Meta
-// commands (PING/LEN/STATS/HELLO) never carry sequence ids in either
-// mode and remain strict ordering barriers: a meta reply is sent only
-// after every data reply for requests preceding it on the connection,
-// and before any reply for requests following it. Clients needing a
-// flush point in an out-of-order stream can therefore issue a PING.
+// Replies are returned strictly in request order on each connection:
+// the server coalesces a run of data commands into one batched KV
+// apply — per connection, or merged across connections by the
+// cross-connection coalescer — but never reorders, so a client that
+// pipelines N requests reads N replies back by FIFO counting, the i-th
+// reply answering the i-th request. Replies carry no request id.
 //
 // The decoder (Reader) reads into one reused buffer and hands out
 // payload slices aliasing that buffer — zero-copy, valid until the next
@@ -99,33 +83,10 @@ const (
 	// OpDelB removes a bytes key, failing if absent. Payload: klen u16,
 	// key.
 	OpDelB Op = 0x09
-
-	// OpHello negotiates connection features. Payload: one byte of
-	// requested feature flags (see FlagSeq). Reply: StatusOK carrying
-	// one byte — the flags the server accepted (a subset of the
-	// request). After a HELLO that negotiates FlagSeq, every data
-	// command on the connection must use the SEQ payload variant.
-	OpHello Op = 0x0a
 )
-
-// Feature flags carried by HELLO.
-const (
-	// FlagSeq switches the connection's data commands and their replies
-	// to SEQ framing: the payload starts with a little-endian uint32
-	// sequence id chosen by the client, echoed on the reply.
-	FlagSeq byte = 0x01
-
-	// SupportedFlags is the feature set this implementation accepts;
-	// HELLO replies never carry bits outside it.
-	SupportedFlags = FlagSeq
-)
-
-// SeqSize is the byte width of the sequence-id prefix in SEQ framing.
-const SeqSize = 4
 
 // IsData reports whether the op is a data command (one that joins a
-// batched apply run and carries a sequence id in SEQ mode), as opposed
-// to a meta command (PING/LEN/STATS/HELLO), which never does.
+// batched apply run), as opposed to a meta command (PING/LEN/STATS).
 func (o Op) IsData() bool {
 	switch o {
 	case OpGet, OpSet, OpDel, OpGetB, OpSetB, OpDelB:
@@ -155,8 +116,6 @@ func (o Op) String() string {
 		return "SETB"
 	case OpDelB:
 		return "DELB"
-	case OpHello:
-		return "HELLO"
 	}
 	return fmt.Sprintf("Op(0x%02x)", byte(o))
 }
@@ -207,8 +166,6 @@ func ValidateRequest(op Op, payload []byte) error {
 		want = 16
 	case OpLen, OpStats:
 		want = 0
-	case OpHello:
-		want = 1
 	case OpPing:
 		return nil // any payload; it is echoed back
 	case OpGetB, OpDelB:
@@ -451,125 +408,6 @@ func AppendSetB(b, key, val []byte) []byte {
 // AppendDelB appends a DELB request.
 func AppendDelB(b, key []byte) []byte { return appendKeyB(b, OpDelB, key, 0) }
 
-// --- HELLO and SEQ framing ---
-
-// AppendHello appends a HELLO request asking for flags.
-func AppendHello(b []byte, flags byte) []byte {
-	b = appendHeader(b, byte(OpHello), 1)
-	return append(b, flags)
-}
-
-// AppendHelloReply appends the StatusOK reply to a HELLO, carrying the
-// accepted flags.
-func AppendHelloReply(b []byte, flags byte) []byte {
-	b = appendHeader(b, byte(StatusOK), 1)
-	return append(b, flags)
-}
-
-// ParseHello decodes a HELLO payload (request or reply): exactly one
-// flags byte.
-func ParseHello(p []byte) (byte, error) {
-	if len(p) != 1 {
-		return 0, fmt.Errorf("protocol: HELLO payload is %d bytes, want 1", len(p))
-	}
-	return p[0], nil
-}
-
-// Seq splits a SEQ-framed payload into its sequence id and the op's
-// ordinary payload. The rest slice aliases p.
-func Seq(p []byte) (seq uint32, rest []byte, err error) {
-	if len(p) < SeqSize {
-		return 0, nil, fmt.Errorf("protocol: %d-byte payload where a %d-byte sequence id is expected", len(p), SeqSize)
-	}
-	return binary.LittleEndian.Uint32(p), p[SeqSize:], nil
-}
-
-func appendSeq(b []byte, seq uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, seq)
-}
-
-// AppendGetSeq appends a SEQ-framed GET request.
-func AppendGetSeq(b []byte, seq uint32, key uint64) []byte {
-	b = appendHeader(b, byte(OpGet), SeqSize+8)
-	b = appendSeq(b, seq)
-	return binary.LittleEndian.AppendUint64(b, key)
-}
-
-// AppendSetSeq appends a SEQ-framed SET request.
-func AppendSetSeq(b []byte, seq uint32, key, val uint64) []byte {
-	b = appendHeader(b, byte(OpSet), SeqSize+16)
-	b = appendSeq(b, seq)
-	b = binary.LittleEndian.AppendUint64(b, key)
-	return binary.LittleEndian.AppendUint64(b, val)
-}
-
-// AppendDelSeq appends a SEQ-framed DEL request.
-func AppendDelSeq(b []byte, seq uint32, key uint64) []byte {
-	b = appendHeader(b, byte(OpDel), SeqSize+8)
-	b = appendSeq(b, seq)
-	return binary.LittleEndian.AppendUint64(b, key)
-}
-
-func appendKeyBSeq(b []byte, op Op, seq uint32, key []byte, extra int) []byte {
-	n := SeqSize + 2 + len(key) + extra
-	if n > MaxPayload {
-		panic(fmt.Sprintf("protocol: %s payload of %d bytes exceeds MaxPayload (%d)", op, n, MaxPayload))
-	}
-	b = appendHeader(b, byte(op), n)
-	b = appendSeq(b, seq)
-	b = append(b, byte(len(key)), byte(len(key)>>8))
-	return append(b, key...)
-}
-
-// AppendGetBSeq appends a SEQ-framed GETB request.
-func AppendGetBSeq(b []byte, seq uint32, key []byte) []byte {
-	return appendKeyBSeq(b, OpGetB, seq, key, 0)
-}
-
-// AppendSetBSeq appends a SEQ-framed SETB request.
-func AppendSetBSeq(b []byte, seq uint32, key, val []byte) []byte {
-	b = appendKeyBSeq(b, OpSetB, seq, key, len(val))
-	return append(b, val...)
-}
-
-// AppendDelBSeq appends a SEQ-framed DELB request.
-func AppendDelBSeq(b []byte, seq uint32, key []byte) []byte {
-	return appendKeyBSeq(b, OpDelB, seq, key, 0)
-}
-
-// AppendOKSeq appends a SEQ-framed empty StatusOK reply (SET/DEL
-// success): the payload is the echoed sequence id.
-func AppendOKSeq(b []byte, seq uint32) []byte {
-	b = appendHeader(b, byte(StatusOK), SeqSize)
-	return appendSeq(b, seq)
-}
-
-// AppendNilSeq appends a SEQ-framed StatusNil reply.
-func AppendNilSeq(b []byte, seq uint32) []byte {
-	b = appendHeader(b, byte(StatusNil), SeqSize)
-	return appendSeq(b, seq)
-}
-
-// AppendValueSeq appends a SEQ-framed StatusOK reply carrying one
-// uint64 (GET hit).
-func AppendValueSeq(b []byte, seq uint32, v uint64) []byte {
-	b = appendHeader(b, byte(StatusOK), SeqSize+8)
-	b = appendSeq(b, seq)
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-// AppendValueBSeq appends a SEQ-framed StatusOK reply carrying a byte
-// value (GETB hit): the sequence id, then the value as the remainder.
-func AppendValueBSeq(b []byte, seq uint32, val []byte) []byte {
-	n := SeqSize + len(val)
-	if n > MaxPayload {
-		panic(fmt.Sprintf("protocol: SEQ value reply of %d bytes exceeds MaxPayload (%d)", n, MaxPayload))
-	}
-	b = appendHeader(b, byte(StatusOK), n)
-	b = appendSeq(b, seq)
-	return append(b, val...)
-}
-
 // AppendLen appends a LEN request.
 func AppendLen(b []byte) []byte { return appendHeader(b, byte(OpLen), 0) }
 
@@ -781,27 +619,6 @@ func (w *Writer) SetB(key, val []byte) { w.buf = AppendSetB(w.buf, key, val) }
 
 // DelB queues a DELB request.
 func (w *Writer) DelB(key []byte) { w.buf = AppendDelB(w.buf, key) }
-
-// Hello queues a HELLO feature negotiation.
-func (w *Writer) Hello(flags byte) { w.buf = AppendHello(w.buf, flags) }
-
-// GetSeq queues a SEQ-framed GET request.
-func (w *Writer) GetSeq(seq uint32, key uint64) { w.buf = AppendGetSeq(w.buf, seq, key) }
-
-// SetSeq queues a SEQ-framed SET request.
-func (w *Writer) SetSeq(seq uint32, key, val uint64) { w.buf = AppendSetSeq(w.buf, seq, key, val) }
-
-// DelSeq queues a SEQ-framed DEL request.
-func (w *Writer) DelSeq(seq uint32, key uint64) { w.buf = AppendDelSeq(w.buf, seq, key) }
-
-// GetBSeq queues a SEQ-framed GETB request.
-func (w *Writer) GetBSeq(seq uint32, key []byte) { w.buf = AppendGetBSeq(w.buf, seq, key) }
-
-// SetBSeq queues a SEQ-framed SETB request.
-func (w *Writer) SetBSeq(seq uint32, key, val []byte) { w.buf = AppendSetBSeq(w.buf, seq, key, val) }
-
-// DelBSeq queues a SEQ-framed DELB request.
-func (w *Writer) DelBSeq(seq uint32, key []byte) { w.buf = AppendDelBSeq(w.buf, seq, key) }
 
 // Len queues a LEN request.
 func (w *Writer) Len() { w.buf = AppendLen(w.buf) }

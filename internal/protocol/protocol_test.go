@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestRequestRoundTrip encodes every request type through the Writer and
@@ -314,6 +315,7 @@ func TestValidateRequest(t *testing.T) {
 		{OpPing, nil, true, "empty ping"},
 		{OpPing, make([]byte, MaxPayload), true, "max ping"},
 		{Op(0x7f), nil, false, "unknown op"},
+		{Op(0x0a), []byte{1}, false, "unassigned 0x0a"},
 		{Op(0), nil, false, "zero op"},
 		{Op(byte(StatusOK)), nil, false, "status code as op"},
 
@@ -415,4 +417,47 @@ func TestAppendFramePanics(t *testing.T) {
 		}
 	}()
 	AppendFrame(nil, byte(OpPing), make([]byte, MaxPayload+1))
+}
+
+// TestAppendErrRuneBoundary: truncation at errMsgCap backs up to a rune
+// boundary instead of splitting a multi-byte sequence — the capped
+// message stays valid UTF-8 whatever the input alignment.
+func TestAppendErrRuneBoundary(t *testing.T) {
+	// Slide a 3-byte rune across the cap boundary: some alignment puts
+	// the boundary mid-rune.
+	for pad := 0; pad < 4; pad++ {
+		msg := strings.Repeat("x", errMsgCap-8+pad) + strings.Repeat("日", 8) // 日 = 3 bytes
+		b := AppendErr(nil, msg)
+		rd := NewReader(bytes.NewReader(b))
+		f, err := rd.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Payload) > errMsgCap {
+			t.Fatalf("pad %d: payload %d bytes exceeds cap", pad, len(f.Payload))
+		}
+		if !utf8.Valid(f.Payload) {
+			t.Fatalf("pad %d: truncated payload is not valid UTF-8: %q", pad, f.Payload)
+		}
+		if !strings.HasPrefix(msg, string(f.Payload)) {
+			t.Fatalf("pad %d: payload %q is not a prefix of the message", pad, f.Payload)
+		}
+		if len(f.Payload) < errMsgCap-utf8.UTFMax {
+			t.Fatalf("pad %d: payload %d bytes, backed up more than one rune", pad, len(f.Payload))
+		}
+	}
+	// Pure ASCII still fills the cap exactly.
+	b := AppendErr(nil, strings.Repeat("e", errMsgCap+50))
+	rd := NewReader(bytes.NewReader(b))
+	f, err := rd.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Payload) != errMsgCap {
+		t.Fatalf("ASCII payload %d bytes, want %d", len(f.Payload), errMsgCap)
+	}
+	// Short messages pass through untouched.
+	if got := AppendErr(nil, "boom"); string(got[HeaderSize:]) != "boom" {
+		t.Fatalf("short message mangled: %q", got)
+	}
 }

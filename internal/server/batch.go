@@ -1,6 +1,6 @@
 // batch.go is the one seam where the server knows which key family it
-// serves. Everything else — connections, windows, the coalescer, OOO
-// delivery — moves batch values around without looking inside.
+// serves. Everything else — connections, windows, the coalescer —
+// moves batch values around without looking inside.
 package server
 
 import (
@@ -11,41 +11,31 @@ import (
 )
 
 // batch is one key family's run of pending data ops plus, once applied,
-// their results. A connection owns one (its current run), every
-// coalescer worker owns one (the merged run of many connections), and
-// every async OOO run owns one (a copy that outlives the reader's
-// network buffer).
+// their results. A connection owns one (its current run) and every
+// coalescer worker owns one (the merged run of many connections).
 type batch interface {
 	len() int
 	reset()
 	// push decodes one validated data frame into a pending op. A frame
 	// of the other family is a protocol error.
 	push(op protocol.Op, payload []byte) error
-	// merge appends src's pending ops; own replaces the pending ops with
-	// a copy of src's that shares no memory with it.
+	// merge appends src's pending ops.
 	merge(src batch)
-	own(src batch)
 	// apply runs the pending ops against the store in one ApplyInto —
 	// one lease and one bracket per shard touched.
 	apply()
 	// encode appends the replies of ops [off, off+n) to buf in request
-	// order, echoing seqs[i-off] on each when the connection negotiated
-	// FlagSeq (seqs is empty otherwise).
-	encode(buf []byte, off, n int, seqs []uint32) []byte
+	// order.
+	encode(buf []byte, off, n int) []byte
 }
 
 // appendStatus encodes the payload-free replies both families share:
 // OK for a mutation that took effect, NIL for a miss or a no-op.
-func appendStatus(buf []byte, ok bool, seqs []uint32, i int) []byte {
-	switch {
-	case len(seqs) == 0 && ok:
+func appendStatus(buf []byte, ok bool) []byte {
+	if ok {
 		return protocol.AppendOK(buf)
-	case len(seqs) == 0:
-		return protocol.AppendNil(buf)
-	case ok:
-		return protocol.AppendOKSeq(buf, seqs[i])
 	}
-	return protocol.AppendNilSeq(buf, seqs[i])
+	return protocol.AppendNil(buf)
 }
 
 func errWrongFamily(op protocol.Op, serves string) error {
@@ -62,7 +52,6 @@ type u64Batch struct {
 func (b *u64Batch) len() int        { return len(b.ops) }
 func (b *u64Batch) reset()          { b.ops = b.ops[:0] }
 func (b *u64Batch) merge(src batch) { b.ops = append(b.ops, src.(*u64Batch).ops...) }
-func (b *u64Batch) own(src batch)   { b.ops = append(b.ops[:0], src.(*u64Batch).ops...) }
 func (b *u64Batch) apply()          { b.res = b.kv.ApplyInto(b.res[:0], b.ops) }
 
 func (b *u64Batch) push(op protocol.Op, p []byte) error {
@@ -84,16 +73,12 @@ func (b *u64Batch) push(op protocol.Op, p []byte) error {
 	return nil
 }
 
-func (b *u64Batch) encode(buf []byte, off, n int, seqs []uint32) []byte {
-	for i := 0; i < n; i++ {
-		r := b.res[off+i]
-		switch {
-		case b.ops[off+i].Kind != hyaline.OpGet || !r.OK:
-			buf = appendStatus(buf, r.OK, seqs, i)
-		case len(seqs) == 0:
+func (b *u64Batch) encode(buf []byte, off, n int) []byte {
+	for i := off; i < off+n; i++ {
+		if r := b.res[i]; b.ops[i].Kind == hyaline.OpGet && r.OK {
 			buf = protocol.AppendValue(buf, r.Val)
-		default:
-			buf = protocol.AppendValueSeq(buf, seqs[i], r.Val)
+		} else {
+			buf = appendStatus(buf, r.OK)
 		}
 	}
 	return buf

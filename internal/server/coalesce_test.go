@@ -16,27 +16,13 @@ import (
 	"hyaline/internal/server"
 )
 
-// hello negotiates flags on an open connection and returns the accepted
-// set.
-func hello(t *testing.T, w *protocol.Writer, rd *protocol.Reader, flags byte) byte {
-	t.Helper()
-	w.Hello(flags)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f := readFrame(t, rd)
-	wantStatus(t, f, protocol.StatusOK)
-	if len(f.Payload) != 1 {
-		t.Fatalf("HELLO reply payload %v", f.Payload)
-	}
-	return f.Payload[0]
-}
-
 // TestCoalescedBatching is the acceptance test: 64 singleton-pipeline
 // connections, per-connection mode vs coalesced mode, same op count.
 // Per-connection mode issues one kv.Apply per op; coalescing must merge
-// at least 8× better, with every reply still in its connection's request
-// order (checked by seq echo and by unique-key SET results).
+// at least 8× better, with every reply still answering its own request:
+// each connection SETs keys and values unique to it and reads each one
+// back in the next round, so a reply routed to the wrong connection or
+// round fails.
 func TestCoalescedBatching(t *testing.T) {
 	const conns = 64
 	rounds := 50
@@ -58,14 +44,16 @@ func TestCoalescedBatching(t *testing.T) {
 				defer c.Close()
 				w := protocol.NewWriter(c)
 				rd := protocol.NewReader(c)
-				if got := hello(t, w, rd, protocol.FlagSeq); got&protocol.FlagSeq == 0 {
-					t.Errorf("conn %d: FlagSeq not accepted (%#x)", id, got)
-					return
-				}
 				for r := 0; r < rounds; r++ {
-					// Unique key per (conn, round): the insert must
-					// succeed, so any NIL is a cross-connection mixup.
-					w.SetSeq(uint32(r), uint64(id*rounds+r), uint64(r))
+					// Even rounds SET a key unique to (conn, round), so
+					// the insert must succeed; odd rounds GET it back and
+					// must see the value only that SET wrote.
+					key := uint64(id*rounds + r&^1)
+					if r%2 == 0 {
+						w.Set(key, key*31+7)
+					} else {
+						w.Get(key)
+					}
 					if err := w.Flush(); err != nil {
 						t.Errorf("conn %d: %v", id, err)
 						return
@@ -75,16 +63,22 @@ func TestCoalescedBatching(t *testing.T) {
 						t.Errorf("conn %d: %v", id, err)
 						return
 					}
-					seq, _, err := protocol.Seq(f.Payload)
-					if err != nil {
-						t.Errorf("conn %d: %v", id, err)
+					if protocol.Status(f.Code) != protocol.StatusOK {
+						t.Errorf("conn %d round %d: reply %s, want OK", id, r, protocol.Status(f.Code))
 						return
 					}
-					if seq != uint32(r) {
-						t.Errorf("conn %d: reply seq %d, want %d (misordered)", id, seq, r)
+					want := 0
+					if r%2 == 1 {
+						want = 8
+						if v, _ := protocol.U64(f.Payload); v != key*31+7 {
+							t.Errorf("conn %d round %d: GET %d returned %d, want %d", id, r, key, v, key*31+7)
+							return
+						}
+					}
+					if len(f.Payload) != want {
+						t.Errorf("conn %d round %d: %d-byte reply payload, want %d", id, r, len(f.Payload), want)
 						return
 					}
-					wantStatus(t, f, protocol.StatusOK)
 				}
 			}(id)
 		}
@@ -97,12 +91,11 @@ func TestCoalescedBatching(t *testing.T) {
 	if perBatches != perOps {
 		t.Fatalf("per-connection mode: %d batches for %d singleton ops", perBatches, perOps)
 	}
-	// One shard and a generous window so the measurement is about
-	// merging, not about scheduler jitter on a loaded CI machine.
+	// A generous window so the measurement is about merging, not about
+	// scheduler jitter on a loaded CI machine.
 	coOps, coBatches := run(server.Options{
 		Coalesce:       true,
 		CoalesceWindow: 2 * time.Millisecond,
-		CoalesceShards: 1,
 	})
 	if coBatches == 0 {
 		t.Fatal("coalesced mode issued no batches")
@@ -117,7 +110,9 @@ func TestCoalescedBatching(t *testing.T) {
 
 // TestCoalescedPipelinedModel replays the single-client model check
 // against a coalesced server: coalescing must be invisible to any one
-// connection — same replies, same order, meta barriers intact.
+// connection — same replies, same order, meta commands in their place.
+// Every SET writes a value unique to its request, so a GET hit answered
+// out of place returns a value the model does not expect.
 func TestCoalescedPipelinedModel(t *testing.T) {
 	_, _, addr := testServer(t, "hashmap", "hyaline", server.Options{
 		MaxPipeline:    8,
@@ -144,11 +139,12 @@ func TestCoalescedPipelinedModel(t *testing.T) {
 			key := uint64(rng.Intn(20))
 			switch rng.Intn(4) {
 			case 0:
-				w.Set(key, key*100+uint64(wnd))
+				val := uint64(wnd)<<8 | uint64(i)
+				w.Set(key, val)
 				if _, ok := model[key]; ok {
 					expect = append(expect, pred{status: protocol.StatusNil})
 				} else {
-					model[key] = key*100 + uint64(wnd)
+					model[key] = val
 					expect = append(expect, pred{status: protocol.StatusOK})
 				}
 			case 1:
@@ -187,32 +183,32 @@ func TestCoalescedPipelinedModel(t *testing.T) {
 				if v != e.val {
 					t.Fatalf("window %d op %d: value %d, want %d", wnd, i, v, e.val)
 				}
+			} else if len(f.Payload) != 0 {
+				t.Fatalf("window %d op %d: %d-byte payload on a %s reply", wnd, i, len(f.Payload), e.status)
 			}
 		}
 	}
 }
 
-// bytesPattern is the deterministic value every test writer stores under
-// a key, so any reader can integrity-check a GETB hit without shared
-// state.
-func bytesPattern(key []byte) []byte {
-	n := 1 + int(key[len(key)-1]%4)
-	return bytes.Repeat(key, n)
-}
-
 // TestCoalescedBytes hammers a coalesced bytes server from several
-// pipelined connections. GETB hits must return the exact stored pattern:
-// the shard worker's value buffer is reused across batches, so a stale
-// alias (a scatter bug) shows up as cross-connection value corruption.
+// pipelined connections, each on its own key stripe against a model of
+// it. Every SETB value is unique to its request, and GETB hits must
+// return exactly the value the model holds: the shard worker's value
+// buffer is reused across batches, so a stale alias (a scatter bug)
+// shows up as cross-connection value corruption, and a reply out of
+// place as a status, payload or value mismatch.
 func TestCoalescedBytes(t *testing.T) {
 	_, _, addr := testBytesServer(t, "hyaline", server.Options{
 		Coalesce:       true,
 		CoalesceWindow: 200 * time.Microsecond,
-		CoalesceShards: 1,
 	})
 	conns, windows := 8, 30
 	if testing.Short() {
 		conns, windows = 4, 8
+	}
+	type pred struct {
+		status protocol.Status
+		val    []byte // GETB hits only
 	}
 	var wg sync.WaitGroup
 	for id := 0; id < conns; id++ {
@@ -227,60 +223,50 @@ func TestCoalescedBytes(t *testing.T) {
 			defer c.Close()
 			w := protocol.NewWriter(c)
 			rd := protocol.NewReader(c)
-			if got := hello(t, w, rd, protocol.FlagSeq); got&protocol.FlagSeq == 0 {
-				t.Errorf("conn %d: FlagSeq not accepted", id)
-				return
-			}
 			rng := rand.New(rand.NewSource(int64(id)))
-			kinds := make([]protocol.Op, 16)
-			keys := make([][]byte, 16)
-			var seq uint32
+			model := map[string][]byte{}
+			expect := make([]pred, 16)
 			for wnd := 0; wnd < windows; wnd++ {
-				base := seq
-				for p := range kinds {
-					key := []byte(fmt.Sprintf("k%03d", rng.Intn(256)))
-					keys[p] = key
+				for p := range expect {
+					key := fmt.Sprintf("c%d-k%02d", id, rng.Intn(32))
+					cur, present := model[key]
 					switch rng.Intn(3) {
 					case 0:
-						kinds[p] = protocol.OpSetB
-						w.SetBSeq(seq, key, bytesPattern(key))
+						val := bytes.Repeat([]byte(fmt.Sprintf("%s@%d.%d;", key, wnd, p)), 1+rng.Intn(4))
+						w.SetB([]byte(key), val)
+						expect[p] = pred{status: protocol.StatusNil}
+						if !present {
+							expect[p].status = protocol.StatusOK
+							model[key] = val
+						}
 					case 1:
-						kinds[p] = protocol.OpDelB
-						w.DelBSeq(seq, key)
+						w.DelB([]byte(key))
+						expect[p] = pred{status: protocol.StatusNil}
+						if present {
+							expect[p].status = protocol.StatusOK
+							delete(model, key)
+						}
 					default:
-						kinds[p] = protocol.OpGetB
-						w.GetBSeq(seq, key)
+						w.GetB([]byte(key))
+						expect[p] = pred{status: protocol.StatusNil}
+						if present {
+							expect[p] = pred{status: protocol.StatusOK, val: cur}
+						}
 					}
-					seq++
 				}
 				if err := w.Flush(); err != nil {
 					t.Errorf("conn %d: %v", id, err)
 					return
 				}
-				for p := range kinds {
+				for p, e := range expect {
 					f, err := rd.ReadFrame()
 					if err != nil {
 						t.Errorf("conn %d: %v", id, err)
 						return
 					}
-					got, rest, err := protocol.Seq(f.Payload)
-					if err != nil {
-						t.Errorf("conn %d: %v", id, err)
+					if got := protocol.Status(f.Code); got != e.status || !bytes.Equal(f.Payload, e.val) {
+						t.Errorf("conn %d window %d op %d: %s %q, want %s %q", id, wnd, p, got, f.Payload, e.status, e.val)
 						return
-					}
-					if got != base+uint32(p) {
-						t.Errorf("conn %d: reply seq %d, want %d (misordered)", id, got, base+uint32(p))
-						return
-					}
-					if protocol.Status(f.Code) == protocol.StatusErr {
-						t.Errorf("conn %d: ERR %q", id, rest)
-						return
-					}
-					if kinds[p] == protocol.OpGetB && protocol.Status(f.Code) == protocol.StatusOK {
-						if want := bytesPattern(keys[p]); !bytes.Equal(rest, want) {
-							t.Errorf("conn %d: corrupted GETB %q: got %q, want %q", id, keys[p], rest, want)
-							return
-						}
 					}
 				}
 			}
@@ -350,71 +336,6 @@ func TestCoalescedDrain(t *testing.T) {
 	}
 	if _, _, _, batches := srv.Counters(); batches == 0 {
 		t.Fatal("drain test saw no batches — traffic never reached the server")
-	}
-}
-
-// TestSeqReplies covers the HELLO negotiation corners and the SEQ reply
-// variants on one per-connection-mode server: unsupported flags are
-// masked off, seq values are echoed verbatim (not re-numbered), meta
-// commands stay unsequenced, and an unsequenced data frame after
-// negotiation is a protocol error.
-func TestSeqReplies(t *testing.T) {
-	_, _, addr := testServer(t, "hashmap", "hyaline", server.Options{})
-	_, w, rd := dial(t, addr)
-
-	// Request every flag bit; only the supported subset comes back.
-	if got := hello(t, w, rd, 0xff); got != protocol.SupportedFlags {
-		t.Fatalf("HELLO(0xff) accepted %#x, want %#x", got, protocol.SupportedFlags)
-	}
-
-	w.SetSeq(42, 1, 100)
-	w.GetSeq(7, 1)
-	w.GetSeq(9000, 2) // miss
-	w.Ping([]byte("meta"))
-	w.DelSeq(3, 1)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	f := readFrame(t, rd) // SET → OK, seq 42
-	wantStatus(t, f, protocol.StatusOK)
-	if seq, rest, _ := protocol.Seq(f.Payload); seq != 42 || len(rest) != 0 {
-		t.Fatalf("SET reply seq %d rest %v", seq, rest)
-	}
-	f = readFrame(t, rd) // GET hit → VALUE, seq 7
-	wantStatus(t, f, protocol.StatusOK)
-	seq, rest, err := protocol.Seq(f.Payload)
-	if err != nil || seq != 7 {
-		t.Fatalf("GET reply seq %d, %v", seq, err)
-	}
-	if v, _ := protocol.U64(rest); v != 100 {
-		t.Fatalf("GET value %d", v)
-	}
-	f = readFrame(t, rd) // GET miss → NIL, seq 9000
-	wantStatus(t, f, protocol.StatusNil)
-	if seq, _, _ := protocol.Seq(f.Payload); seq != 9000 {
-		t.Fatalf("miss reply seq %d", seq)
-	}
-	f = readFrame(t, rd) // PING: meta, no seq prefix
-	wantStatus(t, f, protocol.StatusOK)
-	if string(f.Payload) != "meta" {
-		t.Fatalf("PING payload %q", f.Payload)
-	}
-	f = readFrame(t, rd) // DEL → OK, seq 3
-	wantStatus(t, f, protocol.StatusOK)
-	if seq, _, _ := protocol.Seq(f.Payload); seq != 3 {
-		t.Fatalf("DEL reply seq %d", seq)
-	}
-
-	// An unsequenced GET after negotiating FlagSeq is malformed: its
-	// 8-byte payload parses as seq + 4 bytes, which no data op accepts.
-	w.Get(1)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wantStatus(t, readFrame(t, rd), protocol.StatusErr)
-	if _, err := rd.ReadFrame(); err == nil {
-		t.Fatal("connection survived a seq framing violation")
 	}
 }
 

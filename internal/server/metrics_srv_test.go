@@ -62,7 +62,9 @@ func sampleValue(t *testing.T, text, name string) float64 {
 
 // TestMetricsScrapeUnderLoad is the observability acceptance test: a
 // coalesced poll-mode server is scraped continuously over HTTP while 8
-// connections drive a seq-framed workload. Run under -race this proves
+// connections each SET keys and values unique to them and GET each one
+// back in the same window, checking every reply by its position. Run
+// under -race this proves
 // the scrape path (registry iteration, histogram snapshots, GaugeFunc
 // sampling through server and KV internals) is safe against the serve
 // path; afterwards the final exposition must parse per the text
@@ -121,19 +123,32 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			defer c.Close()
 			w := protocol.NewWriter(c)
 			rd := protocol.NewReader(c)
-			hello(t, w, rd, protocol.FlagSeq)
 			for r := 0; r < rounds; r++ {
-				w.SetSeq(uint32(r), uint64(id*rounds+r), uint64(r))
+				key := uint64(id*rounds + r)
+				w.Set(key, key*31+7)
+				w.Get(key)
 				if err := w.Flush(); err != nil {
 					t.Errorf("conn %d: %v", id, err)
 					return
 				}
-				f, err := rd.ReadFrame()
+				set, err := rd.ReadFrame()
 				if err != nil {
 					t.Errorf("conn %d: %v", id, err)
 					return
 				}
-				wantStatus(t, f, protocol.StatusOK)
+				if protocol.Status(set.Code) != protocol.StatusOK || len(set.Payload) != 0 {
+					t.Errorf("conn %d: SET %d reply %s %x, want an empty OK", id, key, protocol.Status(set.Code), set.Payload)
+					return
+				}
+				get, err := rd.ReadFrame()
+				if err != nil {
+					t.Errorf("conn %d: %v", id, err)
+					return
+				}
+				if v, err := protocol.U64(get.Payload); protocol.Status(get.Code) != protocol.StatusOK || err != nil || v != key*31+7 {
+					t.Errorf("conn %d: GET %d reply %s %x, want OK %d", id, key, protocol.Status(get.Code), get.Payload, key*31+7)
+					return
+				}
 			}
 		}(id)
 	}
@@ -151,17 +166,17 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			t.Fatalf("/metrics line %d violates the exposition grammar: %q", n, sc.Text())
 		}
 	}
-	wantOps := float64(conns * rounds)
+	sets := float64(conns * rounds)
 	for name, min := range map[string]float64{
-		"hyaline_server_ops_total":                wantOps,
+		"hyaline_server_ops_total":                2 * sets,
 		"hyaline_server_batches_total":            1,
 		"hyaline_server_conns_accepted_total":     conns,
 		"hyaline_server_bytes_read_total":         1,
 		"hyaline_server_bytes_written_total":      1,
-		"hyaline_server_op_latency_seconds_count": wantOps,
+		"hyaline_server_op_latency_seconds_count": 2 * sets,
 		"hyaline_server_batch_ops_count":          1,
 		"hyaline_server_coalesce_runs_count":      1,
-		"hyaline_kv_nodes_allocated_total":        wantOps,
+		"hyaline_kv_nodes_allocated_total":        sets,
 	} {
 		if v := sampleValue(t, text, name); v < min {
 			t.Errorf("%s = %v, want >= %v", name, v, min)

@@ -14,11 +14,12 @@ import (
 )
 
 // TestServeModes drives every serving configuration (per-conn, coalesce,
-// poll, poll+ooo) over a one- and a two-shard store with real client
-// connections. Every reply is checked against a per-connection model.
-// Then, with the clients still connected, Shutdown must return nil
-// before its deadline, leave no session lease in flight, and bring the
-// hyaline_server_goroutines gauge back to 0.
+// poll, poll+coalesce) over a one- and a two-shard store with real
+// client connections. Every reply is checked against a per-connection
+// model. Then, with the clients still connected, Shutdown must return
+// nil before its deadline, leave no session lease in flight, and bring
+// the hyaline_server_goroutines gauge back to 0; a second Shutdown must
+// return nil at once.
 func TestServeModes(t *testing.T) {
 	modes := []struct {
 		name string
@@ -27,7 +28,7 @@ func TestServeModes(t *testing.T) {
 		{"per-conn", server.Options{}},
 		{"coalesce", server.Options{Coalesce: true}},
 		{"poll", server.Options{Poll: true}},
-		{"poll+ooo", server.Options{Poll: true, OOO: true}},
+		{"poll+coalesce", server.Options{Poll: true, Coalesce: true}},
 	}
 	const conns = 2
 	for _, m := range modes {
@@ -44,19 +45,16 @@ func TestServeModes(t *testing.T) {
 					t.Fatal(err)
 				}
 				srv := server.New(kv, m.opts)
-				addr, shutdown := start(t, srv)
+				addr, shutdown := serve(t, srv)
 
 				errs := make(chan error, conns)
 				var wg sync.WaitGroup
 				for c := 0; c < conns; c++ {
 					_, w, rd := dial(t, addr)
-					if m.opts.OOO && hello(t, w, rd, protocol.FlagSeq)&protocol.FlagSeq == 0 {
-						t.Fatal("HELLO refused seq framing")
-					}
 					wg.Add(1)
 					go func(c int) {
 						defer wg.Done()
-						if err := driveModel(c, conns, w, rd, m.opts.OOO); err != nil {
+						if err := driveModel(c, conns, w, rd); err != nil {
 							errs <- fmt.Errorf("conn %d: %w", c, err)
 						}
 					}(c)
@@ -91,17 +89,22 @@ func TestServeModes(t *testing.T) {
 					}
 					time.Sleep(time.Millisecond)
 				}
+				again, cancelAgain := context.WithTimeout(context.Background(), time.Second)
+				defer cancelAgain()
+				if err := srv.Shutdown(again); err != nil {
+					t.Fatalf("second Shutdown: %v", err)
+				}
 			})
 		}
 	}
 }
 
 // driveModel runs pipelined windows of SET/DEL/GET on connection c's own
-// key stripe (key % conns == c) and checks each reply's status, and each
-// GET's value, against a map model. A window names a key at most once,
-// so an OOO reply order cannot change any expectation; with seq framing
-// the replies are matched to their requests by seq.
-func driveModel(c, conns int, w *protocol.Writer, rd *protocol.Reader, seqd bool) error {
+// key stripe (key % conns == c) and checks each reply, by its position
+// in the window, against a map model: its status, and each GET's value.
+// A window names a key at most once and a SET's value is unique to its
+// (key, window), so a reply answering any other request shows up.
+func driveModel(c, conns int, w *protocol.Writer, rd *protocol.Reader) error {
 	const windows, pipeline, keySpace = 50, 8, 32
 	type want struct {
 		status protocol.Status
@@ -110,12 +113,10 @@ func driveModel(c, conns int, w *protocol.Writer, rd *protocol.Reader, seqd bool
 	}
 	rng := rand.New(rand.NewSource(int64(c) + 1))
 	model := map[uint64]uint64{}
-	var seq uint32
+	wants := make([]want, pipeline)
 	for win := 0; win < windows; win++ {
 		base := rng.Intn(keySpace)
-		wants := make(map[uint32]want, pipeline)
-		order := make([]uint32, 0, pipeline)
-		for j := 0; j < pipeline; j++ {
+		for j := range wants {
 			key := uint64(c + conns*((base+j)%keySpace))
 			val := key*31 + uint64(win)
 			cur, present := model[key]
@@ -127,63 +128,40 @@ func driveModel(c, conns int, w *protocol.Writer, rd *protocol.Reader, seqd bool
 					x.status = protocol.StatusOK
 					model[key] = val
 				}
-				if seqd {
-					w.SetSeq(seq, key, val)
-				} else {
-					w.Set(key, val)
-				}
+				w.Set(key, val)
 			case 1:
 				x.status = protocol.StatusNil
 				if present {
 					x.status = protocol.StatusOK
 					delete(model, key)
 				}
-				if seqd {
-					w.DelSeq(seq, key)
-				} else {
-					w.Del(key)
-				}
+				w.Del(key)
 			default:
 				x = want{status: protocol.StatusNil, get: true}
 				if present {
 					x = want{status: protocol.StatusOK, val: cur, get: true}
 				}
-				if seqd {
-					w.GetSeq(seq, key)
-				} else {
-					w.Get(key)
-				}
+				w.Get(key)
 			}
-			wants[seq] = x
-			order = append(order, seq)
-			seq++
+			wants[j] = x
 		}
 		if err := w.Flush(); err != nil {
 			return err
 		}
-		for i := 0; i < pipeline; i++ {
+		for j, x := range wants {
 			f, err := rd.ReadFrame()
 			if err != nil {
 				return err
 			}
-			id, rest := order[i], f.Payload
-			if seqd {
-				if id, rest, err = protocol.Seq(f.Payload); err != nil {
-					return err
-				}
-			}
-			x, ok := wants[id]
-			if !ok {
-				return fmt.Errorf("reply for unknown or repeated seq %d", id)
-			}
-			delete(wants, id)
 			if got := protocol.Status(f.Code); got != x.status {
-				return fmt.Errorf("seq %d: reply %s (payload %q), want %s", id, got, rest, x.status)
+				return fmt.Errorf("window %d reply %d: %s (payload %q), want %s", win, j, got, f.Payload, x.status)
 			}
 			if x.get && x.status == protocol.StatusOK {
-				if v, err := protocol.U64(rest); err != nil || v != x.val {
-					return fmt.Errorf("seq %d: GET returned %d (%v), want %d", id, v, err, x.val)
+				if v, err := protocol.U64(f.Payload); err != nil || v != x.val {
+					return fmt.Errorf("window %d reply %d: GET returned %d (%v), want %d", win, j, v, err, x.val)
 				}
+			} else if len(f.Payload) != 0 {
+				return fmt.Errorf("window %d reply %d: %s carries a %d-byte payload", win, j, x.status, len(f.Payload))
 			}
 		}
 	}

@@ -84,8 +84,9 @@ type poller struct {
 	reg     map[int]*conn
 	stopped bool
 
-	loopDone sync.WaitGroup
-	workDone sync.WaitGroup
+	loopDone  sync.WaitGroup
+	workDone  sync.WaitGroup
+	drainOnce sync.Once
 }
 
 func newPoller(s *Server, opts Options) (*poller, error) {
@@ -318,8 +319,11 @@ func (p *poller) teardown(cn *conn) {
 // drain stops the poller for Shutdown: the loop exits, workers finish
 // their current service pass and drain the queue, and every conn still
 // parked is torn down. On return no poll goroutine remains and every
-// polled conn has released its Server.wg unit.
-func (p *poller) drain() {
+// polled conn has released its Server.wg unit. It runs once; a repeated
+// Shutdown's call waits for the first to finish.
+func (p *poller) drain() { p.drainOnce.Do(p.stop) }
+
+func (p *poller) stop() {
 	p.mu.Lock()
 	p.stopped = true
 	p.mu.Unlock()

@@ -3,8 +3,8 @@
 // hyaline.KV (uint64 keys, GET/SET/DEL) or one hyaline.KVBytes ([]byte
 // keys, GETB/SETB/DELB), sharded or not. Each connection is decoded by
 // one reader (a dedicated goroutine by default, a pooled worker under
-// Options.Poll) that batches data commands and writes encoded replies
-// inline under a per-connection write lock. The serving pipeline is the
+// Options.Poll) that batches data commands and writes their encoded
+// replies itself, in request order. The serving pipeline is the
 // same for both key families; what differs — op decoding, the store
 // call, value encoding — lives behind the batch type (batch.go).
 //
@@ -28,12 +28,6 @@
 // (epoll on Linux, kqueue on Darwin/FreeBSD; see poll*.go) and are
 // handed to a bounded worker pool only when readable, so N mostly-idle
 // connections cost O(PollWorkers) server goroutines instead of N.
-//
-// Options.OOO completes seq-framed replies out of order: instead of
-// parking the reader until its whole run is applied, the run is
-// submitted asynchronously and each coalescer shard writes that run's
-// replies — seq-tagged — the moment its batch lands (see coalesce.go).
-// Meta commands (PING/LEN/STATS/HELLO) remain ordering barriers.
 package server
 
 import (
@@ -69,12 +63,6 @@ const DefaultCoalesceWindow = 50 * time.Microsecond
 // seconds cleanly separates "slow" from "gone".
 const DefaultWriteTimeout = 5 * time.Second
 
-// oooWindow bounds how many async runs one connection may have in
-// flight with the coalescer. A reader that gets this far ahead parks on
-// the token channel — backpressure toward the socket, never an
-// unbounded outstanding table.
-const oooWindow = 4
-
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("server: closed")
 
@@ -84,8 +72,8 @@ type Options struct {
 	// into one kv.Apply batch. Default DefaultMaxPipeline; min 1.
 	MaxPipeline int
 	// Coalesce merges apply batches across connections: readers submit
-	// runs to sharded apply workers instead of calling kv.Apply
-	// themselves. Wins when many connections each keep few requests in
+	// runs to sharded apply workers (GOMAXPROCS/2 of them, clamped to
+	// 1..4) instead of calling kv.Apply themselves. Wins when many connections each keep few requests in
 	// flight; loses nothing when a single client already pipelines full
 	// windows.
 	Coalesce bool
@@ -93,9 +81,6 @@ type Options struct {
 	// waits for more runs. Default DefaultCoalesceWindow; negative means
 	// no waiting (merge only runs already queued).
 	CoalesceWindow time.Duration
-	// CoalesceShards is the number of apply workers. Default
-	// min(GOMAXPROCS/2, 4), min 1.
-	CoalesceShards int
 	// WriteTimeout bounds each reply Write; on expiry the connection is
 	// treated as broken (closed, drained, logged). Default
 	// DefaultWriteTimeout; negative disables the deadline.
@@ -110,13 +95,6 @@ type Options struct {
 	// PollWorkers bounds the poll-mode service pool. Default
 	// 2×GOMAXPROCS, min 2.
 	PollWorkers int
-	// OOO completes seq-framed replies out of order: a connection that
-	// negotiated FlagSeq has its runs applied asynchronously, each
-	// coalescer shard writing its replies as its batch lands instead of
-	// the reader parking until the whole window is applied. Implies
-	// Coalesce. Connections that did not negotiate FlagSeq keep FIFO
-	// replies; meta commands remain ordering barriers either way.
-	OOO bool
 	// MaxConns caps concurrently open connections; an accept beyond the
 	// cap is closed immediately (counted by Rejected). 0 = unlimited.
 	MaxConns int
@@ -160,9 +138,8 @@ type Server struct {
 	maxPipeline  int
 	maxConns     int
 	writeTimeout time.Duration
-	co           *coalescer // non-nil iff Options.Coalesce/OOO
+	co           *coalescer // non-nil iff Options.Coalesce
 	po           *poller    // non-nil iff Options.Poll on a supported platform
-	ooo          bool
 	logf         func(string, ...any)
 
 	mu       sync.Mutex
@@ -215,12 +192,11 @@ func newServer(opts Options, store gauges, newBatch func() batch) *Server {
 		maxPipeline:  opts.MaxPipeline,
 		maxConns:     opts.MaxConns,
 		writeTimeout: wt,
-		ooo:          opts.OOO,
 		logf:         logf,
 		conns:        map[net.Conn]struct{}{},
 		m:            newSrvMetrics(opts.Metrics),
 	}
-	if opts.Coalesce || opts.OOO {
+	if opts.Coalesce {
 		s.co = newCoalescer(s, opts)
 	}
 	if opts.Poll {
@@ -322,12 +298,13 @@ func (s *Server) startConn(c net.Conn) {
 
 // Shutdown gracefully stops the server: the listener closes, every
 // connection finishes the pipeline window it is processing (its batch
-// bracket completes and its replies — including out-of-order ones still
-// with the coalescer — are written), idle connections are released from
-// their blocking read or swept out of the poller, and the poll workers
-// exit. When ctx expires first, the remaining connections are closed
-// forcibly. The KV is untouched — the caller owns its lifecycle (and
-// can assert kv.InFlight() == 0 once Shutdown returns).
+// bracket completes and its replies are written), idle connections are
+// released from their blocking read or swept out of the poller, and the
+// poll workers exit. When ctx expires first, the remaining connections
+// are closed forcibly. The KV is untouched — the caller owns its
+// lifecycle (and can assert kv.InFlight() == 0 once Shutdown returns).
+// Shutdown may be called again, concurrently or after it returned: every
+// call waits for the same drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -448,9 +425,8 @@ func (s *Server) appendStats(b []byte) []byte {
 	})
 }
 
-// bufPool recycles reply buffers: the one a connection holds while it
-// answers a window, and the per-run reply buffers the OOO scatter path
-// encodes into.
+// bufPool recycles the reply buffer a connection holds while it answers
+// a window.
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
 	return &b
@@ -470,33 +446,17 @@ type conn struct {
 	bp  *[]byte // nil when not held
 	buf []byte  // alias of *bp being appended to
 
-	// seq is set by a HELLO that negotiated FlagSeq: every data command
-	// carries a u32 seq prefix that is echoed on its reply. seqs then
-	// runs parallel to the pending run; it stays empty otherwise.
-	seq  bool
-	seqs []uint32
-
-	// Replies are written inline under wmu by whoever produced them —
-	// the reader at window end, a coalescer shard in OOO mode. A failed
-	// or timed-out write marks the conn broken and closes it; later
-	// writes are dropped (the peer is gone either way).
-	wmu    sync.Mutex
+	// The reader is the conn's only writer. A failed or timed-out write
+	// marks the conn broken and closes it; later writes are dropped (the
+	// peer is gone either way).
 	broken bool
 
-	// FIFO coalesced-mode rendezvous: the reader parks on applied after
-	// submitting frun to its shard's worker, which encodes the run's
-	// replies into buf and signals. Nil when the server applies
-	// per-connection.
+	// Coalesced-mode rendezvous: the reader parks on applied after
+	// submitting the conn to its shard's worker, which encodes the
+	// pending run's replies into buf and signals. Nil when the server
+	// applies per-connection.
 	applied chan struct{}
 	shard   *coShard
-	frun    run
-
-	// OOO mode: ooo is armed by HELLO when the server completes out of
-	// order; tokens counts async runs in flight (cap oooWindow), the
-	// reader blocking on it for backpressure and draining it fully at
-	// ordering barriers and teardown.
-	ooo    bool
-	tokens chan struct{}
 
 	// Poll mode: the conn's descriptor and its poller state machine
 	// (pollIdle → pollQueued → pollRunning → back to pollIdle, or
@@ -505,11 +465,9 @@ type conn struct {
 	pstate atomic.Int32
 
 	// Window latency bookkeeping: wstart is stamped when the window's
-	// first frame is decoded, wops counts the replies produced
-	// synchronously in this window (FIFO data runs and meta commands —
-	// async OOO runs carry wstart with them instead, see takeRun). The
-	// decode→reply-flushed histogram observes wops samples of the
-	// window's elapsed time once its replies are on the wire.
+	// first frame is decoded, wops counts the replies produced in this
+	// window. The decode→reply-flushed histogram observes wops samples
+	// of the window's elapsed time once its replies are on the wire.
 	wstart time.Time
 	wops   int64
 
@@ -531,7 +489,6 @@ func newConn(s *Server, c net.Conn) *conn {
 	if s.co != nil {
 		cn.applied = make(chan struct{}, 1)
 		cn.shard = s.co.assign()
-		cn.frun = run{cn: cn, sync: true, b: cn.b}
 	}
 	return cn
 }
@@ -601,12 +558,9 @@ func (cn *conn) window(f protocol.Frame) {
 	}
 }
 
-// teardown retires the connection exactly once: outstanding OOO runs
-// are waited out (their replies written by the coalescer workers, who
-// must never touch a closed conn), then the socket closes and the
-// server's books are settled.
+// teardown retires the connection exactly once: the socket closes and
+// the server's books are settled.
 func (cn *conn) teardown() {
-	cn.oooBarrier()
 	cn.c.Close()
 	cn.srv.untrack(cn.c)
 	cn.srv.wg.Done()
@@ -628,18 +582,11 @@ func (cn *conn) releaseBuf() {
 	cn.bp, cn.buf = nil, nil
 }
 
-// write ships one encoded reply buffer to the peer, serialized against
-// concurrent producers (the reader and, in OOO mode, coalescer shard
-// workers). On error or deadline expiry the conn is marked broken and
-// closed — which also unblocks its reader — and later writes are
-// dropped rather than blocking anyone.
+// write ships one encoded reply buffer to the peer. On error or
+// deadline expiry the conn is marked broken and closed, and later
+// writes are dropped.
 func (cn *conn) write(buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	if cn.broken {
+	if len(buf) == 0 || cn.broken {
 		return
 	}
 	// A deadline per Write, not per connection: a client may idle
@@ -657,8 +604,8 @@ func (cn *conn) write(buf []byte) {
 	}
 }
 
-// served counts frames answered synchronously on this connection: the
-// server-wide ops counter plus the window's latency weight.
+// served counts frames answered on this connection: the server-wide
+// ops counter plus the window's latency weight.
 func (cn *conn) served(n int64) {
 	cn.srv.m.served.Add(uint64(n))
 	cn.wops += n
@@ -678,151 +625,66 @@ func (r *countingReader) Read(p []byte) (int, error) {
 }
 
 // frame handles one decoded request frame. Data commands accumulate into
-// the pending Apply run; meta commands (PING/LEN/STATS/HELLO) are
-// ordering barriers — they flush the run (and in OOO mode wait for every
-// outstanding reply to hit the wire), then answer inline while the
-// frame payload is still valid.
+// the pending Apply run; meta commands (PING/LEN/STATS) flush the run
+// first, so their replies keep their place in request order, then
+// answer inline while the frame payload is still valid.
 func (cn *conn) frame(f protocol.Frame) {
 	op := protocol.Op(f.Code)
-	payload := f.Payload
-	var seq uint32
-	if cn.seq && op.IsData() {
-		var err error
-		seq, payload, err = protocol.Seq(payload)
-		if err != nil {
-			cn.protoErr(err)
-			return
-		}
-	}
-	if err := protocol.ValidateRequest(op, payload); err != nil {
+	if err := protocol.ValidateRequest(op, f.Payload); err != nil {
 		cn.protoErr(err)
 		return
 	}
 	if op.IsData() {
-		if err := cn.b.push(op, payload); err != nil {
+		if err := cn.b.push(op, f.Payload); err != nil {
 			cn.protoErr(err)
 			return
-		}
-		if cn.seq {
-			cn.seqs = append(cn.seqs, seq)
 		}
 		if cn.b.len() >= cn.srv.maxPipeline {
 			cn.flushOps()
 		}
 		return
 	}
-	// A meta command is a barrier: the pending run is completed (for
-	// HELLO, under the old framing) before it is answered.
-	cn.metaBarrier()
+	cn.flushOps()
 	switch op {
-	case protocol.OpHello:
-		accepted := payload[0] & protocol.SupportedFlags
-		cn.seq = accepted&protocol.FlagSeq != 0
-		cn.ooo = cn.seq && cn.srv.ooo
-		if cn.ooo && cn.tokens == nil {
-			cn.tokens = make(chan struct{}, oooWindow)
-		}
-		cn.buf = protocol.AppendHelloReply(cn.buf, accepted)
 	case protocol.OpPing:
-		cn.buf = protocol.AppendPingReply(cn.buf, payload)
+		cn.buf = protocol.AppendPingReply(cn.buf, f.Payload)
 	case protocol.OpLen:
 		cn.buf = protocol.AppendValue(cn.buf, uint64(cn.srv.store.Len()))
 	case protocol.OpStats:
 		cn.buf = cn.srv.appendStats(cn.buf)
 	}
 	cn.served(1)
-	cn.metaFlush()
-}
-
-// metaBarrier enforces the ordering contract of a meta command: the
-// pending run flushes, and in OOO mode every outstanding reply is on
-// the wire before the meta reply is produced.
-func (cn *conn) metaBarrier() {
-	cn.flushOps()
-	if cn.ooo {
-		cn.oooBarrier()
-	}
-}
-
-// metaFlush writes a meta reply immediately in OOO mode: replies of
-// runs submitted after the barrier may land at any time, and the
-// barrier promises they land *after* the meta reply.
-func (cn *conn) metaFlush() {
-	if cn.ooo {
-		cn.send()
-	}
 }
 
 // flushOps applies the pending run — one session lease, one Enter/Leave
-// bracket, shared with other connections' runs when coalescing. In FIFO
-// modes the replies are encoded here in request order; in OOO mode the
-// run is handed to the coalescer asynchronously and the shard worker
-// that applies it writes its replies.
+// bracket, shared with other connections' runs when coalescing — and
+// encodes its replies into cn.buf in request order.
 func (cn *conn) flushOps() {
 	n := cn.b.len()
 	if n == 0 {
 		return
 	}
-	switch {
-	case cn.ooo:
-		cn.srv.co.submit(cn.takeRun())
-		return
-	case cn.srv.co != nil:
+	if cn.srv.co != nil {
 		// The shard worker applies the merged batch, counts it, and
 		// encodes this run's replies into cn.buf.
 		cn.srv.co.apply(cn)
-	default:
+	} else {
 		cn.b.apply()
 		cn.srv.m.batches.Inc()
 		cn.srv.m.batchOps.ObserveSize(n)
-		cn.buf = cn.b.encode(cn.buf, 0, n, cn.seqs)
+		cn.buf = cn.b.encode(cn.buf, 0, n)
 	}
 	cn.served(int64(n))
 	cn.b.reset()
-	cn.seqs = cn.seqs[:0]
-}
-
-// takeRun moves the pending run into a pooled, conn-independent run for
-// async submission, taking one outstanding token (blocking at the
-// oooWindow cap — backpressure toward the socket). The run owns a copy
-// of the ops: the reader keeps consuming its network buffer while the
-// run waits.
-func (cn *conn) takeRun() *run {
-	r := cn.srv.co.newRun()
-	r.cn = cn
-	r.t0 = cn.wstart
-	r.seqs = append(r.seqs[:0], cn.seqs...)
-	r.b.own(cn.b)
-	cn.b.reset()
-	cn.seqs = cn.seqs[:0]
-	cn.tokens <- struct{}{}
-	return r
-}
-
-// oooBarrier blocks until no async run is outstanding — every reply the
-// coalescer owed this connection has been written. Acquiring all
-// oooWindow tokens is the proof: each outstanding run holds one, and
-// workers release theirs only after the run's replies hit the wire.
-// Only the conn's single reader calls this, so no submit can interleave.
-func (cn *conn) oooBarrier() {
-	if cn.tokens == nil {
-		return
-	}
-	for i := 0; i < oooWindow; i++ {
-		cn.tokens <- struct{}{}
-	}
-	for i := 0; i < oooWindow; i++ {
-		<-cn.tokens
-	}
 }
 
 // protoErr flushes what came before the malformed frame (those requests
-// were well-formed and deserve their replies, written before the ERR in
-// every mode), queues an ERR reply, and marks the connection for close —
-// after a framing violation there is no trustworthy boundary to resume
-// parsing from.
+// were well-formed and deserve their replies, written before the ERR),
+// queues an ERR reply, and marks the connection for close — after a
+// framing violation there is no trustworthy boundary to resume parsing
+// from.
 func (cn *conn) protoErr(err error) {
-	cn.metaBarrier()
+	cn.flushOps()
 	cn.buf = protocol.AppendErr(cn.buf, err.Error())
 	cn.fatal = true
 }

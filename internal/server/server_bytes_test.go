@@ -2,12 +2,9 @@ package server_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"testing"
-	"time"
 
 	"hyaline"
 	"hyaline/internal/protocol"
@@ -26,27 +23,10 @@ func testBytesServer(t *testing.T, scheme string, opts server.Options) (*hyaline
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	noLeaseAfter(t, kv)
 	srv := server.NewBytes(kv, opts)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != server.ErrServerClosed {
-			t.Errorf("Serve returned %v, want ErrServerClosed", err)
-		}
-		if n := kv.InFlight(); n != 0 {
-			t.Errorf("%d session leases still in flight after shutdown", n)
-		}
-	})
-	return kv, srv, ln.Addr().String()
+	addr, _ := serve(t, srv)
+	return kv, srv, addr
 }
 
 // TestBytesRoundTrip walks the bytes commands over one connection,

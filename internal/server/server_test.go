@@ -15,6 +15,52 @@ import (
 	"hyaline/internal/server"
 )
 
+// serve runs srv on a loopback listener and returns its address and the
+// call that shuts it down: Shutdown under ctx, then Serve's return,
+// which must be ErrServerClosed. The test's cleanup shuts down again —
+// Shutdown is safe to repeat — so a test that checks the drain itself
+// just calls shutdown first.
+func serve(t *testing.T, srv *server.Server) (string, func(context.Context) error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	var once sync.Once
+	var served error
+	shutdown := func(ctx context.Context) error {
+		if err := srv.Shutdown(ctx); err != nil {
+			return fmt.Errorf("Shutdown: %w", err)
+		}
+		once.Do(func() { served = <-serveErr })
+		if served != server.ErrServerClosed {
+			return fmt.Errorf("Serve returned %v, want ErrServerClosed", served)
+		}
+		return nil
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	return ln.Addr().String(), shutdown
+}
+
+// noLeaseAfter checks, once the test's servers have shut down, that kv
+// has no session lease in flight. Registered before serve, it runs
+// after serve's cleanup.
+func noLeaseAfter(t *testing.T, kv interface{ InFlight() int }) {
+	t.Cleanup(func() {
+		if n := kv.InFlight(); n != 0 {
+			t.Errorf("%d session leases still in flight after shutdown", n)
+		}
+	})
+}
+
 // testServer starts an in-process server on a loopback listener and
 // tears it down with the test.
 func testServer(t *testing.T, structure, scheme string, opts server.Options) (*hyaline.KV, *server.Server, string) {
@@ -26,27 +72,10 @@ func testServer(t *testing.T, structure, scheme string, opts server.Options) (*h
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	noLeaseAfter(t, kv)
 	srv := server.New(kv, opts)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-serveErr; err != server.ErrServerClosed {
-			t.Errorf("Serve returned %v, want ErrServerClosed", err)
-		}
-		if n := kv.InFlight(); n != 0 {
-			t.Errorf("%d session leases still in flight after shutdown", n)
-		}
-	})
-	return kv, srv, ln.Addr().String()
+	addr, _ := serve(t, srv)
+	return kv, srv, addr
 }
 
 func dial(t *testing.T, addr string) (net.Conn, *protocol.Writer, *protocol.Reader) {
@@ -291,6 +320,7 @@ func TestMalformedFrame(t *testing.T) {
 		{"unknown op", protocol.AppendFrame(nil, 0x6f, nil)},
 		{"oversized get", protocol.AppendFrame(nil, byte(protocol.OpGet), make([]byte, 100))},
 		{"len with payload", protocol.AppendFrame(nil, byte(protocol.OpLen), []byte{1})},
+		{"hello", protocol.AppendFrame(nil, 0x0a, []byte{1})}, // 0x0a is unassigned
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

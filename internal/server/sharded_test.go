@@ -43,7 +43,8 @@ func TestShardedStoreStats(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, w, rd := dial(t, serve(t, c.srv))
+			addr, _ := serve(t, c.srv)
+			_, w, rd := dial(t, addr)
 			for r := uint64(0); r < rounds; r++ {
 				for i := uint64(0); i < window; i++ {
 					c.churn(w, r*window+i)
