@@ -18,11 +18,8 @@
 // GET/SET/DEL data ops become protocol errors on such a server, and
 // vice versa.
 //
-// With -coalesce the apply batches are merged across connections:
-// decoded runs from many connections share one session bracket under a
-// -coalescewindow latency budget, which is where the batching win comes
-// from when the clients are many and barely pipelined. Replies stay in
-// request order on every connection whether or not batches are merged.
+// Each connection's reader applies its own runs: brackets are shared
+// within a pipeline window, never across connections.
 //
 // With -shards N the daemon serves a hash-sharded KV: N independent
 // structure+tracker partitions over one node pool (and blob heap), each
@@ -32,10 +29,10 @@
 // -shards above -threads still grants every shard one lease).
 //
 // With -poll idle connections park their descriptors in an OS
-// readiness poller (epoll/kqueue) and are serviced by a bounded worker
-// pool, so tens of thousands of mostly-idle connections cost O(workers)
-// goroutines. -maxconns caps concurrent connections; accepts beyond the
-// cap are refused immediately.
+// readiness poller (epoll/kqueue) and are serviced by a pool of
+// 2×GOMAXPROCS workers, so tens of thousands of mostly-idle connections
+// cost O(GOMAXPROCS) goroutines. -maxconns caps concurrent connections;
+// accepts beyond the cap are refused immediately.
 //
 // With -metrics ADDR the daemon serves an HTTP observability endpoint
 // on a second listener: /metrics (Prometheus text exposition),
@@ -44,7 +41,9 @@
 // scraper can watch a shutdown to completion.
 //
 // The bound address is printed on startup (useful with port 0); drive it
-// with cmd/hyalineload. On SIGINT the server stops accepting, finishes
+// with cmd/hyalineload. The SIGINT/SIGTERM handler is installed before
+// the listener is bound, so a signal sent once that line is out always
+// drains. On SIGINT the server stops accepting, finishes
 // every in-flight pipeline window, writes the pending replies and exits,
 // reporting the drained connection count and the leased-session ledger
 // (in-flight leases must be zero after a clean drain).
@@ -87,12 +86,9 @@ func run(args []string) error {
 		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown budget before connections are closed forcibly")
 		bytesMode = fs.Bool("bytes", false, "serve []byte keys/values (GETB/SETB/DELB frames, blob slab heap)")
 		blobCap   = fs.Int("blobbudget", 1<<26, "per-size-class blob budget in bytes of the whole store, shared by every shard (-bytes only)")
-		coalesce  = fs.Bool("coalesce", false, "merge apply batches across connections (wins with many low-pipeline clients)")
-		coWindow  = fs.Duration("coalescewindow", server.DefaultCoalesceWindow, "latency budget a non-full coalesced batch waits for more runs (-coalesce only)")
 		writeTO   = fs.Duration("writetimeout", server.DefaultWriteTimeout, "per-Write reply deadline; a peer that stops reading is disconnected (negative disables)")
 		shards    = fs.Int("shards", 1, "hash-shard the KV across N independent structure+tracker partitions (0 or 1 = unsharded)")
-		poll      = fs.Bool("poll", false, "park idle connections in an OS readiness poller (epoll/kqueue); O(workers) goroutines instead of one per connection")
-		pollWork  = fs.Int("pollworkers", 0, "poll-mode service pool size (0 = 2x GOMAXPROCS; -poll only)")
+		poll      = fs.Bool("poll", false, "park idle connections in an OS readiness poller (epoll/kqueue) served by 2x GOMAXPROCS workers, instead of a goroutine per connection")
 		maxConns  = fs.Int("maxconns", 0, "cap on concurrently open connections; accepts beyond it are refused (0 = unlimited)")
 		metricsAt = fs.String("metrics", "", "HTTP observability listen address: /metrics (Prometheus), /metrics.json, /debug/pprof/ (empty = disabled)")
 	)
@@ -111,8 +107,14 @@ func run(args []string) error {
 	if *maxConns < 0 {
 		return fmt.Errorf("-maxconns %d: the connection cap cannot be negative (0 = unlimited)", *maxConns)
 	}
-	if *pollWork < 0 {
-		return fmt.Errorf("-pollworkers %d: the poll worker count cannot be negative (0 = auto)", *pollWork)
+	if *arenaCap < 1 {
+		return fmt.Errorf("-arenacap %d: the node pool needs at least one node", *arenaCap)
+	}
+	if *blobCap < 1 {
+		return fmt.Errorf("-blobbudget %d: the blob budget needs at least one byte", *blobCap)
+	}
+	if *drain < 0 {
+		return fmt.Errorf("-drain %v: the shutdown budget cannot be negative", *drain)
 	}
 	nshards := *shards
 	if nshards == 0 {
@@ -137,18 +139,12 @@ func run(args []string) error {
 	reg := metrics.NewRegistry()
 	metrics.RegisterProcess(reg)
 	opts := server.Options{
-		Metrics:        reg,
-		MaxPipeline:    *pipeline,
-		Coalesce:       *coalesce,
-		CoalesceWindow: *coWindow,
-		WriteTimeout:   *writeTO,
-		Poll:           *poll,
-		PollWorkers:    *pollWork,
-		MaxConns:       *maxConns,
-		Logf:           logger.Printf,
-	}
-	if *poll && !server.PollSupported() {
-		logger.Printf("warning: -poll has no backend on this platform; serving goroutine-per-connection")
+		Metrics:      reg,
+		MaxPipeline:  *pipeline,
+		WriteTimeout: *writeTO,
+		Poll:         *poll,
+		MaxConns:     *maxConns,
+		Logf:         logger.Printf,
 	}
 	kvopts := hyaline.KVOptions{
 		MaxThreads:      *threads,
@@ -172,13 +168,20 @@ func run(args []string) error {
 		}
 		fr, srv = kv, server.New(kv, opts)
 	}
+	// The handler goes in before the listener binds: a supervisor may
+	// signal as soon as it reads "listening on", and a signal that beat
+	// Notify would take its default action (kill, no drain) or, when
+	// the daemon inherited SIGINT as ignored, be dropped.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 
-	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v coalesce=%v poll=%v maxconns=%d)",
-		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, *coalesce, *poll, *maxConns)
+	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v poll=%v maxconns=%d)",
+		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, *poll, *maxConns)
 
 	// The observability endpoint rides its own listener so a scrape or a
 	// profile can never contend with the serving port's accept loop.
@@ -201,8 +204,6 @@ func run(args []string) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		return err // listener died underneath us

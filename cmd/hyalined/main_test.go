@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bufio"
+	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // TestFlagValidation: invalid knobs must abort with a message naming
@@ -19,7 +25,14 @@ func TestFlagValidation(t *testing.T) {
 		{"negative shards", []string{"-shards=-1"}, "-shards"},
 		{"negative shards with threads", []string{"-shards=-8", "-threads=4"}, "-shards"},
 		{"negative maxconns", []string{"-maxconns=-1"}, "-maxconns"},
-		{"negative pollworkers", []string{"-poll", "-pollworkers=-2"}, "-pollworkers"},
+		// An unbindable -addr makes a daemon that accepted the value fail
+		// at Listen, for a reason that does not name the flag, instead
+		// of serving.
+		{"zero arenacap", []string{"-arenacap=0", "-addr=127.0.0.1:99999"}, "-arenacap"},
+		{"negative arenacap", []string{"-arenacap=-1", "-addr=127.0.0.1:99999"}, "-arenacap"},
+		{"zero blobbudget", []string{"-bytes", "-blobbudget=0", "-addr=127.0.0.1:99999"}, "-blobbudget"},
+		{"negative blobbudget", []string{"-blobbudget=-1", "-addr=127.0.0.1:99999"}, "-blobbudget"},
+		{"negative drain", []string{"-drain=-1s", "-addr=127.0.0.1:99999"}, "-drain"},
 		{"unknown structure", []string{"-structure=no-such", "-addr=127.0.0.1:0"}, "no-such"},
 		{"bad metrics address", []string{"-metrics=256.256.256.256:0", "-addr=127.0.0.1:0"}, "-metrics"},
 		{"unknown scheme sharded", []string{"-shards=4", "-scheme=no-such", "-addr=127.0.0.1:0"}, "no-such"},
@@ -49,5 +62,66 @@ func TestShardsAboveThreads(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "-shards") || strings.Contains(err.Error(), "-threads") {
 		t.Fatalf("shards>threads rejected at validation: %v", err)
+	}
+}
+
+// TestSignalAfterReadiness builds the daemon, starts it, and sends
+// SIGTERM the moment it prints its readiness line: the drain must run
+// to completion (exit 0, "drained", no lease in flight) every time. A
+// handler installed only after that line leaves a window in which the
+// signal kills the daemon undrained, or is dropped when the daemon
+// inherited it as ignored.
+func TestSignalAfterReadiness(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("no SIGTERM delivery on windows")
+	}
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build the daemon with")
+	}
+	bin := filepath.Join(t.TempDir(), "hyalined")
+	if out, err := exec.Command(gotool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	reps := 20
+	if testing.Short() {
+		reps = 5
+	}
+	for i := 0; i < reps; i++ {
+		cmd := exec.Command(bin, "-addr=127.0.0.1:0", "-arenacap=4096")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// A daemon that never drains would block the read below forever.
+		hung := time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() })
+		var log strings.Builder
+		signalled := false
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			log.WriteString(sc.Text() + "\n")
+			if !signalled && strings.Contains(sc.Text(), "listening on") {
+				signalled = true
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		err = cmd.Wait()
+		hung.Stop()
+		if !signalled {
+			t.Fatalf("rep %d: no readiness line (exit %v):\n%s", i, err, log.String())
+		}
+		if err != nil {
+			t.Fatalf("rep %d: daemon exited with %v after SIGTERM at readiness:\n%s", i, err, log.String())
+		}
+		for _, want := range []string{"drained", "in-flight leases: 0"} {
+			if !strings.Contains(log.String(), want) {
+				t.Fatalf("rep %d: log lacks %q:\n%s", i, want, log.String())
+			}
+		}
 	}
 }

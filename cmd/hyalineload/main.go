@@ -164,6 +164,9 @@ func run(args []string) error {
 	if *pipeline < 1 || *pipeline > maxPipeline {
 		return fmt.Errorf("-pipeline %d: want 1..%d (a closed-loop window must fit the socket buffers)", *pipeline, maxPipeline)
 	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration %v: the measurement window must be positive", *duration)
+	}
 	if *keyrange == 0 {
 		return fmt.Errorf("-keyrange 0: need a non-empty key universe")
 	}

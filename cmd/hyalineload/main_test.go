@@ -168,3 +168,20 @@ func TestPayloadCheckHit(t *testing.T) {
 		t.Error("bytes hit with a corrupted byte accepted")
 	}
 }
+
+// TestFlagValidation: a measurement window of zero or less is rejected
+// with an error naming -duration, before any connection is dialled (the
+// unbindable -addr makes a generator that accepted it fail at Dial, for
+// a reason that does not name the flag).
+func TestFlagValidation(t *testing.T) {
+	for _, d := range []string{"0s", "-1s"} {
+		args := []string{"-duration=" + d, "-addr=127.0.0.1:99999"}
+		err := run(args)
+		if err == nil {
+			t.Fatalf("run(%v) accepted an empty measurement window", args)
+		}
+		if !strings.Contains(err.Error(), "-duration") {
+			t.Fatalf("run(%v) error %q does not name -duration", args, err)
+		}
+	}
+}

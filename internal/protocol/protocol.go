@@ -6,9 +6,8 @@
 // detected instead of misinterpreted.
 //
 // Replies are returned strictly in request order on each connection:
-// the server coalesces a run of data commands into one batched KV
-// apply — per connection, or merged across connections by the
-// cross-connection coalescer — but never reorders, so a client that
+// the server coalesces a run of data commands on a connection into one
+// batched KV apply but never reorders, so a client that
 // pipelines N requests reads N replies back by FIFO counting, the i-th
 // reply answering the i-th request. Replies carry no request id.
 //

@@ -1,6 +1,6 @@
 // batch.go is the one seam where the server knows which key family it
-// serves. Everything else — connections, windows, the coalescer —
-// moves batch values around without looking inside.
+// serves. Everything else — connections, windows, the poller — moves
+// batch values around without looking inside.
 package server
 
 import (
@@ -11,22 +11,19 @@ import (
 )
 
 // batch is one key family's run of pending data ops plus, once applied,
-// their results. A connection owns one (its current run) and every
-// coalescer worker owns one (the merged run of many connections).
+// their results. A connection owns one: its current run.
 type batch interface {
 	len() int
 	reset()
 	// push decodes one validated data frame into a pending op. A frame
 	// of the other family is a protocol error.
 	push(op protocol.Op, payload []byte) error
-	// merge appends src's pending ops.
-	merge(src batch)
 	// apply runs the pending ops against the store in one ApplyInto —
 	// one lease and one bracket per shard touched.
 	apply()
-	// encode appends the replies of ops [off, off+n) to buf in request
+	// encode appends the replies of the applied ops to buf in request
 	// order.
-	encode(buf []byte, off, n int) []byte
+	encode(buf []byte) []byte
 }
 
 // appendStatus encodes the payload-free replies both families share:
@@ -49,10 +46,9 @@ type u64Batch struct {
 	res []hyaline.Result
 }
 
-func (b *u64Batch) len() int        { return len(b.ops) }
-func (b *u64Batch) reset()          { b.ops = b.ops[:0] }
-func (b *u64Batch) merge(src batch) { b.ops = append(b.ops, src.(*u64Batch).ops...) }
-func (b *u64Batch) apply()          { b.res = b.kv.ApplyInto(b.res[:0], b.ops) }
+func (b *u64Batch) len() int { return len(b.ops) }
+func (b *u64Batch) reset()   { b.ops = b.ops[:0] }
+func (b *u64Batch) apply()   { b.res = b.kv.ApplyInto(b.res[:0], b.ops) }
 
 func (b *u64Batch) push(op protocol.Op, p []byte) error {
 	var o hyaline.Op
@@ -73,9 +69,9 @@ func (b *u64Batch) push(op protocol.Op, p []byte) error {
 	return nil
 }
 
-func (b *u64Batch) encode(buf []byte, off, n int) []byte {
-	for i := off; i < off+n; i++ {
-		if r := b.res[i]; b.ops[i].Kind == hyaline.OpGet && r.OK {
+func (b *u64Batch) encode(buf []byte) []byte {
+	for i, r := range b.res {
+		if b.ops[i].Kind == hyaline.OpGet && r.OK {
 			buf = protocol.AppendValue(buf, r.Val)
 		} else {
 			buf = appendStatus(buf, r.OK)

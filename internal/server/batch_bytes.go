@@ -8,8 +8,8 @@ import (
 // bytesBatch is the bytes family: GETB/SETB/DELB over a BytesStore.
 //
 // Pushed ops alias the reader's network buffer. That is safe because
-// the reader is parked while its run is applied and encoded, and every
-// run is flushed before the loop returns to ReadFrame.
+// the reader applies and encodes its run itself, and every run is
+// flushed before the loop returns to ReadFrame.
 type bytesBatch struct {
 	kv   BytesStore
 	ops  []hyaline.BytesOp
@@ -17,9 +17,8 @@ type bytesBatch struct {
 	vbuf []byte // GETB hit values of the last apply; encode copies them out
 }
 
-func (b *bytesBatch) len() int        { return len(b.ops) }
-func (b *bytesBatch) reset()          { b.ops = b.ops[:0] }
-func (b *bytesBatch) merge(src batch) { b.ops = append(b.ops, src.(*bytesBatch).ops...) }
+func (b *bytesBatch) len() int { return len(b.ops) }
+func (b *bytesBatch) reset()   { b.ops = b.ops[:0] }
 
 func (b *bytesBatch) apply() {
 	b.res, b.vbuf = b.kv.ApplyBytesInto(b.res[:0], b.vbuf[:0], b.ops)
@@ -46,9 +45,9 @@ func (b *bytesBatch) push(op protocol.Op, p []byte) error {
 
 // encode copies each hit value into the reply buffer, so nothing on the
 // wire path aliases vbuf once the batch moves on.
-func (b *bytesBatch) encode(buf []byte, off, n int) []byte {
-	for i := off; i < off+n; i++ {
-		if r := b.res[i]; b.ops[i].Kind == hyaline.OpGet && r.OK {
+func (b *bytesBatch) encode(buf []byte) []byte {
+	for i, r := range b.res {
+		if b.ops[i].Kind == hyaline.OpGet && r.OK {
 			buf = protocol.AppendValueB(buf, r.Val)
 		} else {
 			buf = appendStatus(buf, r.OK)

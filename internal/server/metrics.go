@@ -32,9 +32,8 @@ type srvMetrics struct {
 	pollSpurious *metrics.Counter // service passes that timed out frameless
 
 	// Distributions.
-	opLatency    *metrics.Histogram // decode→reply-flushed, per op
-	batchOps     *metrics.Histogram // ops per KV apply batch
-	coalesceRuns *metrics.Histogram // runs merged per coalesced batch
+	opLatency *metrics.Histogram // decode→reply-flushed, per op
+	batchOps  *metrics.Histogram // ops per KV apply batch
 
 	// Gauges.
 	goroutines *metrics.Gauge // live server goroutines (handlers + workers)
@@ -70,10 +69,8 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 			"Per-op serve latency, first decode to reply flushed."),
 		batchOps: reg.SizeHistogram("hyaline_server_batch_ops",
 			"Data ops per KV apply batch."),
-		coalesceRuns: reg.SizeHistogram("hyaline_server_coalesce_runs",
-			"Connection runs merged per coalesced batch."),
 		goroutines: reg.Gauge("hyaline_server_goroutines",
-			"Live server goroutines: connection handlers, poll workers, coalescer shards."),
+			"Live server goroutines: connection readers, poll workers and the poller loop."),
 	}
 }
 

@@ -24,7 +24,6 @@ func TestInstrumentZeroAllocs(t *testing.T) {
 		m.goroutines.Dec()
 		m.opLatency.ObserveN(15*time.Microsecond, 7)
 		m.batchOps.ObserveSize(7)
-		m.coalesceRuns.ObserveSize(3)
 	}); avg != 0 {
 		t.Fatalf("metrics on the serve path allocate: %.2f allocs/op", avg)
 	}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hyaline/internal/metricshttp"
 	"hyaline/internal/protocol"
@@ -61,7 +60,7 @@ func sampleValue(t *testing.T, text, name string) float64 {
 }
 
 // TestMetricsScrapeUnderLoad is the observability acceptance test: a
-// coalesced poll-mode server is scraped continuously over HTTP while 8
+// poll-mode server is scraped continuously over HTTP while 8
 // connections each SET keys and values unique to them and GET each one
 // back in the same window, checking every reply by its position. Run
 // under -race this proves
@@ -75,11 +74,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	if testing.Short() {
 		rounds = 15
 	}
-	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{
-		Poll:           true,
-		Coalesce:       true,
-		CoalesceWindow: 200 * time.Microsecond,
-	})
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
 	ep := httptest.NewServer(metricshttp.Handler(srv.Metrics()))
 	defer ep.Close()
 
@@ -175,7 +170,6 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		"hyaline_server_bytes_written_total":      1,
 		"hyaline_server_op_latency_seconds_count": 2 * sets,
 		"hyaline_server_batch_ops_count":          1,
-		"hyaline_server_coalesce_runs_count":      1,
 		"hyaline_kv_nodes_allocated_total":        sets,
 	} {
 		if v := sampleValue(t, text, name); v < min {

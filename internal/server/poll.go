@@ -4,7 +4,7 @@
 // its file descriptor sits armed in the OS poller — and only when it
 // turns readable is it handed to a worker, which services pipeline
 // windows until the connection goes idle again and re-parks it. N
-// mostly-idle connections therefore cost O(PollWorkers) server
+// mostly-idle connections therefore cost O(GOMAXPROCS) server
 // goroutines instead of one (previously two) each, which is what lets
 // one daemon hold 10k and more of them (hyaline_server_goroutines, the
 // STATS goroutines field, shows it).
@@ -65,20 +65,14 @@ type osPoller interface {
 	close()
 }
 
-func defaultPollWorkers() int {
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
+// pollWorkers is the service pool's size: 2×GOMAXPROCS, at least 2.
+func pollWorkers() int { return max(2*runtime.GOMAXPROCS(0), 2) }
 
 // poller owns the OS backend, the fd→conn registry and the worker pool.
 type poller struct {
-	srv     *Server
-	os      osPoller
-	ready   chan *conn
-	workers int
+	srv   *Server
+	os    osPoller
+	ready chan *conn
 
 	mu      sync.Mutex
 	reg     map[int]*conn
@@ -89,26 +83,21 @@ type poller struct {
 	drainOnce sync.Once
 }
 
-func newPoller(s *Server, opts Options) (*poller, error) {
+func newPoller(s *Server) (*poller, error) {
 	osp, err := newOSPoller()
 	if err != nil {
 		return nil, err
 	}
-	workers := opts.PollWorkers
-	if workers <= 0 {
-		workers = defaultPollWorkers()
-	}
 	p := &poller{
-		srv:     s,
-		os:      osp,
-		ready:   make(chan *conn, 1024),
-		workers: workers,
-		reg:     make(map[int]*conn),
+		srv:   s,
+		os:    osp,
+		ready: make(chan *conn, 1024),
+		reg:   make(map[int]*conn),
 	}
 	p.loopDone.Add(1)
 	s.m.goroutines.Inc()
 	go p.loop()
-	for i := 0; i < workers; i++ {
+	for range pollWorkers() {
 		p.workDone.Add(1)
 		s.m.goroutines.Inc()
 		go p.worker()

@@ -20,7 +20,7 @@ func skipWithoutPoller(t *testing.T) {
 }
 
 // serverGoroutines reads the server's hyaline_server_goroutines gauge:
-// connection readers, poll workers and the poller loop, coalescer shards.
+// connection readers, poll workers and the poller loop.
 func serverGoroutines(srv *server.Server) float64 {
 	g, _ := srv.Metrics().Value("hyaline_server_goroutines")
 	return g
@@ -41,7 +41,7 @@ func countFDs() int {
 // next burst gets picked up by a worker — with replies intact.
 func TestPollServing(t *testing.T) {
 	skipWithoutPoller(t)
-	_, _, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true, PollWorkers: 2})
+	_, _, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
 	_, w, rd := dial(t, addr)
 
 	for round := 0; round < 5; round++ {
@@ -66,13 +66,16 @@ func TestPollServing(t *testing.T) {
 }
 
 // TestPollGoroutineBound: N mostly-idle polled connections cost
-// O(PollWorkers) server goroutines, not O(N). 64 idle conns over 4
-// workers must keep the hyaline_server_goroutines gauge at workers + the
-// poller loop (+ nothing per connection).
+// O(workers) server goroutines, not O(N). 64 idle conns must keep the
+// hyaline_server_goroutines gauge at the derived worker count + the
+// poller loop (+ nothing per connection). GOMAXPROCS is pinned to 2 so
+// that the pool (4 workers) stays far below 64 on any host.
 func TestPollGoroutineBound(t *testing.T) {
 	skipWithoutPoller(t)
-	const nconns, workers = 64, 4
-	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true, PollWorkers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const nconns = 64
+	workers := server.PollWorkerCount()
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
 
 	var conns []net.Conn
 	for i := 0; i < nconns; i++ {
@@ -87,7 +90,7 @@ func TestPollGoroutineBound(t *testing.T) {
 
 	// Every connection is idle now; wait for the workers to re-park the
 	// last of them.
-	const bound = workers + 1 // workers + poller loop
+	bound := float64(workers + 1) // workers + poller loop
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g := serverGoroutines(srv)
@@ -95,7 +98,7 @@ func TestPollGoroutineBound(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d idle conns pin %v server goroutines, want <= %d (poll mode must not be per-conn)",
+			t.Fatalf("%d idle conns pin %v server goroutines, want <= %v (poll mode must not be per-conn)",
 				nconns, g, bound)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -123,7 +126,7 @@ func TestPollGoroutineBound(t *testing.T) {
 // baseline, and the descriptors of closed connections released.
 func TestPollChurnLeak(t *testing.T) {
 	skipWithoutPoller(t)
-	kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true, PollWorkers: 2})
+	kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
 	baseGor := runtime.NumGoroutine()
 	baseFDs := countFDs()
 
@@ -188,7 +191,7 @@ func TestPollChurnLeak(t *testing.T) {
 // and a zero lease ledger.
 func TestPollShutdownParked(t *testing.T) {
 	skipWithoutPoller(t)
-	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true, PollWorkers: 2})
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
 
 	for i := 0; i < 8; i++ {
 		_, w, rd := dial(t, addr)
@@ -201,7 +204,7 @@ func TestPollShutdownParked(t *testing.T) {
 	// Wait until all eight are parked (no service pass running), then
 	// return: the cleanup's Shutdown has only parked conns to reap.
 	deadline := time.Now().Add(5 * time.Second)
-	for serverGoroutines(srv) > 3 { // 2 workers + loop
+	for serverGoroutines(srv) > float64(server.PollWorkerCount()+1) { // workers + loop
 		if time.Now().After(deadline) {
 			t.Fatalf("connections never went idle: %v server goroutines", serverGoroutines(srv))
 		}

@@ -17,17 +17,18 @@
 // per-op bracket; a pipelined one amortizes it across the window, which
 // is the client/server replay of the paper's batching argument.
 //
-// Options.Coalesce extends that amortization across connections: readers
-// hand their decoded runs to sharded apply workers (see coalesce.go)
-// that merge runs from many connections into one batch under the
-// Options.CoalesceWindow latency budget, so a fleet of singleton clients
-// shares brackets the way one pipelined client does.
+// Brackets are never shared across connections: each reader applies
+// its own run. A singleton client's lease and bracket cost tens of
+// nanoseconds against a round trip of microseconds, so merging runs
+// from many connections had little to win (README keeps the
+// measurement).
 //
 // Options.Poll replaces the goroutine-per-connection model: idle
 // connections park their file descriptor in an OS readiness poller
 // (epoll on Linux, kqueue on Darwin/FreeBSD; see poll*.go) and are
-// handed to a bounded worker pool only when readable, so N mostly-idle
-// connections cost O(PollWorkers) server goroutines instead of N.
+// handed to a pool of 2×GOMAXPROCS workers only when readable, so N
+// mostly-idle connections cost O(GOMAXPROCS) server goroutines instead
+// of N.
 package server
 
 import (
@@ -50,13 +51,6 @@ import (
 // exactly one bracket with no mid-batch trim.
 const DefaultMaxPipeline = 64
 
-// DefaultCoalesceWindow is the latency budget a coalesced apply batch
-// may wait for more runs before shipping non-full. 50µs is roughly one
-// scheduler quantum of gathering: long enough that a few dozen singleton
-// connections land in the same batch, short enough to be invisible next
-// to a LAN round trip.
-const DefaultCoalesceWindow = 50 * time.Microsecond
-
 // DefaultWriteTimeout bounds each reply Write. A healthy client drains
 // its socket in microseconds; a peer that has stopped reading leaves the
 // write blocked until the OS buffer fills and then forever, so a few
@@ -71,30 +65,18 @@ type Options struct {
 	// MaxPipeline caps how many pipelined data commands are coalesced
 	// into one kv.Apply batch. Default DefaultMaxPipeline; min 1.
 	MaxPipeline int
-	// Coalesce merges apply batches across connections: readers submit
-	// runs to sharded apply workers (GOMAXPROCS/2 of them, clamped to
-	// 1..4) instead of calling kv.Apply themselves. Wins when many connections each keep few requests in
-	// flight; loses nothing when a single client already pipelines full
-	// windows.
-	Coalesce bool
-	// CoalesceWindow is the latency budget a non-full coalesced batch
-	// waits for more runs. Default DefaultCoalesceWindow; negative means
-	// no waiting (merge only runs already queued).
-	CoalesceWindow time.Duration
 	// WriteTimeout bounds each reply Write; on expiry the connection is
 	// treated as broken (closed, drained, logged). Default
 	// DefaultWriteTimeout; negative disables the deadline.
 	WriteTimeout time.Duration
 	// Poll parks idle connections' file descriptors in an OS readiness
-	// poller and services readable ones from a bounded worker pool, so
-	// N mostly-idle connections cost O(PollWorkers) server goroutines
-	// instead of one per connection. Platforms without a poller backend
-	// — and listeners whose connections expose no descriptor — fall
-	// back to the goroutine-per-connection model transparently.
+	// poller and services readable ones from a pool of 2×GOMAXPROCS
+	// workers (at least 2), so N mostly-idle connections cost
+	// O(GOMAXPROCS) server goroutines instead of one per connection.
+	// Platforms without a poller backend — and listeners whose
+	// connections expose no descriptor — fall back to the
+	// goroutine-per-connection model transparently.
 	Poll bool
-	// PollWorkers bounds the poll-mode service pool. Default
-	// 2×GOMAXPROCS, min 2.
-	PollWorkers int
 	// MaxConns caps concurrently open connections; an accept beyond the
 	// cap is closed immediately (counted by Rejected). 0 = unlimited.
 	MaxConns int
@@ -138,8 +120,7 @@ type Server struct {
 	maxPipeline  int
 	maxConns     int
 	writeTimeout time.Duration
-	co           *coalescer // non-nil iff Options.Coalesce
-	po           *poller    // non-nil iff Options.Poll on a supported platform
+	po           *poller // non-nil iff Options.Poll on a supported platform
 	logf         func(string, ...any)
 
 	mu       sync.Mutex
@@ -196,11 +177,8 @@ func newServer(opts Options, store gauges, newBatch func() batch) *Server {
 		conns:        map[net.Conn]struct{}{},
 		m:            newSrvMetrics(opts.Metrics),
 	}
-	if opts.Coalesce {
-		s.co = newCoalescer(s, opts)
-	}
 	if opts.Poll {
-		if p, err := newPoller(s, opts); err != nil {
+		if p, err := newPoller(s); err != nil {
 			s.logf("server: readiness poller unavailable (%v); falling back to goroutine-per-connection", err)
 		} else {
 			s.po = p
@@ -210,11 +188,6 @@ func newServer(opts Options, store gauges, newBatch func() batch) *Server {
 	s.registerConnMetrics()
 	return s
 }
-
-// PollSupported reports whether this platform has a readiness-poller
-// backend (epoll/kqueue); where it is false, Options.Poll silently
-// keeps the goroutine-per-connection model.
-func PollSupported() bool { return pollSupported }
 
 // Serve accepts connections on ln until Shutdown (returning
 // ErrServerClosed) or a fatal accept error. Transient accept failures —
@@ -332,13 +305,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.po.drain()
 		}
 		s.wg.Wait()
-		// Every connection has exited, so nothing can submit to the
-		// coalescer anymore; its workers can now stop. Doing this before
-		// signalling done means "Shutdown returned cleanly" implies no
-		// server goroutine — handler or worker — is left behind.
-		if s.co != nil {
-			s.co.shutdown()
-		}
 		close(done)
 	}()
 	select {
@@ -451,13 +417,6 @@ type conn struct {
 	// peer is gone either way).
 	broken bool
 
-	// Coalesced-mode rendezvous: the reader parks on applied after
-	// submitting the conn to its shard's worker, which encodes the
-	// pending run's replies into buf and signals. Nil when the server
-	// applies per-connection.
-	applied chan struct{}
-	shard   *coShard
-
 	// Poll mode: the conn's descriptor and its poller state machine
 	// (pollIdle → pollQueued → pollRunning → back to pollIdle, or
 	// pollDead exactly once at teardown).
@@ -480,17 +439,12 @@ func newConn(s *Server, c net.Conn) *conn {
 		// would serialize every pipelined client on the ACK clock.
 		tc.SetNoDelay(true)
 	}
-	cn := &conn{
+	return &conn{
 		srv: s,
 		c:   c,
 		rd:  protocol.NewReader(&countingReader{src: c, n: s.m.bytesIn}),
 		b:   s.newBatch(),
 	}
-	if s.co != nil {
-		cn.applied = make(chan struct{}, 1)
-		cn.shard = s.co.assign()
-	}
-	return cn
 }
 
 // run is the dedicated-reader model: decode one pipeline window at a
@@ -657,23 +611,17 @@ func (cn *conn) frame(f protocol.Frame) {
 }
 
 // flushOps applies the pending run — one session lease, one Enter/Leave
-// bracket, shared with other connections' runs when coalescing — and
-// encodes its replies into cn.buf in request order.
+// bracket per shard touched — and encodes its replies into cn.buf in
+// request order.
 func (cn *conn) flushOps() {
 	n := cn.b.len()
 	if n == 0 {
 		return
 	}
-	if cn.srv.co != nil {
-		// The shard worker applies the merged batch, counts it, and
-		// encodes this run's replies into cn.buf.
-		cn.srv.co.apply(cn)
-	} else {
-		cn.b.apply()
-		cn.srv.m.batches.Inc()
-		cn.srv.m.batchOps.ObserveSize(n)
-		cn.buf = cn.b.encode(cn.buf, 0, n)
-	}
+	cn.b.apply()
+	cn.srv.m.batches.Inc()
+	cn.srv.m.batchOps.ObserveSize(n)
+	cn.buf = cn.b.encode(cn.buf)
 	cn.served(int64(n))
 	cn.b.reset()
 }

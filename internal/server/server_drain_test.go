@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,4 +125,121 @@ func TestShutdownMalformedRace(t *testing.T) {
 
 	t.Run("uint64", func(t *testing.T) { run(t, false) })
 	t.Run("bytes", func(t *testing.T) { run(t, true) })
+}
+
+// TestWriteTimeout: a client that bursts requests and never reads its
+// replies must not park the writer forever — the write deadline expires,
+// the connection is torn down, and its reader exits.
+func TestWriteTimeout(t *testing.T) {
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{
+		WriteTimeout: 100 * time.Millisecond,
+	})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Each PING echoes 16KiB back; the client never reads, so the
+		// server's replies fill the kernel buffers and block the writer.
+		frame := protocol.AppendPing(nil, make([]byte, 16<<10))
+		for {
+			if _, err := c.Write(frame); err != nil {
+				return // server gave up on us
+			}
+		}
+	}()
+
+	// The client's writes fail only once the server has closed the
+	// connection. Polling the active count alone would pass before the
+	// server had even accepted it.
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("client writes still accepted: write timeout never fired")
+	}
+	c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, active, _, _ := srv.Counters(); active == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("connection still active after the server closed it")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestConnChurnLeak opens, bursts and closes waves of connections in
+// both serving modes, then checks nothing leaked: no active connections,
+// no session leases in flight, and the goroutine count back at the
+// server's baseline (per-conn readers all exited; the poll workers and
+// loop were already running when the baseline was taken).
+func TestConnChurnLeak(t *testing.T) {
+	modes := []struct {
+		name string
+		opts server.Options
+	}{
+		{"perconn", server.Options{}},
+		{"poll", server.Options{Poll: true}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			if m.opts.Poll {
+				skipWithoutPoller(t)
+			}
+			kv, srv, addr := testServer(t, "hashmap", "hyaline", m.opts)
+			base := runtime.NumGoroutine()
+
+			const waves, perWave, burst = 3, 8, 10
+			for wave := 0; wave < waves; wave++ {
+				var wg sync.WaitGroup
+				for i := 0; i < perWave; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						c, err := net.Dial("tcp", addr)
+						if err != nil {
+							t.Errorf("dial: %v", err)
+							return
+						}
+						defer c.Close()
+						w := protocol.NewWriter(c)
+						rd := protocol.NewReader(c)
+						for k := 0; k < burst; k++ {
+							w.Set(uint64(i*burst+k), uint64(k))
+						}
+						if err := w.Flush(); err != nil {
+							t.Errorf("flush: %v", err)
+							return
+						}
+						for k := 0; k < burst; k++ {
+							if _, err := rd.ReadFrame(); err != nil {
+								t.Errorf("read: %v", err)
+								return
+							}
+						}
+					}(wave*perWave + i)
+				}
+				wg.Wait()
+			}
+
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				_, active, _, _ := srv.Counters()
+				inFlight := kv.InFlight()
+				goroutines := runtime.NumGoroutine()
+				if active == 0 && inFlight == 0 && goroutines <= base {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("leak after churn: active=%d inFlight=%d goroutines=%d (baseline %d)",
+						active, inFlight, goroutines, base)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
 }
