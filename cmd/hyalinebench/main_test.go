@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyaline/internal/bench"
+	"hyaline/internal/docflags"
 )
 
 // TestFlagValidation: contradictory or negative knobs must abort with a
@@ -87,3 +88,7 @@ func TestFigureThreads(t *testing.T) {
 		}
 	}
 }
+
+// TestREADMEFlags fails when the README passes hyalinebench a flag that its flag
+// set does not define.
+func TestREADMEFlags(t *testing.T) { docflags.Check(t, "../../README.md", "hyalinebench") }

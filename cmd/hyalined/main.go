@@ -28,11 +28,12 @@
 // the total lease bound, divided across the shards (rounded up, so
 // -shards above -threads still grants every shard one lease).
 //
-// With -poll idle connections park their descriptors in an OS
-// readiness poller (epoll/kqueue) and are serviced by a pool of
-// 2×GOMAXPROCS workers, so tens of thousands of mostly-idle connections
-// cost O(GOMAXPROCS) goroutines. -maxconns caps concurrent connections;
-// accepts beyond the cap are refused immediately.
+// Every connection has a reader goroutine while it has work. One that
+// idles past a short linger parks its descriptor in an OS readiness
+// poller (epoll/kqueue) and gives the goroutine up, so tens of
+// thousands of idle connections cost one goroutine. -maxconns caps
+// concurrent connections; accepts beyond the cap are refused
+// immediately.
 //
 // With -metrics ADDR the daemon serves an HTTP observability endpoint
 // on a second listener: /metrics (Prometheus text exposition),
@@ -88,7 +89,6 @@ func run(args []string) error {
 		blobCap   = fs.Int("blobbudget", 1<<26, "per-size-class blob budget in bytes of the whole store, shared by every shard (-bytes only)")
 		writeTO   = fs.Duration("writetimeout", server.DefaultWriteTimeout, "per-Write reply deadline; a peer that stops reading is disconnected (negative disables)")
 		shards    = fs.Int("shards", 1, "hash-shard the KV across N independent structure+tracker partitions (0 or 1 = unsharded)")
-		poll      = fs.Bool("poll", false, "park idle connections in an OS readiness poller (epoll/kqueue) served by 2x GOMAXPROCS workers, instead of a goroutine per connection")
 		maxConns  = fs.Int("maxconns", 0, "cap on concurrently open connections; accepts beyond it are refused (0 = unlimited)")
 		metricsAt = fs.String("metrics", "", "HTTP observability listen address: /metrics (Prometheus), /metrics.json, /debug/pprof/ (empty = disabled)")
 	)
@@ -142,7 +142,6 @@ func run(args []string) error {
 		Metrics:      reg,
 		MaxPipeline:  *pipeline,
 		WriteTimeout: *writeTO,
-		Poll:         *poll,
 		MaxConns:     *maxConns,
 		Logf:         logger.Printf,
 	}
@@ -180,8 +179,8 @@ func run(args []string) error {
 		return err
 	}
 
-	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v poll=%v maxconns=%d)",
-		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, *poll, *maxConns)
+	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v maxconns=%d)",
+		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, *maxConns)
 
 	// The observability endpoint rides its own listener so a scrape or a
 	// profile can never contend with the serving port's accept loop.

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hyaline/internal/docflags"
 )
 
 // TestFlagValidation: invalid knobs must abort with a message naming
@@ -125,3 +127,7 @@ func TestSignalAfterReadiness(t *testing.T) {
 		}
 	}
 }
+
+// TestREADMEFlags fails when the README passes hyalined a flag that its flag
+// set does not define.
+func TestREADMEFlags(t *testing.T) { docflags.Check(t, "../../README.md", "hyalined") }

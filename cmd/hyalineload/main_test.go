@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyaline/internal/docflags"
 	"hyaline/internal/hist"
 	"hyaline/internal/protocol"
 )
@@ -185,3 +186,7 @@ func TestFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestREADMEFlags fails when the README passes hyalineload a flag that its flag
+// set does not define.
+func TestREADMEFlags(t *testing.T) { docflags.Check(t, "../../README.md", "hyalineload") }

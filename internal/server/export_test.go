@@ -1,10 +1,50 @@
 package server
 
+import "net"
+
 // PollSupported reports whether this platform has a readiness-poller
-// backend (epoll/kqueue); where it is false, Options.Poll keeps the
-// goroutine-per-connection model and the poll tests skip.
+// backend (epoll/kqueue); where it is false, a reader never parks and
+// the park tests skip.
 func PollSupported() bool { return pollSupported }
 
-// PollWorkerCount is the poll-mode service pool size, for the external
-// tests that bound a poll server's goroutines.
-var PollWorkerCount = pollWorkers
+// IdleLinger is how long a reader waits for a frame before it parks
+// its connection.
+const IdleLinger = idleLinger
+
+// IsParked reports whether the server's connection from peer is parked
+// in the poller.
+func IsParked(s *Server, peer net.Addr) bool {
+	s.mu.Lock()
+	p := s.po
+	s.mu.Unlock()
+	if p == nil {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, cn := range p.parked {
+		if cn.c.RemoteAddr().String() == peer.String() {
+			return true
+		}
+	}
+	return false
+}
+
+// SetParkPause makes f run each time a reader has decided to park its
+// connection, before the poller takes it. Install it before the server
+// starts and remove it, with the returned func, after Shutdown.
+func SetParkPause(f func()) (restore func()) {
+	parkPause = f
+	return func() { parkPause = nil }
+}
+
+// DrainSwept reports whether Shutdown has stopped the server's poller
+// and swept every parked connection out of it.
+func DrainSwept(s *Server) bool {
+	s.mu.Lock()
+	p := s.po
+	s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stopped && len(p.parked) == 0
+}

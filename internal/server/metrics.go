@@ -26,17 +26,17 @@ type srvMetrics struct {
 	bytesIn     *metrics.Counter // request bytes read off sockets
 	bytesOut    *metrics.Counter // reply bytes written to sockets
 
-	// Poll-mode counters.
-	pollWakeups  *metrics.Counter // conns handed to workers by the poller
-	pollRearms   *metrics.Counter // conns re-parked after a service pass
-	pollSpurious *metrics.Counter // service passes that timed out frameless
+	// Poller counters.
+	pollWakeups  *metrics.Counter // readers the poller started for parked conns
+	pollRearms   *metrics.Counter // conns parked after idling idleLinger
+	pollSpurious *metrics.Counter // woken readers that parked again frameless
 
 	// Distributions.
 	opLatency *metrics.Histogram // decode→reply-flushed, per op
 	batchOps  *metrics.Histogram // ops per KV apply batch
 
 	// Gauges.
-	goroutines *metrics.Gauge // live server goroutines (handlers + workers)
+	goroutines *metrics.Gauge // live server goroutines (readers + poller loop)
 }
 
 func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
@@ -60,17 +60,17 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 		bytesOut: reg.Counter("hyaline_server_bytes_written_total",
 			"Reply bytes written to client sockets."),
 		pollWakeups: reg.Counter("hyaline_server_poll_wakeups_total",
-			"Readiness events that handed a parked connection to a worker."),
+			"Readers the poller started for parked connections that turned readable."),
 		pollRearms: reg.Counter("hyaline_server_poll_rearms_total",
-			"Connections re-parked in the poller after a service pass."),
+			"Connections parked in the poller after idling past the linger."),
 		pollSpurious: reg.Counter("hyaline_server_poll_spurious_wakeups_total",
-			"Service passes that timed out without a complete frame."),
+			"Readers started by the poller that parked again without a complete frame."),
 		opLatency: reg.TimeHistogram("hyaline_server_op_latency_seconds",
 			"Per-op serve latency, first decode to reply flushed."),
 		batchOps: reg.SizeHistogram("hyaline_server_batch_ops",
 			"Data ops per KV apply batch."),
 		goroutines: reg.Gauge("hyaline_server_goroutines",
-			"Live server goroutines: connection readers, poll workers and the poller loop."),
+			"Live server goroutines: connection readers and the poller loop."),
 	}
 }
 
@@ -148,8 +148,7 @@ func (s *Server) registerStoreMetrics() {
 	}
 }
 
-// registerConnMetrics publishes the connection gauges. Registered from
-// newServer once the poller exists, so the parked gauge can subtract.
+// registerConnMetrics publishes the connection gauges.
 func (s *Server) registerConnMetrics() {
 	reg := s.m.reg
 	reg.GaugeFunc("hyaline_server_conns_open",
@@ -171,10 +170,13 @@ func (s *Server) registerConnMetrics() {
 // parkedConns counts connections sitting idle in the poller (0 without
 // one).
 func (s *Server) parkedConns() int64 {
-	if s.po == nil {
+	s.mu.Lock()
+	po := s.po
+	s.mu.Unlock()
+	if po == nil {
 		return 0
 	}
-	return s.po.parked()
+	return po.count()
 }
 
 // ActiveConns reports open connections not parked in the poller — the
@@ -184,13 +186,9 @@ func (s *Server) ActiveConns() int64 {
 	s.mu.Lock()
 	open := int64(len(s.conns))
 	s.mu.Unlock()
-	active := open - s.parkedConns()
-	if active < 0 {
-		// A park/teardown race can momentarily over-count parked conns;
-		// clamp rather than report a negative gauge.
-		active = 0
-	}
-	return active
+	// The two reads are not one snapshot, so a conn torn down between
+	// them could make the difference negative for a moment.
+	return max(open-s.parkedConns(), 0)
 }
 
 // Metrics returns the server's registry, for mounting on an HTTP

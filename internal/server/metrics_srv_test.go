@@ -60,13 +60,13 @@ func sampleValue(t *testing.T, text, name string) float64 {
 }
 
 // TestMetricsScrapeUnderLoad is the observability acceptance test: a
-// poll-mode server is scraped continuously over HTTP while 8
-// connections each SET keys and values unique to them and GET each one
-// back in the same window, checking every reply by its position. Run
-// under -race this proves
-// the scrape path (registry iteration, histogram snapshots, GaugeFunc
-// sampling through server and KV internals) is safe against the serve
-// path; afterwards the final exposition must parse per the text
+// server is scraped continuously over HTTP while 8 connections each SET
+// keys and values unique to them and GET each one back in the same
+// window, checking every reply by its position, and then idle until
+// every one has parked. Run under -race this proves the scrape path
+// (registry iteration, histogram snapshots, GaugeFunc sampling through
+// server and KV internals) is safe against the serve path and the
+// parks; afterwards the final exposition must parse per the text
 // grammar and carry nonzero values for the key series.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
 	const conns = 8
@@ -74,7 +74,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	if testing.Short() {
 		rounds = 15
 	}
-	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
 	ep := httptest.NewServer(metricshttp.Handler(srv.Metrics()))
 	defer ep.Close()
 
@@ -107,15 +107,14 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for id := 0; id < conns; id++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("conn %d: %v", id, err)
+		}
+		defer c.Close()
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Errorf("conn %d: %v", id, err)
-				return
-			}
-			defer c.Close()
 			w := protocol.NewWriter(c)
 			rd := protocol.NewReader(c)
 			for r := 0; r < rounds; r++ {
@@ -148,6 +147,12 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
+	if server.PollSupported() {
+		// The idle phase: every conn parks while the scraper runs.
+		waitFor(t, "every connection parks", func() bool {
+			return metric(srv, "hyaline_server_conns_parked") == conns
+		})
+	}
 	close(done)
 	if err, ok := <-scraperErr; ok && err != nil {
 		t.Fatalf("scraper: %v", err)
@@ -177,9 +182,16 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		}
 	}
 	if server.PollSupported() {
-		// Every conn parks at least once between request rounds.
+		// Every conn parked at least once, and all sit parked now, with
+		// the poller loop the one server goroutine left.
 		if v := sampleValue(t, text, "hyaline_server_poll_rearms_total"); v < conns {
 			t.Errorf("hyaline_server_poll_rearms_total = %v, want >= %d", v, conns)
+		}
+		if v := sampleValue(t, text, "hyaline_server_conns_parked"); v != conns {
+			t.Errorf("hyaline_server_conns_parked = %v, want %d", v, conns)
+		}
+		if v := sampleValue(t, text, "hyaline_server_goroutines"); v != 1 {
+			t.Errorf("hyaline_server_goroutines = %v, want 1", v)
 		}
 	}
 

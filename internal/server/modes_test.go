@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,40 +16,44 @@ import (
 	"hyaline/internal/server"
 )
 
-// TestServeModes drives both serving configurations (per-conn, poll)
-// over a one- and a two-shard store of each key family with real
-// client connections. Every reply is checked against a per-connection
-// model, and a lone request must be applied as one batch of its own.
-// Then, with the clients still connected, Shutdown must return
-// nil before its deadline, leave no session lease in flight, and bring
-// the hyaline_server_goroutines gauge back to 0; a second Shutdown must
-// return nil at once.
+// TestServeModes drives the one serving path under two loads over a
+// one- and a two-shard store of each key family with real client
+// connections. In the per-conn rows windows follow each other at once,
+// so each connection's first reader serves them all; in the parked
+// rows every connection parks before each window, so every window is
+// served by a reader the poller started. Every reply is checked
+// against a per-connection model, and a lone request must be applied
+// as one batch of its own. Then, with the clients still connected,
+// Shutdown must return nil before its deadline, leave no session lease
+// in flight, and bring the hyaline_server_goroutines gauge back to 0;
+// a second Shutdown must return nil at once.
 func TestServeModes(t *testing.T) {
-	modes := []struct {
-		name string
-		opts server.Options
-	}{
-		{"per-conn", server.Options{}},
-		{"poll", server.Options{Poll: true}},
-	}
-	for _, m := range modes {
+	for _, parked := range []bool{false, true} {
+		name := "per-conn"
+		if parked {
+			name = "parked"
+		}
 		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", m.name, shards), func(t *testing.T) {
-				if m.opts.Poll {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				if parked {
 					skipWithoutPoller(t)
 				}
-				t.Run("uint64", func(t *testing.T) { serveModel(t, m.opts, shards, false) })
-				t.Run("bytes", func(t *testing.T) { serveModel(t, m.opts, shards, true) })
+				t.Run("uint64", func(t *testing.T) { serveModel(t, parked, shards, false) })
+				t.Run("bytes", func(t *testing.T) { serveModel(t, parked, shards, true) })
 			})
 		}
 	}
 }
 
 // serveModel is one TestServeModes row: a hashmap store (a blist one
-// for bytes keys) served under opts, model-checked from two
-// connections, then drained.
-func serveModel(t *testing.T, opts server.Options, shards int, bytesKeys bool) {
+// for bytes keys) model-checked from two connections, each of which
+// parks before every window when parked is set, then drained.
+func serveModel(t *testing.T, parked bool, shards int, bytesKeys bool) {
 	const conns = 2
+	windows := 50
+	if parked {
+		windows = 20 // each one waits out the linger
+	}
 	kvopts := hyaline.KVOptions{MaxThreads: 2, ArenaCap: 1 << 14, BlobClassBudget: 1 << 20}
 	var (
 		kv  interface{ InFlight() int }
@@ -59,13 +64,13 @@ func serveModel(t *testing.T, opts server.Options, shards int, bytesKeys bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kv, srv = bkv, server.NewBytes(bkv, opts)
+		kv, srv = bkv, server.NewBytes(bkv, server.Options{})
 	} else {
 		ukv, err := hyaline.NewShardedKV("hashmap", "hyaline", shards, kvopts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kv, srv = ukv, server.New(ukv, opts)
+		kv, srv = ukv, server.New(ukv, server.Options{})
 	}
 	addr, shutdown := serve(t, srv)
 
@@ -74,14 +79,26 @@ func serveModel(t *testing.T, opts server.Options, shards int, bytesKeys bool) {
 	var w0 *protocol.Writer
 	var rd0 *protocol.Reader
 	for c := 0; c < conns; c++ {
-		_, w, rd := dial(t, addr)
+		nc, w, rd := dial(t, addr)
 		if c == 0 {
 			w0, rd0 = w, rd
+		}
+		var beforeWindow func() error
+		if parked {
+			beforeWindow = func() error {
+				for deadline := time.Now().Add(10 * time.Second); !server.IsParked(srv, nc.LocalAddr()); {
+					if time.Now().After(deadline) {
+						return errors.New("the connection never parked")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				return nil
+			}
 		}
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if err := driveModel(c, conns, bytesKeys, w, rd); err != nil {
+			if err := driveModel(c, conns, windows, bytesKeys, w, rd, beforeWindow); err != nil {
 				errs <- fmt.Errorf("conn %d: %w", c, err)
 			}
 		}(c)
@@ -90,6 +107,9 @@ func serveModel(t *testing.T, opts server.Options, shards int, bytesKeys bool) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if n := metric(srv, "hyaline_server_poll_wakeups_total"); parked && n < conns*float64(windows) {
+		t.Errorf("the poller started %v readers for %d parked windows", n, conns*windows)
 	}
 
 	// A lone request is applied as a batch of its own, at once: the
@@ -142,14 +162,14 @@ func serveModel(t *testing.T, opts server.Options, shards int, bytesKeys bool) {
 // driveModel runs pipelined windows of SET/DEL/GET on connection c's own
 // key stripe (key % conns == c) and checks each reply, by its position
 // in the window, against a map model: its status, and each GET hit's
-// value. A window names a key at most once and a SET's value is unique
+// value. beforeWindow, when set, runs before each window is sent. A window names a key at most once and a SET's value is unique
 // to its (key, window), so a reply answering any other request shows
 // up. With bytesKeys the frames are SETB/DELB/GETB, keys are the
 // decimal strings of the same stripe and values are 1 to 4 repeats of
 // a unique tag, so they vary in length; a value buffer the server
 // reused too early shows up as a wrong GETB payload.
-func driveModel(c, conns int, bytesKeys bool, w *protocol.Writer, rd *protocol.Reader) error {
-	const windows, pipeline, keySpace = 50, 8, 32
+func driveModel(c, conns, windows int, bytesKeys bool, w *protocol.Writer, rd *protocol.Reader, beforeWindow func() error) error {
+	const pipeline, keySpace = 8, 32
 	type want struct {
 		status protocol.Status
 		val    []byte // the payload: a GET hit's value, else empty
@@ -158,6 +178,11 @@ func driveModel(c, conns int, bytesKeys bool, w *protocol.Writer, rd *protocol.R
 	model := map[uint64][]byte{}
 	wants := make([]want, pipeline)
 	for win := 0; win < windows; win++ {
+		if beforeWindow != nil {
+			if err := beforeWindow(); err != nil {
+				return fmt.Errorf("window %d: %w", win, err)
+			}
+		}
 		base := rng.Intn(keySpace)
 		for j := range wants {
 			key := uint64(c + conns*((base+j)%keySpace))

@@ -2,21 +2,29 @@
 
 package server
 
-import "syscall"
+import (
+	"os"
+	"syscall"
+	"time"
+)
 
 const pollSupported = true
 
-// epollPoller is the Linux osPoller: one epoll instance plus a
-// self-pipe for waking a blocked wait at drain. Connections are
-// registered EPOLLIN|EPOLLRDHUP|EPOLLONESHOT — one-shot, so a fired
-// descriptor stays quiet until a worker re-arms it with EPOLL_CTL_MOD.
+// epollPoller is the Linux osPoller: one epoll instance. Connections
+// are registered EPOLLIN|EPOLLRDHUP|EPOLLONESHOT — one-shot, so a fired
+// descriptor stays quiet until the next park re-arms it with
+// EPOLL_CTL_MOD.
+//
+// The epoll descriptor is itself pollable, so wait parks the loop
+// goroutine in the Go runtime's netpoller until the set has events and
+// then collects them without blocking. No thread sits in epoll_wait: at
+// GOMAXPROCS=1 a blocked epoll_wait would hold the only P until sysmon
+// took it back, stalling every other goroutine for up to 10 ms.
 type epollPoller struct {
-	epfd int
-	// wakeR/wakeW are the self-pipe; wakeR is registered in the epoll
-	// set (level-triggered, not one-shot) so a single write wakes every
-	// subsequent wait until drained.
-	wakeR, wakeW int
-	events       []syscall.EpollEvent
+	epfd   int
+	f      *os.File // epfd, registered with the runtime's netpoller
+	rc     syscall.RawConn
+	events []syscall.EpollEvent
 }
 
 func newOSPoller() (osPoller, error) {
@@ -24,15 +32,19 @@ func newOSPoller() (osPoller, error) {
 	if err != nil {
 		return nil, err
 	}
-	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_CLOEXEC|syscall.O_NONBLOCK); err != nil {
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		syscall.Close(epfd)
 		return nil, err
 	}
-	ep := &epollPoller{epfd: epfd, wakeR: p[0], wakeW: p[1], events: make([]syscall.EpollEvent, 128)}
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(ep.wakeR)}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, ep.wakeR, &ev); err != nil {
-		ep.close()
+	ep := &epollPoller{epfd: epfd, f: os.NewFile(uintptr(epfd), "epoll"), events: make([]syscall.EpollEvent, 128)}
+	// A file the netpoller could not take has no deadlines; wait would
+	// then fail at once, every time.
+	if err := ep.f.SetReadDeadline(time.Time{}); err != nil {
+		ep.f.Close()
+		return nil, err
+	}
+	if ep.rc, err = ep.f.SyscallConn(); err != nil {
+		ep.f.Close()
 		return nil, err
 	}
 	return ep, nil
@@ -40,8 +52,8 @@ func newOSPoller() (osPoller, error) {
 
 // connEvents is the registration mask for connection descriptors.
 // EPOLLRDHUP makes a peer close/half-close fire readiness, so the
-// worker's read observes the EOF promptly instead of the conn parking
-// forever.
+// woken reader's read observes the EOF promptly instead of the conn
+// staying parked forever.
 const connEvents = syscall.EPOLLIN | syscall.EPOLLRDHUP | (syscall.EPOLLONESHOT & 0xffffffff)
 
 func (ep *epollPoller) add(fd int) error {
@@ -55,38 +67,27 @@ func (ep *epollPoller) arm(fd int) error {
 }
 
 func (ep *epollPoller) wait(fds []int) (int, error) {
-	for {
-		n, err := syscall.EpollWait(ep.epfd, ep.events, -1)
-		if err != nil {
-			if err == syscall.EINTR {
-				continue
-			}
-			return 0, err
-		}
-		out := 0
-		for _, ev := range ep.events[:n] {
-			fd := int(ev.Fd)
-			if fd == ep.wakeR {
-				var buf [64]byte
-				syscall.Read(ep.wakeR, buf[:]) // drain; next wake writes again
-				continue
-			}
-			if out < len(fds) {
-				fds[out] = fd
-				out++
-			}
-		}
-		return out, nil
+	var n int
+	var err error
+	rerr := ep.rc.Read(func(uintptr) bool {
+		n, err = syscall.EpollWait(ep.epfd, ep.events[:min(len(fds), len(ep.events))], 0)
+		return n > 0 || err != nil
+	})
+	if rerr != nil {
+		return 0, rerr
 	}
+	if err != nil {
+		return 0, err
+	}
+	for i, ev := range ep.events[:n] {
+		fds[i] = int(ev.Fd)
+	}
+	return n, nil
 }
 
-func (ep *epollPoller) wake() {
-	var b [1]byte
-	syscall.Write(ep.wakeW, b[:]) // non-blocking pipe; a full pipe already wakes
-}
+// wake closes the epoll file: a wait in progress returns at once, and
+// the descriptor is released when it has.
+func (ep *epollPoller) wake() { ep.f.Close() }
 
-func (ep *epollPoller) close() {
-	syscall.Close(ep.epfd)
-	syscall.Close(ep.wakeR)
-	syscall.Close(ep.wakeW)
-}
+// close has nothing left to release: wake closed the epoll file.
+func (ep *epollPoller) close() {}

@@ -4,8 +4,8 @@ package server
 
 const pollSupported = false
 
-// newOSPoller has no backend on this platform; Options.Poll falls back
-// to the goroutine-per-connection model.
+// newOSPoller has no backend on this platform, so a reader never parks
+// and every connection keeps its goroutine.
 func newOSPoller() (osPoller, error) {
 	return nil, errPollUnsupported
 }

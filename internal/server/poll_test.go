@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"net"
 	"os"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hyaline"
 	"hyaline/internal/protocol"
 	"hyaline/internal/server"
 )
@@ -20,10 +22,34 @@ func skipWithoutPoller(t *testing.T) {
 }
 
 // serverGoroutines reads the server's hyaline_server_goroutines gauge:
-// connection readers, poll workers and the poller loop.
+// connection readers and the poller loop.
 func serverGoroutines(srv *server.Server) float64 {
 	g, _ := srv.Metrics().Value("hyaline_server_goroutines")
 	return g
+}
+
+// metric reads one of the server's unlabelled series.
+func metric(srv *server.Server, name string) float64 {
+	v, _ := srv.Metrics().Value(name)
+	return v
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitParked waits until the server has parked the connection c dialled.
+func waitParked(t *testing.T, srv *server.Server, c net.Conn) {
+	t.Helper()
+	waitFor(t, "the connection parks", func() bool { return server.IsParked(srv, c.LocalAddr()) })
 }
 
 // countFDs returns the process's open descriptor count, or -1 where
@@ -36,15 +62,17 @@ func countFDs() int {
 	return len(ents)
 }
 
-// TestPollServing: a connection under Options.Poll survives repeated
-// park/service cycles — idle gaps between windows re-park the fd, the
-// next burst gets picked up by a worker — with replies intact.
+// TestPollServing: a connection survives repeated park/respawn cycles.
+// Before every burst it has idled past the linger and parked, so every
+// burst is served by a reader the poller started, with replies intact.
 func TestPollServing(t *testing.T) {
 	skipWithoutPoller(t)
-	_, _, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
-	_, w, rd := dial(t, addr)
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
+	c, w, rd := dial(t, addr)
 
-	for round := 0; round < 5; round++ {
+	const rounds = 5
+	for round := 0; round < rounds; round++ {
+		waitParked(t, srv, c)
 		key := uint64(round)
 		w.Set(key, key*31+7)
 		w.Get(key)
@@ -59,23 +87,43 @@ func TestPollServing(t *testing.T) {
 			t.Fatalf("round %d GET returned %d", round, v)
 		}
 		wantStatus(t, readFrame(t, rd), protocol.StatusOK)
-		// Idle long enough for the conn to be re-parked in the poller
-		// before the next burst.
-		time.Sleep(20 * time.Millisecond)
+	}
+	if n := metric(srv, "hyaline_server_poll_wakeups_total"); n != rounds {
+		t.Errorf("%v readers started by the poller, want %d", n, rounds)
 	}
 }
 
-// TestPollGoroutineBound: N mostly-idle polled connections cost
-// O(workers) server goroutines, not O(N). 64 idle conns must keep the
-// hyaline_server_goroutines gauge at the derived worker count + the
-// poller loop (+ nothing per connection). GOMAXPROCS is pinned to 2 so
-// that the pool (4 workers) stays far below 64 on any host.
+// TestPollBusyKeepsReader: a connection whose windows come a quarter
+// of a linger apart, for three lingers, keeps its reader. Its read
+// deadline fires while the connection is busy and is moved on instead
+// of parking it, so it parks at most once (a scheduling hiccup), not
+// once per linger.
+func TestPollBusyKeepsReader(t *testing.T) {
+	skipWithoutPoller(t)
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
+	_, w, rd := dial(t, addr)
+	for i := 0; i < 12; i++ {
+		w.Ping([]byte("busy"))
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+		time.Sleep(server.IdleLinger / 4)
+	}
+	if n := metric(srv, "hyaline_server_poll_rearms_total"); n > 1 {
+		t.Errorf("a busy connection parked %v times", n)
+	}
+}
+
+// TestPollGoroutineBound: idle connections cost no goroutine. Once 64
+// connections have each served a SET and idled past the linger, the
+// hyaline_server_goroutines gauge reads 1, the poller loop, and every
+// connection is parked; each still serves another round trip, and
+// parks again after it.
 func TestPollGoroutineBound(t *testing.T) {
 	skipWithoutPoller(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const nconns = 64
-	workers := server.PollWorkerCount()
-	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
 
 	var conns []net.Conn
 	for i := 0; i < nconns; i++ {
@@ -88,24 +136,19 @@ func TestPollGoroutineBound(t *testing.T) {
 		conns = append(conns, c)
 	}
 
-	// Every connection is idle now; wait for the workers to re-park the
-	// last of them.
-	bound := float64(workers + 1) // workers + poller loop
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g := serverGoroutines(srv)
-		if g <= bound {
-			break
+	allIdle := func() {
+		t.Helper()
+		waitFor(t, "every connection parks", func() bool {
+			return metric(srv, "hyaline_server_conns_parked") == nconns
+		})
+		if g := serverGoroutines(srv); g != 1 {
+			t.Fatalf("%d idle conns pin %v server goroutines, want 1 (the poller loop)", nconns, g)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d idle conns pin %v server goroutines, want <= %v (poll mode must not be per-conn)",
-				nconns, g, bound)
+		if a := srv.ActiveConns(); a != 0 {
+			t.Fatalf("%d active conns with every conn parked", a)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-
-	// The parked connections are still live, not abandoned: each must
-	// serve another round trip.
+	allIdle()
 	for i, c := range conns {
 		w := protocol.NewWriter(c)
 		rd := protocol.NewReader(c)
@@ -119,14 +162,21 @@ func TestPollGoroutineBound(t *testing.T) {
 			t.Fatalf("conn %d GET returned %d", i, v)
 		}
 	}
+	allIdle()
 }
 
-// TestPollChurnLeak: waves of connect/burst/disconnect under the poller
-// must leak nothing — no active conns, no leases, goroutines back at
-// baseline, and the descriptors of closed connections released.
+// TestPollChurnLeak: waves of connect/burst/park/disconnect must leak
+// nothing — no active conns, no leases, goroutines back at baseline,
+// and the descriptors of closed connections released. Each connection
+// closes while parked, so the poller sees the close and its reader
+// tears the conn down.
 func TestPollChurnLeak(t *testing.T) {
 	skipWithoutPoller(t)
-	kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
+	kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
+	if server.PollSupported() {
+		// Serve starts the poller loop; count it in the baseline.
+		waitFor(t, "the poller starts", func() bool { return serverGoroutines(srv) == 1 })
+	}
 	baseGor := runtime.NumGoroutine()
 	baseFDs := countFDs()
 
@@ -158,9 +208,13 @@ func TestPollChurnLeak(t *testing.T) {
 						return
 					}
 				}
-				// Linger parked before closing so teardown exercises the
-				// poller path, not just the service loop.
-				time.Sleep(10 * time.Millisecond)
+				for deadline := time.Now().Add(10 * time.Second); !server.IsParked(srv, c.LocalAddr()); {
+					if time.Now().After(deadline) {
+						t.Error("the connection never parked")
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}(wave*perWave + i)
 		}
 		wg.Wait()
@@ -178,36 +232,143 @@ func TestPollChurnLeak(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leak after poll churn: active=%d inFlight=%d goroutines=%d (base %d) fds=%d (base %d)",
+			t.Fatalf("leak after churn: active=%d inFlight=%d goroutines=%d (base %d) fds=%d (base %d)",
 				active, inFlight, goroutines, baseGor, fds, baseFDs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestPollShutdownParked: Shutdown while connections sit parked in the
-// poller (no worker attached, no goroutine to poke) must sweep them
-// out and drain clean — the testServer cleanup asserts ErrServerClosed
-// and a zero lease ledger.
+// TestPollShutdownParked: Shutdown while connections sit parked (no
+// reader attached, no goroutine to poke) sweeps them out of the poller
+// and drains clean: it returns nil, no lease is in flight, the
+// goroutine gauge reads 0, and a second Shutdown returns nil.
 func TestPollShutdownParked(t *testing.T) {
 	skipWithoutPoller(t)
-	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{Poll: true})
+	kv, err := hyaline.NewKV("hashmap", "hyaline", hyaline.KVOptions{MaxThreads: 4, ArenaCap: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(kv, server.Options{})
+	addr, shutdown := serve(t, srv)
 
-	for i := 0; i < 8; i++ {
-		_, w, rd := dial(t, addr)
+	const nconns = 8
+	for i := 0; i < nconns; i++ {
+		c, w, rd := dial(t, addr)
 		w.Set(uint64(i), uint64(i))
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+		waitParked(t, srv, c)
 	}
-	// Wait until all eight are parked (no service pass running), then
-	// return: the cleanup's Shutdown has only parked conns to reap.
-	deadline := time.Now().Add(5 * time.Second)
-	for serverGoroutines(srv) > float64(server.PollWorkerCount()+1) { // workers + loop
-		if time.Now().After(deadline) {
-			t.Fatalf("connections never went idle: %v server goroutines", serverGoroutines(srv))
+	if g := serverGoroutines(srv); g != 1 {
+		t.Fatalf("%v server goroutines with every conn parked, want 1", g)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := kv.InFlight(); n != 0 {
+		t.Errorf("%d session leases in flight after Shutdown", n)
+	}
+	if g := serverGoroutines(srv); g != 0 {
+		t.Errorf("%v server goroutines after Shutdown", g)
+	}
+	if _, active, _, _ := srv.Counters(); active != 0 {
+		t.Errorf("%d connections open after Shutdown", active)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("second Shutdown: %v", err)
+	}
+}
+
+// TestShutdownRacesPark holds a reader at the moment it has decided to
+// park, runs Shutdown until the poller has stopped and swept, then lets
+// the park go on. The poller must refuse the late park and the reader
+// tear its conn down itself, once: Shutdown returns nil, no lease is in
+// flight and the goroutine gauge reads 0. (A park that registered the
+// conn before the sweep and armed it after once tore it down twice,
+// and the second teardown panicked on the drain WaitGroup.)
+func TestShutdownRacesPark(t *testing.T) {
+	skipWithoutPoller(t)
+	paused, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	defer server.SetParkPause(func() {
+		once.Do(func() {
+			close(paused)
+			<-release
+		})
+	})()
+	kv, err := hyaline.NewKV("hashmap", "hyaline", hyaline.KVOptions{MaxThreads: 4, ArenaCap: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(kv, server.Options{})
+	addr, shutdown := serve(t, srv)
+	_, w, rd := dial(t, addr)
+	w.Set(1, 1)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+	<-paused // the reader has idled past the linger
+
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- shutdown(ctx)
+	}()
+	swept := false
+	for deadline := time.Now().Add(10 * time.Second); !swept && time.Now().Before(deadline); {
+		select {
+		case err := <-done:
+			done <- err
+			swept = true
+		default:
+			swept = server.DrainSwept(srv)
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	if !swept {
+		t.Fatal("Shutdown never stopped the poller")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := kv.InFlight(); n != 0 {
+		t.Errorf("%d session leases in flight after Shutdown", n)
+	}
+	waitFor(t, "the goroutine gauge reads 0", func() bool { return serverGoroutines(srv) == 0 })
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Errorf("second Shutdown: %v", err)
+	}
+}
+
+// TestParkPartialFrame: a peer that sends half a frame and then waits
+// past the linger gets its connection parked with the half frame still
+// buffered; when the rest arrives, the reader the poller starts decodes
+// the whole frame and answers it.
+func TestParkPartialFrame(t *testing.T) {
+	skipWithoutPoller(t)
+	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
+	c, _, rd := dial(t, addr)
+	frame := append(protocol.AppendSet(nil, 7, 70), protocol.AppendGet(nil, 7)...)
+	half := protocol.HeaderSize + 3 // into the SET's payload
+	if _, err := c.Write(frame[:half]); err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, srv, c)
+	if _, err := c.Write(frame[half:]); err != nil {
+		t.Fatal(err)
+	}
+	wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+	f := readFrame(t, rd)
+	wantStatus(t, f, protocol.StatusOK)
+	if v, _ := protocol.U64(f.Payload); v != 70 {
+		t.Fatalf("GET after a parked half frame returned %d, want 70", v)
 	}
 }

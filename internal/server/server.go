@@ -2,9 +2,8 @@
 // listener speaking the internal/protocol frame format over one
 // hyaline.KV (uint64 keys, GET/SET/DEL) or one hyaline.KVBytes ([]byte
 // keys, GETB/SETB/DELB), sharded or not. Each connection is decoded by
-// one reader (a dedicated goroutine by default, a pooled worker under
-// Options.Poll) that batches data commands and writes their encoded
-// replies itself, in request order. The serving pipeline is the
+// one reader goroutine that batches data commands and writes their
+// encoded replies itself, in request order. The serving pipeline is the
 // same for both key families; what differs — op decoding, the store
 // call, value encoding — lives behind the batch type (batch.go).
 //
@@ -20,15 +19,17 @@
 // Brackets are never shared across connections: each reader applies
 // its own run. A singleton client's lease and bracket cost tens of
 // nanoseconds against a round trip of microseconds, so merging runs
-// from many connections had little to win (README keeps the
+// from many connections had little to win (CHANGES.md keeps the
 // measurement).
 //
-// Options.Poll replaces the goroutine-per-connection model: idle
-// connections park their file descriptor in an OS readiness poller
-// (epoll on Linux, kqueue on Darwin/FreeBSD; see poll*.go) and are
-// handed to a pool of 2×GOMAXPROCS workers only when readable, so N
-// mostly-idle connections cost O(GOMAXPROCS) server goroutines instead
-// of N.
+// A connection holds its reader goroutine only while it has work. A
+// reader that waits idleLinger for a frame parks the connection's file
+// descriptor in an OS readiness poller (epoll on Linux, kqueue on
+// Darwin/FreeBSD; see poll*.go) and exits, and the poller starts a
+// fresh reader when the descriptor turns readable. N idle connections
+// cost one server goroutine instead of N; a busy one keeps its reader.
+// Where there is no poller backend, or a connection exposes no
+// descriptor, the reader never parks.
 package server
 
 import (
@@ -69,14 +70,6 @@ type Options struct {
 	// treated as broken (closed, drained, logged). Default
 	// DefaultWriteTimeout; negative disables the deadline.
 	WriteTimeout time.Duration
-	// Poll parks idle connections' file descriptors in an OS readiness
-	// poller and services readable ones from a pool of 2×GOMAXPROCS
-	// workers (at least 2), so N mostly-idle connections cost
-	// O(GOMAXPROCS) server goroutines instead of one per connection.
-	// Platforms without a poller backend — and listeners whose
-	// connections expose no descriptor — fall back to the
-	// goroutine-per-connection model transparently.
-	Poll bool
 	// MaxConns caps concurrently open connections; an accept beyond the
 	// cap is closed immediately (counted by Rejected). 0 = unlimited.
 	MaxConns int
@@ -120,13 +113,15 @@ type Server struct {
 	maxPipeline  int
 	maxConns     int
 	writeTimeout time.Duration
-	po           *poller // non-nil iff Options.Poll on a supported platform
 	logf         func(string, ...any)
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
+	mu    sync.Mutex
+	ln    net.Listener
+	po    *poller // started by the first Serve; nil without a backend
+	conns map[net.Conn]struct{}
+	// draining is set once, under mu, by Shutdown; readers load it
+	// without the lock.
+	draining atomic.Bool
 
 	wg sync.WaitGroup // one unit per live connection
 	m  *srvMetrics    // every server gauge/counter/histogram (metrics.go)
@@ -177,13 +172,6 @@ func newServer(opts Options, store gauges, newBatch func() batch) *Server {
 		conns:        map[net.Conn]struct{}{},
 		m:            newSrvMetrics(opts.Metrics),
 	}
-	if opts.Poll {
-		if p, err := newPoller(s); err != nil {
-			s.logf("server: readiness poller unavailable (%v); falling back to goroutine-per-connection", err)
-		} else {
-			s.po = p
-		}
-	}
 	s.registerStoreMetrics()
 	s.registerConnMetrics()
 	return s
@@ -197,19 +185,26 @@ func newServer(opts Options, store gauges, newBatch func() batch) *Server {
 // the server. The listener is closed when Serve returns.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return ErrServerClosed
 	}
 	s.ln = ln
+	if s.po == nil {
+		p, err := newPoller(s)
+		if err != nil && !errors.Is(err, errPollUnsupported) {
+			s.logf("server: readiness poller unavailable (%v); idle connections keep their readers", err)
+		}
+		s.po = p
+	}
 	s.mu.Unlock()
 	defer ln.Close()
 	var backoff time.Duration
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			if s.isDraining() || errors.Is(err, net.ErrClosed) {
+			if s.draining.Load() || errors.Is(err, net.ErrClosed) {
 				return ErrServerClosed
 			}
 			if isTransientAccept(err) {
@@ -254,18 +249,16 @@ func isTransientAccept(err error) bool {
 	return false
 }
 
-// startConn hands a tracked connection to its serving model: parked in
-// the readiness poller when one is running (and the conn exposes a
-// descriptor), a dedicated reader goroutine otherwise.
-func (s *Server) startConn(c net.Conn) {
-	cn := newConn(s, c)
-	if s.po != nil && s.po.register(cn) {
-		return // parked; a poll worker serves it when readable
-	}
+// startConn gives a tracked connection its first reader.
+func (s *Server) startConn(c net.Conn) { s.spawn(newConn(s, c), false) }
+
+// spawn starts a reader goroutine for cn; woken says the poller found
+// it readable after it parked.
+func (s *Server) spawn(cn *conn, woken bool) {
 	s.m.goroutines.Inc()
 	go func() {
 		defer s.m.goroutines.Dec()
-		cn.run()
+		cn.run(woken)
 	}()
 }
 
@@ -273,15 +266,16 @@ func (s *Server) startConn(c net.Conn) {
 // connection finishes the pipeline window it is processing (its batch
 // bracket completes and its replies are written), idle connections are
 // released from their blocking read or swept out of the poller, and the
-// poll workers exit. When ctx expires first, the remaining connections
+// poller's loop exits. When ctx expires first, the remaining connections
 // are closed forcibly. The KV is untouched — the caller owns its
 // lifecycle (and can assert kv.InFlight() == 0 once Shutdown returns).
 // Shutdown may be called again, concurrently or after it returned: every
 // call waits for the same drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.ln
+	po := s.po
 	snapshot := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		snapshot = append(snapshot, c)
@@ -291,18 +285,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 	// A deadline in the past fails the *next* blocking read; a reader
-	// mid-window is unaffected and finishes its batch first.
+	// mid-window is unaffected and finishes its batch first. A reader
+	// that sets its linger deadline re-checks draining afterwards, so
+	// it cannot overwrite this one unseen.
 	now := time.Now()
 	for _, c := range snapshot {
 		c.SetReadDeadline(now)
 	}
 	done := make(chan struct{})
 	go func() {
-		if s.po != nil {
-			// Stop the poller first: its workers finish their current
-			// window and every parked conn is torn down, each releasing
-			// its s.wg unit.
-			s.po.drain()
+		if po != nil {
+			// Every parked conn is torn down, releasing its s.wg unit;
+			// the readers finish on their own.
+			po.drain()
 		}
 		s.wg.Wait()
 		close(done)
@@ -332,12 +327,6 @@ func (s *Server) Counters() (accepted, active, served, batches int64) {
 		int64(s.m.served.Value()), int64(s.m.batches.Value())
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // track registers a live connection; during drain — or beyond
 // Options.MaxConns — it refuses (and the late conn is closed unserved)
 // so Shutdown's snapshot stays complete and the cap holds. The wg.Add
@@ -348,7 +337,7 @@ func (s *Server) isDraining() bool {
 func (s *Server) track(c net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining.Load() {
 		return false
 	}
 	if s.maxConns > 0 && len(s.conns) >= s.maxConns {
@@ -398,12 +387,19 @@ var bufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// conn is one connection's state, owned by whichever goroutine is
-// currently reading it (its dedicated reader, or a poll worker).
+// readerPool recycles the frame decoder a connection drops when it
+// parks with nothing buffered, and when it closes.
+var readerPool = sync.Pool{New: func() any { return protocol.NewReader(nil) }}
+
+// conn is one connection's state, owned by its reader goroutine while
+// it has one and by the poller while it is parked (see poll.go).
 type conn struct {
 	srv *Server
 	c   net.Conn
-	rd  *protocol.Reader
+	cr  countingReader // c, counted into bytesIn
+	// rd decodes frames from cr. A conn that parks with nothing
+	// buffered gives it back to readerPool, so an idle conn holds none.
+	rd *protocol.Reader
 
 	b batch // pending data commands of the current run (and their results)
 
@@ -417,11 +413,10 @@ type conn struct {
 	// peer is gone either way).
 	broken bool
 
-	// Poll mode: the conn's descriptor and its poller state machine
-	// (pollIdle → pollQueued → pollRunning → back to pollIdle, or
-	// pollDead exactly once at teardown).
-	fd     int
-	pstate atomic.Int32
+	// fd is the conn's descriptor, or -1 when it cannot park (no
+	// poller, or no descriptor). added: fd is in the poller's set.
+	fd    int
+	added bool
 
 	// Window latency bookkeeping: wstart is stamped when the window's
 	// first frame is decoded, wops counts the replies produced in this
@@ -439,33 +434,98 @@ func newConn(s *Server, c net.Conn) *conn {
 		// would serialize every pipelined client on the ACK clock.
 		tc.SetNoDelay(true)
 	}
-	return &conn{
+	cn := &conn{
 		srv: s,
 		c:   c,
-		rd:  protocol.NewReader(&countingReader{src: c, n: s.m.bytesIn}),
+		cr:  countingReader{src: c, n: s.m.bytesIn},
 		b:   s.newBatch(),
+		fd:  -1,
 	}
+	cn.takeReader()
+	if s.po != nil {
+		if fd, ok := connFD(c); ok {
+			cn.fd = fd
+		}
+	}
+	return cn
 }
 
-// run is the dedicated-reader model: decode one pipeline window at a
-// time, apply its data commands in batches, write the replies, repeat
-// until the peer goes away or the server drains.
-func (cn *conn) run() {
-	for {
+// takeReader gives the conn a decoder from readerPool.
+func (cn *conn) takeReader() {
+	cn.rd = readerPool.Get().(*protocol.Reader)
+	cn.rd.Reset(&cn.cr)
+}
+
+// run is the conn's reader: decode one pipeline window at a time, apply
+// its data commands in batches, write the replies, repeat until the
+// peer goes away or the server drains — or, for a conn that can park,
+// until no window has begun for idleLinger, when the conn parks and run
+// returns without tearing it down. woken says the poller started this
+// reader.
+//
+// The read deadline is not moved per window. It stays at idleLinger
+// after the window that was last when it was set, and when it fires on
+// a conn whose latest window began less than idleLinger ago, it is
+// moved to idleLinger after that window and the read resumes. A busy
+// conn so pays one deadline reset per linger, not one per window.
+func (cn *conn) run(woken bool) {
+	if cn.rd == nil {
+		cn.takeReader()
+	}
+	// spurious: the poller woke this reader and no frame has come yet.
+	last, spurious := time.Now(), woken
+	if cn.fd >= 0 {
+		cn.c.SetReadDeadline(last.Add(idleLinger))
+	}
+	for !cn.fatal {
+		// Checked after every deadline set: Shutdown's past deadline may
+		// just have been overwritten.
+		if cn.srv.draining.Load() {
+			break
+		}
 		// Block for the first frame of a window; everything else the
 		// client pipelined behind it is already buffered and consumed
 		// without further syscalls.
 		f, err := cn.rd.ReadFrame()
 		if err != nil {
-			cn.readFailed(err)
+			if cn.fd >= 0 && isTimeout(err) && !cn.srv.draining.Load() {
+				// The stream is still well-framed: bytes of a partial
+				// frame stay buffered.
+				cn.rd.ClearError()
+				if time.Since(last) < idleLinger {
+					cn.c.SetReadDeadline(last.Add(idleLinger))
+					continue
+				}
+				if spurious {
+					cn.srv.m.pollSpurious.Inc()
+				}
+				if cn.park() {
+					return
+				}
+			} else {
+				cn.readFailed(err)
+			}
 			break
 		}
 		cn.window(f)
-		if cn.fatal || cn.srv.isDraining() {
-			break
-		}
+		last, spurious = cn.wstart, false
 	}
 	cn.teardown()
+}
+
+// park hands the idle conn to the poller. A conn with part of a frame
+// buffered keeps its Reader; with nothing buffered the Reader goes back
+// to readerPool. false means the poller refused and the caller still
+// owns the conn.
+func (cn *conn) park() bool {
+	if cn.rd.Buffered() == 0 {
+		readerPool.Put(cn.rd)
+		cn.rd = nil
+	}
+	if parkPause != nil {
+		parkPause()
+	}
+	return cn.srv.po.park(cn)
 }
 
 // readFailed ends a connection whose blocking ReadFrame failed. EOF, a
@@ -512,10 +572,14 @@ func (cn *conn) window(f protocol.Frame) {
 	}
 }
 
-// teardown retires the connection exactly once: the socket closes and
-// the server's books are settled.
+// teardown retires the connection; its owner calls it exactly once.
+// The socket closes and the server's books are settled.
 func (cn *conn) teardown() {
 	cn.c.Close()
+	if cn.rd != nil {
+		readerPool.Put(cn.rd)
+		cn.rd = nil
+	}
 	cn.srv.untrack(cn.c)
 	cn.srv.wg.Done()
 }

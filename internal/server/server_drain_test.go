@@ -172,74 +172,66 @@ func TestWriteTimeout(t *testing.T) {
 	}
 }
 
-// TestConnChurnLeak opens, bursts and closes waves of connections in
-// both serving modes, then checks nothing leaked: no active connections,
-// no session leases in flight, and the goroutine count back at the
-// server's baseline (per-conn readers all exited; the poll workers and
-// loop were already running when the baseline was taken).
+// TestConnChurnLeak opens, bursts and closes waves of connections that
+// close while their readers still hold them, then checks nothing
+// leaked: no active connections, no session leases in flight, and the
+// goroutine count back at the server's baseline (every reader exited;
+// the poller loop was already running when the baseline was taken).
+// TestPollChurnLeak is the same churn with connections that park
+// before they close.
 func TestConnChurnLeak(t *testing.T) {
-	modes := []struct {
-		name string
-		opts server.Options
-	}{
-		{"perconn", server.Options{}},
-		{"poll", server.Options{Poll: true}},
+	kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
+	if server.PollSupported() {
+		// Serve starts the poller loop; count it in the baseline.
+		waitFor(t, "the poller starts", func() bool { return serverGoroutines(srv) == 1 })
 	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			if m.opts.Poll {
-				skipWithoutPoller(t)
-			}
-			kv, srv, addr := testServer(t, "hashmap", "hyaline", m.opts)
-			base := runtime.NumGoroutine()
+	base := runtime.NumGoroutine()
 
-			const waves, perWave, burst = 3, 8, 10
-			for wave := 0; wave < waves; wave++ {
-				var wg sync.WaitGroup
-				for i := 0; i < perWave; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						c, err := net.Dial("tcp", addr)
-						if err != nil {
-							t.Errorf("dial: %v", err)
-							return
-						}
-						defer c.Close()
-						w := protocol.NewWriter(c)
-						rd := protocol.NewReader(c)
-						for k := 0; k < burst; k++ {
-							w.Set(uint64(i*burst+k), uint64(k))
-						}
-						if err := w.Flush(); err != nil {
-							t.Errorf("flush: %v", err)
-							return
-						}
-						for k := 0; k < burst; k++ {
-							if _, err := rd.ReadFrame(); err != nil {
-								t.Errorf("read: %v", err)
-								return
-							}
-						}
-					}(wave*perWave + i)
+	const waves, perWave, burst = 3, 8, 10
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < perWave; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Errorf("dial: %v", err)
+					return
 				}
-				wg.Wait()
-			}
+				defer c.Close()
+				w := protocol.NewWriter(c)
+				rd := protocol.NewReader(c)
+				for k := 0; k < burst; k++ {
+					w.Set(uint64(i*burst+k), uint64(k))
+				}
+				if err := w.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
+					return
+				}
+				for k := 0; k < burst; k++ {
+					if _, err := rd.ReadFrame(); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+				}
+			}(wave*perWave + i)
+		}
+		wg.Wait()
+	}
 
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				_, active, _, _ := srv.Counters()
-				inFlight := kv.InFlight()
-				goroutines := runtime.NumGoroutine()
-				if active == 0 && inFlight == 0 && goroutines <= base {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("leak after churn: active=%d inFlight=%d goroutines=%d (baseline %d)",
-						active, inFlight, goroutines, base)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, active, _, _ := srv.Counters()
+		inFlight := kv.InFlight()
+		goroutines := runtime.NumGoroutine()
+		if active == 0 && inFlight == 0 && goroutines <= base {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leak after churn: active=%d inFlight=%d goroutines=%d (baseline %d)",
+				active, inFlight, goroutines, base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

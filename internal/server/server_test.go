@@ -351,7 +351,8 @@ func TestMalformedFrame(t *testing.T) {
 // segment (written only after the prefix's reply has been read, so the
 // server is back in its blocking ReadFrame) and in the same write as the
 // prefix (found by TryReadFrame mid-window). Both must answer ERR and
-// close, under the dedicated-reader and the poll-worker loops alike.
+// close, whether the junk reaches the connection's first reader or,
+// with poll set, one the poller started after the connection parked.
 func TestMalformedFrameSegmentation(t *testing.T) {
 	for _, poll := range []bool{false, true} {
 		if poll && !server.PollSupported() {
@@ -359,15 +360,21 @@ func TestMalformedFrameSegmentation(t *testing.T) {
 		}
 		for _, ownSegment := range []bool{true, false} {
 			t.Run(fmt.Sprintf("poll=%v/ownSegment=%v", poll, ownSegment), func(t *testing.T) {
-				_, _, addr := testServer(t, "hashmap", "epoch", server.Options{Poll: poll})
+				_, srv, addr := testServer(t, "hashmap", "epoch", server.Options{})
 				conn, _, rd := dial(t, addr)
 				prefix := protocol.AppendSet(nil, 1, 10)
 				junk := []byte{0, 0, 0}
+				if poll {
+					waitParked(t, srv, conn)
+				}
 				if ownSegment {
 					if _, err := conn.Write(prefix); err != nil {
 						t.Fatal(err)
 					}
 					wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+					if poll {
+						waitParked(t, srv, conn)
+					}
 					if _, err := conn.Write(junk); err != nil {
 						t.Fatal(err)
 					}
