@@ -173,65 +173,67 @@ func TestWriteTimeout(t *testing.T) {
 }
 
 // TestConnChurnLeak opens, bursts and closes waves of connections that
-// close while their readers still hold them, then checks nothing
-// leaked: no active connections, no session leases in flight, and the
-// goroutine count back at the server's baseline (every reader exited;
-// the poller loop was already running when the baseline was taken).
-// TestPollChurnLeak is the same churn with connections that park
-// before they close.
+// close while their per-connection readers still hold them (the
+// "perconn" case), then checks nothing leaked: no active connections,
+// no session leases in flight, and the goroutine count back at the
+// server's baseline (every reader exited; the poller loop was already
+// running when the baseline was taken). TestPollChurnLeak is the same
+// churn with connections that park before they close.
 func TestConnChurnLeak(t *testing.T) {
-	kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
-	if server.PollSupported() {
-		// Serve starts the poller loop; count it in the baseline.
-		waitFor(t, "the poller starts", func() bool { return serverGoroutines(srv) == 1 })
-	}
-	base := runtime.NumGoroutine()
+	t.Run("perconn", func(t *testing.T) {
+		kv, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
+		if server.PollSupported() {
+			// Serve starts the poller loop; count it in the baseline.
+			waitFor(t, "the poller starts", func() bool { return serverGoroutines(srv) == 1 })
+		}
+		base := runtime.NumGoroutine()
 
-	const waves, perWave, burst = 3, 8, 10
-	for wave := 0; wave < waves; wave++ {
-		var wg sync.WaitGroup
-		for i := 0; i < perWave; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c, err := net.Dial("tcp", addr)
-				if err != nil {
-					t.Errorf("dial: %v", err)
-					return
-				}
-				defer c.Close()
-				w := protocol.NewWriter(c)
-				rd := protocol.NewReader(c)
-				for k := 0; k < burst; k++ {
-					w.Set(uint64(i*burst+k), uint64(k))
-				}
-				if err := w.Flush(); err != nil {
-					t.Errorf("flush: %v", err)
-					return
-				}
-				for k := 0; k < burst; k++ {
-					if _, err := rd.ReadFrame(); err != nil {
-						t.Errorf("read: %v", err)
+		const waves, perWave, burst = 3, 8, 10
+		for wave := 0; wave < waves; wave++ {
+			var wg sync.WaitGroup
+			for i := 0; i < perWave; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					c, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Errorf("dial: %v", err)
 						return
 					}
-				}
-			}(wave*perWave + i)
+					defer c.Close()
+					w := protocol.NewWriter(c)
+					rd := protocol.NewReader(c)
+					for k := 0; k < burst; k++ {
+						w.Set(uint64(i*burst+k), uint64(k))
+					}
+					if err := w.Flush(); err != nil {
+						t.Errorf("flush: %v", err)
+						return
+					}
+					for k := 0; k < burst; k++ {
+						if _, err := rd.ReadFrame(); err != nil {
+							t.Errorf("read: %v", err)
+							return
+						}
+					}
+				}(wave*perWave + i)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
-	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, active, _, _ := srv.Counters()
-		inFlight := kv.InFlight()
-		goroutines := runtime.NumGoroutine()
-		if active == 0 && inFlight == 0 && goroutines <= base {
-			break
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, active, _, _ := srv.Counters()
+			inFlight := kv.InFlight()
+			goroutines := runtime.NumGoroutine()
+			if active == 0 && inFlight == 0 && goroutines <= base {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("leak after churn: active=%d inFlight=%d goroutines=%d (baseline %d)",
+					active, inFlight, goroutines, base)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leak after churn: active=%d inFlight=%d goroutines=%d (baseline %d)",
-				active, inFlight, goroutines, base)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 }
