@@ -48,29 +48,44 @@ var workloads = map[string]bench.Workload{
 	"read":  bench.ReadMostly,
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("hyalinebench", flag.ContinueOnError)
-	var (
-		list     = fs.Bool("list", false, "list all reproducible figures and exit")
-		table1   = fs.Bool("table1", false, "print the paper's Table 1 (qualitative comparison)")
-		figure   = fs.String("figure", "", "figure id to regenerate (e.g. 8c, 10a; 'all' for everything)")
-		duration = fs.Duration("duration", time.Second, "measurement window per data point (paper: 10s)")
-		threads  = fs.Int("threads", runtime.GOMAXPROCS(0), "worker count for single runs; active threads for -figure 10a, which runs GOMAXPROCS-2 when this is unset")
-		stalled  = fs.Int("stalled", 0, "stalled-thread count for single runs")
+// flags are hyalinebench's command-line knobs, bound to the flag set newFlags
+// builds with them.
+type flags struct {
+	list, table1, trim, sessions, ascii             *bool
+	figure, structure, scheme, workload, sweepCSV   *string
+	threads, stalled, gor, slots, prefill, arenaCap *int
+	duration                                        *time.Duration
+	keyrange                                        *uint64
+}
 
-		structure = fs.String("structure", "", "single run: data structure (list|hashmap|bonsai|natarajan|skiplist)")
-		scheme    = fs.String("scheme", "", "single run: reclamation scheme")
-		workload  = fs.String("workload", "write", "workload mix: write (50i/50d) or read (90g/10p)")
-		trim      = fs.Bool("trim", false, "single run: use Hyaline trim (§3.3)")
-		sessions  = fs.Bool("sessions", false, "single run: drive workers through the leased-tid session layer (goroutines share -threads tids)")
-		gor       = fs.Int("goroutines", 0, "single run: session-mode worker count (0 or -1 = auto, 2x threads; may exceed -threads)")
-		slots     = fs.Int("slots", 0, "Hyaline slot cap k (0 = next pow2 of cores)")
-		prefill   = fs.Int("prefill", 50_000, "prefill element count")
-		keyrange  = fs.Uint64("keyrange", 100_000, "key universe size")
-		arenaCap  = fs.Int("arenacap", 1<<25, "node pool capacity (virtual until touched)")
-		sweepCSV  = fs.String("sweep", "", "comma-separated thread counts overriding the default sweep")
-		ascii     = fs.Bool("ascii", false, "render figures as terminal bar charts instead of CSV")
-	)
+// newFlags builds hyalinebench's flag set; the README flag check reads it too.
+func newFlags() (*flag.FlagSet, *flags) {
+	fs := flag.NewFlagSet("hyalinebench", flag.ContinueOnError)
+	return fs, &flags{
+		list:     fs.Bool("list", false, "list all reproducible figures and exit"),
+		table1:   fs.Bool("table1", false, "print the paper's Table 1 (qualitative comparison)"),
+		figure:   fs.String("figure", "", "figure id to regenerate (e.g. 8c, 10a; 'all' for everything)"),
+		duration: fs.Duration("duration", time.Second, "measurement window per data point (paper: 10s)"),
+		threads:  fs.Int("threads", runtime.GOMAXPROCS(0), "worker count for single runs; active threads for -figure 10a, which runs GOMAXPROCS-2 when this is unset"),
+		stalled:  fs.Int("stalled", 0, "stalled-thread count for single runs"),
+
+		structure: fs.String("structure", "", "single run: data structure (list|hashmap|bonsai|natarajan|skiplist)"),
+		scheme:    fs.String("scheme", "", "single run: reclamation scheme"),
+		workload:  fs.String("workload", "write", "workload mix: write (50i/50d) or read (90g/10p)"),
+		trim:      fs.Bool("trim", false, "single run: use Hyaline trim (§3.3)"),
+		sessions:  fs.Bool("sessions", false, "single run: drive workers through the leased-tid session layer (goroutines share -threads tids)"),
+		gor:       fs.Int("goroutines", 0, "single run: session-mode worker count (0 or -1 = auto, 2x threads; may exceed -threads)"),
+		slots:     fs.Int("slots", 0, "Hyaline slot cap k (0 = next pow2 of cores)"),
+		prefill:   fs.Int("prefill", 50_000, "prefill element count"),
+		keyrange:  fs.Uint64("keyrange", 100_000, "key universe size"),
+		arenaCap:  fs.Int("arenacap", 1<<25, "node pool capacity (virtual until touched)"),
+		sweepCSV:  fs.String("sweep", "", "comma-separated thread counts overriding the default sweep"),
+		ascii:     fs.Bool("ascii", false, "render figures as terminal bar charts instead of CSV"),
+	}
+}
+
+func run(args []string) error {
+	fs, fl := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,57 +93,57 @@ func run(args []string) error {
 	// knob must abort with a clear message, not silently reshape the run
 	// (bench.Config's zero-value defaulting would otherwise paper over
 	// all of these).
-	if *gor == -1 {
-		*gor = 0 // explicit auto, same as the default
+	if *fl.gor == -1 {
+		*fl.gor = 0 // explicit auto, same as the default
 	}
-	wl, knownWorkload := workloads[*workload]
+	wl, knownWorkload := workloads[*fl.workload]
 	switch {
 	case !knownWorkload:
-		return fmt.Errorf("-workload %q: want write or read", *workload)
-	case *gor < 0:
-		return fmt.Errorf("-goroutines %d: want a positive worker count, or 0/-1 for auto (2x threads)", *gor)
-	case *gor > 0 && !*sessions:
-		return fmt.Errorf("-goroutines %d without -sessions: goroutine workers exist only in session mode (add -sessions, or drop -goroutines)", *gor)
-	case *threads < 1:
-		return fmt.Errorf("-threads %d: need at least one worker thread", *threads)
-	case *stalled < 0:
-		return fmt.Errorf("-stalled %d: the stalled-thread count cannot be negative", *stalled)
+		return fmt.Errorf("-workload %q: want write or read", *fl.workload)
+	case *fl.gor < 0:
+		return fmt.Errorf("-goroutines %d: want a positive worker count, or 0/-1 for auto (2x threads)", *fl.gor)
+	case *fl.gor > 0 && !*fl.sessions:
+		return fmt.Errorf("-goroutines %d without -sessions: goroutine workers exist only in session mode (add -sessions, or drop -goroutines)", *fl.gor)
+	case *fl.threads < 1:
+		return fmt.Errorf("-threads %d: need at least one worker thread", *fl.threads)
+	case *fl.stalled < 0:
+		return fmt.Errorf("-stalled %d: the stalled-thread count cannot be negative", *fl.stalled)
 	}
 
 	switch {
-	case *list:
+	case *fl.list:
 		return printList()
-	case *table1:
+	case *fl.table1:
 		return printTable1()
-	case *figure != "":
-		xs, err := parseSweep(*sweepCSV)
+	case *fl.figure != "":
+		xs, err := parseSweep(*fl.sweepCSV)
 		if err != nil {
 			return err
 		}
-		opts := bench.RunOptions{Duration: *duration, Prefill: *prefill, KeyRange: *keyrange, Xs: xs}
+		opts := bench.RunOptions{Duration: *fl.duration, Prefill: *fl.prefill, KeyRange: *fl.keyrange, Xs: xs}
 		// Figure.Run picks the stalled sweeps' active threads itself
 		// unless -threads says otherwise.
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "threads" {
-				opts.ActiveThreads = *threads
+				opts.ActiveThreads = *fl.threads
 			}
 		})
-		return runFigures(*figure, opts, *ascii)
-	case *structure != "" && *scheme != "":
+		return runFigures(*fl.figure, opts, *fl.ascii)
+	case *fl.structure != "" && *fl.scheme != "":
 		return runSingle(bench.Config{
-			Structure:  *structure,
-			Scheme:     *scheme,
-			Threads:    *threads,
-			Stalled:    *stalled,
-			Duration:   *duration,
+			Structure:  *fl.structure,
+			Scheme:     *fl.scheme,
+			Threads:    *fl.threads,
+			Stalled:    *fl.stalled,
+			Duration:   *fl.duration,
 			Workload:   wl,
-			Trim:       *trim,
-			Sessions:   *sessions,
-			Goroutines: *gor,
-			Prefill:    *prefill,
-			KeyRange:   *keyrange,
-			ArenaCap:   *arenaCap,
-			Tracker:    trackers.Config{Slots: *slots},
+			Trim:       *fl.trim,
+			Sessions:   *fl.sessions,
+			Goroutines: *fl.gor,
+			Prefill:    *fl.prefill,
+			KeyRange:   *fl.keyrange,
+			ArenaCap:   *fl.arenaCap,
+			Tracker:    trackers.Config{Slots: *fl.slots},
 		})
 	default:
 		fs.Usage()

@@ -91,4 +91,7 @@ func TestFigureThreads(t *testing.T) {
 
 // TestREADMEFlags fails when the README passes hyalinebench a flag that its flag
 // set does not define.
-func TestREADMEFlags(t *testing.T) { docflags.Check(t, "../../README.md", "hyalinebench") }
+func TestREADMEFlags(t *testing.T) {
+	fs, _ := newFlags()
+	docflags.Check(t, "../../README.md", fs)
+}

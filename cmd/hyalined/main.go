@@ -30,8 +30,9 @@
 //
 // Every connection has a reader goroutine while it has work. One that
 // idles past a short linger parks its descriptor in an OS readiness
-// poller (epoll/kqueue) and gives the goroutine up, so tens of
-// thousands of idle connections cost one goroutine. -maxconns caps
+// poller (epoll; other platforms keep every reader) and gives the
+// goroutine up, so tens of thousands of idle connections cost one
+// goroutine. -maxconns caps
 // concurrent connections; accepts beyond the cap are refused
 // immediately.
 //
@@ -75,51 +76,57 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// flags are hyalined's command-line knobs, bound to the flag set newFlags
+// builds with them.
+type flags struct {
+	addr, structure, scheme, metricsAt                     *string
+	threads, pipeline, arenaCap, blobCap, shards, maxConns *int
+	drain, writeTO                                         *time.Duration
+	bytesMode                                              *bool
+}
+
+// newFlags builds hyalined's flag set; the README flag check reads it too.
+func newFlags() (*flag.FlagSet, *flags) {
 	fs := flag.NewFlagSet("hyalined", flag.ContinueOnError)
-	var (
-		addr      = fs.String("addr", ":4980", "TCP listen address (use port 0 for an ephemeral port)")
-		structure = fs.String("structure", "hashmap", "data structure (list|hashmap|bonsai|natarajan|skiplist)")
-		scheme    = fs.String("scheme", "hyaline", "reclamation scheme")
-		threads   = fs.Int("threads", 0, "leased-tid bound (0 = 2x GOMAXPROCS); connections beyond it share leases")
-		pipeline  = fs.Int("pipeline", server.DefaultMaxPipeline, "max in-flight commands coalesced into one batched apply per connection")
-		arenaCap  = fs.Int("arenacap", 1<<22, "node pool capacity of the whole store, shared by every shard (virtual until touched)")
-		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown budget before connections are closed forcibly")
-		bytesMode = fs.Bool("bytes", false, "serve []byte keys/values (GETB/SETB/DELB frames, blob slab heap)")
-		blobCap   = fs.Int("blobbudget", 1<<26, "per-size-class blob budget in bytes of the whole store, shared by every shard (-bytes only)")
-		writeTO   = fs.Duration("writetimeout", server.DefaultWriteTimeout, "per-Write reply deadline; a peer that stops reading is disconnected (negative disables)")
-		shards    = fs.Int("shards", 1, "hash-shard the KV across N independent structure+tracker partitions (0 or 1 = unsharded)")
-		maxConns  = fs.Int("maxconns", 0, "cap on concurrently open connections; accepts beyond it are refused (0 = unlimited)")
-		metricsAt = fs.String("metrics", "", "HTTP observability listen address: /metrics (Prometheus), /metrics.json, /debug/pprof/ (empty = disabled)")
-	)
+	return fs, &flags{
+		addr:      fs.String("addr", ":4980", "TCP listen address (use port 0 for an ephemeral port)"),
+		structure: fs.String("structure", "hashmap", "data structure (list|hashmap|bonsai|natarajan|skiplist)"),
+		scheme:    fs.String("scheme", "hyaline", "reclamation scheme"),
+		threads:   fs.Int("threads", 0, "leased-tid bound (0 = 2x GOMAXPROCS); connections beyond it share leases"),
+		pipeline:  fs.Int("pipeline", server.DefaultMaxPipeline, "max in-flight commands coalesced into one batched apply per connection"),
+		arenaCap:  fs.Int("arenacap", 1<<22, "node pool capacity of the whole store, shared by every shard (virtual until touched)"),
+		drain:     fs.Duration("drain", 10*time.Second, "graceful shutdown budget before connections are closed forcibly"),
+		bytesMode: fs.Bool("bytes", false, "serve []byte keys/values (GETB/SETB/DELB frames, blob slab heap)"),
+		blobCap:   fs.Int("blobbudget", 1<<26, "per-size-class blob budget in bytes of the whole store, shared by every shard (-bytes only)"),
+		writeTO:   fs.Duration("writetimeout", server.DefaultWriteTimeout, "per-Write reply deadline; a peer that stops reading is disconnected (negative disables)"),
+		shards:    fs.Int("shards", 1, "hash-shard the KV across N independent structure+tracker partitions (0 or 1 = unsharded)"),
+		maxConns:  fs.Int("maxconns", 0, "cap on concurrently open connections; accepts beyond it are refused (0 = unlimited)"),
+		metricsAt: fs.String("metrics", "", "HTTP observability listen address: /metrics (Prometheus), /metrics.json, /debug/pprof/ (empty = disabled)"),
+	}
+}
+
+func run(args []string) error {
+	fs, fl := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *threads < 0 {
-		return fmt.Errorf("-threads %d: the leased-tid bound cannot be negative (0 = auto)", *threads)
+	switch {
+	case *fl.threads < 0:
+		return fmt.Errorf("-threads %d: the leased-tid bound cannot be negative (0 = auto)", *fl.threads)
+	case *fl.pipeline < 1:
+		return fmt.Errorf("-pipeline %d: at least one command per batch", *fl.pipeline)
+	case *fl.shards < 0:
+		return fmt.Errorf("-shards %d: the shard count cannot be negative (0 or 1 = unsharded)", *fl.shards)
+	case *fl.maxConns < 0:
+		return fmt.Errorf("-maxconns %d: the connection cap cannot be negative (0 = unlimited)", *fl.maxConns)
+	case *fl.arenaCap < 1:
+		return fmt.Errorf("-arenacap %d: the node pool needs at least one node", *fl.arenaCap)
+	case *fl.blobCap < 1:
+		return fmt.Errorf("-blobbudget %d: the blob budget needs at least one byte", *fl.blobCap)
+	case *fl.drain < 0:
+		return fmt.Errorf("-drain %v: the shutdown budget cannot be negative", *fl.drain)
 	}
-	if *pipeline < 1 {
-		return fmt.Errorf("-pipeline %d: at least one command per batch", *pipeline)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: the shard count cannot be negative (0 or 1 = unsharded)", *shards)
-	}
-	if *maxConns < 0 {
-		return fmt.Errorf("-maxconns %d: the connection cap cannot be negative (0 = unlimited)", *maxConns)
-	}
-	if *arenaCap < 1 {
-		return fmt.Errorf("-arenacap %d: the node pool needs at least one node", *arenaCap)
-	}
-	if *blobCap < 1 {
-		return fmt.Errorf("-blobbudget %d: the blob budget needs at least one byte", *blobCap)
-	}
-	if *drain < 0 {
-		return fmt.Errorf("-drain %v: the shutdown budget cannot be negative", *drain)
-	}
-	nshards := *shards
-	if nshards == 0 {
-		nshards = 1
-	}
+	nshards := max(*fl.shards, 1) // 0 means unsharded
 
 	// The two key families expose the same serving surface; front is
 	// whichever one the flags picked.
@@ -140,28 +147,28 @@ func run(args []string) error {
 	metrics.RegisterProcess(reg)
 	opts := server.Options{
 		Metrics:      reg,
-		MaxPipeline:  *pipeline,
-		WriteTimeout: *writeTO,
-		MaxConns:     *maxConns,
+		MaxPipeline:  *fl.pipeline,
+		WriteTimeout: *fl.writeTO,
+		MaxConns:     *fl.maxConns,
 		Logf:         logger.Printf,
 	}
 	kvopts := hyaline.KVOptions{
-		MaxThreads:      *threads,
-		ArenaCap:        *arenaCap,
-		BlobClassBudget: *blobCap,
+		MaxThreads:      *fl.threads,
+		ArenaCap:        *fl.arenaCap,
+		BlobClassBudget: *fl.blobCap,
 	}
-	if *bytesMode {
-		st := *structure
+	if *fl.bytesMode {
+		st := *fl.structure
 		if st == "hashmap" { // the uint64 default; bytes structures have their own
 			st = "blist"
 		}
-		kv, err := hyaline.NewShardedKVBytes(st, *scheme, nshards, kvopts)
+		kv, err := hyaline.NewShardedKVBytes(st, *fl.scheme, nshards, kvopts)
 		if err != nil {
 			return err
 		}
 		fr, srv = kv, server.NewBytes(kv, opts)
 	} else {
-		kv, err := hyaline.NewShardedKV(*structure, *scheme, nshards, kvopts)
+		kv, err := hyaline.NewShardedKV(*fl.structure, *fl.scheme, nshards, kvopts)
 		if err != nil {
 			return err
 		}
@@ -174,22 +181,22 @@ func run(args []string) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", *fl.addr)
 	if err != nil {
 		return err
 	}
 
 	logger.Printf("listening on %s (structure=%s scheme=%s threads=%d shards=%d pipeline=%d bytes=%v maxconns=%d)",
-		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *pipeline, *bytesMode, *maxConns)
+		ln.Addr(), fr.Structure(), fr.Scheme(), fr.MaxThreads(), fr.Snapshot().Shards, *fl.pipeline, *fl.bytesMode, *fl.maxConns)
 
 	// The observability endpoint rides its own listener so a scrape or a
 	// profile can never contend with the serving port's accept loop.
 	var msrv *http.Server
-	if *metricsAt != "" {
-		mln, err := net.Listen("tcp", *metricsAt)
+	if *fl.metricsAt != "" {
+		mln, err := net.Listen("tcp", *fl.metricsAt)
 		if err != nil {
 			ln.Close()
-			return fmt.Errorf("-metrics %s: %w", *metricsAt, err)
+			return fmt.Errorf("-metrics %s: %w", *fl.metricsAt, err)
 		}
 		msrv = &http.Server{Handler: metricshttp.Handler(srv.Metrics())}
 		logger.Printf("metrics on http://%s/metrics (also /metrics.json, /debug/pprof/)", mln.Addr())
@@ -207,11 +214,11 @@ func run(args []string) error {
 	case err := <-serveErr:
 		return err // listener died underneath us
 	case s := <-sig:
-		logger.Printf("caught %v — draining connections (budget %v)", s, *drain)
+		logger.Printf("caught %v — draining connections (budget %v)", s, *fl.drain)
 	}
 
 	_, activeBefore, _, _ := srv.Counters()
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), *fl.drain)
 	defer cancel()
 	shutdownErr := srv.Shutdown(ctx)
 	<-serveErr // Serve has returned ErrServerClosed by now

@@ -130,4 +130,7 @@ func TestSignalAfterReadiness(t *testing.T) {
 
 // TestREADMEFlags fails when the README passes hyalined a flag that its flag
 // set does not define.
-func TestREADMEFlags(t *testing.T) { docflags.Check(t, "../../README.md", "hyalined") }
+func TestREADMEFlags(t *testing.T) {
+	fs, _ := newFlags()
+	docflags.Check(t, "../../README.md", fs)
+}

@@ -142,48 +142,63 @@ func (d vsDist) cap() int {
 	return d.max
 }
 
-func run(args []string) error {
+// flags are hyalineload's command-line knobs, bound to the flag set newFlags
+// builds with them.
+type flags struct {
+	addr, mixFlag, vsFlag    *string
+	conns, pipeline, prefill *int
+	duration                 *time.Duration
+	keyrange                 *uint64
+	useBytes                 *bool
+}
+
+// newFlags builds hyalineload's flag set; the README flag check reads it too.
+func newFlags() (*flag.FlagSet, *flags) {
 	fs := flag.NewFlagSet("hyalineload", flag.ContinueOnError)
-	var (
-		addr     = fs.String("addr", "127.0.0.1:4980", "hyalined address")
-		conns    = fs.Int("conns", 16, "concurrent client connections")
-		pipeline = fs.Int("pipeline", 16, "requests kept in flight per connection (1 = singleton round trips)")
-		duration = fs.Duration("duration", 5*time.Second, "measurement window")
-		mixFlag  = fs.String("mix", "write", "operation mix: write (50i/50d), read (5i/5d/90g) or I/D/G percentages")
-		keyrange = fs.Uint64("keyrange", 100_000, "key universe size")
-		prefill  = fs.Int("prefill", 0, "SETs to issue before measuring (warms the map for read mixes)")
-		useBytes = fs.Bool("bytes", false, "drive GETB/SETB/DELB against a hyalined -bytes server")
-		vsFlag   = fs.String("valuesize", "64", "value-size distribution for -bytes: N, MIN-MAX, or bimodal")
-	)
+	return fs, &flags{
+		addr:     fs.String("addr", "127.0.0.1:4980", "hyalined address"),
+		conns:    fs.Int("conns", 16, "concurrent client connections"),
+		pipeline: fs.Int("pipeline", 16, "requests kept in flight per connection (1 = singleton round trips)"),
+		duration: fs.Duration("duration", 5*time.Second, "measurement window"),
+		mixFlag:  fs.String("mix", "write", "operation mix: write (50i/50d), read (5i/5d/90g) or I/D/G percentages"),
+		keyrange: fs.Uint64("keyrange", 100_000, "key universe size"),
+		prefill:  fs.Int("prefill", 0, "SETs to issue before measuring (warms the map for read mixes)"),
+		useBytes: fs.Bool("bytes", false, "drive GETB/SETB/DELB against a hyalined -bytes server"),
+		vsFlag:   fs.String("valuesize", "64", "value-size distribution for -bytes: N, MIN-MAX, or bimodal"),
+	}
+}
+
+func run(args []string) error {
+	fs, fl := newFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *conns < 1 {
-		return fmt.Errorf("-conns %d: need at least one connection", *conns)
+	if *fl.conns < 1 {
+		return fmt.Errorf("-conns %d: need at least one connection", *fl.conns)
 	}
-	if *pipeline < 1 || *pipeline > maxPipeline {
-		return fmt.Errorf("-pipeline %d: want 1..%d (a closed-loop window must fit the socket buffers)", *pipeline, maxPipeline)
+	if *fl.pipeline < 1 || *fl.pipeline > maxPipeline {
+		return fmt.Errorf("-pipeline %d: want 1..%d (a closed-loop window must fit the socket buffers)", *fl.pipeline, maxPipeline)
 	}
-	if *duration <= 0 {
-		return fmt.Errorf("-duration %v: the measurement window must be positive", *duration)
+	if *fl.duration <= 0 {
+		return fmt.Errorf("-duration %v: the measurement window must be positive", *fl.duration)
 	}
-	if *keyrange == 0 {
+	if *fl.keyrange == 0 {
 		return fmt.Errorf("-keyrange 0: need a non-empty key universe")
 	}
-	if *prefill < 0 {
-		return fmt.Errorf("-prefill %d: cannot be negative", *prefill)
+	if *fl.prefill < 0 {
+		return fmt.Errorf("-prefill %d: cannot be negative", *fl.prefill)
 	}
-	m, err := parseMix(*mixFlag)
+	m, err := parseMix(*fl.mixFlag)
 	if err != nil {
 		return err
 	}
-	vs, err := parseValueSize(*vsFlag)
+	vs, err := parseValueSize(*fl.vsFlag)
 	if err != nil {
 		return err
 	}
 
-	if *prefill > 0 {
-		if err := doPrefill(*addr, *prefill, *keyrange, *useBytes, vs); err != nil {
+	if *fl.prefill > 0 {
+		if err := doPrefill(*fl.addr, *fl.prefill, *fl.keyrange, *fl.useBytes, vs); err != nil {
 			return fmt.Errorf("prefill: %w", err)
 		}
 	}
@@ -193,8 +208,8 @@ func run(args []string) error {
 		started sync.WaitGroup
 		done    sync.WaitGroup
 		release = make(chan struct{})
-		ops     = make([]int64, *conns)
-		hists   = make([]hist.Hist, *conns)
+		ops     = make([]int64, *fl.conns)
+		hists   = make([]hist.Hist, *fl.conns)
 		errOnce sync.Once
 		runErr  error
 	)
@@ -202,12 +217,12 @@ func run(args []string) error {
 		errOnce.Do(func() { runErr = err })
 		stop.Store(true)
 	}
-	for i := 0; i < *conns; i++ {
+	for i := 0; i < *fl.conns; i++ {
 		started.Add(1)
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
-			n, err := drive(*addr, i, *pipeline, m, *keyrange, newPayload(*useBytes, vs), &stop, &started, release, &hists[i])
+			n, err := drive(*fl.addr, i, *fl.pipeline, m, *fl.keyrange, newPayload(*fl.useBytes, vs), &stop, &started, release, &hists[i])
 			ops[i] = n
 			if err != nil {
 				fail(err)
@@ -217,7 +232,7 @@ func run(args []string) error {
 	started.Wait()
 	start := time.Now()
 	close(release)
-	time.Sleep(*duration)
+	time.Sleep(*fl.duration)
 	stop.Store(true)
 	done.Wait()
 	elapsed := time.Since(start)
@@ -227,24 +242,24 @@ func run(args []string) error {
 
 	var total int64
 	agg := &hists[0]
-	for i := 1; i < *conns; i++ {
+	for i := 1; i < *fl.conns; i++ {
 		agg.Merge(&hists[i])
 	}
 	for _, n := range ops {
 		total += n
 	}
 	family := "uint64"
-	if *useBytes {
-		family = "bytes valuesize=" + *vsFlag
+	if *fl.useBytes {
+		family = "bytes valuesize=" + *fl.vsFlag
 	}
 	fmt.Printf("hyalineload: addr=%s conns=%d pipeline=%d mix=%s payload=%s window=%v\n",
-		*addr, *conns, *pipeline, *mixFlag, family, elapsed.Round(time.Millisecond))
+		*fl.addr, *fl.conns, *fl.pipeline, *fl.mixFlag, family, elapsed.Round(time.Millisecond))
 	fmt.Printf("  client: ops=%d throughput=%.3f Mops/s\n",
 		total, float64(total)/elapsed.Seconds()/1e6)
 	fmt.Printf("  latency (per request, flush to reply): p50=%v p99=%v\n",
 		agg.Quantile(0.50).Round(time.Microsecond), agg.Quantile(0.99).Round(time.Microsecond))
 
-	return printServerStats(*addr)
+	return printServerStats(*fl.addr)
 }
 
 // payload is what a connection puts on the wire: the key family

@@ -189,4 +189,7 @@ func TestFlagValidation(t *testing.T) {
 
 // TestREADMEFlags fails when the README passes hyalineload a flag that its flag
 // set does not define.
-func TestREADMEFlags(t *testing.T) { docflags.Check(t, "../../README.md", "hyalineload") }
+func TestREADMEFlags(t *testing.T) {
+	fs, _ := newFlags()
+	docflags.Check(t, "../../README.md", fs)
+}

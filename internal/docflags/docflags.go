@@ -1,15 +1,14 @@
 // Package docflags checks the command lines a README shows against the
-// flags a binary defines, so a flag that is removed or renamed cannot
-// live on in the documentation. Each binary's tests call Check.
+// flags a binary's flag set defines, so a flag that is removed or renamed
+// cannot live on in the documentation. Each binary's tests call Check.
 package docflags
 
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"os"
-	"os/exec"
 	"path"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -98,51 +97,24 @@ func flagsOf(line, bin string) [][]string {
 	return out
 }
 
-// Defined returns the flag names listed in a flag.FlagSet's usage text
-// (flag.PrintDefaults), as a binary prints it for -h.
-func Defined(usage []byte) map[string]bool {
-	names := map[string]bool{}
-	sc := bufio.NewScanner(bytes.NewReader(usage))
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "  -"); ok {
-			if f := strings.Fields(rest); len(f) > 0 {
-				names[f[0]] = true
-			}
-		}
-	}
-	return names
-}
-
-// Check builds the main package in the current directory as bin, reads
-// the flags its -h lists, and fails t for every flag that an invocation
-// of bin in the README at readme passes and bin does not define. It
-// also fails when the README shows no invocation of bin.
-func Check(t *testing.T, readme, bin string) {
+// Check fails t for every flag that an invocation of the binary fs
+// belongs to, in the README at readme, passes and fs does not define
+// (-h and -help aside, which the flag package answers itself). It also
+// fails when the README shows no invocation of that binary.
+func Check(t *testing.T, readme string, fs *flag.FlagSet) {
 	t.Helper()
 	text, err := os.ReadFile(readme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go tool on PATH")
-	}
-	exe := filepath.Join(t.TempDir(), bin)
-	if out, err := exec.Command(gotool, "build", "-o", exe, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	usage, _ := exec.Command(exe, "-h").CombinedOutput() // -h exits non-zero
-	defined := Defined(usage)
-	if len(defined) == 0 {
-		t.Fatalf("%s -h listed no flags:\n%s", bin, usage)
-	}
+	bin := fs.Name()
 	calls := Invocations(text, bin)
 	if len(calls) == 0 {
 		t.Fatalf("%s shows no invocation of %s", readme, bin)
 	}
 	for _, flags := range calls {
 		for _, f := range flags {
-			if !defined[f] {
+			if fs.Lookup(f) == nil && f != "h" && f != "help" {
 				t.Errorf("%s passes -%s to %s, which defines no such flag", readme, f, bin)
 			}
 		}

@@ -28,17 +28,3 @@ func TestInvocations(t *testing.T) {
 		t.Errorf("hyalineload invocations = %q", got)
 	}
 }
-
-func TestDefined(t *testing.T) {
-	usage := []byte("Usage of hyalined:\n" +
-		"  -addr string\n" +
-		"    \tTCP listen address (default \":4980\")\n" +
-		"  -bytes\n" +
-		"    \tserve []byte keys\n" +
-		"  -x\tshort flag\n" +
-		"hyalined: flag: help requested\n")
-	want := map[string]bool{"addr": true, "bytes": true, "x": true}
-	if got := Defined(usage); !reflect.DeepEqual(got, want) {
-		t.Errorf("Defined = %v, want %v", got, want)
-	}
-}

@@ -28,7 +28,7 @@ type srvMetrics struct {
 
 	// Poller counters.
 	pollWakeups  *metrics.Counter // readers the poller started for parked conns
-	pollRearms   *metrics.Counter // conns parked after idling idleLinger
+	pollRearms   *metrics.Counter // conns parked after idling past their linger
 	pollSpurious *metrics.Counter // woken readers that parked again frameless
 
 	// Distributions.
@@ -36,7 +36,7 @@ type srvMetrics struct {
 	batchOps  *metrics.Histogram // ops per KV apply batch
 
 	// Gauges.
-	goroutines *metrics.Gauge // live server goroutines (readers + poller loop)
+	goroutines *metrics.Gauge // live server goroutines (readers, poller loop and sweep)
 }
 
 func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
@@ -70,7 +70,7 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 		batchOps: reg.SizeHistogram("hyaline_server_batch_ops",
 			"Data ops per KV apply batch."),
 		goroutines: reg.Gauge("hyaline_server_goroutines",
-			"Live server goroutines: connection readers and the poller loop."),
+			"Live server goroutines: connection readers, the poller loop and, while busy connections are watched, its sweep."),
 	}
 }
 

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"os"
 	"runtime"
@@ -97,11 +98,14 @@ func TestPollServing(t *testing.T) {
 // of a linger apart, for three lingers, keeps its reader. Its read
 // deadline fires while the connection is busy and is moved on instead
 // of parking it, so it parks at most once (a scheduling hiccup), not
-// once per linger.
+// once per linger. The second time the deadline finds it busy, the
+// reader drops the deadline and the poller's sweep watches the
+// connection, in a goroutine of its own. When the windows stop, the
+// sweep sends the reader to park, and then exits.
 func TestPollBusyKeepsReader(t *testing.T) {
 	skipWithoutPoller(t)
 	_, srv, addr := testServer(t, "hashmap", "hyaline", server.Options{})
-	_, w, rd := dial(t, addr)
+	c, w, rd := dial(t, addr)
 	for i := 0; i < 12; i++ {
 		w.Ping([]byte("busy"))
 		if err := w.Flush(); err != nil {
@@ -113,6 +117,16 @@ func TestPollBusyKeepsReader(t *testing.T) {
 	if n := metric(srv, "hyaline_server_poll_rearms_total"); n > 1 {
 		t.Errorf("a busy connection parked %v times", n)
 	}
+	if n := metric(srv, "hyaline_server_poll_rearms_total"); n == 0 {
+		if !server.IsWatched(srv, c.LocalAddr()) {
+			t.Error("a busy connection is not watched by the sweep")
+		}
+		if g := serverGoroutines(srv); g != 3 {
+			t.Errorf("%v server goroutines, want 3 (reader, poller loop, sweep)", g)
+		}
+	}
+	waitParked(t, srv, c)
+	waitFor(t, "the sweep exits", func() bool { return serverGoroutines(srv) == 1 })
 }
 
 // TestPollGoroutineBound: idle connections cost no goroutine. Once 64
@@ -295,11 +309,12 @@ func TestShutdownRacesPark(t *testing.T) {
 	skipWithoutPoller(t)
 	paused, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	defer server.SetParkPause(func() {
+	defer server.SetParkHook(func() error {
 		once.Do(func() {
 			close(paused)
 			<-release
 		})
+		return nil
 	})()
 	kv, err := hyaline.NewKV("hashmap", "hyaline", hyaline.KVOptions{MaxThreads: 4, ArenaCap: 1 << 16})
 	if err != nil {
@@ -370,5 +385,61 @@ func TestParkPartialFrame(t *testing.T) {
 	wantStatus(t, f, protocol.StatusOK)
 	if v, _ := protocol.U64(f.Payload); v != 70 {
 		t.Fatalf("GET after a parked half frame returned %d, want 70", v)
+	}
+}
+
+// TestParkArmFailureKeepsConn: when the poller cannot arm a descriptor
+// (a full epoll watch table, say), the connection is not closed. Its
+// reader keeps it, stops trying to park, and goes on serving, and
+// Shutdown still drains clean.
+func TestParkArmFailureKeepsConn(t *testing.T) {
+	skipWithoutPoller(t)
+	tried := make(chan struct{}, 1)
+	defer server.SetParkHook(func() error {
+		select {
+		case tried <- struct{}{}:
+		default:
+		}
+		return errors.New("arm refused")
+	})()
+	kv, err := hyaline.NewKV("hashmap", "hyaline", hyaline.KVOptions{MaxThreads: 4, ArenaCap: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(kv, server.Options{})
+	addr, shutdown := serve(t, srv)
+	_, w, rd := dial(t, addr)
+	w.Set(3, 30)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wantStatus(t, readFrame(t, rd), protocol.StatusOK)
+	<-tried // the reader idled past the linger and its park failed
+	time.Sleep(3 * server.IdleLinger)
+	w.Get(3)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f := readFrame(t, rd)
+	wantStatus(t, f, protocol.StatusOK)
+	if v, _ := protocol.U64(f.Payload); v != 30 {
+		t.Fatalf("GET after a failed park returned %d, want 30", v)
+	}
+	if len(tried) != 0 {
+		t.Error("the reader tried to park again after its arm failed")
+	}
+	if g := serverGoroutines(srv); g != 2 {
+		t.Errorf("%v server goroutines, want 2 (the reader and the poller loop)", g)
+	}
+	if n := metric(srv, "hyaline_server_poll_rearms_total"); n != 0 {
+		t.Errorf("%v parks counted for a connection that never parked", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := kv.InFlight(); n != 0 {
+		t.Errorf("%d session leases in flight after Shutdown", n)
 	}
 }

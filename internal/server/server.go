@@ -23,13 +23,13 @@
 // measurement).
 //
 // A connection holds its reader goroutine only while it has work. A
-// reader that waits idleLinger for a frame parks the connection's file
-// descriptor in an OS readiness poller (epoll on Linux, kqueue on
-// Darwin/FreeBSD; see poll*.go) and exits, and the poller starts a
-// fresh reader when the descriptor turns readable. N idle connections
-// cost one server goroutine instead of N; a busy one keeps its reader.
-// Where there is no poller backend, or a connection exposes no
-// descriptor, the reader never parks.
+// reader that waits out its linger for a frame parks the connection's
+// file descriptor in an OS readiness poller (epoll on Linux; see
+// poll*.go) and exits, and the poller starts a fresh reader when the
+// descriptor turns readable. N idle connections cost one server
+// goroutine instead of N; a busy one keeps its reader. On other
+// platforms, and for a connection that exposes no descriptor, the
+// reader never parks.
 package server
 
 import (
@@ -417,6 +417,9 @@ type conn struct {
 	// poller, or no descriptor). added: fd is in the poller's set.
 	fd    int
 	added bool
+	// busy is set by the reader after a window of a conn the poller's
+	// sweep watches; the sweep clears it (see poll.go).
+	busy atomic.Bool
 
 	// Window latency bookkeeping: wstart is stamped when the window's
 	// first frame is decoded, wops counts the replies produced in this
@@ -459,21 +462,24 @@ func (cn *conn) takeReader() {
 // run is the conn's reader: decode one pipeline window at a time, apply
 // its data commands in batches, write the replies, repeat until the
 // peer goes away or the server drains — or, for a conn that can park,
-// until no window has begun for idleLinger, when the conn parks and run
+// until no window has begun for a linger, when the conn parks and run
 // returns without tearing it down. woken says the poller started this
 // reader.
 //
-// The read deadline is not moved per window. It stays at idleLinger
-// after the window that was last when it was set, and when it fires on
-// a conn whose latest window began less than idleLinger ago, it is
-// moved to idleLinger after that window and the read resumes. A busy
-// conn so pays one deadline reset per linger, not one per window.
+// The read deadline is not moved per window. It stays idleLinger after
+// the window that was last when it was set, and when it fires on a conn
+// whose latest window began less than idleLinger ago, it is moved to
+// idleLinger after that window and the read resumes. When it finds the
+// conn busy a second time, the reader drops it and has the poller's
+// sweep watch the conn (poll.go): a busy conn reads with no deadline.
 func (cn *conn) run(woken bool) {
 	if cn.rd == nil {
 		cn.takeReader()
 	}
 	// spurious: the poller woke this reader and no frame has come yet.
-	last, spurious := time.Now(), woken
+	// busyFires: how often the deadline has found the conn busy.
+	// watched: the sweep, not a deadline, watches the conn.
+	last, spurious, busyFires, watched := time.Now(), woken, 0, false
 	if cn.fd >= 0 {
 		cn.c.SetReadDeadline(last.Add(idleLinger))
 	}
@@ -492,15 +498,40 @@ func (cn *conn) run(woken bool) {
 				// The stream is still well-framed: bytes of a partial
 				// frame stay buffered.
 				cn.rd.ClearError()
-				if time.Since(last) < idleLinger {
-					cn.c.SetReadDeadline(last.Add(idleLinger))
+				if watched {
+					// The sweep's kick; a window may have raced it.
+					cn.c.SetReadDeadline(time.Time{})
+					if cn.busy.Load() {
+						continue
+					}
+				} else if time.Since(last) < idleLinger {
+					if busyFires++; busyFires < 2 {
+						cn.c.SetReadDeadline(last.Add(idleLinger))
+					} else {
+						cn.c.SetReadDeadline(time.Time{})
+						watched = cn.srv.po.watch(cn)
+					}
 					continue
 				}
 				if spurious {
 					cn.srv.m.pollSpurious.Inc()
 				}
-				if cn.park() {
+				err := cn.park()
+				if err == nil {
 					return
+				}
+				if !errors.Is(err, errPollerStopped) {
+					// The descriptor could not be armed (ENOSPC from
+					// fs.epoll.max_user_watches, say): the conn keeps
+					// its reader and stops trying to park.
+					cn.srv.logf("server: cannot park %s: %v; it keeps its reader", cn.c.RemoteAddr(), err)
+					cn.fd = -1
+					cn.c.SetReadDeadline(time.Time{})
+					if watched {
+						cn.srv.po.unwatch(cn)
+						watched = false
+					}
+					continue
 				}
 			} else {
 				cn.readFailed(err)
@@ -509,23 +540,36 @@ func (cn *conn) run(woken bool) {
 		}
 		cn.window(f)
 		last, spurious = cn.wstart, false
+		if watched && !cn.busy.Load() {
+			cn.busy.Store(true)
+		}
+	}
+	if watched {
+		cn.srv.po.unwatch(cn)
 	}
 	cn.teardown()
 }
 
 // park hands the idle conn to the poller. A conn with part of a frame
 // buffered keeps its Reader; with nothing buffered the Reader goes back
-// to readerPool. false means the poller refused and the caller still
-// owns the conn.
-func (cn *conn) park() bool {
+// to readerPool. On an error the poller refused: the caller still owns
+// the conn, which has its Reader back.
+func (cn *conn) park() error {
 	if cn.rd.Buffered() == 0 {
 		readerPool.Put(cn.rd)
 		cn.rd = nil
 	}
-	if parkPause != nil {
-		parkPause()
+	var err error
+	if parkHook != nil {
+		err = parkHook()
 	}
-	return cn.srv.po.park(cn)
+	if err == nil {
+		err = cn.srv.po.park(cn)
+	}
+	if err != nil && cn.rd == nil {
+		cn.takeReader()
+	}
+	return err
 }
 
 // readFailed ends a connection whose blocking ReadFrame failed. EOF, a
